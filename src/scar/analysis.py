@@ -9,6 +9,7 @@ scenario.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -161,50 +162,25 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     cnum = cop_number(g, max_cops=n_players, state_cap=state_cap)
     c = cnum.value  # None means > n_players, which also means >= N for our suites
     scope = f"sampled {len(grid.gammas)}x{len(grid.epsilons)} (gamma, eps) grid, all initial states"
-    reports = []
 
+    capturing = c is not None and c <= n_players - 1
+    noncapturing = c is None or c >= 2
     threat_rep = TheoremReport(
         "threat-ne-exists",
         "the mutual-threat profile is an equilibrium from every start",
         scope)
-    for gamma, eps in grid.points():
-        params = GameParams(n_players, gamma, eps)
-        threat = equilibria.build_threat_profile(space, params, tol=value_tol)
-        ver = equilibria.verify_threat_ne(space, params, threat, tol=tol, value_tol=value_tol)
-        threat_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
-                          _scenario(g, n_players, gamma, eps, profile="threat", tol=tol, value_tol=value_tol))
-    reports.append(threat_rep)
-
-    if c is not None and c <= n_players - 1:
+    reports = [threat_rep]
+    if capturing:
         cap_rep = TheoremReport(
             "capturing-ne-exists",
             "with enough pursuers (cop number <= N-1) a capturing equilibrium exists from every start",
             scope)
-        bound = t_n_max(space, table)
-        for gamma, eps in grid.points():
-            params = GameParams(n_players, gamma, eps)
-            threat = equilibria.build_capturing_threat_ne(space, params, table=table, tol=value_tol)
-            ver = equilibria.verify_threat_ne(space, params, threat, tol=tol, value_tol=value_tol)
-            captures = ver.captures_everywhere()
-            within = (ver.cooperative_turns[space.is_noncapture] <= bound).all() if captures else False
-            cap_rep.record(ver.is_ne and captures and bool(within),
-                           {"gamma": gamma, "epsilon": eps, "captures_everywhere": captures,
-                            "capture_time_bound": bound, **ver.summary()},
-                           _scenario(g, n_players, gamma, eps, profile="capturing-threat", tol=tol, value_tol=value_tol))
-        reports.append(cap_rep)
-
         omega_rep = TheoremReport(
             "cr-optimal-ne-on-omega-tilde",
             "under gamma < eps/(1-eps) the canonical optimal pursuit is itself an equilibrium",
             scope + " (grid points inside the region only)")
-        for gamma, eps in grid.omega_tilde_points(n_players):
-            params = GameParams(n_players, gamma, eps)
-            _, ver = equilibria.check_cr_optimal_ne(space, params, table=table,
-                                                    tol=tol, value_tol=value_tol)
-            omega_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
-                             _scenario(g, n_players, gamma, eps, profile="cr-optimal", tol=tol, value_tol=value_tol))
-        reports.append(omega_rep)
-
+        reports += [cap_rep, omega_rep]
+        bound = t_n_max(space, table)
     if c == 1:
         # The capturing guarantee rests on a deviation that earns at least the
         # bystander share of a capture many turns out. At eps = 0 that share is
@@ -212,35 +188,16 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
         # equilibria exist even here), and under heavy discounting it drops
         # below any float verification tolerance; the claim is only testable
         # where the incentive stays resolvable.
-        horizon = n_players * t_n_max(build_state_space(g, 2, **kwargs),
-                                      exact_capture_times(build_state_space(g, 2, **kwargs)))
+        space2 = build_state_space(g, 2, **kwargs)
+        horizon = n_players * t_n_max(space2, exact_capture_times(space2))
         copwin_rep = TheoremReport(
             "cop-win-all-ne-capturing",
             "on a pursuer-win graph every verified equilibrium captures from every start",
             scope + "; restricted to points with eps * gamma^(one-pursuer delay horizon)"
                     " above 10x the gap tolerance (elsewhere the deviation incentive is"
                     " smaller than anything float verification can resolve)")
-        for gamma, eps in grid.points():
-            if eps <= 0.0 or eps * gamma**horizon <= 10 * tol:
-                copwin_rep.instances.append(
-                    {"passed": None, "skipped": True, "gamma": gamma, "epsilon": eps,
-                     "reason": "incentive below verification resolution"})
-                continue
-            params = GameParams(n_players, gamma, eps)
-            for builder, kind in ((equilibria.build_threat_profile, "threat"),
-                                  (equilibria.build_capturing_threat_ne, "capturing-threat")):
-                threat = (builder(space, params, tol=value_tol) if kind == "threat"
-                          else builder(space, params, table=table, tol=value_tol))
-                ver = equilibria.verify_threat_ne(space, params, threat, tol=tol,
-                                                  value_tol=value_tol)
-                copwin_rep.record(not ver.is_ne or ver.captures_everywhere(),
-                                  {"gamma": gamma, "epsilon": eps, "profile": kind,
-                                   "is_ne": ver.is_ne,
-                                   "captures_everywhere": ver.captures_everywhere()},
-                                  _scenario(g, n_players, gamma, eps, profile=kind, tol=tol, value_tol=value_tol))
         reports.append(copwin_rep)
-
-    if c is None or c >= 2:
+    if noncapturing:
         nonc_rep = TheoremReport(
             "noncapturing-ne-exists",
             "with cop number >= 2 some start admits a non-capturing equilibrium",
@@ -249,8 +206,58 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                                                         GameParams(n_players, grid.gammas[0],
                                                                    grid.epsilons[0]),
                                                         state_cap=state_cap)
-        for gamma, eps in grid.points():
-            params = GameParams(n_players, gamma, eps)
+        reports.append(nonc_rep)
+
+    # One pass over the grid. Each point's auxiliary games serve both threat
+    # builders, and its two threat verdicts serve the cop-win suite too. Only
+    # one point's arrays are alive at a time: the games and threat profiles go
+    # once verified, the verdicts before the non-capturing MDPs run.
+    scenario = functools.partial(_scenario, g, n_players, tol=tol, value_tol=value_tol)
+    for gamma, eps in grid.points():
+        params = GameParams(n_players, gamma, eps)
+        aux = equilibria.solve_all_aux_games(space, params, tol=value_tol)
+        verdicts = {"threat": equilibria.verify_threat_ne(
+            space, params, equilibria.build_threat_profile(space, params, aux=aux),
+            tol=tol, value_tol=value_tol)}
+        if capturing:
+            verdicts["capturing-threat"] = equilibria.verify_threat_ne(
+                space, params,
+                equilibria.build_capturing_threat_ne(space, params, table=table, aux=aux),
+                tol=tol, value_tol=value_tol)
+        del aux
+
+        ver = verdicts["threat"]
+        threat_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
+                          scenario(gamma, eps, profile="threat"))
+        if capturing:
+            ver = verdicts["capturing-threat"]
+            captures = ver.captures_everywhere()
+            within = (ver.cooperative_turns[space.is_noncapture] <= bound).all() if captures else False
+            cap_rep.record(ver.is_ne and captures and bool(within),
+                           {"gamma": gamma, "epsilon": eps, "captures_everywhere": captures,
+                            "capture_time_bound": bound, **ver.summary()},
+                           scenario(gamma, eps, profile="capturing-threat"))
+            if params.in_omega_tilde:
+                _, ver = equilibria.check_cr_optimal_ne(space, params, table=table,
+                                                        tol=tol, value_tol=value_tol)
+                omega_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
+                                 scenario(gamma, eps, profile="cr-optimal"))
+
+        if c == 1:
+            if eps <= 0.0 or eps * gamma**horizon <= 10 * tol:
+                copwin_rep.instances.append(
+                    {"passed": None, "skipped": True, "gamma": gamma, "epsilon": eps,
+                     "reason": "incentive below verification resolution"})
+            else:
+                for kind, ver in verdicts.items():
+                    copwin_rep.record(not ver.is_ne or ver.captures_everywhere(),
+                                      {"gamma": gamma, "epsilon": eps, "profile": kind,
+                                       "is_ne": ver.is_ne,
+                                       "captures_everywhere": ver.captures_everywhere()},
+                                      scenario(gamma, eps, profile=kind))
+
+        del verdicts, ver  # the point's threat and omega-tilde arrays
+        if noncapturing:
             trace = run(space, params, construction.profile, construction.s0_index)
             ver = equilibria.verify_noncapturing_ne(space, params, construction,
                                                     tol=tol, value_tol=value_tol)
@@ -258,10 +265,8 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
                              "termination": trace.termination, "is_ne": ver.is_ne,
                              "gains": ver.per_player_gain},
-                            _scenario(g, n_players, gamma, eps, s0=list(construction.s0),
-                                      profile="noncapturing-construction",
-                                      tol=tol, value_tol=value_tol))
-        reports.append(nonc_rep)
+                            scenario(gamma, eps, s0=list(construction.s0),
+                                     profile="noncapturing-construction"))
 
     if c is None or c >= n_players:
         escape_rep = TheoremReport(

@@ -147,10 +147,6 @@ def cop_number(g: Graph, max_cops: int = 3, state_cap=None, solver=exact_capture
     return CopNumberResult(value, finite_by_cops)
 
 
-def is_cop_win(g: Graph, state_cap=None) -> bool:
-    return cop_number(g, max_cops=1, state_cap=state_cap).value == 1
-
-
 @dataclass
 class DiscountedValue:
     values: np.ndarray

@@ -9,6 +9,14 @@ cycles). For threat profiles the punished deviator faces fixed positional
 punishers, so his best possible continuation is again an MDP value, and a
 one-shot deviation scan along cooperative play covers every deviating strategy.
 
+Both threat constructions go through one builder: they differ only in the
+cooperative moves, and share the punishments taken from the N auxiliary
+player-vs-coalition games. Those games depend on (space, params) alone, so a
+caller that needs both profiles solves them once (`solve_all_aux_games`) and
+passes them as `aux=`. The threat verifier resolves cooperative play once
+(`profile_outcomes`) and derives both capture turns and closed-form payoffs
+from that single pass.
+
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
 solver detects oscillation, reports non-convergence honestly, and gates any
@@ -73,21 +81,28 @@ def solve_all_aux_games(space: StateSpace, params: GameParams, tol: float = DEFA
     return [solve_aux_game(space, params, n, tol=tol) for n in range(1, params.n_players + 1)]
 
 
-def build_threat_profile(space: StateSpace, params: GameParams, aux: list | None = None,
-                         tol: float = DEFAULT_VALUE_TOL) -> ThreatProfile:
-    """Cooperate along everyone's own aux-optimal strategy; punish the first deviator
-    with the coalition strategies from his auxiliary game."""
-    if aux is None:
-        aux = solve_all_aux_games(space, params, tol=tol)
-    cooperative = PositionalProfile(
-        space, combine_player_moves(space, [a.own_move for a in aux]), validate=False)
+def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
+                    kind: str) -> ThreatProfile:
+    """Cooperate along `cooperative_move`; punish the first deviator with the
+    coalition strategy from his auxiliary game (his own rows stay cooperative)."""
+    cooperative = PositionalProfile(space, cooperative_move, validate=False)
     punishments = {}
     for d, sol in enumerate(aux, start=1):
         moves = sol.coalition_move.copy()
         own_rows = space.is_noncapture & (space.mover == d)
         moves[own_rows] = cooperative.move[own_rows]
         punishments[d] = PositionalProfile(space, moves, validate=False)
-    return ThreatProfile(space, cooperative, punishments, kind="threat")
+    return ThreatProfile(space, cooperative, punishments, kind=kind)
+
+
+def build_threat_profile(space: StateSpace, params: GameParams, aux: list | None = None,
+                         tol: float = DEFAULT_VALUE_TOL) -> ThreatProfile:
+    """Cooperate along everyone's own aux-optimal strategy; punish the first deviator
+    with the coalition strategies from his auxiliary game."""
+    if aux is None:
+        aux = solve_all_aux_games(space, params, tol=tol)
+    return _threat_profile(space, combine_player_moves(space, [a.own_move for a in aux]),
+                           aux, "threat")
 
 
 def build_capturing_threat_ne(space: StateSpace, params: GameParams,
@@ -108,14 +123,8 @@ def build_capturing_threat_ne(space: StateSpace, params: GameParams,
         )
     if aux is None:
         aux = solve_all_aux_games(space, params, tol=tol)
-    cooperative = PositionalProfile(space, extract_cr_optimal_moves(space, table), validate=False)
-    punishments = {}
-    for d, sol in enumerate(aux, start=1):
-        moves = sol.coalition_move.copy()
-        own_rows = space.is_noncapture & (space.mover == d)
-        moves[own_rows] = cooperative.move[own_rows]
-        punishments[d] = PositionalProfile(space, moves, validate=False)
-    return ThreatProfile(space, cooperative, punishments, kind="capturing-threat")
+    return _threat_profile(space, extract_cr_optimal_moves(space, table), aux,
+                           "capturing-threat")
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +308,6 @@ class ThreatNEReport:
     per_player_gain: list
     witness: list
     cooperative_turns: np.ndarray  # turns to capture under cooperative play, -1 = never
-    cooperative_capture_at: np.ndarray
-    punish_values: list
     noncapture_mask: np.ndarray = None
 
     def captures_everywhere(self) -> bool:
@@ -329,19 +336,17 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
     n = params.n_players
     gamma = params.gamma
     q = turn_payoff_matrix(space, params)
-    coop_turns, coop_capture_at = profile_outcomes(space, threat.cooperative.move)
-    u_coop = exact_profile_values(space, params, threat.cooperative.move)
+    outcomes = profile_outcomes(space, threat.cooperative.move)
+    u_coop = exact_profile_values(space, params, threat.cooperative.move, outcomes=outcomes)
     nc = space.is_noncapture
     per_player_gain = []
     witness = []
-    punish_values = []
     slot_ok = space.slot_mask()
     for player in range(1, n + 1):
         punish_succ = space.succ_of_moves(threat.punishments[player].move)
         free = space.mover == player
         v_pun, _, _ = bellman.solve_mdp(space, q[player - 1], gamma, free, punish_succ,
                                         tol=value_tol)
-        punish_values.append(v_pun)
         rows = np.flatnonzero(nc & free)
         if rows.size == 0:
             per_player_gain.append(0.0)
@@ -358,8 +363,7 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
         witness.append(int(rows[at]))
     max_gain = max(per_player_gain)
     return ThreatNEReport(max_gain <= tol, tol, per_player_gain, witness,
-                          coop_turns, coop_capture_at, punish_values,
-                          space.is_noncapture)
+                          outcomes[0], space.is_noncapture)
 
 
 def check_cr_optimal_ne(space: StateSpace, params: GameParams,
@@ -519,15 +523,15 @@ def _pursuer_deviation_value(space, params, prof, player, q_row, value_tol):
     v = np.tile(np.where(space.is_capture, q_row, 0.0), (n_modes, 1)).T.copy()  # (ns, modes)
     cap = bellman.iteration_cap(gamma, value_tol)
     frozen_rows = np.flatnonzero(nc & (space.mover != player))
+    # loop invariants: flat (state, mode) gather indices into v, and the real action slots
+    frozen_at = frozen_succ[frozen_rows] * n_modes + frozen_mode[frozen_rows]
+    own_at = space.succ[own_rows][:, :, None] * n_modes + own_mode_per_slot
+    own_slots = space.slot_mask()[own_rows][:, :, None]
     for _ in range(cap):
+        flat = v.ravel()
         new = v.copy()
-        for mode in range(n_modes):
-            fr = frozen_rows
-            new[fr, mode] = gamma * v[frozen_succ[fr, mode], frozen_mode[fr, mode]]
-            succ_own = space.succ[own_rows]
-            vals = gamma * v[succ_own, own_mode_per_slot[:, :, mode]]
-            vals = np.where(space.slot_mask()[own_rows], vals, -np.inf)
-            new[own_rows, mode] = vals.max(axis=1)
+        new[frozen_rows] = gamma * flat[frozen_at]
+        new[own_rows] = np.where(own_slots, gamma * flat[own_at], -np.inf).max(axis=1)
         resid = float(np.abs(new - v).max(initial=0.0))
         v = new
         if resid <= value_tol:

@@ -102,16 +102,21 @@ def turn_payoff(space, params: GameParams, s, player: int, exact: bool = False):
 
 
 def turn_payoff_matrix(space, params: GameParams) -> np.ndarray:
-    """(n_players, n_states) float matrix of turn payoffs; zero off capture states."""
+    """(n_players, n_states) float matrix of turn payoffs; zero off capture states.
+
+    Capture states are grouped by their captor count n1, so `_split` runs once
+    per distinct n1 and side; the entries equal `turn_payoff` bit for bit.
+    """
     n = params.n_players
     q = np.zeros((n, space.n_states))
     cap = np.flatnonzero(space.is_capture)
     q[n - 1, cap] = -1.0
-    ncops = n - 1
-    for idx in cap:
-        n1 = int(space.capture_count[idx])
-        for c in range(ncops):
-            q[c, idx] = _split(params, n1, bool(space._cop_on_robber[idx, c]), exact=False)
+    n1_of = space.capture_count[cap]
+    for n1 in np.unique(n1_of).tolist():
+        rows = cap[n1_of == n1]
+        q[:n - 1, rows] = np.where(space._cop_on_robber[rows].T,
+                                   _split(params, n1, True, exact=False),
+                                   _split(params, n1, False, exact=False))
     return q
 
 

@@ -50,11 +50,6 @@ class PositionalProfile:
     def observe(self, idx, mover, action, mode):
         return mode
 
-    def player_view(self, player: int) -> dict:
-        """Mapping state-tuple -> action on the states where `player` moves."""
-        rows = np.flatnonzero(self.space.is_noncapture & (self.space.mover == player))
-        return {self.space.state_at(int(s)): int(self.move[s]) for s in rows}
-
 
 def combine_player_moves(space: StateSpace, per_player: list) -> np.ndarray:
     """Merge per-player move arrays into one dense array keyed by the mover."""

@@ -4,6 +4,11 @@ A trace stops at the first capture state (the hop to the terminal is implicit),
 or certifies non-capture the moment a (state, mode) pair repeats: from there
 play is provably periodic, no capture can ever occur, and every payoff is zero.
 A turn cap exists only as a safety net for externally supplied strategies.
+
+Whole-space evaluation of positional play needs no play-out at all:
+`profile_outcomes` resolves every start at once by pointer doubling over the
+profile's successor map, in array operations only, and `exact_profile_values`
+turns those outcomes into closed-form payoffs gamma^T * split.
 """
 
 from __future__ import annotations
@@ -135,43 +140,32 @@ def profile_outcomes(space: StateSpace, moves: np.ndarray):
     Returns (turns, capture_at): turns[s] is the number of turns until the
     play entering at s first hits a capture state and capture_at[s] is that
     state's index; both are -1 when play provably cycles without capture.
+
+    Pointer doubling over the successor map with capture states and the
+    terminal made absorbing: after round k, `jump[s]` is where play stands
+    2^k turns after s (or where it was absorbed) and `turns[s]` how many of
+    those turns it spent off the absorbing states. Simple paths are shorter
+    than the state count, so ceil(log2(n_states)) rounds settle every play.
     """
-    nxt = space.succ_of_moves(moves)
-    n = space.n_states
-    turns = np.full(n, -2, dtype=np.int64)  # -2 = not yet resolved
-    capture_at = np.full(n, -1, dtype=np.int64)
+    jump = space.succ_of_moves(moves)
     cap_rows = np.flatnonzero(space.is_capture)
-    turns[cap_rows] = 0
-    capture_at[cap_rows] = cap_rows
-    turns[space.terminal_index] = -1
-    nxt_list = nxt.tolist()
-    turns_list = turns.tolist()
-    cap_list = capture_at.tolist()
-    for s0 in range(n):
-        if turns_list[s0] != -2:
-            continue
-        path = []
-        on_path = set()
-        s = s0
-        while turns_list[s] == -2 and s not in on_path:
-            on_path.add(s)
-            path.append(s)
-            s = nxt_list[s]
-        if turns_list[s] == -2 or turns_list[s] == -1:
-            base_t, base_cap = -1, -1  # fell into a cycle (or the terminal): no capture ever
-        else:
-            base_t, base_cap = turns_list[s], cap_list[s]
-        for node in reversed(path):
-            if base_t >= 0:
-                base_t += 1
-            turns_list[node] = base_t
-            cap_list[node] = base_cap
-    return np.array(turns_list, dtype=np.int64), np.array(cap_list, dtype=np.int64)
+    jump[cap_rows] = cap_rows
+    turns = space.is_noncapture.astype(np.int64)
+    for _ in range(max(1, (space.n_states - 1).bit_length())):
+        turns += turns[jump]
+        jump = jump[jump]
+    captured = space.is_capture[jump]
+    return np.where(captured, turns, -1), np.where(captured, jump, -1)
 
 
-def exact_profile_values(space: StateSpace, params: GameParams, moves: np.ndarray) -> np.ndarray:
-    """(n_players, n_states) payoff of positional play, in closed form gamma^T * split."""
-    turns, capture_at = profile_outcomes(space, moves)
+def exact_profile_values(space: StateSpace, params: GameParams, moves: np.ndarray,
+                         outcomes: tuple | None = None) -> np.ndarray:
+    """(n_players, n_states) payoff of positional play, in closed form gamma^T * split.
+
+    `outcomes` is the (turns, capture_at) pair of `profile_outcomes` for these
+    moves, when the caller already holds it.
+    """
+    turns, capture_at = profile_outcomes(space, moves) if outcomes is None else outcomes
     q = turn_payoff_matrix(space, params)
     finite = turns >= 0
     powers = np.zeros(space.n_states)

@@ -89,6 +89,24 @@ def test_theorem_suite_petersen():
     assert "capturing-ne-exists" not in reports  # needs cop number <= 2
 
 
+def test_theorem_suite_solves_each_aux_game_once(monkeypatch):
+    from scar import equilibria
+
+    calls = []
+    solve = equilibria.solve_aux_game
+
+    def counting(space, params, player, tol):
+        calls.append((params.gamma, params.epsilon, player))
+        return solve(space, params, player, tol=tol)
+
+    monkeypatch.setattr(equilibria, "solve_aux_game", counting)
+    grid = small_grid(4)
+    reports = {r.theorem_id for r in theorem_suite(cycle_graph(4), 4, grid=grid)}
+    assert "capturing-ne-exists" in reports  # both threat builders ran
+    assert len(calls) == len(grid.points()) * 4
+    assert len(set(calls)) == len(calls)
+
+
 def test_escape_witness():
     space = build_state_space(petersen_graph(), 3)
     w = escape_start_witness(space)

@@ -116,6 +116,19 @@ def test_turn_payoff_matrix_consistent(c4_3p):
             assert q[p - 1, idx] == pytest.approx(turn_payoff(c4_3p, params, idx, p))
 
 
+@pytest.mark.parametrize("n,graph", [(2, cycle_graph(4)), (3, cycle_graph(4)),
+                                     (4, path_graph(3)), (5, path_graph(3))])
+def test_turn_payoff_matrix_equals_turn_payoff_exactly(n, graph):
+    space = build_state_space(graph, n)
+    for params in (GameParams(n, 0.7, 0.0), GameParams(n, 0.7, 1.0 / (n - 1)),
+                   GameParams(n, 0.7, split_equivalent=True),
+                   GameParams(n, 0.7, 0.9, allow_extended_epsilon=True)):
+        q = turn_payoff_matrix(space, params)
+        expected = [[turn_payoff(space, params, s, m + 1) for s in range(space.n_states)]
+                    for m in range(n)]
+        assert q.tolist() == expected
+
+
 def test_discount_decay():
     # later captures are strictly worth less in magnitude, all else equal
     g = Fraction(9, 10)

@@ -211,6 +211,26 @@ def test_profile_outcomes_match_simulation():
                 assert values[:, idx] == pytest.approx(pays, abs=1e-12)
 
 
+@pytest.mark.parametrize("graph,n", [(cycle_graph(6), 3), (path_graph(4), 4), (cycle_graph(4), 4)])
+def test_profile_outcomes_agree_with_run_from_every_start(graph, n):
+    space = build_state_space(graph, n)
+    params = GameParams(n, 0.6, 0.0)
+    rng = np.random.default_rng(n)
+    seen = set()
+    for _ in range(3):
+        profile = random_profile(space, rng)
+        turns, cap_at = profile_outcomes(space, profile.move)
+        for idx in range(space.terminal_index):
+            trace = run(space, params, profile, idx)
+            seen.add(trace.termination)
+            if trace.termination == "cycle":
+                assert (turns[idx], cap_at[idx]) == (-1, -1)
+            else:
+                assert (turns[idx], cap_at[idx]) == (trace.capture_time, trace.states[-1])
+        assert (turns[space.terminal_index], cap_at[space.terminal_index]) == (-1, -1)
+    assert seen == {"captured", "cycle"}
+
+
 class _SingleControllerWiring:
     """The same token strategies bundled under one controller for all pursuers.
 
