@@ -38,10 +38,6 @@ class SweepGrid:
     def points(self):
         return [(g, e) for g in self.gammas for e in self.epsilons]
 
-    def omega_tilde_points(self, n_players: int):
-        return [(g, e) for g, e in self.points()
-                if GameParams(n_players, g, e).in_omega_tilde]
-
 
 def make_grid(n_players: int, gammas=None, epsilons=None) -> SweepGrid:
     """Default 5x5 grid: eps spans [0, 1/(N-1)] including both boundaries; gamma

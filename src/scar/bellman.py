@@ -1,13 +1,16 @@
-"""Vectorized fixed-point sweeps over a state space's successor tables.
+"""Vectorized value iteration over a state space's successor tables.
 
-Every solver in the package reduces to one of two backups on the non-capture
-states (capture states and the terminal keep pinned boundary values):
+Every discounted solve in the package runs the one synchronous loop below over
+groups of rows; every row outside the groups keeps a pinned boundary value:
 
-  zero-sum:  v(s) = gamma * opt_a v(succ(s, a)), opt = max or min per state;
-  MDP:       v(s) = gamma * max_a v(succ(s, a)) where one player is free,
-             v(s) = gamma * v(frozen successor) elsewhere.
+  max rows:     v(s) = gamma * max_a v(succ(s, a)), over an (m, K) successor block;
+  min rows:     v(s) = gamma * min_a v(succ(s, a));
+  follow rows:  v(s) = gamma * v(succ(s)), one frozen successor per row.
 
-Discounting makes both gamma-contractions, so sweeps converge geometrically.
+Zero-sum games use max and min rows, best-response MDPs max and follow rows,
+and the pursuer's deviation MDP of the non-capturing construction runs the same
+loop on flat (state, mode) indices. Discounting makes the update a
+gamma-contraction, so sweeps converge geometrically.
 """
 
 from __future__ import annotations
@@ -29,10 +32,38 @@ def iteration_cap(gamma: float, tol: float, margin: int = 50) -> int:
     return int(math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma))) + margin
 
 
-def zero_sum_backup(space, gamma, max_mask, v):
-    """One synchronous sweep of the zero-sum operator on the non-capture rows."""
-    gathered = v[space.succ]
-    return gamma * np.where(max_mask, gathered.max(axis=1), gathered.min(axis=1))
+def _value_iteration(v, gamma, tol, cap=None, maximize=None, minimize=None, follow=None):
+    """Synchronous value iteration on `v`, updated in place.
+
+    Each group is a pair (rows, succ) of indices into `v`: `maximize` and
+    `minimize` rows take gamma times the max or min of their (m, K) successor
+    block, `follow` rows gamma times their one successor (m,). Every group is
+    updated from the same `v`, and the residual is the sup change over the
+    updated rows. Returns (values, iterations, residual).
+    """
+    if cap is None:
+        cap = iteration_cap(gamma, tol)
+    groups = [(g, reduce) for g, reduce in ((maximize, np.max), (minimize, np.min), (follow, None))
+              if g is not None]
+    rows = np.concatenate([g[0] for g, _ in groups])
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, cap + 1):
+        new = np.concatenate([gamma * (v[succ] if reduce is None else reduce(v[succ], axis=1))
+                              for (_, succ), reduce in groups])
+        residual = float(np.abs(new - v[rows]).max(initial=0.0))
+        v[rows] = new
+        if residual <= tol:
+            break
+    return v, iterations, residual
+
+
+def _start(space, fixed, v0):
+    """`fixed` on the boundary, `v0` (or 0) on the non-capture rows."""
+    nc = space.is_noncapture
+    v = fixed.astype(float)
+    v[nc] = 0.0 if v0 is None else v0[nc]
+    return v
 
 
 def solve_zero_sum(space, fixed, gamma, max_mask, tol=DEFAULT_VALUE_TOL, cap=None, v0=None):
@@ -41,47 +72,21 @@ def solve_zero_sum(space, fixed, gamma, max_mask, tol=DEFAULT_VALUE_TOL, cap=Non
     `fixed` pins the boundary (capture states, terminal); those rows are never
     updated. Returns (values, iterations, residual).
     """
-    if cap is None:
-        cap = iteration_cap(gamma, tol)
     nc = space.is_noncapture
-    v = fixed.astype(float).copy()
-    if v0 is not None:
-        v[nc] = v0[nc]
-    else:
-        v[nc] = 0.0
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, cap + 1):
-        new = zero_sum_backup(space, gamma, max_mask, v)
-        residual = float(np.abs(new[nc] - v[nc]).max(initial=0.0))
-        v[nc] = new[nc]
-        if residual <= tol:
-            break
-    return v, iterations, residual
+    hi = np.flatnonzero(nc & max_mask)
+    lo = np.flatnonzero(nc & ~max_mask)
+    return _value_iteration(_start(space, fixed, v0), gamma, tol, cap,
+                            maximize=(hi, space.succ[hi]), minimize=(lo, space.succ[lo]))
 
 
 def solve_mdp(space, fixed, gamma, free_mask, frozen_succ, tol=DEFAULT_VALUE_TOL, cap=None, v0=None):
     """Best-response value iteration: `free_mask` rows maximize, the rest follow
     `frozen_succ` (the successor under the frozen opponents' profile)."""
-    if cap is None:
-        cap = iteration_cap(gamma, tol)
     nc = space.is_noncapture
-    succ = space.succ
-    v = fixed.astype(float).copy()
-    if v0 is not None:
-        v[nc] = v0[nc]
-    else:
-        v[nc] = 0.0
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, cap + 1):
-        gathered = v[succ]
-        new = gamma * np.where(free_mask, gathered.max(axis=1), v[frozen_succ])
-        residual = float(np.abs(new[nc] - v[nc]).max(initial=0.0))
-        v[nc] = new[nc]
-        if residual <= tol:
-            break
-    return v, iterations, residual
+    free = np.flatnonzero(nc & free_mask)
+    rest = np.flatnonzero(nc & ~free_mask)
+    return _value_iteration(_start(space, fixed, v0), gamma, tol, cap,
+                            maximize=(free, space.succ[free]), follow=(rest, frozen_succ[rest]))
 
 
 def greedy_moves(space, values, rows_mask, maximize=True, tie_tol=TIE_TOL):

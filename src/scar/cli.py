@@ -124,17 +124,28 @@ def _load_scenario(args) -> Scenario:
     elif doc.get("s0"):
         s0 = tuple(doc["s0"])
     tolerances = doc.get("tolerances", {})
+    tol = float(_first_set(getattr(args, "tol", None), tolerances.get("value"), 1e-10))
+    ne_tol = float(_first_set(getattr(args, "ne_tol", None), tolerances.get("ne_gap"), 1e-8))
+    if not tol > 0:
+        raise ValidationError(f"value tolerance must be positive, got {tol}")
+    if not ne_tol >= 0:
+        raise ValidationError(f"equilibrium gap tolerance must be non-negative, got {ne_tol}")
     return Scenario(
         graph, int(n_players), float(gamma), epsilon,
         split_equivalent=split,
         allow_extended_epsilon=bool(getattr(args, "allow_extended_epsilon", False)
                                     or doc.get("allow_extended_epsilon")),
         s0=s0,
-        tol=float(getattr(args, "tol", None) or tolerances.get("value", 1e-10)),
-        ne_tol=float(getattr(args, "ne_tol", None) or tolerances.get("ne_gap", 1e-8)),
-        state_cap=int(getattr(args, "state_cap", None) or doc.get("state_cap")
-                      or DEFAULT_STATE_CAP),
+        tol=tol,
+        ne_tol=ne_tol,
+        state_cap=int(_first_set(getattr(args, "state_cap", None), doc.get("state_cap"),
+                                 DEFAULT_STATE_CAP)),
     )
+
+
+def _first_set(*values):
+    """The first value that is not None: a flag, then the scenario file, then the default."""
+    return next(v for v in values if v is not None)
 
 
 def _grid_from(args, n_players):
@@ -266,7 +277,7 @@ def cmd_copnumber(args):
     g = _load_graph(args)
     if args.selfish:
         rep = analysis.selfish_cop_number(g, max_cops=args.max_cops, verify=args.verify,
-                                          state_cap=args.state_cap or DEFAULT_STATE_CAP)
+                                          state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
         result = {
             "selfish_cop_number": rep.value,
             "cop_number": rep.cop_result.value,
@@ -277,7 +288,7 @@ def cmd_copnumber(args):
         }
     else:
         res = cop_number(g, max_cops=args.max_cops,
-                         state_cap=args.state_cap or DEFAULT_STATE_CAP)
+                         state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
         result = {"cop_number": res.value, "finite_by_cops": res.finite_by_cops}
     _emit({"schema_version": SCHEMA_VERSION, "command": "copnumber",
            "graph": serialize_graph(g), "max_cops": args.max_cops, "result": result}, args)
@@ -387,7 +398,7 @@ def cmd_equivalence(args):
     n_players = args.n or 3
     rep = analysis.payoff_equivalence_check(g, n_players, trials=args.trials,
                                             seed=args.seed, gamma=args.gamma or 0.7,
-                                            state_cap=args.state_cap or DEFAULT_STATE_CAP)
+                                            state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
     result = {
         "trials": rep.trials,
         "all_sums_exact": rep.all_sums_exact,

@@ -341,7 +341,6 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
     nc = space.is_noncapture
     per_player_gain = []
     witness = []
-    slot_ok = space.slot_mask()
     for player in range(1, n + 1):
         punish_succ = space.succ_of_moves(threat.punishments[player].move)
         free = space.mover == player
@@ -353,8 +352,8 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
             witness.append(-1)
             continue
         dev = gamma * v_pun[space.succ[rows]]
-        prescribed = threat.cooperative.move[rows]
-        deviating = slot_ok[rows] & (space.act[rows] != prescribed[:, None])
+        # padded slots repeat slot 0, so they neither add nor hide a deviation
+        deviating = space.act[rows] != threat.cooperative.move[rows, None]
         dev = np.where(deviating, dev, -np.inf)
         best_dev = dev.max(axis=1)
         gain = best_dev - u_coop[player - 1][rows]
@@ -479,61 +478,43 @@ def verify_noncapturing_ne(space: StateSpace, params: GameParams,
 
 
 def _pursuer_deviation_value(space, params, prof, player, q_row, value_tol):
-    """Value at (s0, all-stay) of the deviating pursuer's mode-augmented MDP."""
+    """Value at (s0, all-stay) of the deviating pursuer's mode-augmented MDP.
+
+    Its states are flat indices state * n_modes + mode, where the mode is the
+    evader automaton's: ALL_STAY or the first pursuer seen moving.
+    """
     n = params.n_players
-    gamma = params.gamma
     n_modes = n  # ALL_STAY plus one evade mode per pursuer
+    modes = np.arange(n_modes)
     ns = space.n_states
     nc = space.is_noncapture
-    # frozen movers: their move and the resulting mode, per (state, mode)
-    frozen_succ = np.zeros((ns, n_modes), dtype=np.int64)
-    frozen_mode = np.zeros((ns, n_modes), dtype=np.int64)
-    for mode in range(n_modes):
-        moves = np.zeros(ns, dtype=np.int64)
-        rows_c = nc & (space.mover < n) & (space.mover != player)
-        moves[rows_c] = prof.merge_moves[rows_c]
-        rows_r = np.flatnonzero(nc & (space.mover == n))
-        if mode == ALL_STAY:
-            moves[rows_r] = space.positions[rows_r, -1]
-        else:
-            tracked = space.positions[rows_r, mode - 1]
-            own = space.positions[rows_r, -1]
-            moves[rows_r] = prof.evade_move[tracked, own]
-        # own rows need any legal filler; they are overwritten by the max anyway
-        rows_own = np.flatnonzero(nc & (space.mover == player))
-        moves[rows_own] = space.positions[rows_own, player - 1]
-        frozen_succ[:, mode] = space.succ_of_moves(moves)
-        new_mode = np.full(ns, mode, dtype=np.int64)
-        if mode == ALL_STAY:
-            moved = nc & (space.mover < n) & (moves != space.positions[np.arange(ns), space.mover - 1])
-            new_mode[moved] = space.mover[moved]
-        frozen_mode[:, mode] = new_mode
-    # free rows: successors per action slot, mode per action slot
-    k = space.act.shape[1]
-    own_rows = np.flatnonzero(nc & (space.mover == player))
-    own_here = space.positions[own_rows, player - 1]
-    own_mode_per_slot = np.zeros((own_rows.size, k, n_modes), dtype=np.int64)
-    for mode in range(n_modes):
-        if mode == ALL_STAY:
-            own_mode_per_slot[:, :, mode] = np.where(space.act[own_rows] != own_here[:, None],
-                                                     player, ALL_STAY)
-        else:
-            own_mode_per_slot[:, :, mode] = mode
-    # flattened value iteration over (state, mode)
-    v = np.tile(np.where(space.is_capture, q_row, 0.0), (n_modes, 1)).T.copy()  # (ns, modes)
-    cap = bellman.iteration_cap(gamma, value_tol)
+    stay = space.positions[np.arange(ns), space.mover - 1]
+    # frozen movers: the other pursuers merge; the evader stays or evades by mode
+    moves = stay.copy()
+    rows_c = nc & (space.mover < n) & (space.mover != player)
+    moves[rows_c] = prof.merge_moves[rows_c]
+    moved = rows_c & (moves != stay)  # a pursuer leaves: ALL_STAY turns into his mode
+    rows_r = np.flatnonzero(nc & (space.mover == n))
+    own = space.positions[rows_r, -1]
     frozen_rows = np.flatnonzero(nc & (space.mover != player))
-    # loop invariants: flat (state, mode) gather indices into v, and the real action slots
-    frozen_at = frozen_succ[frozen_rows] * n_modes + frozen_mode[frozen_rows]
-    own_at = space.succ[own_rows][:, :, None] * n_modes + own_mode_per_slot
-    own_slots = space.slot_mask()[own_rows][:, :, None]
-    for _ in range(cap):
-        flat = v.ravel()
-        new = v.copy()
-        new[frozen_rows] = gamma * flat[frozen_at]
-        new[own_rows] = np.where(own_slots, gamma * flat[own_at], -np.inf).max(axis=1)
-        resid = float(np.abs(new - v).max(initial=0.0))
-        v = new
-        if resid <= value_tol:
-            break
-    return float(v[prof.s0_index, ALL_STAY])
+    frozen_next = np.empty((frozen_rows.size, n_modes), dtype=np.int64)
+    for mode in modes:
+        if mode == ALL_STAY:
+            moves[rows_r] = own
+            new_mode = np.where(moved, space.mover, ALL_STAY)
+        else:
+            moves[rows_r] = prof.evade_move[space.positions[rows_r, mode - 1], own]
+            new_mode = mode
+        frozen_next[:, mode] = (space.succ_of_moves(moves) * n_modes + new_mode)[frozen_rows]
+    # free rows: his own move out of ALL_STAY switches the mode to him
+    own_rows = np.flatnonzero(nc & (space.mover == player))
+    own_mode = np.broadcast_to(modes[:, None], (own_rows.size, n_modes, space.act.shape[1])).copy()
+    own_mode[:, ALL_STAY] = np.where(space.act[own_rows] != stay[own_rows, None], player, ALL_STAY)
+    own_next = space.succ[own_rows][:, None, :] * n_modes + own_mode
+    v = np.repeat(np.where(space.is_capture, q_row, 0.0), n_modes)
+    v, _, _ = bellman._value_iteration(
+        v, params.gamma, value_tol,
+        maximize=((own_rows[:, None] * n_modes + modes).ravel(),
+                  own_next.reshape(-1, own_next.shape[2])),
+        follow=((frozen_rows[:, None] * n_modes + modes).ravel(), frozen_next.ravel()))
+    return float(v[prof.s0_index * n_modes + ALL_STAY])

@@ -219,3 +219,72 @@ def test_verify_positional_ne_nonconvergent_exit(tmp_path, capsys):
                            "--gamma", "0.7727", "--epsilon", "0.1326",
                            "--profile", "positional-ne")
     assert code == 4
+
+
+# -- tolerance and state-cap inputs: explicit values are kept, invalid ones rejected
+
+PATH3 = ["verify", "--builtin", "path:3", "--n", "2", "--gamma", "0.5", "--epsilon", "0.5"]
+
+
+def _scenario_path(tmp_path, **fields):
+    scenario = {"graph": {"builtin": "path:3"}, "n_players": 2, "gamma": 0.5, "epsilon": 0.5}
+    scenario.update(fields)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def test_zero_ne_tol_flag_is_kept(capsys):
+    _, out, _ = run_cli(capsys, *PATH3, "--ne-tol", "0")
+    doc = json.loads(out)
+    assert doc["scenario"]["ne_tol"] == 0.0
+    assert doc["result"]["tol"] == 0.0
+
+
+def test_zero_ne_tol_in_scenario_is_kept(tmp_path, capsys):
+    path = _scenario_path(tmp_path, tolerances={"ne_gap": 0})
+    _, out, _ = run_cli(capsys, "verify", "--scenario", path)
+    assert json.loads(out)["scenario"]["ne_tol"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [PATH3, ["copnumber", "--builtin", "path:3"]])
+def test_zero_state_cap_flag_is_kept(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--state-cap", "0")
+    assert code == 3
+    assert "cap of 0" in err
+
+
+def test_zero_state_cap_in_scenario_is_kept(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify", "--scenario", _scenario_path(tmp_path, state_cap=0))
+    assert code == 3
+    assert "cap of 0" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_nonpositive_value_tol_flag_is_rejected(capsys, tol):
+    code, out, err = run_cli(capsys, *PATH3, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "value tolerance must be positive" in err
+
+
+@pytest.mark.parametrize("tol", [0, -1])
+def test_nonpositive_value_tol_in_scenario_is_rejected(tmp_path, capsys, tol):
+    path = _scenario_path(tmp_path, tolerances={"value": tol})
+    code, _, err = run_cli(capsys, "verify", "--scenario", path)
+    assert code == 2
+    assert "value tolerance must be positive" in err
+
+
+def test_negative_ne_tol_flag_is_rejected(capsys):
+    code, out, err = run_cli(capsys, *PATH3, "--ne-tol", "-1")
+    assert code == 2
+    assert out == ""
+    assert "gap tolerance must be non-negative" in err
+
+
+def test_negative_ne_tol_in_scenario_is_rejected(tmp_path, capsys):
+    path = _scenario_path(tmp_path, tolerances={"ne_gap": -1})
+    code, _, err = run_cli(capsys, "verify", "--scenario", path)
+    assert code == 2
+    assert "gap tolerance must be non-negative" in err

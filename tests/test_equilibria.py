@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ from scar.equilibria import (
 )
 from scar.errors import NonConvergenceError, NotApplicableError, ValidationError
 from scar.graph import build_graph, cycle_graph, delayed_capture_graph, path_graph, petersen_graph
-from scar.payoffs import GameParams
-from scar.profiles import PositionalProfile
+from scar.payoffs import GameParams, turn_payoff
+from scar.profiles import PositionalProfile, greedy_cop_moves
 from scar.simulate import exact_profile_values, run, run_with_forced_deviation
 from scar.states import build_state_space
 
@@ -105,8 +106,8 @@ def test_zero_sum_backup_is_contraction(c4_space):
     for _ in range(20):
         v = rng.normal(size=space.n_states)
         w = rng.normal(size=space.n_states)
-        uv = bellman.zero_sum_backup(space, gamma, max_mask, v)
-        uw = bellman.zero_sum_backup(space, gamma, max_mask, w)
+        uv, _, _ = bellman.solve_zero_sum(space, v, gamma, max_mask, v0=v, cap=1)
+        uw, _, _ = bellman.solve_zero_sum(space, w, gamma, max_mask, v0=w, cap=1)
         assert np.abs(uv[nc] - uw[nc]).max() <= gamma * np.abs(v - w).max() + 1e-12
 
 
@@ -349,3 +350,59 @@ def test_noncapturing_on_petersen():
     assert trace.termination == "cycle"
     report = verify_noncapturing_ne(space, params, constr)
     assert report.is_ne
+
+
+def _python_deviation_value(space, params, prof, player, tol=1e-13):
+    """Pursuer `player`'s best value from (s0, initial mode) against the profile's
+    own prescribed/observe automaton, by Gauss-Seidel sweeps over what is reachable."""
+    start = (prof.s0_index, prof.initial_mode())
+    succ = {}
+    todo = [start]
+    while todo:
+        node = todo.pop()
+        if node in succ:
+            continue
+        idx, mode = node
+        succ[node] = []
+        if space.is_noncapture[idx]:
+            mover = int(space.mover[idx])
+            options = space.actions(idx, mover) if mover == player else [prof.prescribed(idx, mode)]
+            succ[node] = [(space.transition_index(idx, a), prof.observe(idx, mover, a, mode))
+                          for a in options]
+            todo.extend(succ[node])
+    value = {node: turn_payoff(space, params, node[0], player) for node in succ}
+    change = math.inf
+    while change > tol:
+        change = 0.0
+        for node, nxt in succ.items():
+            if nxt:
+                new = params.gamma * max(value[x] for x in nxt)
+                change = max(change, abs(new - value[node]))
+                value[node] = new
+    return value[start]
+
+
+def _still_evader(space, prof):
+    v = space.graph.vertex_count
+    return dataclasses.replace(prof, evade_move=np.tile(np.arange(v + 1), (v + 1, 1)))
+
+
+def _greedy_pursuers(space, prof):
+    moves = sum(greedy_cop_moves(space, cop) for cop in range(1, space.n_players))
+    return dataclasses.replace(prof, merge_moves=moves)
+
+
+@pytest.mark.parametrize("sabotage", [_still_evader, _greedy_pursuers])
+@pytest.mark.parametrize("graph, n", [(cycle_graph(4), 3), (cycle_graph(5), 4)])
+def test_pursuer_deviation_gains_match_python_value_iteration(graph, n, sabotage):
+    """Sabotaged constructions: an evader who never dodges can be walked onto;
+    pursuers who chase instead of stacking switch the evader to the wrong mode."""
+    space = build_state_space(graph, n)
+    params = GameParams(n, 0.9, 0.25)
+    constr = build_noncapturing_ne(space, params)
+    constr.profile = sabotage(space, constr.profile)
+    report = verify_noncapturing_ne(space, params, constr)
+    expected = [_python_deviation_value(space, params, constr.profile, p) for p in range(1, n)]
+    assert min(expected) > 0.1
+    assert report.per_player_gain[:-1] == pytest.approx(expected, rel=0, abs=1e-9)
+    assert not report.is_ne
