@@ -106,9 +106,10 @@ def _load_scenario(args) -> Scenario:
     if getattr(args, "scenario", None):
         doc = json.loads(Path(args.scenario).read_text())
     graph = _load_graph(args)
-    n_players = getattr(args, "n", None) or doc.get("n_players") or doc.get("n")
+    n_players = _first_set(getattr(args, "n", None), doc.get("n_players"), doc.get("n"))
     if n_players is None:
         raise ValidationError("player count missing: --n or scenario n_players")
+    _check_player_count(n_players)
     gamma = args.gamma if args.gamma is not None else doc.get("gamma")
     if gamma is None:
         raise ValidationError("gamma missing: --gamma or scenario gamma")
@@ -145,7 +146,12 @@ def _load_scenario(args) -> Scenario:
 
 def _first_set(*values):
     """The first value that is not None: a flag, then the scenario file, then the default."""
-    return next(v for v in values if v is not None)
+    return next((v for v in values if v is not None), None)
+
+
+def _check_player_count(n_players):
+    if n_players < 2:
+        raise ValidationError(f"need at least 2 players, got {n_players}")
 
 
 def _grid_from(args, n_players):
@@ -395,9 +401,10 @@ def cmd_simulate(args):
 
 def cmd_equivalence(args):
     g = _load_graph(args)
-    n_players = args.n or 3
+    n_players = _first_set(args.n, 3)
+    _check_player_count(n_players)
     rep = analysis.payoff_equivalence_check(g, n_players, trials=args.trials,
-                                            seed=args.seed, gamma=args.gamma or 0.7,
+                                            seed=args.seed, gamma=_first_set(args.gamma, 0.7),
                                             state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
     result = {
         "trials": rep.trials,

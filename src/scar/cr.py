@@ -6,8 +6,11 @@ independent implementations are kept side by side:
 
   * minimax_capture_times -- the oracle: synchronous sweeps of the defining
     min/max fixpoint equations until nothing changes;
-  * exact_capture_times  -- the production solver: backward labeling with
-    per-state successor counters, one pass over every edge.
+  * exact_capture_times  -- the production solver: retrograde labeling
+    (Berarducci & Intrigila 1993) over a CSR reverse graph built once per
+    call, advancing level-synchronous frontiers out of the capture states;
+    pursuer turns take the first labeled successor, evader turns count their
+    successors down with whole-array `bincount` passes.
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
 The discounted value solver cross-checks the tables via v(s) = gamma^T(s).
@@ -16,7 +19,6 @@ The discounted value solver cross-checks the tables via v(s) = gamma^T(s).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,41 +72,51 @@ def minimax_capture_times(space: StateSpace) -> CaptureTimeTable:
 
 
 def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
-    """Backward labeling from the capture states, processing each edge once.
+    """Retrograde labeling from the capture states, one BFS level at a time.
 
-    Controller states take 1 + the first labeled successor (= the min, since
-    labels come off the queue in nondecreasing order); evader states count
-    down their successors and take 1 + the last label (= the max).
+    The real action slots of the non-capture rows are inverted once into a
+    CSR reverse graph: `pred[start[t]:start[t + 1]]` lists the states with an
+    edge into t, once per edge. Level d's frontier holds every state labeled d.
+    Its unlabeled predecessors on a pursuer turn take d + 1 (the min); those on
+    an evader turn count down their successors and take d + 1 when the last
+    one is labeled (the max). Each level is a handful of whole-array passes;
+    the Python loop runs once per level, never per state or edge.
     """
     n = space.n_states
+    acount = space.acount
+    nc = np.flatnonzero(space.is_noncapture)
+    real = (np.arange(space.succ.shape[1]) < acount[:, None]) & space.is_noncapture[:, None]
+    dst = space.succ[real]  # row by row, so edge e leaves repeat(nc, acount[nc])[e]
+    del real
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=start[1:])
+    order = np.argsort(dst, kind="stable")
+    del dst
+    pred = np.repeat(nc, acount[nc])[order]
+    del order
+
+    pursuer_turn = space.mover < space.n_players
+    counter = acount.copy()
     times = np.full(n, -1, dtype=np.int64)
-    succ = space.succ.tolist()
-    acount = space.acount.tolist()
-    mover = space.mover.tolist()
-    ncops = space.n_players - 1
-    preds = [[] for _ in range(n)]
-    for s in np.flatnonzero(space.is_noncapture).tolist():
-        row = succ[s]
-        for j in range(acount[s]):
-            preds[row[j]].append(s)
-    counter = space.acount.copy()
-    capture_idx = np.flatnonzero(space.is_capture)
-    times[capture_idx] = 0
-    queue = deque(capture_idx.tolist())
-    while queue:
-        target = queue.popleft()
-        d = int(times[target])
-        for s in preds[target]:
-            if times[s] != -1:
-                continue
-            if mover[s] <= ncops:
-                times[s] = d + 1
-                queue.append(s)
-            else:
-                counter[s] -= 1
-                if counter[s] == 0:
-                    times[s] = d + 1
-                    queue.append(s)
+    frontier = np.flatnonzero(space.is_capture)
+    times[frontier] = 0
+    d = 0
+    while frontier.size:
+        lo = start[frontier]
+        width = start[frontier + 1] - lo
+        ends = np.cumsum(width)
+        # pred indices lo[i], ..., lo[i] + width[i] - 1 for each frontier state i
+        p = pred[np.arange(ends[-1]) + np.repeat(lo - ends + width, width)]
+        p = p[times[p] < 0]
+        on_pursuer = pursuer_turn[p]
+        mark = np.zeros(n, dtype=bool)
+        mark[p[on_pursuer]] = True
+        hit = np.bincount(p[~on_pursuer], minlength=n)
+        counter -= hit
+        mark |= (hit > 0) & (counter == 0)
+        d += 1
+        frontier = np.flatnonzero(mark)
+        times[frontier] = d
     return CaptureTimeTable(space, times)
 
 

@@ -288,3 +288,35 @@ def test_negative_ne_tol_in_scenario_is_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--scenario", path)
     assert code == 2
     assert "gap tolerance must be non-negative" in err
+
+
+EQUIVALENCE = ["equivalence", "--builtin", "path:3", "--trials", "2"]
+
+
+def test_zero_player_count_on_equivalence_is_rejected(capsys):
+    code, out, err = run_cli(capsys, *EQUIVALENCE, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert "need at least 2 players, got 0" in err
+
+
+def test_zero_gamma_on_equivalence_is_rejected(capsys):
+    code, out, err = run_cli(capsys, *EQUIVALENCE, "--gamma", "0")
+    assert code == 2
+    assert out == ""
+    assert "gamma must lie strictly inside (0, 1), got 0.0" in err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_small_player_count_flag_is_rejected(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "--builtin", "path:3", "--n", n,
+                             "--gamma", "0.5", "--epsilon", "0.5")
+    assert code == 2
+    assert out == ""
+    assert f"need at least 2 players, got {n}" in err
+
+
+def test_zero_player_count_in_scenario_is_rejected(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify", "--scenario", _scenario_path(tmp_path, n_players=0))
+    assert code == 2
+    assert "need at least 2 players, got 0" in err

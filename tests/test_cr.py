@@ -14,6 +14,7 @@ from scar.cr import (
 )
 from scar.errors import CapacityError
 from scar.graph import (
+    build_graph,
     complete_graph,
     cycle_graph,
     delayed_capture_graph,
@@ -69,17 +70,18 @@ def test_capture_states_are_zero():
     (cycle_graph(4), 2), (cycle_graph(4), 3), (cycle_graph(5), 3),
     (star_graph(5), 3), (complete_graph(4), 2),
     (delayed_capture_graph(), 2), (delayed_capture_graph(), 3),
+    (cycle_graph(5), 4), (cycle_graph(6), 4),
+    (petersen_graph(), 3),  # escape states: Petersen needs three pursuers
+    (build_graph(1, []), 2),  # every state captures: an empty reverse graph
 ])
 def test_oracle_agrees_with_attractor(g, n):
     space = build_state_space(g, n)
-    assert np.array_equal(minimax_capture_times(space).times[:-1],
-                          exact_capture_times(space).times[:-1])
+    assert np.array_equal(minimax_capture_times(space).times,
+                          exact_capture_times(space).times)
 
 
-def test_fixpoint_property():
+def _assert_fixpoint(space, table):
     # re-applying the defining equations to the finished table changes nothing
-    space = build_state_space(delayed_capture_graph(), 2)
-    table = exact_capture_times(space)
     big = np.int64(2**62)
     t = np.where(table.times >= 0, table.times, big)
     gathered = t[space.succ]
@@ -90,6 +92,21 @@ def test_fixpoint_property():
     rob_rows = nc & (space.mover == space.n_players)
     assert np.array_equal(t[cop_rows], up[cop_rows])
     assert np.array_equal(t[rob_rows], down[rob_rows])
+
+
+def test_fixpoint_property():
+    space = build_state_space(delayed_capture_graph(), 2)
+    _assert_fixpoint(space, exact_capture_times(space))
+
+
+def test_benchmark_scale_solve_leaves_tables_unchanged():
+    space = build_state_space(petersen_graph(), 4)  # 40,001 states
+    succ, acount = space.succ.copy(), space.acount.copy()
+    table = exact_capture_times(space)
+    _assert_fixpoint(space, table)
+    assert np.array_equal(table.times, minimax_capture_times(space).times)
+    assert np.array_equal(space.succ, succ)
+    assert np.array_equal(space.acount, acount)
 
 
 def test_cop_numbers():
