@@ -25,7 +25,7 @@ from .graph import Graph, serialize_graph
 from .payoffs import GameParams
 from .profiles import PositionalProfile, combine_player_moves, greedy_cop_moves, random_profile
 from .simulate import payoffs_of, profile_outcomes, run, run_with_forced_deviation
-from .states import build_state_space
+from .states import DEFAULT_STATE_CAP, build_state_space
 
 OMEGA_TILDE_BOUNDARY_MARGIN = 1e-6
 
@@ -144,7 +144,7 @@ class TheoremReport:
 
 def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                   tol: float = DEFAULT_NE_TOL, value_tol: float = DEFAULT_VALUE_TOL,
-                  state_cap=None) -> list:
+                  state_cap: int = DEFAULT_STATE_CAP) -> list:
     """Run every capture/escape guarantee whose hypothesis the graph satisfies.
 
     Grid-quantified claims are sampled on the grid and exhaustive over starts;
@@ -152,14 +152,14 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     """
     if grid is None:
         grid = make_grid(n_players)
-    kwargs = {} if state_cap is None else {"state_cap": state_cap}
-    space = build_state_space(g, n_players, **kwargs)
+    space = build_state_space(g, n_players, state_cap)
     table = exact_capture_times(space)
-    cnum = cop_number(g, max_cops=n_players, state_cap=state_cap)
-    c = cnum.value  # None means > n_players, which also means >= N for our suites
+    # The suites only tell c <= N-1 from c >= N, so the search stops at N-1
+    # pursuers; None means c >= N.
+    c = cop_number(g, max_cops=n_players - 1, state_cap=state_cap).value
     scope = f"sampled {len(grid.gammas)}x{len(grid.epsilons)} (gamma, eps) grid, all initial states"
 
-    capturing = c is not None and c <= n_players - 1
+    capturing = c is not None
     noncapturing = c is None or c >= 2
     threat_rep = TheoremReport(
         "threat-ne-exists",
@@ -184,7 +184,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
         # equilibria exist even here), and under heavy discounting it drops
         # below any float verification tolerance; the claim is only testable
         # where the incentive stays resolvable.
-        space2 = build_state_space(g, 2, **kwargs)
+        space2 = build_state_space(g, 2, state_cap)
         horizon = n_players * t_n_max(space2, exact_capture_times(space2))
         copwin_rep = TheoremReport(
             "cop-win-all-ne-capturing",
@@ -264,7 +264,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                             scenario(gamma, eps, s0=list(construction.s0),
                                      profile="noncapturing-construction"))
 
-    if c is None or c >= n_players:
+    if c is None:
         escape_rep = TheoremReport(
             "escape-start-forces-noncapture",
             "with cop number >= N some start makes every equilibrium non-capturing",
@@ -301,7 +301,8 @@ class SelfishCopNumberReport:
 
 def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
                        grid: SweepGrid | None = None, sample_points: int = 3,
-                       tol: float = DEFAULT_NE_TOL, state_cap=None) -> SelfishCopNumberReport:
+                       tol: float = DEFAULT_NE_TOL,
+                       state_cap: int = DEFAULT_STATE_CAP) -> SelfishCopNumberReport:
     """Fewest selfish pursuers so that a capturing equilibrium exists for every
     start and every parameter choice; always equals the ordinary cop number.
 
@@ -318,8 +319,7 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
     n_players = k + 1
     if grid is None:
         grid = make_grid(n_players)
-    kwargs = {} if state_cap is None else {"state_cap": state_cap}
-    space = build_state_space(g, n_players, **kwargs)
+    space = build_state_space(g, n_players, state_cap)
     table = exact_capture_times(space)
     diag = grid.points()[:: max(1, len(grid.points()) // sample_points)][:sample_points]
     for gamma, eps in diag:
@@ -330,7 +330,7 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
         report.verified_points.append({"gamma": gamma, "epsilon": eps, "ok": ok})
         report.consistent = report.consistent and ok
     if k >= 2:
-        small = build_state_space(g, k, **kwargs)  # K-1 = k-1 pursuers
+        small = build_state_space(g, k, state_cap)  # K-1 = k-1 pursuers
         witness = escape_start_witness(small)
         report.escape_witness = (list(small.state_at(witness)) if witness is not None else None)
         report.consistent = report.consistent and witness is not None
@@ -348,14 +348,14 @@ class EquivalenceReport:
 
 def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
                              seed: int = 0, gamma: float = 0.7,
-                             tol: float = DEFAULT_NE_TOL, state_cap=None) -> EquivalenceReport:
+                             tol: float = DEFAULT_NE_TOL,
+                             state_cap: int = DEFAULT_STATE_CAP) -> EquivalenceReport:
     """Split-equivalent mode: pursuer payoffs always sum to the single-controller
     payoff gamma^T_C, exactly; and the canonical optimal pursuit verifies as an
     equilibrium. Random profiles and starts are drawn from a seeded generator."""
     from fractions import Fraction
 
-    kwargs = {} if state_cap is None else {"state_cap": state_cap}
-    space = build_state_space(g, n_players, **kwargs)
+    space = build_state_space(g, n_players, state_cap)
     params = GameParams(n_players, gamma, split_equivalent=True)
     rng = np.random.default_rng(seed)
     nc_idx = np.flatnonzero(space.is_noncapture)
@@ -384,7 +384,7 @@ SWEEP_COLUMNS = ["gamma", "epsilon", "s0", "omega_tilde", "cr_optimal_is_ne",
 
 def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
           tol: float = DEFAULT_NE_TOL, value_tol: float = DEFAULT_VALUE_TOL,
-          state_cap=None) -> list:
+          state_cap: int = DEFAULT_STATE_CAP) -> list:
     """Classify the canonical optimal pursuit and the threat play per grid point.
 
     Returns rows (dicts) in deterministic grid-then-state order; s0_list=None
@@ -392,8 +392,7 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
     """
     if grid is None:
         grid = make_grid(n_players)
-    kwargs = {} if state_cap is None else {"state_cap": state_cap}
-    space = build_state_space(g, n_players, **kwargs)
+    space = build_state_space(g, n_players, state_cap)
     table = exact_capture_times(space)
     if s0_list is None:
         starts = [int(s) for s in np.flatnonzero(space.is_noncapture)]

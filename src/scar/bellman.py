@@ -107,5 +107,5 @@ def greedy_moves(space, values, rows_mask, maximize=True, tie_tol=TIE_TOL):
     else:
         best = gathered.min(axis=1)
         pick = (gathered <= best[:, None] + tie_tol).argmax(axis=1)
-    moves[rows] = space.act[rows, pick]
+    moves[rows] = space.nbr[space.stay[rows], pick]
     return moves

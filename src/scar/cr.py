@@ -26,7 +26,7 @@ import numpy as np
 from . import bellman
 from .errors import CapacityError
 from .graph import Graph
-from .states import StateSpace, build_state_space
+from .states import DEFAULT_STATE_CAP, StateSpace, build_state_space
 
 _NEVER = np.int64(2**62)  # sentinel used only inside comparisons, never reported
 
@@ -96,7 +96,7 @@ def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
     del order
 
     pursuer_turn = space.mover < space.n_players
-    counter = acount.copy()
+    counter = acount  # a fresh array per read, counted down in place
     times = np.full(n, -1, dtype=np.int64)
     frontier = np.flatnonzero(space.is_capture)
     times[frontier] = 0
@@ -141,14 +141,14 @@ class CopNumberResult:
         return self.value
 
 
-def cop_number(g: Graph, max_cops: int = 3, state_cap=None, solver=exact_capture_times) -> CopNumberResult:
+def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
+               solver=exact_capture_times) -> CopNumberResult:
     """Least k <= max_cops whose k-pursuer game is capture-guaranteed everywhere."""
     finite_by_cops = {}
     value = None
     for k in range(1, max_cops + 1):
-        kwargs = {} if state_cap is None else {"state_cap": state_cap}
         try:
-            space = build_state_space(g, k + 1, **kwargs)
+            space = build_state_space(g, k + 1, state_cap)
         except CapacityError as exc:
             raise CapacityError(f"cop-number search stopped at k={k}: {exc}") from exc
         table = solver(space)
@@ -203,5 +203,5 @@ def extract_cr_optimal_moves(space: StateSpace, table: CaptureTimeTable) -> np.n
             continue
         gathered = keyed[space.succ[rows]]
         pick = argpick(gathered, axis=1)  # first occurrence = smallest action vertex
-        moves[rows] = space.act[rows, pick]
+        moves[rows] = space.nbr[space.stay[rows], pick]
     return moves

@@ -45,7 +45,7 @@ from .profiles import (
     merge_cop_moves,
 )
 from .simulate import exact_profile_values, profile_outcomes
-from .states import StateSpace, build_state_space
+from .states import DEFAULT_STATE_CAP, StateSpace, build_state_space
 
 DEFAULT_NE_TOL = 1e-8
 
@@ -353,7 +353,7 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
             continue
         dev = gamma * v_pun[space.succ[rows]]
         # padded slots repeat slot 0, so they neither add nor hide a deviation
-        deviating = space.act[rows] != threat.cooperative.move[rows, None]
+        deviating = space.nbr[space.stay[rows]] != threat.cooperative.move[rows, None]
         dev = np.where(deviating, dev, -np.inf)
         best_dev = dev.max(axis=1)
         gain = best_dev - u_coop[player - 1][rows]
@@ -393,15 +393,14 @@ class NonCapturingConstruction:
 
 
 def build_noncapturing_ne(space: StateSpace, params: GameParams, s0=None,
-                          state_cap: int | None = None) -> NonCapturingConstruction:
+                          state_cap: int = DEFAULT_STATE_CAP) -> NonCapturingConstruction:
     """Stack all pursuers on one vertex against an evader who can dodge one of them.
 
     Qualifying starts are (x, ..., x, y, 1) where the single-pursuer game from
     (x, y) with the pursuer to move is an evader win. NotApplicableError on
     pursuer-win graphs, where no such start exists.
     """
-    kwargs = {} if state_cap is None else {"state_cap": state_cap}
-    space2 = build_state_space(space.graph, 2, **kwargs)
+    space2 = build_state_space(space.graph, 2, state_cap)
     table2 = exact_capture_times(space2)
     if table2.finite_on_noncapture():
         raise NotApplicableError("one pursuer already wins this graph from every start")
@@ -465,7 +464,7 @@ def verify_noncapturing_ne(space: StateSpace, params: GameParams,
     # evader: pursuer moves depend only on the state
     frozen = prof.merge_moves.copy()
     rows_r = space.is_noncapture & (space.mover == n)
-    frozen[rows_r] = space.positions[rows_r, -1]  # placeholder on the evader's own rows
+    frozen[rows_r] = space.stay[rows_r]  # placeholder on the evader's own rows
     frozen_succ = space.succ_of_moves(frozen)
     v_r, _, _ = bellman.solve_mdp(space, q[n - 1], gamma, space.mover == n, frozen_succ,
                                   tol=value_tol)
@@ -486,9 +485,8 @@ def _pursuer_deviation_value(space, params, prof, player, q_row, value_tol):
     n = params.n_players
     n_modes = n  # ALL_STAY plus one evade mode per pursuer
     modes = np.arange(n_modes)
-    ns = space.n_states
     nc = space.is_noncapture
-    stay = space.positions[np.arange(ns), space.mover - 1]
+    stay = space.stay
     # frozen movers: the other pursuers merge; the evader stays or evades by mode
     moves = stay.copy()
     rows_c = nc & (space.mover < n) & (space.mover != player)
@@ -508,8 +506,8 @@ def _pursuer_deviation_value(space, params, prof, player, q_row, value_tol):
         frozen_next[:, mode] = (space.succ_of_moves(moves) * n_modes + new_mode)[frozen_rows]
     # free rows: his own move out of ALL_STAY switches the mode to him
     own_rows = np.flatnonzero(nc & (space.mover == player))
-    own_mode = np.broadcast_to(modes[:, None], (own_rows.size, n_modes, space.act.shape[1])).copy()
-    own_mode[:, ALL_STAY] = np.where(space.act[own_rows] != stay[own_rows, None], player, ALL_STAY)
+    own_mode = np.broadcast_to(modes[:, None], (own_rows.size, n_modes, space.nbr.shape[1])).copy()
+    own_mode[:, ALL_STAY] = np.where(space.nbr[stay[own_rows]] != stay[own_rows, None], player, ALL_STAY)
     own_next = space.succ[own_rows][:, None, :] * n_modes + own_mode
     v = np.repeat(np.where(space.is_capture, q_row, 0.0), n_modes)
     v, _, _ = bellman._value_iteration(

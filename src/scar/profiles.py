@@ -21,8 +21,9 @@ from .states import NULL_MOVE, StateSpace
 def validate_moves(space: StateSpace, moves: np.ndarray) -> None:
     """Every prescribed move must lie in the mover's closed neighborhood."""
     nc = np.flatnonzero(space.is_noncapture)
-    ok = (space.act[nc] == moves[nc, None]) & space.slot_mask()[nc]
-    bad = nc[~ok.any(axis=1)]
+    # padded slots repeat slot 0, so they admit no extra move
+    ok = (space.nbr[space.stay[nc]] == moves[nc, None]).any(axis=1)
+    bad = nc[~ok]
     if bad.size:
         idx = int(bad[0])
         raise IllegalMoveError(
@@ -100,7 +101,7 @@ def greedy_cop_moves(space: StateSpace, cop: int) -> np.ndarray:
     moves = np.zeros(space.n_states, dtype=np.int64)
     rows = np.flatnonzero(space.is_noncapture & (space.mover == cop))
     robber = space.positions[rows, -1]
-    here = space.positions[rows, cop - 1]
+    here = space.stay[rows]
     for i, s in enumerate(rows):
         target_dist = g.distances_from(int(robber[i]))
         options = g.closed_neighborhood(int(here[i]))
@@ -113,7 +114,7 @@ def random_profile(space: StateSpace, rng: np.random.Generator) -> PositionalPro
     moves = np.zeros(space.n_states, dtype=np.int64)
     nc = np.flatnonzero(space.is_noncapture)
     slot = rng.integers(0, space.acount[nc])
-    moves[nc] = space.act[nc, slot]
+    moves[nc] = space.nbr[space.stay[nc], slot]
     return PositionalProfile(space, moves, validate=False)
 
 
@@ -157,7 +158,7 @@ class NonCapturingProfile:
     def observe(self, idx, mover, action, mode):
         space = self.space
         if mode == ALL_STAY and space.is_noncapture[idx] and mover < space.n_players \
-                and action != int(space.positions[idx, mover - 1]):
+                and action != int(space.stay[idx]):
             return int(mover)
         return mode
 

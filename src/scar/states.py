@@ -82,10 +82,21 @@ class StateSpace:
         self.is_nonterminal = np.ones(self.n_states, dtype=bool)
         self.is_nonterminal[self.terminal_index] = False
         self.is_noncapture = self.is_nonterminal & ~self.is_capture
+        # The move model. The mover steps within the closed neighbourhood of his
+        # own vertex `stay`: row u of `nbr` is N[u] ascending, right-padded with
+        # its first entry, and row 0 holds the null move of capture and terminal
+        # states. Moving player p from x to a adds (a - x) * stride[p] to the
+        # index and passes the turn on (entry 0, the terminal's, is unused).
+        hoods = [[NULL_MOVE]] + [graph.closed_neighborhood(u) for u in range(1, v + 1)]
+        width = max(len(h) for h in hoods)
+        self.nbr = np.array([h + h[:1] * (width - len(h)) for h in hoods], dtype=np.int64)
+        self._hood_size = np.array([len(h) for h in hoods], dtype=np.int64)
+        self.stay = self.positions[np.arange(self.n_states), self.mover - 1]
+        self.stay[~self.is_noncapture] = NULL_MOVE
+        player = np.arange(n_players + 1)
+        self._stride = n_players * v ** (n_players - player)
+        self._turn = np.where(player < n_players, 1, 1 - n_players)
         self._succ = None
-        self._act = None
-        self._acount = None
-        self._max_actions = max(graph.degree(u) for u in range(1, v + 1)) + 1
 
     # -- state <-> index ---------------------------------------------------
 
@@ -160,36 +171,22 @@ class StateSpace:
 
     def transition_index(self, idx: int, action: int) -> int:
         """Index-level transition; assumes a legal mover action at a non-capture state."""
-        p = int(self.mover[idx])
-        x = int(self.positions[idx, p - 1])
-        stride = self.n_players * self.n_vertices ** (self.n_players - p)
-        dp = 1 if p < self.n_players else 1 - self.n_players
-        return idx + (action - x) * stride + dp
+        return int(self._step(idx, action))
 
-    # -- dense successor tables (built lazily, used by the solvers) --------
+    def _step(self, rows, moves):
+        """Index reached when the mover of each state in `rows` plays the matching move."""
+        p = self.mover[rows]
+        return rows + (moves - self.stay[rows]) * self._stride[p] + self._turn[p]
+
+    # -- dense successor table (built lazily, used by the solvers) ---------
 
     def _build_tables(self):
-        n, v, k = self.n_states, self.n_vertices, self._max_actions
-        succ = np.full((n, k), self.terminal_index, dtype=np.int64)
-        act = np.full((n, k), NULL_MOVE, dtype=np.int64)
-        acount = np.ones(n, dtype=np.int64)
-        all_idx = np.arange(n, dtype=np.int64)
-        for p in range(1, self.n_players + 1):
-            stride = self.n_players * v ** (self.n_players - p)
-            dp = 1 if p < self.n_players else 1 - self.n_players
-            rows_p = all_idx[(self.mover == p) & self.is_noncapture]
-            xp = self.positions[rows_p, p - 1]
-            for vert in range(1, v + 1):
-                rows = rows_p[xp == vert]
-                if rows.size == 0:
-                    continue
-                moves = self.graph.closed_neighborhood(vert)
-                acount[rows] = len(moves)
-                for j in range(k):
-                    a = moves[j] if j < len(moves) else moves[0]  # pad with first move
-                    succ[rows, j] = rows + (a - vert) * stride + dp
-                    act[rows, j] = a
-        self._succ, self._act, self._acount = succ, act, acount
+        rows = np.flatnonzero(self.is_noncapture)
+        own = self.stay[rows]
+        succ = np.full((self.n_states, self.nbr.shape[1]), self.terminal_index, dtype=np.int64)
+        for j in range(self.nbr.shape[1]):
+            succ[rows, j] = self._step(rows, self.nbr[own, j])
+        self._succ = succ
 
     @property
     def succ(self) -> np.ndarray:
@@ -200,21 +197,17 @@ class StateSpace:
 
     @property
     def act(self) -> np.ndarray:
-        """(n_states, K) action vertices aligned with `succ`."""
-        if self._act is None:
-            self._build_tables()
-        return self._act
+        """(n_states, K) action vertices aligned with `succ`; a fresh array per read."""
+        return self.nbr[self.stay]
 
     @property
     def acount(self) -> np.ndarray:
-        """Number of real (unpadded) actions per state."""
-        if self._acount is None:
-            self._build_tables()
-        return self._acount
+        """Number of real (unpadded) actions per state; a fresh array per read."""
+        return self._hood_size[self.stay]
 
     def slot_mask(self) -> np.ndarray:
         """(n_states, K) boolean mask of real action slots."""
-        return np.arange(self._max_actions)[None, :] < self.acount[:, None]
+        return np.arange(self.nbr.shape[1])[None, :] < self.acount[:, None]
 
     def succ_of_moves(self, moves: np.ndarray) -> np.ndarray:
         """Successor index for each non-capture state when the mover plays moves[idx].
@@ -223,11 +216,7 @@ class StateSpace:
         """
         out = np.full(self.n_states, self.terminal_index, dtype=np.int64)
         nc = np.flatnonzero(self.is_noncapture)
-        p = self.mover[nc]
-        x = self.positions[nc, p - 1]
-        stride = self.n_players * self.n_vertices ** (self.n_players - p)
-        dp = np.where(p < self.n_players, 1, 1 - self.n_players)
-        out[nc] = nc + (moves[nc] - x) * stride + dp
+        out[nc] = self._step(nc, moves[nc])
         return out
 
 

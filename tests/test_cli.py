@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from scar.cli import main
 from scar.graph import serialize_graph, cycle_graph
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +143,16 @@ def test_theorems_exit_zero_on_pass(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(r["passed"] for r in doc["result"]["reports"])
+
+
+def test_theorems_state_cap_covers_only_the_suite_space(capsys):
+    # petersen has cop number 3: the suites at N=3 need only the 3,001-state
+    # space and the search up to N-1 = 2 pursuers, never the 40,001-state one.
+    code, out, _ = run_cli(capsys, "theorems", "--builtin", "petersen", "--n", "3",
+                           "--gamma", "0.5", "--epsilon", "0.25", "--state-cap", "5000")
+    assert code == 0
+    golden = json.loads((GOLDEN / "theorems_petersen.json").read_text())
+    assert json.loads(out)["result"] == golden["result"]
 
 
 def test_scenario_file(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scar.errors import CapacityError, IllegalMoveError, ValidationError
-from scar.graph import cycle_graph, delayed_capture_graph, path_graph
+from scar.graph import builtin_graph, cycle_graph, delayed_capture_graph, path_graph
 from scar.states import NULL_MOVE, TERMINAL, build_state_space
 
 
@@ -113,17 +113,37 @@ def test_transition_preserves_non_mover_coordinates():
                     assert t[i] == s[i]
 
 
-def test_succ_table_matches_transition():
-    space = build_state_space(cycle_graph(4), 3)
-    nc = np.flatnonzero(space.is_noncapture)
-    for idx in nc[:200]:
+@pytest.mark.parametrize("name", ["delayed-capture", "star:5"])
+def test_succ_table_matches_transition(name):
+    space = build_state_space(builtin_graph(name), 3)
+    succ, act, acount = space.succ, space.act, space.acount
+    k = succ.shape[1]
+    for idx in np.flatnonzero(space.is_noncapture):
         idx = int(idx)
         mover = int(space.mover[idx])
+        assert space.stay[idx] == space.positions[idx, mover - 1]
         acts = space.actions(idx, mover)
-        assert space.acount[idx] == len(acts)
-        for j, a in enumerate(acts):
-            assert space.act[idx, j] == a
-            assert space.state_at(int(space.succ[idx, j])) == space.transition(idx, a)
+        assert acount[idx] == len(acts)
+        padded = acts + acts[:1] * (k - len(acts))  # padded slots repeat slot 0
+        assert act[idx].tolist() == padded
+        for j, a in enumerate(padded):
+            assert space.state_at(int(succ[idx, j])) == space.transition(idx, a)
+    done = ~space.is_noncapture  # capture rows and the terminal
+    assert (succ[done] == space.terminal_index).all()
+    assert (act[done] == NULL_MOVE).all()
+    assert (acount[done] == 1).all()
+    assert (space.stay[done] == NULL_MOVE).all()
+
+    rng = np.random.default_rng(3)
+    nc = np.flatnonzero(space.is_noncapture)
+    moves = np.zeros(space.n_states, dtype=np.int64)
+    moves[nc] = act[nc, rng.integers(0, acount[nc])]
+    jump = space.succ_of_moves(moves)
+    assert (jump[done] == space.terminal_index).all()
+    for idx in nc.tolist():
+        expected = space.transition(idx, int(moves[idx]))
+        assert space.state_at(int(jump[idx])) == expected
+        assert space.state_at(space.transition_index(idx, int(moves[idx]))) == expected
 
 
 def test_state_validation():
