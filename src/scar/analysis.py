@@ -108,8 +108,7 @@ def replay_scenario(scenario: dict) -> dict:
     if kind == "noncapturing-construction":
         constr = equilibria.build_noncapturing_ne(space, params, s0=tuple(scenario["s0"]))
         trace = run(space, params, constr.profile, constr.s0_index)
-        ver = equilibria.verify_noncapturing_ne(space, params, constr, tol=tol,
-                                                value_tol=value_tol)
+        ver = equilibria.verify_noncapturing_ne(space, params, constr, tol=tol)
         return {"is_ne": ver.is_ne, "termination": trace.termination,
                 "gains": ver.per_player_gain}
     raise ValidationError(f"cannot replay profile kind {kind!r}")
@@ -207,7 +206,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     # One pass over the grid. Each point's auxiliary games serve both threat
     # builders, and its two threat verdicts serve the cop-win suite too. Only
     # one point's arrays are alive at a time: the games and threat profiles go
-    # once verified, the verdicts before the non-capturing MDPs run.
+    # once verified, the verdicts before the non-capturing check runs.
     scenario = functools.partial(_scenario, g, n_players, tol=tol, value_tol=value_tol)
     for gamma, eps in grid.points():
         params = GameParams(n_players, gamma, eps)
@@ -255,8 +254,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
         del verdicts, ver  # the point's threat and omega-tilde arrays
         if noncapturing:
             trace = run(space, params, construction.profile, construction.s0_index)
-            ver = equilibria.verify_noncapturing_ne(space, params, construction,
-                                                    tol=tol, value_tol=value_tol)
+            ver = equilibria.verify_noncapturing_ne(space, params, construction, tol=tol)
             nonc_rep.record(trace.termination == "cycle" and ver.is_ne,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
                              "termination": trace.termination, "is_ne": ver.is_ne,

@@ -7,10 +7,9 @@ groups of rows; every row outside the groups keeps a pinned boundary value:
   min rows:     v(s) = gamma * min_a v(succ(s, a));
   follow rows:  v(s) = gamma * v(succ(s)), one frozen successor per row.
 
-Zero-sum games use max and min rows, best-response MDPs max and follow rows,
-and the pursuer's deviation MDP of the non-capturing construction runs the same
-loop on flat (state, mode) indices. Discounting makes the update a
-gamma-contraction, so sweeps converge geometrically.
+Zero-sum games use max and min rows, best-response MDPs max and follow rows.
+Discounting makes the update a gamma-contraction, so sweeps converge
+geometrically.
 """
 
 from __future__ import annotations

@@ -339,8 +339,7 @@ def cmd_verify(args):
     elif args.profile == "noncapturing":
         constr = equilibria.build_noncapturing_ne(space, params, s0=scenario.s0,
                                                   state_cap=scenario.state_cap)
-        rep = equilibria.verify_noncapturing_ne(space, params, constr, tol=scenario.ne_tol,
-                                                value_tol=scenario.tol)
+        rep = equilibria.verify_noncapturing_ne(space, params, constr, tol=scenario.ne_tol)
         trace = simulate.run(space, params, constr.profile, constr.s0_index)
         result = {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
                   "s0": list(constr.s0), "termination": trace.termination}

@@ -8,6 +8,9 @@ value iteration; profile payoffs themselves are evaluated in closed form
 cycles). For threat profiles the punished deviator faces fixed positional
 punishers, so his best possible continuation is again an MDP value, and a
 one-shot deviation scan along cooperative play covers every deviating strategy.
+The non-capturing construction is judged at its one start only: against the
+frozen rest a deviator plays a deterministic one-player game, whose value at
+the start a forward search over the reachable (state, mode) pairs gives exactly.
 
 Both threat constructions go through one builder: they differ only in the
 cooperative moves, and share the punishments taken from the N auxiliary
@@ -35,9 +38,8 @@ from . import bellman
 from .bellman import DEFAULT_VALUE_TOL
 from .cr import CaptureTimeTable, exact_capture_times, extract_cr_optimal_moves
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
-from .payoffs import GameParams, turn_payoff_matrix
+from .payoffs import GameParams, turn_payoff, turn_payoff_matrix
 from .profiles import (
-    ALL_STAY,
     NonCapturingProfile,
     PositionalProfile,
     ThreatProfile,
@@ -443,76 +445,78 @@ class NonCapturingNEReport:
     tol: float
     per_player_gain: list
     s0_index: int
+    explored: list  # per player, (state, mode) nodes his best-response search visited
 
 
 def verify_noncapturing_ne(space: StateSpace, params: GameParams,
                            construction: NonCapturingConstruction,
-                           tol: float = DEFAULT_NE_TOL,
-                           value_tol: float = DEFAULT_VALUE_TOL) -> NonCapturingNEReport:
-    """Best-response check at the construction's start.
+                           tol: float = DEFAULT_NE_TOL) -> NonCapturingNEReport:
+    """Exact best-response check at the construction's start.
 
-    Cooperative play never captures, so everyone's profile payoff is zero. The
-    evader's best response faces positional pursuers (a plain MDP); a pursuer's
-    best response faces the evader's mode automaton, so his MDP runs on states
-    augmented with the automaton mode.
+    Cooperative play never captures, so everyone's profile payoff is zero. Each
+    player's gain is his best value from (s0, ALL_STAY) while everyone else
+    follows the construction's own automaton, found by `_start_local_value`
+    over the nodes reachable from there, with no iteration or tolerance.
     """
-    prof = construction.profile
-    n = params.n_players
-    gamma = params.gamma
-    q = turn_payoff_matrix(space, params)
-    gains = []
-    # evader: pursuer moves depend only on the state
-    frozen = prof.merge_moves.copy()
-    rows_r = space.is_noncapture & (space.mover == n)
-    frozen[rows_r] = space.stay[rows_r]  # placeholder on the evader's own rows
-    frozen_succ = space.succ_of_moves(frozen)
-    v_r, _, _ = bellman.solve_mdp(space, q[n - 1], gamma, space.mover == n, frozen_succ,
-                                  tol=value_tol)
-    for player in range(1, n):
-        gains.append(_pursuer_deviation_value(space, params, prof, player, q[player - 1],
-                                              value_tol))
-    gains.append(float(v_r[construction.s0_index]))
-    max_gain = max(gains)
-    return NonCapturingNEReport(max_gain <= tol, tol, gains, construction.s0_index)
+    gains, explored = zip(*(_start_local_value(space, params, construction.profile, player)
+                            for player in range(1, params.n_players + 1)))
+    return NonCapturingNEReport(max(gains) <= tol, tol, list(gains), construction.s0_index,
+                                list(explored))
 
 
-def _pursuer_deviation_value(space, params, prof, player, q_row, value_tol):
-    """Value at (s0, all-stay) of the deviating pursuer's mode-augmented MDP.
+def _start_local_value(space, params, prof, player):
+    """Best value of `player` from (s0, initial mode) against the profile's own
+    prescribed/observe automaton, and the number of (state, mode) nodes visited.
 
-    Its states are flat indices state * n_modes + mode, where the mode is the
-    evader automaton's: ALL_STAY or the first pursuer seen moving.
+    With everyone else frozen, play is a one-player deterministic graph whose
+    only rewards q sit at capture states, where it stops. A capture with q >= 0
+    is best reached by a shortest path; a reachable cycle (necessarily
+    capture-free) secures 0; without one the graph is acyclic, and a capture
+    with q < 0 is best reached by a longest path. q is discounted one factor of
+    gamma per step, as value iteration does, so the value equals its fixpoint.
     """
-    n = params.n_players
-    n_modes = n  # ALL_STAY plus one evade mode per pursuer
-    modes = np.arange(n_modes)
-    nc = space.is_noncapture
-    stay = space.stay
-    # frozen movers: the other pursuers merge; the evader stays or evades by mode
-    moves = stay.copy()
-    rows_c = nc & (space.mover < n) & (space.mover != player)
-    moves[rows_c] = prof.merge_moves[rows_c]
-    moved = rows_c & (moves != stay)  # a pursuer leaves: ALL_STAY turns into his mode
-    rows_r = np.flatnonzero(nc & (space.mover == n))
-    own = space.positions[rows_r, -1]
-    frozen_rows = np.flatnonzero(nc & (space.mover != player))
-    frozen_next = np.empty((frozen_rows.size, n_modes), dtype=np.int64)
-    for mode in modes:
-        if mode == ALL_STAY:
-            moves[rows_r] = own
-            new_mode = np.where(moved, space.mover, ALL_STAY)
+    start = (prof.s0_index, prof.initial_mode())
+    depth = {start: 0}
+    succ = {}
+    order = [start]
+    for node in order:  # breadth-first: nodes join `order` by depth
+        idx, mode = node
+        succ[node] = []
+        if not space.is_noncapture[idx]:
+            continue
+        mover = int(space.mover[idx])
+        if mover == player:
+            # padded slots repeat slot 0, so dict.fromkeys keeps the real ones
+            moves = dict.fromkeys(zip(space.nbr[space.stay[idx]].tolist(), space.succ[idx].tolist()))
         else:
-            moves[rows_r] = prof.evade_move[space.positions[rows_r, mode - 1], own]
-            new_mode = mode
-        frozen_next[:, mode] = (space.succ_of_moves(moves) * n_modes + new_mode)[frozen_rows]
-    # free rows: his own move out of ALL_STAY switches the mode to him
-    own_rows = np.flatnonzero(nc & (space.mover == player))
-    own_mode = np.broadcast_to(modes[:, None], (own_rows.size, n_modes, space.nbr.shape[1])).copy()
-    own_mode[:, ALL_STAY] = np.where(space.nbr[stay[own_rows]] != stay[own_rows, None], player, ALL_STAY)
-    own_next = space.succ[own_rows][:, None, :] * n_modes + own_mode
-    v = np.repeat(np.where(space.is_capture, q_row, 0.0), n_modes)
-    v, _, _ = bellman._value_iteration(
-        v, params.gamma, value_tol,
-        maximize=((own_rows[:, None] * n_modes + modes).ravel(),
-                  own_next.reshape(-1, own_next.shape[2])),
-        follow=((frozen_rows[:, None] * n_modes + modes).ravel(), frozen_next.ravel()))
-    return float(v[prof.s0_index * n_modes + ALL_STAY])
+            action = prof.prescribed(idx, mode)
+            moves = [(action, space.transition_index(idx, action))]
+        for action, nxt in moves:
+            child = (nxt, prof.observe(idx, mover, action, mode))
+            succ[node].append(child)
+            if child not in depth:
+                depth[child] = depth[node] + 1
+                order.append(child)
+    # Kahn's order yields longest depths, and covers every node iff no cycle is reachable
+    indegree = dict.fromkeys(succ, 0)
+    for children in succ.values():
+        for child in children:
+            indegree[child] += 1
+    longest = dict.fromkeys(succ, 0)
+    ready = [start] if indegree[start] == 0 else []
+    for node in ready:
+        for child in succ[node]:
+            longest[child] = max(longest[child], longest[node] + 1)
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                ready.append(child)
+    acyclic = len(ready) == len(succ)
+    best = -math.inf if acyclic else 0.0  # a cycle's 0 beats every q < 0
+    for node in order:
+        if space.is_noncapture[node[0]]:
+            continue
+        value = turn_payoff(space, params, node[0], player)
+        for _ in range(depth[node] if value >= 0 else longest[node]):
+            value = params.gamma * value
+        best = max(best, value)
+    return best, len(succ)

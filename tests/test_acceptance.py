@@ -244,7 +244,7 @@ def test_criterion_08_noncapturing_constructions():
     assert constr.s0 == (1, 1, 3, 1)
     trace = run(space, params, constr.profile, constr.s0_index)
     assert trace.termination == "cycle" and trace.capture_time == math.inf
-    rep = verify_noncapturing_ne(space, params, constr, tol=NE_TOL, value_tol=VALUE_TOL)
+    rep = verify_noncapturing_ne(space, params, constr, tol=NE_TOL)
     assert rep.is_ne
     # two pursuers cannot corner the evader on the Petersen graph: the exact
     # table certifies an escape start, so every equilibrium there is non-capturing

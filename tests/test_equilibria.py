@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from scar import bellman
-from scar.cr import exact_capture_times, gamma_power_times, t_n_max
+from scar.analysis import make_grid
+from scar.cr import exact_capture_times, extract_cr_optimal_moves, gamma_power_times, t_n_max
 from scar.equilibria import (
     build_capturing_threat_ne,
     build_noncapturing_ne,
@@ -21,7 +22,7 @@ from scar.equilibria import (
 from scar.errors import NonConvergenceError, NotApplicableError, ValidationError
 from scar.graph import build_graph, cycle_graph, delayed_capture_graph, path_graph, petersen_graph
 from scar.payoffs import GameParams, turn_payoff
-from scar.profiles import PositionalProfile, greedy_cop_moves
+from scar.profiles import PositionalProfile, greedy_cop_moves, random_profile
 from scar.simulate import exact_profile_values, run, run_with_forced_deviation
 from scar.states import build_state_space
 
@@ -352,9 +353,22 @@ def test_noncapturing_on_petersen():
     assert report.is_ne
 
 
+def test_noncapturing_verifier_stays_local_at_benchmark_scale():
+    """Petersen with N=4 has 40,001 states and 160,004 (state, mode) pairs; each
+    best response only needs the few hundred reachable from (s0, ALL_STAY)."""
+    space = build_state_space(petersen_graph(), 4)
+    constr = build_noncapturing_ne(space, GameParams(4, 0.5, 0.25))
+    for gamma, eps in make_grid(4).points():
+        report = verify_noncapturing_ne(space, GameParams(4, gamma, eps), constr)
+        assert report.is_ne
+        assert report.per_player_gain == [0.0] * 4
+        assert max(report.explored) < 1000
+
+
 def _python_deviation_value(space, params, prof, player, tol=1e-13):
-    """Pursuer `player`'s best value from (s0, initial mode) against the profile's
-    own prescribed/observe automaton, by Gauss-Seidel sweeps over what is reachable."""
+    """Best value of `player` (a pursuer or the evader) from (s0, initial mode)
+    against the profile's own prescribed/observe automaton, by Gauss-Seidel
+    sweeps over what is reachable."""
     start = (prof.s0_index, prof.initial_mode())
     succ = {}
     todo = [start]
@@ -406,3 +420,29 @@ def test_pursuer_deviation_gains_match_python_value_iteration(graph, n, sabotage
     assert min(expected) > 0.1
     assert report.per_player_gain[:-1] == pytest.approx(expected, rel=0, abs=1e-9)
     assert not report.is_ne
+
+
+def _cr_optimal_pursuers(space, prof):
+    return dataclasses.replace(prof, merge_moves=extract_cr_optimal_moves(space, exact_capture_times(space)))
+
+
+def _random_pursuers(space, prof):
+    # seed 111 on cycle:5 N=4: the evader's longest delay (19 turns) exceeds
+    # the shortest depth of every capture he can reach (at most 15)
+    return dataclasses.replace(prof, merge_moves=random_profile(space, np.random.default_rng(111)).move)
+
+
+@pytest.mark.parametrize("graph, n, sabotage", [(cycle_graph(4), 3, _cr_optimal_pursuers),
+                                                (cycle_graph(5), 4, _cr_optimal_pursuers),
+                                                (cycle_graph(5), 4, _random_pursuers)])
+def test_evader_deviation_gain_matches_python_value_iteration(graph, n, sabotage):
+    """Sabotaged constructions: pursuers who leave the stack catch the evader
+    however he runs, so his best response is the longest delay."""
+    space = build_state_space(graph, n)
+    params = GameParams(n, 0.9, 0.25)
+    constr = build_noncapturing_ne(space, params)
+    constr.profile = sabotage(space, constr.profile)
+    report = verify_noncapturing_ne(space, params, constr)
+    expected = _python_deviation_value(space, params, constr.profile, n)
+    assert expected < 0
+    assert report.per_player_gain[-1] == pytest.approx(expected, rel=0, abs=1e-9)
