@@ -99,11 +99,11 @@ def replay_scenario(scenario: dict) -> dict:
             threat = equilibria.build_threat_profile(space, params, tol=value_tol)
         else:
             threat = equilibria.build_capturing_threat_ne(space, params, tol=value_tol)
-        ver = equilibria.verify_threat_ne(space, params, threat, tol=tol, value_tol=value_tol)
+        ver = equilibria.verify_threat_ne(space, params, threat, tol=tol)
         return {"is_ne": ver.is_ne, "captures_everywhere": ver.captures_everywhere(),
                 **ver.summary()}
     if kind == "cr-optimal":
-        _, ver = equilibria.check_cr_optimal_ne(space, params, tol=tol, value_tol=value_tol)
+        _, ver = equilibria.check_cr_optimal_ne(space, params, tol=tol)
         return ver.summary()
     if kind == "noncapturing-construction":
         constr = equilibria.build_noncapturing_ne(space, params, s0=tuple(scenario["s0"]))
@@ -197,10 +197,10 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
             "noncapturing-ne-exists",
             "with cop number >= 2 some start admits a non-capturing equilibrium",
             scope + ", at the stacked-pursuers start")
-        construction = equilibria.build_noncapturing_ne(space,
-                                                        GameParams(n_players, grid.gammas[0],
-                                                                   grid.epsilons[0]),
-                                                        state_cap=state_cap)
+        params = GameParams(n_players, grid.gammas[0], grid.epsilons[0])
+        construction = equilibria.build_noncapturing_ne(space, params, state_cap=state_cap)
+        # cooperative play, and so its termination, does not depend on (gamma, eps)
+        termination = run(space, params, construction.profile, construction.s0_index).termination
         reports.append(nonc_rep)
 
     # One pass over the grid. Each point's auxiliary games serve both threat
@@ -212,13 +212,11 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
         params = GameParams(n_players, gamma, eps)
         aux = equilibria.solve_all_aux_games(space, params, tol=value_tol)
         verdicts = {"threat": equilibria.verify_threat_ne(
-            space, params, equilibria.build_threat_profile(space, params, aux=aux),
-            tol=tol, value_tol=value_tol)}
+            space, params, equilibria.build_threat_profile(space, params, aux=aux), tol=tol)}
         if capturing:
             verdicts["capturing-threat"] = equilibria.verify_threat_ne(
                 space, params,
-                equilibria.build_capturing_threat_ne(space, params, table=table, aux=aux),
-                tol=tol, value_tol=value_tol)
+                equilibria.build_capturing_threat_ne(space, params, table=table, aux=aux), tol=tol)
         del aux
 
         ver = verdicts["threat"]
@@ -233,8 +231,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                             "capture_time_bound": bound, **ver.summary()},
                            scenario(gamma, eps, profile="capturing-threat"))
             if params.in_omega_tilde:
-                _, ver = equilibria.check_cr_optimal_ne(space, params, table=table,
-                                                        tol=tol, value_tol=value_tol)
+                _, ver = equilibria.check_cr_optimal_ne(space, params, table=table, tol=tol)
                 omega_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
                                  scenario(gamma, eps, profile="cr-optimal"))
 
@@ -253,11 +250,10 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
 
         del verdicts, ver  # the point's threat and omega-tilde arrays
         if noncapturing:
-            trace = run(space, params, construction.profile, construction.s0_index)
             ver = equilibria.verify_noncapturing_ne(space, params, construction, tol=tol)
-            nonc_rep.record(trace.termination == "cycle" and ver.is_ne,
+            nonc_rep.record(termination == "cycle" and ver.is_ne,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
-                             "termination": trace.termination, "is_ne": ver.is_ne,
+                             "termination": termination, "is_ne": ver.is_ne,
                              "gains": ver.per_player_gain},
                             scenario(gamma, eps, s0=list(construction.s0),
                                      profile="noncapturing-construction"))
@@ -399,8 +395,7 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
     rows = []
     for gamma, eps in grid.points():
         params = GameParams(n_players, gamma, eps)
-        _, ver = equilibria.check_cr_optimal_ne(space, params, table=table,
-                                                tol=tol, value_tol=value_tol)
+        _, ver = equilibria.check_cr_optimal_ne(space, params, table=table, tol=tol)
         threat = equilibria.build_threat_profile(space, params, tol=value_tol)
         coop_turns, _ = profile_outcomes(space, threat.cooperative.move)
         for s0 in starts:

@@ -7,9 +7,11 @@ groups of rows; every row outside the groups keeps a pinned boundary value:
   min rows:     v(s) = gamma * min_a v(succ(s, a));
   follow rows:  v(s) = gamma * v(succ(s)), one frozen successor per row.
 
-Zero-sum games use max and min rows, best-response MDPs max and follow rows.
-Discounting makes the update a gamma-contraction, so sweeps converge
-geometrically.
+Zero-sum games use max and min rows and stop once the residual is below a
+tolerance; discounting makes their update a gamma-contraction, so the sweeps
+converge geometrically. Best-response MDPs use max and follow rows and run to
+their exact fixpoint: against frozen opponents every sweep from zero adds one
+turn to the horizon, and the values stop changing within |S| + 1 sweeps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import NonConvergenceError
 
 #: Slack used when scanning for the first optimal action. Genuine value gaps in
 #: these games are powers of gamma times split constants, far above this; the
@@ -31,25 +35,26 @@ def iteration_cap(gamma: float, tol: float, margin: int = 50) -> int:
     return int(math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma))) + margin
 
 
-def _value_iteration(v, gamma, tol, cap=None, maximize=None, minimize=None, follow=None):
+def _value_iteration(v, gamma, tol, cap, maximize=None, minimize=None, follow=None):
     """Synchronous value iteration on `v`, updated in place.
 
     Each group is a pair (rows, succ) of indices into `v`: `maximize` and
     `minimize` rows take gamma times the max or min of their (m, K) successor
     block, `follow` rows gamma times their one successor (m,). Every group is
     updated from the same `v`, and the residual is the sup change over the
-    updated rows. Returns (values, iterations, residual).
+    updated rows. Stops once the residual is at most `tol`, or after `cap`
+    sweeps. Returns (values, iterations, residual).
     """
-    if cap is None:
-        cap = iteration_cap(gamma, tol)
-    groups = [(g, reduce) for g, reduce in ((maximize, np.max), (minimize, np.min), (follow, None))
-              if g is not None]
-    rows = np.concatenate([g[0] for g, _ in groups])
+    # blocks are gathered as contiguous (K, m) arrays: reducing across K rows
+    # runs several times faster than along a short last axis
+    groups = [(g[0], g[1] if reduce is None else np.ascontiguousarray(g[1].T), reduce)
+              for g, reduce in ((maximize, np.max), (minimize, np.min), (follow, None)) if g is not None]
+    rows = np.concatenate([g[0] for g in groups])
     residual = math.inf
     iterations = 0
     for iterations in range(1, cap + 1):
-        new = np.concatenate([gamma * (v[succ] if reduce is None else reduce(v[succ], axis=1))
-                              for (_, succ), reduce in groups])
+        new = np.concatenate([gamma * (v[succ] if reduce is None else reduce(v[succ], axis=0))
+                              for _, succ, reduce in groups])
         residual = float(np.abs(new - v[rows]).max(initial=0.0))
         v[rows] = new
         if residual <= tol:
@@ -57,35 +62,40 @@ def _value_iteration(v, gamma, tol, cap=None, maximize=None, minimize=None, foll
     return v, iterations, residual
 
 
-def _start(space, fixed, v0):
-    """`fixed` on the boundary, `v0` (or 0) on the non-capture rows."""
-    nc = space.is_noncapture
-    v = fixed.astype(float)
-    v[nc] = 0.0 if v0 is None else v0[nc]
-    return v
-
-
-def solve_zero_sum(space, fixed, gamma, max_mask, tol=DEFAULT_VALUE_TOL, cap=None, v0=None):
-    """Value iteration with per-state max/min chosen by `max_mask`.
+def solve_zero_sum(space, fixed, gamma, max_mask, tol=DEFAULT_VALUE_TOL):
+    """Value iteration with per-state max/min chosen by `max_mask`, to residual `tol`.
 
     `fixed` pins the boundary (capture states, terminal); those rows are never
-    updated. Returns (values, iterations, residual).
+    updated, and the rest start at 0. Returns (values, iterations, residual).
     """
     nc = space.is_noncapture
     hi = np.flatnonzero(nc & max_mask)
     lo = np.flatnonzero(nc & ~max_mask)
-    return _value_iteration(_start(space, fixed, v0), gamma, tol, cap,
+    return _value_iteration(np.where(nc, 0.0, fixed), gamma, tol, iteration_cap(gamma, tol),
                             maximize=(hi, space.succ[hi]), minimize=(lo, space.succ[lo]))
 
 
-def solve_mdp(space, fixed, gamma, free_mask, frozen_succ, tol=DEFAULT_VALUE_TOL, cap=None, v0=None):
-    """Best-response value iteration: `free_mask` rows maximize, the rest follow
-    `frozen_succ` (the successor under the frozen opponents' profile)."""
+def solve_mdp(space, fixed, gamma, free_mask, frozen_succ):
+    """Exact best response: `free_mask` rows maximize, the rest follow
+    `frozen_succ` (the successor under the frozen opponents' profile).
+
+    Play is a one-player deterministic graph that stops at the capture states
+    with reward `fixed`. After k sweeps from 0, v is the best k-turn value (0
+    where play can still be running); a capture is best reached by a path of
+    distinct rows, and a play that lasts longer loops and can avoid capture
+    forever, so v settles and the loop ends at residual exactly 0 within
+    n_states + 1 sweeps (else NonConvergenceError). Returns (values,
+    iterations, residual).
+    """
     nc = space.is_noncapture
     free = np.flatnonzero(nc & free_mask)
     rest = np.flatnonzero(nc & ~free_mask)
-    return _value_iteration(_start(space, fixed, v0), gamma, tol, cap,
-                            maximize=(free, space.succ[free]), follow=(rest, frozen_succ[rest]))
+    values, iterations, residual = _value_iteration(
+        np.where(nc, 0.0, fixed), gamma, 0.0, space.n_states + 1,
+        maximize=(free, space.succ[free]), follow=(rest, frozen_succ[rest]))
+    if residual != 0.0:
+        raise NonConvergenceError(f"best response still moving after {iterations} sweeps")
+    return values, iterations, residual
 
 
 def greedy_moves(space, values, rows_mask, maximize=True, tie_tol=TIE_TOL):

@@ -78,6 +78,8 @@ def _load_graph(args) -> Graph:
     if getattr(args, "scenario", None):
         doc = json.loads(Path(args.scenario).read_text())
         gdoc = doc.get("graph")
+        if isinstance(gdoc, str):  # a report's own scenario echo
+            return parse_graph(gdoc)
         if isinstance(gdoc, dict):
             if "edge_list" in gdoc:
                 return parse_graph(gdoc["edge_list"])
@@ -85,7 +87,7 @@ def _load_graph(args) -> Graph:
                 return parse_graph(Path(gdoc["path"]).read_text())
             if "builtin" in gdoc:
                 return builtin_graph(gdoc["builtin"])
-        raise ValidationError("scenario must carry graph.edge_list, graph.path, or graph.builtin")
+        raise ValidationError("scenario graph must be an edge list or carry edge_list, path or builtin")
     if getattr(args, "graph", None):
         return parse_graph(Path(args.graph).read_text())
     if getattr(args, "builtin", None):
@@ -124,7 +126,8 @@ def _load_scenario(args) -> Scenario:
         s0 = _parse_s0(args.s0, int(n_players))
     elif doc.get("s0"):
         s0 = tuple(doc["s0"])
-    tolerances = doc.get("tolerances", {})
+    # a report's scenario echo carries the tolerances at top level
+    tolerances = doc.get("tolerances", {"value": doc.get("tol"), "ne_gap": doc.get("ne_tol")})
     tol = float(_first_set(getattr(args, "tol", None), tolerances.get("value"), 1e-10))
     ne_tol = float(_first_set(getattr(args, "ne_tol", None), tolerances.get("ne_gap"), 1e-8))
     if not tol > 0:
@@ -207,8 +210,7 @@ def cmd_solve(args):
             return EXIT_NONCONVERGENCE
         method = "threat-fallback"
         threat = equilibria.build_threat_profile(space, params, tol=scenario.tol)
-        ver = equilibria.verify_threat_ne(space, params, threat, tol=scenario.ne_tol,
-                                          value_tol=scenario.tol)
+        ver = equilibria.verify_threat_ne(space, params, threat, tol=scenario.ne_tol)
         profile = threat
         values = simulate.exact_profile_values(space, params, threat.cooperative.move)
         gaps = ver.summary()
@@ -322,8 +324,7 @@ def cmd_verify(args):
     space = scenario.space()
     params = scenario.params
     if args.profile == "cr-optimal":
-        _, rep = equilibria.check_cr_optimal_ne(space, params, tol=scenario.ne_tol,
-                                                value_tol=scenario.tol)
+        _, rep = equilibria.check_cr_optimal_ne(space, params, tol=scenario.ne_tol)
         result = rep.summary()
         if scenario.s0 is not None:
             result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(tuple(scenario.s0)))
@@ -332,8 +333,7 @@ def cmd_verify(args):
             threat = equilibria.build_threat_profile(space, params, tol=scenario.tol)
         else:
             threat = equilibria.build_capturing_threat_ne(space, params, tol=scenario.tol)
-        rep = equilibria.verify_threat_ne(space, params, threat, tol=scenario.ne_tol,
-                                          value_tol=scenario.tol)
+        rep = equilibria.verify_threat_ne(space, params, threat, tol=scenario.ne_tol)
         result = rep.summary()
         result["captures_everywhere"] = rep.captures_everywhere()
     elif args.profile == "noncapturing":
@@ -441,7 +441,7 @@ def _add_common(p, s0=True, grid=False):
     p.add_argument("--split-equivalent", action="store_true", dest="split_equivalent")
     p.add_argument("--allow-extended-epsilon", action="store_true",
                    dest="allow_extended_epsilon")
-    p.add_argument("--tol", type=float, help="value-iteration residual tolerance")
+    p.add_argument("--tol", type=float, help="residual tolerance of the auxiliary games and positional sweeps")
     p.add_argument("--ne-tol", type=float, dest="ne_tol", help="equilibrium gap tolerance")
     p.add_argument("--state-cap", type=int, dest="state_cap")
     if s0:

@@ -193,15 +193,9 @@ def extract_cr_optimal_moves(space: StateSpace, table: CaptureTimeTable) -> np.n
     maximizing it (escape counts as +inf). Play under these moves reaches a
     capture state after exactly T(s0) turns whenever T(s0) is finite.
     """
-    keyed = np.where(table.times >= 0, table.times, _NEVER)
-    moves = np.zeros(space.n_states, dtype=np.int64)
+    # integer times and the sentinel are exact in float64, so the scan's tie slack never bites
+    keyed = np.where(table.times >= 0, table.times, _NEVER).astype(float)
     nc = space.is_noncapture
-    cop_rows = np.flatnonzero(nc & (space.mover < space.n_players))
-    rob_rows = np.flatnonzero(nc & (space.mover == space.n_players))
-    for rows, argpick in ((cop_rows, np.argmin), (rob_rows, np.argmax)):
-        if rows.size == 0:
-            continue
-        gathered = keyed[space.succ[rows]]
-        pick = argpick(gathered, axis=1)  # first occurrence = smallest action vertex
-        moves[rows] = space.nbr[space.stay[rows], pick]
-    return moves
+    pursuer = space.mover < space.n_players
+    return (bellman.greedy_moves(space, keyed, nc & pursuer, maximize=False)
+            + bellman.greedy_moves(space, keyed, nc & ~pursuer, maximize=True))

@@ -2,12 +2,14 @@
 
 Verification is the backbone of this module: nothing is ever reported as an
 equilibrium unless an exact best-response computation says so. For positional
-profiles the opponents-frozen game is a single-player MDP per player, solved by
-value iteration; profile payoffs themselves are evaluated in closed form
-(deterministic positional play either captures within |S| turns or provably
-cycles). For threat profiles the punished deviator faces fixed positional
-punishers, so his best possible continuation is again an MDP value, and a
-one-shot deviation scan along cooperative play covers every deviating strategy.
+profiles the opponents-frozen game is a single-player deterministic MDP per
+player, whose value iteration from zero reaches its exact fixpoint (residual 0)
+within |S| + 1 sweeps, so no value tolerance enters the check; profile payoffs
+themselves are evaluated in closed form (deterministic positional play either
+captures within |S| turns or provably cycles). For threat profiles the punished
+deviator faces fixed positional punishers, so his best possible continuation is
+again such an exact MDP value, and a one-shot deviation scan along cooperative
+play covers every deviating strategy.
 The non-capturing construction is judged at its one start only: against the
 frozen rest a deviator plays a deterministic one-player game, whose value at
 the start a forward search over the reachable (state, mode) pairs gives exactly.
@@ -156,13 +158,12 @@ class NEReport:
 
 
 def verify_positional_ne(space: StateSpace, params: GameParams, profile: PositionalProfile,
-                         tol: float = DEFAULT_NE_TOL,
-                         value_tol: float = DEFAULT_VALUE_TOL) -> NEReport:
+                         tol: float = DEFAULT_NE_TOL) -> NEReport:
     """Best-response gap of every player from every state against the frozen rest.
 
     Profile payoffs are exact closed forms; each player's best response is an
-    MDP solved to `value_tol`. The profile is an equilibrium from every initial
-    state iff every gap is at most `tol`.
+    MDP solved to its exact fixpoint. The profile is an equilibrium from every
+    initial state iff every gap is at most `tol`.
     """
     n = params.n_players
     u = exact_profile_values(space, params, profile.move)
@@ -171,8 +172,7 @@ def verify_positional_ne(space: StateSpace, params: GameParams, profile: Positio
     gaps = np.zeros((n, space.n_states))
     for player in range(1, n + 1):
         free = space.mover == player
-        v, _, _ = bellman.solve_mdp(space, q[player - 1], params.gamma, free, frozen_succ,
-                                    tol=value_tol, v0=u[player - 1])
+        v, _, _ = bellman.solve_mdp(space, q[player - 1], params.gamma, free, frozen_succ)
         gaps[player - 1] = v - u[player - 1]
     gaps[:, space.terminal_index] = 0.0
     per_player = [float(gaps[i].max()) for i in range(n)]
@@ -285,7 +285,7 @@ def solve_positional_ne(space: StateSpace, params: GameParams,
     profile = PositionalProfile(space, moves, validate=False)
     values = exact_profile_values(space, params, moves)
     attainment, consistency = equation_residuals(space, params, profile, values)
-    verification = verify_positional_ne(space, params, profile, tol=ne_tol, value_tol=tol)
+    verification = verify_positional_ne(space, params, profile, tol=ne_tol)
     if not verification.is_ne:
         raise NotAnEquilibriumError(
             f"sweeps converged but a player can still improve by {verification.max_gap:.3e}",
@@ -325,13 +325,12 @@ class ThreatNEReport:
 
 
 def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfile,
-                     tol: float = DEFAULT_NE_TOL,
-                     value_tol: float = DEFAULT_VALUE_TOL) -> ThreatNEReport:
+                     tol: float = DEFAULT_NE_TOL) -> ThreatNEReport:
     """Check that no one-shot deviation followed by optimal play against the
     punishers beats cooperative play, from any state (hence any start).
 
     After a deviation the deviator faces fixed positional punishers forever, so
-    his best continuation is the value of that MDP; before it, play is the
+    his best continuation is the exact value of that MDP; before it, play is the
     cooperative path whose payoff-to-go is an exact closed form. Comparing the
     two at every state of the deviator covers every deviating strategy.
     """
@@ -346,8 +345,7 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
     for player in range(1, n + 1):
         punish_succ = space.succ_of_moves(threat.punishments[player].move)
         free = space.mover == player
-        v_pun, _, _ = bellman.solve_mdp(space, q[player - 1], gamma, free, punish_succ,
-                                        tol=value_tol)
+        v_pun, _, _ = bellman.solve_mdp(space, q[player - 1], gamma, free, punish_succ)
         rows = np.flatnonzero(nc & free)
         if rows.size == 0:
             per_player_gain.append(0.0)
@@ -369,8 +367,7 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
 
 def check_cr_optimal_ne(space: StateSpace, params: GameParams,
                         table: CaptureTimeTable | None = None,
-                        tol: float = DEFAULT_NE_TOL,
-                        value_tol: float = DEFAULT_VALUE_TOL):
+                        tol: float = DEFAULT_NE_TOL):
     """Verify the canonical optimal-pursuit profile as a positional equilibrium.
 
     Expected to pass from every start whenever gamma < eps/(1-eps) (and always
@@ -380,7 +377,7 @@ def check_cr_optimal_ne(space: StateSpace, params: GameParams,
     if table is None:
         table = exact_capture_times(space)
     profile = PositionalProfile(space, extract_cr_optimal_moves(space, table), validate=False)
-    report = verify_positional_ne(space, params, profile, tol=tol, value_tol=value_tol)
+    report = verify_positional_ne(space, params, profile, tol=tol)
     return profile, report
 
 

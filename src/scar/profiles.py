@@ -164,20 +164,23 @@ class NonCapturingProfile:
 
 
 def merge_cop_moves(space: StateSpace) -> np.ndarray:
-    """Dense pursuer moves for the non-capturing construction."""
+    """Dense pursuer moves for the non-capturing construction.
+
+    A pursuer stays while every pursuer shares his vertex; otherwise he steps
+    to the lowest vertex one closer to the lowest-indexed pursuer elsewhere.
+    """
     g = space.graph
-    ncops = space.n_players - 1
+    dist = np.zeros((g.vertex_count + 1, g.vertex_count + 1), dtype=np.int64)
+    for v in range(1, g.vertex_count + 1):
+        dist[v] = g.distances_from(v)
+    rows = np.flatnonzero(space.is_noncapture & (space.mover < space.n_players))
+    here = space.stay[rows]
+    cops = space.positions[rows, :space.n_players - 1]
+    apart = cops != here[:, None]  # never true in the mover's own column
+    target = cops[np.arange(rows.size), apart.argmax(axis=1)]
+    options = space.nbr[here]
+    # padded slots repeat slot 0, so the first closer slot is the lowest closer vertex
+    closer = dist[target[:, None], options] == dist[target, here][:, None] - 1
     moves = np.zeros(space.n_states, dtype=np.int64)
-    for cop in range(1, ncops + 1):
-        rows = np.flatnonzero(space.is_noncapture & (space.mover == cop))
-        for s in rows:
-            pos = space.positions[s]
-            here = int(pos[cop - 1])
-            apart = [c for c in range(1, ncops + 1) if c != cop and int(pos[c - 1]) != here]
-            if not apart:
-                moves[s] = here
-                continue
-            target = int(pos[apart[0] - 1])
-            dist = g.distances_from(target)
-            moves[s] = min(a for a in g.closed_neighborhood(here) if dist[a] == dist[here] - 1)
+    moves[rows] = np.where(apart.any(axis=1), options[np.arange(rows.size), closer.argmax(axis=1)], here)
     return moves

@@ -207,12 +207,12 @@ def test_criterion_06_threat_ne_battery(battery_graphs):
         for gamma, eps in grid.points():
             params = GameParams(3, gamma, eps)
             threat = build_threat_profile(space, params, tol=VALUE_TOL)
-            rep = verify_threat_ne(space, params, threat, tol=NE_TOL, value_tol=VALUE_TOL)
+            rep = verify_threat_ne(space, params, threat, tol=NE_TOL)
             assert rep.is_ne, f"{name} threat at ({gamma},{eps}): gain {max(rep.per_player_gain):.2e}"
             instances += 1
             if capturing_applicable:
                 cap = build_capturing_threat_ne(space, params, table=table, tol=VALUE_TOL)
-                rep2 = verify_threat_ne(space, params, cap, tol=NE_TOL, value_tol=VALUE_TOL)
+                rep2 = verify_threat_ne(space, params, cap, tol=NE_TOL)
                 assert rep2.is_ne, f"{name} capturing at ({gamma},{eps}): gain {max(rep2.per_player_gain):.2e}"
                 assert rep2.captures_everywhere()
                 instances += 1
@@ -230,8 +230,7 @@ def test_criterion_07_omega_tilde_theorem():
         for gamma, eps in points:
             params = GameParams(3, gamma, eps)
             assert params.in_omega_tilde
-            _, rep = check_cr_optimal_ne(space, params, table=table,
-                                         tol=NE_TOL, value_tol=VALUE_TOL)
+            _, rep = check_cr_optimal_ne(space, params, table=table, tol=NE_TOL)
             assert rep.is_ne, f"({gamma},{eps}) on {g.vertex_count}-cycle: gap {rep.max_gap:.2e}"
     _report(7, started, "C4 and C5, 5 sampled points inside the region, every start")
 

@@ -42,6 +42,18 @@ def test_solve_json_report(capsys):
     assert doc["result"]["verification"]["is_ne"]
 
 
+def test_report_scenario_reruns_byte_identically(tmp_path, capsys):
+    """A report's own `scenario` block, graph string and top-level tolerances
+    included, reproduces the report."""
+    code, out, _ = run_cli(capsys, "verify", "--builtin", "cycle:4", "--n", "3", "--gamma", "0.2",
+                           "--epsilon", "0.5", "--tol", "1e-9", "--ne-tol", "1e-7")
+    echo = json.loads(out)["scenario"]
+    assert (echo["tol"], echo["ne_tol"]) == (1e-9, 1e-7)
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo))
+    assert run_cli(capsys, "verify", "--scenario", str(path)) == (code, out, "")
+
+
 def test_solve_validation_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "--builtin", "path:3", "--n", "2",
                            "--gamma", "1.0", "--epsilon", "0.5")

@@ -173,6 +173,27 @@ def test_extracted_strategies_achieve_table_times():
                 assert trace.capture_time == t
 
 
+def _argpick_moves(space, table):
+    """First-optimum scan with argmin/argmax on the integer keyed times."""
+    keyed = np.where(table.times >= 0, table.times, np.int64(2**62))
+    moves = np.zeros(space.n_states, dtype=np.int64)
+    nc = space.is_noncapture
+    for rows, argpick in ((np.flatnonzero(nc & (space.mover < space.n_players)), np.argmin),
+                          (np.flatnonzero(nc & (space.mover == space.n_players)), np.argmax)):
+        if rows.size:
+            moves[rows] = space.nbr[space.stay[rows], argpick(keyed[space.succ[rows]], axis=1)]
+    return moves
+
+
+@pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4), (petersen_graph(), 3)])
+def test_extracted_moves_match_integer_first_optimum_scan(g, n):
+    """The float scan of `greedy_moves` picks what an integer argmin/argmax picks:
+    times below 2**53 and the escape sentinel 2**62 are exact in float64."""
+    space = build_state_space(g, n)
+    table = exact_capture_times(space)
+    assert np.array_equal(extract_cr_optimal_moves(space, table), _argpick_moves(space, table))
+
+
 def test_gamma_power_maps_escape_to_zero():
     times = np.array([0, 3, -1], dtype=np.int64)
     out = gamma_power_times(0.5, times)

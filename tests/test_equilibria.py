@@ -21,8 +21,8 @@ from scar.equilibria import (
 )
 from scar.errors import NonConvergenceError, NotApplicableError, ValidationError
 from scar.graph import build_graph, cycle_graph, delayed_capture_graph, path_graph, petersen_graph
-from scar.payoffs import GameParams, turn_payoff
-from scar.profiles import PositionalProfile, greedy_cop_moves, random_profile
+from scar.payoffs import GameParams, turn_payoff, turn_payoff_matrix
+from scar.profiles import PositionalProfile, greedy_cop_moves, merge_cop_moves, random_profile
 from scar.simulate import exact_profile_values, run, run_with_forced_deviation
 from scar.states import build_state_space
 
@@ -104,12 +104,54 @@ def test_zero_sum_backup_is_contraction(c4_space):
     gamma = 0.8
     max_mask = space.mover == 1
     nc = space.is_noncapture
+    hi = (np.flatnonzero(nc & max_mask), space.succ[nc & max_mask])
+    lo = (np.flatnonzero(nc & ~max_mask), space.succ[nc & ~max_mask])
     for _ in range(20):
         v = rng.normal(size=space.n_states)
         w = rng.normal(size=space.n_states)
-        uv, _, _ = bellman.solve_zero_sum(space, v, gamma, max_mask, v0=v, cap=1)
-        uw, _, _ = bellman.solve_zero_sum(space, w, gamma, max_mask, v0=w, cap=1)
+        uv, _, _ = bellman._value_iteration(v.copy(), gamma, 0.0, 1, maximize=hi, minimize=lo)
+        uw, _, _ = bellman._value_iteration(w.copy(), gamma, 0.0, 1, maximize=hi, minimize=lo)
         assert np.abs(uv[nc] - uw[nc]).max() <= gamma * np.abs(v - w).max() + 1e-12
+
+
+def _python_best_response(space, fixed, gamma, free, frozen_succ):
+    """Synchronous sweeps from 0 of v = gamma * max over successors on free
+    rows and v = gamma * v[frozen successor] on the rest, until nothing changes."""
+    rows = np.flatnonzero(space.is_noncapture).tolist()
+    succ = {s: space.succ[s].tolist() for s in rows}
+    frozen = {s: int(frozen_succ[s]) for s in rows}
+    v = fixed.astype(float).tolist()
+    for s in rows:
+        v[s] = 0.0
+    for _ in range(space.n_states + 1):
+        new = {s: gamma * max(v[t] for t in succ[s]) if free[s] else gamma * v[frozen[s]]
+               for s in rows}
+        if all(new[s] == v[s] for s in rows):
+            return v
+        for s in rows:
+            v[s] = new[s]
+    raise AssertionError("reference sweeps did not settle")
+
+
+@pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4), (cycle_graph(5), 4)])
+def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
+    """Every player's best response against the optimal pursuit and against
+    each threat punishment is the exact fixpoint, reached with residual 0."""
+    space = build_state_space(g, n)
+    params = GameParams(n, 0.9, 0.25)
+    q = turn_payoff_matrix(space, params)
+    threat = build_threat_profile(space, params)
+    frozen = [extract_cr_optimal_moves(space, exact_capture_times(space))]
+    frozen += [threat.punishments[d].move for d in range(1, n + 1)]
+    for moves in frozen:
+        frozen_succ = space.succ_of_moves(moves)
+        for player in range(1, n + 1):
+            free = space.mover == player
+            values, _, residual = bellman.solve_mdp(space, q[player - 1], params.gamma, free,
+                                                    frozen_succ)
+            assert residual == 0.0
+            assert values.tolist() == _python_best_response(space, q[player - 1], params.gamma,
+                                                             free, frozen_succ)
 
 
 # -- positional equilibrium solver and verifier -----------------------------
@@ -363,6 +405,33 @@ def test_noncapturing_verifier_stays_local_at_benchmark_scale():
         assert report.is_ne
         assert report.per_player_gain == [0.0] * 4
         assert max(report.explored) < 1000
+
+
+def _loop_merge_cop_moves(space):
+    """Per-row reference for `merge_cop_moves`: a pursuer with everyone on his
+    vertex stays, else steps to the lowest vertex one closer to the first
+    pursuer standing elsewhere."""
+    g = space.graph
+    ncops = space.n_players - 1
+    moves = np.zeros(space.n_states, dtype=np.int64)
+    for s in np.flatnonzero(space.is_noncapture & (space.mover < space.n_players)):
+        cop = int(space.mover[s])
+        pos = space.positions[s]
+        here = int(pos[cop - 1])
+        apart = [c for c in range(1, ncops + 1) if c != cop and int(pos[c - 1]) != here]
+        if not apart:
+            moves[s] = here
+            continue
+        dist = g.distances_from(int(pos[apart[0] - 1]))
+        moves[s] = min(a for a in g.closed_neighborhood(here) if dist[a] == dist[here] - 1)
+    return moves
+
+
+@pytest.mark.parametrize("g, n", [(cycle_graph(8), 4), (cycle_graph(5), 4), (petersen_graph(), 4),
+                                  (petersen_graph(), 3), (cycle_graph(4), 2)])
+def test_merge_cop_moves_match_per_row_reference(g, n):
+    space = build_state_space(g, n)
+    assert np.array_equal(merge_cop_moves(space), _loop_merge_cop_moves(space))
 
 
 def _python_deviation_value(space, params, prof, player, tol=1e-13):
