@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equilibria
-from .bellman import DEFAULT_VALUE_TOL
 from .cr import CopNumberResult, cop_number, exact_capture_times, t_n_max
 from .equilibria import DEFAULT_NE_TOL
 from .errors import ValidationError
@@ -63,7 +62,8 @@ def make_grid(n_players: int, gammas=None, epsilons=None) -> SweepGrid:
 
 
 def _scenario(g: Graph, n_players, gamma=None, epsilon=None, split_equivalent=False,
-              s0="all", profile="-", tol=DEFAULT_NE_TOL, value_tol=DEFAULT_VALUE_TOL):
+              s0=None, profile="-", tol=DEFAULT_NE_TOL):
+    """A replayable instance; s0 None means the instance covers every start."""
     return {
         "graph": serialize_graph(g),
         "n_players": n_players,
@@ -73,7 +73,6 @@ def _scenario(g: Graph, n_players, gamma=None, epsilon=None, split_equivalent=Fa
         "s0": s0,
         "profile": profile,
         "tol": tol,
-        "value_tol": value_tol,
     }
 
 
@@ -91,14 +90,13 @@ def replay_scenario(scenario: dict) -> dict:
     params = GameParams(n, scenario["gamma"], scenario["epsilon"],
                         split_equivalent=bool(scenario.get("split_equivalent")))
     tol = scenario.get("tol", DEFAULT_NE_TOL)
-    value_tol = scenario.get("value_tol", DEFAULT_VALUE_TOL)
     space = build_state_space(g, n)
     kind = scenario["profile"]
     if kind in ("threat", "capturing-threat"):
         if kind == "threat":
-            threat = equilibria.build_threat_profile(space, params, tol=value_tol)
+            threat = equilibria.build_threat_profile(space, params)
         else:
-            threat = equilibria.build_capturing_threat_ne(space, params, tol=value_tol)
+            threat = equilibria.build_capturing_threat_ne(space, params)
         ver = equilibria.verify_threat_ne(space, params, threat, tol=tol)
         return {"is_ne": ver.is_ne, "captures_everywhere": ver.captures_everywhere(),
                 **ver.summary()}
@@ -142,8 +140,7 @@ class TheoremReport:
 
 
 def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
-                  tol: float = DEFAULT_NE_TOL, value_tol: float = DEFAULT_VALUE_TOL,
-                  state_cap: int = DEFAULT_STATE_CAP) -> list:
+                  tol: float = DEFAULT_NE_TOL, state_cap: int = DEFAULT_STATE_CAP) -> list:
     """Run every capture/escape guarantee whose hypothesis the graph satisfies.
 
     Grid-quantified claims are sampled on the grid and exhaustive over starts;
@@ -207,10 +204,10 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     # builders, and its two threat verdicts serve the cop-win suite too. Only
     # one point's arrays are alive at a time: the games and threat profiles go
     # once verified, the verdicts before the non-capturing check runs.
-    scenario = functools.partial(_scenario, g, n_players, tol=tol, value_tol=value_tol)
+    scenario = functools.partial(_scenario, g, n_players, tol=tol)
     for gamma, eps in grid.points():
         params = GameParams(n_players, gamma, eps)
-        aux = equilibria.solve_all_aux_games(space, params, tol=value_tol)
+        aux = equilibria.solve_all_aux_games(space, params)
         verdicts = {"threat": equilibria.verify_threat_ne(
             space, params, equilibria.build_threat_profile(space, params, aux=aux), tol=tol)}
         if capturing:
@@ -266,7 +263,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
         witness = escape_start_witness(space, table)
         escape_rep.record(witness is not None,
                           {"witness_s0": list(space.state_at(witness)) if witness is not None else None},
-                          _scenario(g, n_players, s0="-", profile="-"))
+                          _scenario(g, n_players))
         reports.append(escape_rep)
 
     return reports
@@ -377,8 +374,7 @@ SWEEP_COLUMNS = ["gamma", "epsilon", "s0", "omega_tilde", "cr_optimal_is_ne",
 
 
 def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
-          tol: float = DEFAULT_NE_TOL, value_tol: float = DEFAULT_VALUE_TOL,
-          state_cap: int = DEFAULT_STATE_CAP) -> list:
+          tol: float = DEFAULT_NE_TOL, state_cap: int = DEFAULT_STATE_CAP) -> list:
     """Classify the canonical optimal pursuit and the threat play per grid point.
 
     Returns rows (dicts) in deterministic grid-then-state order; s0_list=None
@@ -396,7 +392,7 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
     for gamma, eps in grid.points():
         params = GameParams(n_players, gamma, eps)
         _, ver = equilibria.check_cr_optimal_ne(space, params, table=table, tol=tol)
-        threat = equilibria.build_threat_profile(space, params, tol=value_tol)
+        threat = equilibria.build_threat_profile(space, params)
         coop_turns, _ = profile_outcomes(space, threat.cooperative.move)
         for s0 in starts:
             state = space.state_at(s0)
@@ -454,19 +450,16 @@ def delayed_capture_demo(gamma: float = 0.9, epsilon: float = 0.25) -> DelayedCa
     later. The retreat pays exactly when gamma > (eps/(1-eps))^(1/8), the 8
     being the capture-time difference of the two plays.
     """
-    from .cr import extract_cr_optimal_moves
     from .graph import delayed_capture_graph
     from .payoffs import symbolic_payoffs
 
     g = delayed_capture_graph()
     space = build_state_space(g, 3)
     params = GameParams(3, gamma, epsilon)
-    table = exact_capture_times(space)
-    cr_moves = extract_cr_optimal_moves(space, table)
     moves = combine_player_moves(space, [
         greedy_cop_moves(space, 1),
         greedy_cop_moves(space, 2),
-        cr_moves,  # evader rows of the exact optimal evasion
+        exact_capture_times(space).cr_optimal_moves,  # evader rows of the exact optimal evasion
     ])
     profile = PositionalProfile(space, moves, validate=False)
     s0 = (6, 1, 4, 1)

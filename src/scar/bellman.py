@@ -1,4 +1,4 @@
-"""Vectorized value iteration over a state space's successor tables.
+"""Exact value iteration over a state space's successor tables.
 
 Every discounted solve in the package runs the one synchronous loop below over
 groups of rows; every row outside the groups keeps a pinned boundary value:
@@ -7,11 +7,13 @@ groups of rows; every row outside the groups keeps a pinned boundary value:
   min rows:     v(s) = gamma * min_a v(succ(s, a));
   follow rows:  v(s) = gamma * v(succ(s)), one frozen successor per row.
 
-Zero-sum games use max and min rows and stop once the residual is below a
-tolerance; discounting makes their update a gamma-contraction, so the sweeps
-converge geometrically. Best-response MDPs use max and follow rows and run to
-their exact fixpoint: against frozen opponents every sweep from zero adds one
-turn to the horizon, and the values stop changing within |S| + 1 sweeps.
+Zero-sum games use max and min rows, best-response MDPs max and follow rows;
+both start at 0 off the boundary and run to their exact fixpoint. Play is
+deterministic and pays only at the capture states, where it stops, with
+rewards of one sign, so one side prefers any capture to endless play. Against
+that side's optimal positional strategy the other can only choose among
+capture paths of distinct rows (a reachable cycle would hold it at 0), so the
+k-th sweep, the k-turn value, settles within |S| + 1 sweeps at residual 0.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import NonConvergenceError
 #: slack only absorbs float noise between branches that are equal by symmetry.
 TIE_TOL = 1e-12
 
+#: Residual tolerance of the heuristic positional-equilibrium sweeps.
 DEFAULT_VALUE_TOL = 1e-10
 
 
@@ -35,15 +38,15 @@ def iteration_cap(gamma: float, tol: float, margin: int = 50) -> int:
     return int(math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma))) + margin
 
 
-def _value_iteration(v, gamma, tol, cap, maximize=None, minimize=None, follow=None):
+def _value_iteration(v, gamma, cap, maximize=None, minimize=None, follow=None):
     """Synchronous value iteration on `v`, updated in place.
 
     Each group is a pair (rows, succ) of indices into `v`: `maximize` and
     `minimize` rows take gamma times the max or min of their (m, K) successor
     block, `follow` rows gamma times their one successor (m,). Every group is
     updated from the same `v`, and the residual is the sup change over the
-    updated rows. Stops once the residual is at most `tol`, or after `cap`
-    sweeps. Returns (values, iterations, residual).
+    updated rows. Stops once a sweep changes nothing, or after `cap` sweeps.
+    Returns (values, iterations, residual).
     """
     # blocks are gathered as contiguous (K, m) arrays: reducing across K rows
     # runs several times faster than along a short last axis
@@ -57,45 +60,40 @@ def _value_iteration(v, gamma, tol, cap, maximize=None, minimize=None, follow=No
                               for _, succ, reduce in groups])
         residual = float(np.abs(new - v[rows]).max(initial=0.0))
         v[rows] = new
-        if residual <= tol:
+        if residual == 0.0:
             break
     return v, iterations, residual
 
 
-def solve_zero_sum(space, fixed, gamma, max_mask, tol=DEFAULT_VALUE_TOL):
-    """Value iteration with per-state max/min chosen by `max_mask`, to residual `tol`.
+def _fixpoint(space, fixed, gamma, **groups):
+    """Sweeps from 0 on the non-capture rows (`fixed` pins the rest) to the
+    exact fixpoint; NonConvergenceError if still moving after |S| + 1 sweeps."""
+    values, iterations, residual = _value_iteration(
+        np.where(space.is_noncapture, 0.0, fixed), gamma, space.n_states + 1, **groups)
+    if residual != 0.0:
+        raise NonConvergenceError(f"values still moving after {iterations} sweeps")
+    return values, iterations, residual
 
-    `fixed` pins the boundary (capture states, terminal); those rows are never
-    updated, and the rest start at 0. Returns (values, iterations, residual).
-    """
+
+def solve_zero_sum(space, fixed, gamma, max_mask):
+    """Exact value of the zero-sum game whose `max_mask` rows maximize and the
+    rest minimize, with boundary `fixed`. Returns (values, iterations, residual)."""
     nc = space.is_noncapture
     hi = np.flatnonzero(nc & max_mask)
     lo = np.flatnonzero(nc & ~max_mask)
-    return _value_iteration(np.where(nc, 0.0, fixed), gamma, tol, iteration_cap(gamma, tol),
-                            maximize=(hi, space.succ[hi]), minimize=(lo, space.succ[lo]))
+    return _fixpoint(space, fixed, gamma, maximize=(hi, space.succ[hi]),
+                     minimize=(lo, space.succ[lo]))
 
 
 def solve_mdp(space, fixed, gamma, free_mask, frozen_succ):
     """Exact best response: `free_mask` rows maximize, the rest follow
-    `frozen_succ` (the successor under the frozen opponents' profile).
-
-    Play is a one-player deterministic graph that stops at the capture states
-    with reward `fixed`. After k sweeps from 0, v is the best k-turn value (0
-    where play can still be running); a capture is best reached by a path of
-    distinct rows, and a play that lasts longer loops and can avoid capture
-    forever, so v settles and the loop ends at residual exactly 0 within
-    n_states + 1 sweeps (else NonConvergenceError). Returns (values,
-    iterations, residual).
-    """
+    `frozen_succ` (the successor under the frozen opponents' profile), with
+    boundary `fixed`. Returns (values, iterations, residual)."""
     nc = space.is_noncapture
     free = np.flatnonzero(nc & free_mask)
     rest = np.flatnonzero(nc & ~free_mask)
-    values, iterations, residual = _value_iteration(
-        np.where(nc, 0.0, fixed), gamma, 0.0, space.n_states + 1,
-        maximize=(free, space.succ[free]), follow=(rest, frozen_succ[rest]))
-    if residual != 0.0:
-        raise NonConvergenceError(f"best response still moving after {iterations} sweeps")
-    return values, iterations, residual
+    return _fixpoint(space, fixed, gamma, maximize=(free, space.succ[free]),
+                     follow=(rest, frozen_succ[rest]))
 
 
 def greedy_moves(space, values, rows_mask, maximize=True, tie_tol=TIE_TOL):

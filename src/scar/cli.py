@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, equilibria, simulate
-from .cr import cop_number, exact_capture_times, extract_cr_optimal_moves
+from .cr import cop_number, exact_capture_times
 from .errors import CapacityError, NonConvergenceError, NotAnEquilibriumError, ScarError, ValidationError
 from .graph import Graph, builtin_graph, parse_graph, serialize_graph
 from .payoffs import GameParams
@@ -209,7 +209,7 @@ def cmd_solve(args):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGENCE
         method = "threat-fallback"
-        threat = equilibria.build_threat_profile(space, params, tol=scenario.tol)
+        threat = equilibria.build_threat_profile(space, params)
         ver = equilibria.verify_threat_ne(space, params, threat, tol=scenario.ne_tol)
         profile = threat
         values = simulate.exact_profile_values(space, params, threat.cooperative.move)
@@ -310,8 +310,7 @@ def cmd_sweep(args):
     grid = _grid_from(args, scenario.params.n_players)
     s0_list = [scenario.s0] if scenario.s0 is not None else None
     rows = analysis.sweep(scenario.graph, scenario.params.n_players, grid=grid,
-                          s0_list=s0_list, tol=scenario.ne_tol, value_tol=scenario.tol,
-                          state_cap=scenario.state_cap)
+                          s0_list=s0_list, tol=scenario.ne_tol, state_cap=scenario.state_cap)
     if args.json:
         _emit(_report("sweep", scenario, {"rows": rows}), args)
     else:
@@ -330,9 +329,9 @@ def cmd_verify(args):
             result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(tuple(scenario.s0)))
     elif args.profile in ("threat", "capturing-threat"):
         if args.profile == "threat":
-            threat = equilibria.build_threat_profile(space, params, tol=scenario.tol)
+            threat = equilibria.build_threat_profile(space, params)
         else:
-            threat = equilibria.build_capturing_threat_ne(space, params, tol=scenario.tol)
+            threat = equilibria.build_capturing_threat_ne(space, params)
         rep = equilibria.verify_threat_ne(space, params, threat, tol=scenario.ne_tol)
         result = rep.summary()
         result["captures_everywhere"] = rep.captures_everywhere()
@@ -362,13 +361,12 @@ def cmd_simulate(args):
         raise ValidationError("simulate needs --s0")
     idx0 = space.index_of(tuple(scenario.s0))
     if args.profile == "cr-optimal":
-        table = exact_capture_times(space)
-        profile = PositionalProfile(space, extract_cr_optimal_moves(space, table),
+        profile = PositionalProfile(space, exact_capture_times(space).cr_optimal_moves,
                                     validate=False)
     elif args.profile == "threat":
-        profile = equilibria.build_threat_profile(space, params, tol=scenario.tol)
+        profile = equilibria.build_threat_profile(space, params)
     elif args.profile == "capturing-threat":
-        profile = equilibria.build_capturing_threat_ne(space, params, tol=scenario.tol)
+        profile = equilibria.build_capturing_threat_ne(space, params)
     else:
         raise ValidationError(f"unknown profile {args.profile!r}")
     plan = {}
@@ -422,8 +420,7 @@ def cmd_theorems(args):
     scenario = _load_scenario(args)
     grid = _grid_from(args, scenario.params.n_players)
     reports = analysis.theorem_suite(scenario.graph, scenario.params.n_players, grid=grid,
-                                     tol=scenario.ne_tol, value_tol=scenario.tol,
-                                     state_cap=scenario.state_cap)
+                                     tol=scenario.ne_tol, state_cap=scenario.state_cap)
     result = [r.summary() for r in reports]
     _emit(_report("theorems", scenario, {"reports": result}), args)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_SUITE_FAILURE
@@ -441,7 +438,8 @@ def _add_common(p, s0=True, grid=False):
     p.add_argument("--split-equivalent", action="store_true", dest="split_equivalent")
     p.add_argument("--allow-extended-epsilon", action="store_true",
                    dest="allow_extended_epsilon")
-    p.add_argument("--tol", type=float, help="residual tolerance of the auxiliary games and positional sweeps")
+    p.add_argument("--tol", type=float,
+                   help="residual tolerance of the positional sweeps; every other solve is exact")
     p.add_argument("--ne-tol", type=float, dest="ne_tol", help="equilibrium gap tolerance")
     p.add_argument("--state-cap", type=int, dest="state_cap")
     if s0:

@@ -13,11 +13,13 @@ independent implementations are kept side by side:
     successors down with whole-array `bincount` passes.
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
-The discounted value solver cross-checks the tables via v(s) = gamma^T(s).
+The discounted value solver, an exact fixpoint of zero-sum value iteration,
+cross-checks the tables via v(s) = gamma^T(s) at every gamma.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +50,13 @@ class CaptureTimeTable:
     def escape_states(self) -> np.ndarray:
         """Indices of non-capture states from which the evader escapes forever."""
         return np.flatnonzero(self.space.is_noncapture & (self.times < 0))
+
+    @functools.cached_property
+    def cr_optimal_moves(self) -> np.ndarray:
+        """`extract_cr_optimal_moves` of this table, computed once and read-only."""
+        moves = extract_cr_optimal_moves(self.space, self)
+        moves.flags.writeable = False
+        return moves
 
 
 def minimax_capture_times(space: StateSpace) -> CaptureTimeTable:
@@ -163,19 +172,18 @@ def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
 class DiscountedValue:
     values: np.ndarray
     iterations: int
-    residual: float
 
 
-def discounted_cr_value(space: StateSpace, gamma: float, tol: float = 1e-10) -> DiscountedValue:
-    """Value of the discounted game: controller earns gamma^T_C, evader loses it.
+def discounted_cr_value(space: StateSpace, gamma: float) -> DiscountedValue:
+    """Exact value of the discounted game: controller earns gamma^T_C, evader loses it.
 
     Boundary v = 1 on capture states, 0 at the terminal; controller turns take
     the max, evader turns the min. Satisfies v(s) = gamma^T(s) with gamma^inf = 0.
     """
     fixed = np.where(space.is_capture, 1.0, 0.0)
     max_mask = space.mover < space.n_players
-    values, iterations, residual = bellman.solve_zero_sum(space, fixed, gamma, max_mask, tol=tol)
-    return DiscountedValue(values, iterations, residual)
+    values, iterations, _ = bellman.solve_zero_sum(space, fixed, gamma, max_mask)
+    return DiscountedValue(values, iterations)
 
 
 def gamma_power_times(gamma: float, times: np.ndarray) -> np.ndarray:

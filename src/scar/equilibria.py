@@ -16,17 +16,19 @@ the start a forward search over the reachable (state, mode) pairs gives exactly.
 
 Both threat constructions go through one builder: they differ only in the
 cooperative moves, and share the punishments taken from the N auxiliary
-player-vs-coalition games. Those games depend on (space, params) alone, so a
-caller that needs both profiles solves them once (`solve_all_aux_games`) and
-passes them as `aux=`. The threat verifier resolves cooperative play once
-(`profile_outcomes`) and derives both capture turns and closed-form payoffs
-from that single pass.
+player-vs-coalition games, each solved to its exact fixpoint like the best
+responses (`bellman.solve_zero_sum`), so no value tolerance enters the threat
+pipeline. Those games depend on (space, params) alone, so a caller that needs
+both profiles solves them once (`solve_all_aux_games`) and passes them as
+`aux=`. The threat verifier resolves cooperative play once (`profile_outcomes`)
+and derives both capture turns and closed-form payoffs from that single pass.
 
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
-solver detects oscillation, reports non-convergence honestly, and gates any
-converged profile behind the exact verifier. The threat construction, by
-contrast, is sound by construction and serves as the fallback.
+solver stops at a residual tolerance (`tol`, the only value tolerance left),
+detects oscillation, reports non-convergence honestly, and gates any converged
+profile behind the exact verifier. The threat construction, by contrast, is
+sound by construction and serves as the fallback.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import bellman
 from .bellman import DEFAULT_VALUE_TOL
-from .cr import CaptureTimeTable, exact_capture_times, extract_cr_optimal_moves
+from .cr import CaptureTimeTable, exact_capture_times
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
 from .payoffs import GameParams, turn_payoff, turn_payoff_matrix
 from .profiles import (
@@ -65,24 +67,22 @@ class AuxSolution:
     own_move: np.ndarray  # optimal move on the player's own turns
     coalition_move: np.ndarray  # coalition's minimizing move on everyone else's turns
     iterations: int
-    residual: float
 
 
-def solve_aux_game(space: StateSpace, params: GameParams, player: int,
-                   tol: float = DEFAULT_VALUE_TOL) -> AuxSolution:
-    """Value and optimal positional strategies of the player-vs-coalition game."""
+def solve_aux_game(space: StateSpace, params: GameParams, player: int) -> AuxSolution:
+    """Exact value and optimal positional strategies of the player-vs-coalition game."""
     q = turn_payoff_matrix(space, params)
     fixed = q[player - 1].copy()
     max_mask = space.mover == player
-    values, iterations, residual = bellman.solve_zero_sum(space, fixed, params.gamma, max_mask, tol=tol)
+    values, iterations, _ = bellman.solve_zero_sum(space, fixed, params.gamma, max_mask)
     nc = space.is_noncapture
     own = bellman.greedy_moves(space, values, nc & max_mask, maximize=True)
     coalition = bellman.greedy_moves(space, values, nc & ~max_mask, maximize=False)
-    return AuxSolution(player, values, own, coalition, iterations, residual)
+    return AuxSolution(player, values, own, coalition, iterations)
 
 
-def solve_all_aux_games(space: StateSpace, params: GameParams, tol: float = DEFAULT_VALUE_TOL) -> list:
-    return [solve_aux_game(space, params, n, tol=tol) for n in range(1, params.n_players + 1)]
+def solve_all_aux_games(space: StateSpace, params: GameParams) -> list:
+    return [solve_aux_game(space, params, n) for n in range(1, params.n_players + 1)]
 
 
 def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
@@ -99,20 +99,19 @@ def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
     return ThreatProfile(space, cooperative, punishments, kind=kind)
 
 
-def build_threat_profile(space: StateSpace, params: GameParams, aux: list | None = None,
-                         tol: float = DEFAULT_VALUE_TOL) -> ThreatProfile:
+def build_threat_profile(space: StateSpace, params: GameParams,
+                         aux: list | None = None) -> ThreatProfile:
     """Cooperate along everyone's own aux-optimal strategy; punish the first deviator
     with the coalition strategies from his auxiliary game."""
     if aux is None:
-        aux = solve_all_aux_games(space, params, tol=tol)
+        aux = solve_all_aux_games(space, params)
     return _threat_profile(space, combine_player_moves(space, [a.own_move for a in aux]),
                            aux, "threat")
 
 
 def build_capturing_threat_ne(space: StateSpace, params: GameParams,
                               table: CaptureTimeTable | None = None,
-                              aux: list | None = None,
-                              tol: float = DEFAULT_VALUE_TOL) -> ThreatProfile:
+                              aux: list | None = None) -> ThreatProfile:
     """Threat profile whose cooperative part is the canonical optimal pursuit.
 
     Requires the N-1 pursuers to force capture from every start (cop number at
@@ -126,9 +125,8 @@ def build_capturing_threat_ne(space: StateSpace, params: GameParams,
             "a capturing equilibrium of this form needs cop number <= pursuer count"
         )
     if aux is None:
-        aux = solve_all_aux_games(space, params, tol=tol)
-    return _threat_profile(space, extract_cr_optimal_moves(space, table), aux,
-                           "capturing-threat")
+        aux = solve_all_aux_games(space, params)
+    return _threat_profile(space, table.cr_optimal_moves, aux, "capturing-threat")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +374,7 @@ def check_cr_optimal_ne(space: StateSpace, params: GameParams,
     """
     if table is None:
         table = exact_capture_times(space)
-    profile = PositionalProfile(space, extract_cr_optimal_moves(space, table), validate=False)
+    profile = PositionalProfile(space, table.cr_optimal_moves, validate=False)
     report = verify_positional_ne(space, params, profile, tol=tol)
     return profile, report
 
@@ -417,7 +415,7 @@ def build_noncapturing_ne(space: StateSpace, params: GameParams, s0=None,
         raise ValidationError(
             f"start {s0!r} does not qualify: one pursuer at {x} catches the evader at {y}")
     evade = np.zeros((v + 1, v + 1), dtype=np.int64)
-    moves2 = extract_cr_optimal_moves(space2, table2)
+    moves2 = table2.cr_optimal_moves
     for c in range(1, v + 1):
         for r in range(1, v + 1):
             if c != r:

@@ -142,7 +142,7 @@ def test_criterion_04_exact_discounted_duality():
             space = build_state_space(g, n_players)
             table = exact_capture_times(space)
             for gamma in (0.3, 0.9):
-                dv = discounted_cr_value(space, gamma, tol=VALUE_TOL)
+                dv = discounted_cr_value(space, gamma)
                 want = gamma_power_times(gamma, table.times)
                 want[space.terminal_index] = 0.0
                 worst = max(worst, float(np.abs(dv.values - want).max()))
@@ -206,12 +206,12 @@ def test_criterion_06_threat_ne_battery(battery_graphs):
         capturing_applicable = table.finite_on_noncapture()
         for gamma, eps in grid.points():
             params = GameParams(3, gamma, eps)
-            threat = build_threat_profile(space, params, tol=VALUE_TOL)
+            threat = build_threat_profile(space, params)
             rep = verify_threat_ne(space, params, threat, tol=NE_TOL)
             assert rep.is_ne, f"{name} threat at ({gamma},{eps}): gain {max(rep.per_player_gain):.2e}"
             instances += 1
             if capturing_applicable:
-                cap = build_capturing_threat_ne(space, params, table=table, tol=VALUE_TOL)
+                cap = build_capturing_threat_ne(space, params, table=table)
                 rep2 = verify_threat_ne(space, params, cap, tol=NE_TOL)
                 assert rep2.is_ne, f"{name} capturing at ({gamma},{eps}): gain {max(rep2.per_player_gain):.2e}"
                 assert rep2.captures_everywhere()

@@ -95,9 +95,9 @@ def test_theorem_suite_solves_each_aux_game_once(monkeypatch):
     calls = []
     solve = equilibria.solve_aux_game
 
-    def counting(space, params, player, tol):
+    def counting(space, params, player):
         calls.append((params.gamma, params.epsilon, player))
-        return solve(space, params, player, tol=tol)
+        return solve(space, params, player)
 
     monkeypatch.setattr(equilibria, "solve_aux_game", counting)
     grid = small_grid(4)
@@ -105,6 +105,23 @@ def test_theorem_suite_solves_each_aux_game_once(monkeypatch):
     assert "capturing-ne-exists" in reports  # both threat builders ran
     assert len(calls) == len(grid.points()) * 4
     assert len(set(calls)) == len(calls)
+
+
+def test_theorem_suite_extracts_optimal_moves_once_per_table(monkeypatch):
+    from scar import cr
+
+    calls = []
+    extract = cr.extract_cr_optimal_moves
+
+    def counting(space, table):
+        calls.append(space.n_players)
+        return extract(space, table)
+
+    monkeypatch.setattr(cr, "extract_cr_optimal_moves", counting)
+    reports = {r.theorem_id for r in theorem_suite(cycle_graph(4), 4, grid=small_grid(4))}
+    # every builder of a capturing, omega-tilde and non-capturing profile ran
+    assert {"capturing-ne-exists", "cr-optimal-ne-on-omega-tilde", "noncapturing-ne-exists"} <= reports
+    assert sorted(calls) == [2, 4]  # the one-pursuer table and the N-player table
 
 
 def test_escape_witness():

@@ -54,6 +54,24 @@ def test_report_scenario_reruns_byte_identically(tmp_path, capsys):
     assert run_cli(capsys, "verify", "--scenario", str(path)) == (code, out, "")
 
 
+
+def test_suite_counterexample_reruns_through_verify(tmp_path, capsys):
+    """A failing suite instance's scenario, which covers every start, reruns
+    through `verify --scenario` with the verdict `replay_scenario` gives."""
+    from scar.analysis import make_grid, replay_scenario, theorem_suite
+
+    grid = make_grid(4, gammas=[0.3], epsilons=[0.25])
+    reports = {r.theorem_id: r for r in theorem_suite(cycle_graph(8), 4, grid=grid)}
+    scenario = reports["cr-optimal-ne-on-omega-tilde"].counterexample["scenario"]
+    assert scenario["s0"] is None
+    path = tmp_path / "cex.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(path), "--profile", "cr-optimal")
+    assert (code, err) == (5, "")
+    result = json.loads(out)["result"]
+    assert result["is_ne"] is False
+    assert result["max_gap"] == replay_scenario(scenario)["max_gap"]
+
 def test_solve_validation_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "--builtin", "path:3", "--n", "2",
                            "--gamma", "1.0", "--epsilon", "0.5")

@@ -139,6 +139,21 @@ def test_discounted_duality_small():
     assert (dv.values[space.is_capture] == 1.0).all()
 
 
+
+@pytest.mark.parametrize("g, n", [(delayed_capture_graph(), 2), (cycle_graph(8), 4)])
+def test_discounted_value_is_exact_at_low_gamma(g, n):
+    """At gamma = 0.1, gamma^T is far below any residual tolerance for the
+    slowest captures; the exact solve still reports it, never 0."""
+    space = build_state_space(g, n)
+    table = exact_capture_times(space)
+    values = discounted_cr_value(space, 0.1).values
+    want = gamma_power_times(0.1, table.times)
+    want[space.terminal_index] = 0.0
+    finite = table.times >= 0
+    assert (values[finite] > 0.0).all()
+    assert (np.abs(values - want)[finite] <= 1e-15 * want[finite]).all()
+    assert (values[~finite] == 0.0).all()
+
 def test_rounds_monotone_with_extra_stacked_cop():
     # an extra pursuer stacked on the first never costs rounds (each round is
     # one move per player, so raw turn counts are not comparable across N)

@@ -109,28 +109,33 @@ def test_zero_sum_backup_is_contraction(c4_space):
     for _ in range(20):
         v = rng.normal(size=space.n_states)
         w = rng.normal(size=space.n_states)
-        uv, _, _ = bellman._value_iteration(v.copy(), gamma, 0.0, 1, maximize=hi, minimize=lo)
-        uw, _, _ = bellman._value_iteration(w.copy(), gamma, 0.0, 1, maximize=hi, minimize=lo)
+        uv, _, _ = bellman._value_iteration(v.copy(), gamma, 1, maximize=hi, minimize=lo)
+        uw, _, _ = bellman._value_iteration(w.copy(), gamma, 1, maximize=hi, minimize=lo)
         assert np.abs(uv[nc] - uw[nc]).max() <= gamma * np.abs(v - w).max() + 1e-12
 
 
-def _python_best_response(space, fixed, gamma, free, frozen_succ):
-    """Synchronous sweeps from 0 of v = gamma * max over successors on free
-    rows and v = gamma * v[frozen successor] on the rest, until nothing changes."""
+def _python_fixpoint(space, fixed, backup):
+    """Synchronous sweeps from 0 of v[s] = backup(v, s, successors of s) on the
+    non-capture rows, the rest pinned at `fixed`, until nothing changes."""
     rows = np.flatnonzero(space.is_noncapture).tolist()
     succ = {s: space.succ[s].tolist() for s in rows}
-    frozen = {s: int(frozen_succ[s]) for s in rows}
     v = fixed.astype(float).tolist()
     for s in rows:
         v[s] = 0.0
     for _ in range(space.n_states + 1):
-        new = {s: gamma * max(v[t] for t in succ[s]) if free[s] else gamma * v[frozen[s]]
-               for s in rows}
+        new = {s: backup(v, s, succ[s]) for s in rows}
         if all(new[s] == v[s] for s in rows):
             return v
         for s in rows:
             v[s] = new[s]
     raise AssertionError("reference sweeps did not settle")
+
+
+def _python_best_response(space, fixed, gamma, free, frozen_succ):
+    """v = gamma * max over successors on free rows, gamma * v[frozen successor] on the rest."""
+    frozen = frozen_succ.tolist()
+    return _python_fixpoint(space, fixed, lambda v, s, succ: gamma * max(v[t] for t in succ)
+                            if free[s] else gamma * v[frozen[s]])
 
 
 @pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4), (cycle_graph(5), 4)])
@@ -152,6 +157,28 @@ def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
             assert residual == 0.0
             assert values.tolist() == _python_best_response(space, q[player - 1], params.gamma,
                                                              free, frozen_succ)
+
+
+def _python_zero_sum(space, fixed, gamma, max_mask):
+    """v = gamma * max over successors on `max_mask` rows, gamma * min on the rest."""
+    return _python_fixpoint(space, fixed, lambda v, s, succ: gamma * (max if max_mask[s] else min)(
+        v[t] for t in succ))
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.95])
+@pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4)])
+def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
+    """Every player-vs-coalition game is solved to its exact fixpoint."""
+    space = build_state_space(g, n)
+    params = GameParams(n, gamma, 0.25)
+    q = turn_payoff_matrix(space, params)
+    for player in range(1, n + 1):
+        max_mask = space.mover == player
+        sol = solve_aux_game(space, params, player)
+        assert sol.values.tolist() == _python_zero_sum(space, q[player - 1], gamma, max_mask)
+        values, iterations, residual = bellman.solve_zero_sum(space, q[player - 1], gamma, max_mask)
+        assert residual == 0.0 and iterations <= space.n_states + 1
+        assert np.array_equal(values, sol.values)
 
 
 # -- positional equilibrium solver and verifier -----------------------------
