@@ -14,6 +14,8 @@ rewards of one sign, so one side prefers any capture to endless play. Against
 that side's optimal positional strategy the other can only choose among
 capture paths of distinct rows (a reachable cycle would hold it at 0), so the
 k-th sweep, the k-turn value, settles within |S| + 1 sweeps at residual 0.
+No solver takes a value tolerance; the greedy positional-equilibrium sweeps in
+`equilibria` also stop only at an exact fixpoint or an exact repeat.
 """
 
 from __future__ import annotations
@@ -28,15 +30,6 @@ from .errors import NonConvergenceError
 #: these games are powers of gamma times split constants, far above this; the
 #: slack only absorbs float noise between branches that are equal by symmetry.
 TIE_TOL = 1e-12
-
-#: Residual tolerance of the heuristic positional-equilibrium sweeps.
-DEFAULT_VALUE_TOL = 1e-10
-
-
-def iteration_cap(gamma: float, tol: float, margin: int = 50) -> int:
-    """Sweeps needed to push a gamma-contraction below tol, plus margin."""
-    return int(math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma))) + margin
-
 
 def _value_iteration(v, gamma, cap, maximize=None, minimize=None, follow=None):
     """Synchronous value iteration on `v`, updated in place.

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analysis, equilibria, simulate
 from .cr import cop_number, exact_capture_times
+from .equilibria import DEFAULT_NE_TOL
 from .errors import CapacityError, NonConvergenceError, NotAnEquilibriumError, ScarError, ValidationError
 from .graph import Graph, builtin_graph, parse_graph, serialize_graph
 from .payoffs import GameParams
@@ -39,13 +40,12 @@ class Scenario:
 
     def __init__(self, graph: Graph, n_players: int, gamma: float, epsilon=None,
                  split_equivalent=False, allow_extended_epsilon=False, s0=None,
-                 tol=1e-10, ne_tol=1e-8, state_cap=DEFAULT_STATE_CAP):
+                 ne_tol=DEFAULT_NE_TOL, state_cap=DEFAULT_STATE_CAP):
         self.graph = graph
         self.params = GameParams(n_players, gamma, epsilon,
                                  split_equivalent=split_equivalent,
                                  allow_extended_epsilon=allow_extended_epsilon)
         self.s0 = s0
-        self.tol = tol
         self.ne_tol = ne_tol
         self.state_cap = state_cap
 
@@ -68,7 +68,6 @@ class Scenario:
             "allow_extended_epsilon": p.allow_extended_epsilon,
             "in_omega_tilde": p.in_omega_tilde,
             "s0": list(self.s0) if self.s0 is not None else None,
-            "tol": self.tol,
             "ne_tol": self.ne_tol,
             "state_cap": self.state_cap,
         }
@@ -126,12 +125,11 @@ def _load_scenario(args) -> Scenario:
         s0 = _parse_s0(args.s0, int(n_players))
     elif doc.get("s0"):
         s0 = tuple(doc["s0"])
-    # a report's scenario echo carries the tolerances at top level
-    tolerances = doc.get("tolerances", {"value": doc.get("tol"), "ne_gap": doc.get("ne_tol")})
-    tol = float(_first_set(getattr(args, "tol", None), tolerances.get("value"), 1e-10))
-    ne_tol = float(_first_set(getattr(args, "ne_tol", None), tolerances.get("ne_gap"), 1e-8))
-    if not tol > 0:
-        raise ValidationError(f"value tolerance must be positive, got {tol}")
+    # a report's scenario echo carries the gap tolerance as `ne_tol`, a suite
+    # counterexample as `tol`
+    ne_tol = float(_first_set(getattr(args, "ne_tol", None),
+                              doc.get("tolerances", {}).get("ne_gap"), doc.get("ne_tol"),
+                              doc.get("tol"), DEFAULT_NE_TOL))
     if not ne_tol >= 0:
         raise ValidationError(f"equilibrium gap tolerance must be non-negative, got {ne_tol}")
     return Scenario(
@@ -140,7 +138,6 @@ def _load_scenario(args) -> Scenario:
         allow_extended_epsilon=bool(getattr(args, "allow_extended_epsilon", False)
                                     or doc.get("allow_extended_epsilon")),
         s0=s0,
-        tol=tol,
         ne_tol=ne_tol,
         state_cap=int(_first_set(getattr(args, "state_cap", None), doc.get("state_cap"),
                                  DEFAULT_STATE_CAP)),
@@ -196,8 +193,7 @@ def cmd_solve(args):
     params = scenario.params
     method = "positional-sweeps"
     try:
-        res = equilibria.solve_positional_ne(space, params, tol=scenario.tol,
-                                             ne_tol=scenario.ne_tol)
+        res = equilibria.solve_positional_ne(space, params, ne_tol=scenario.ne_tol)
         profile = res.profile
         values = res.values
         gaps = res.verification.summary()
@@ -343,8 +339,7 @@ def cmd_verify(args):
         result = {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
                   "s0": list(constr.s0), "termination": trace.termination}
     else:  # positional-ne
-        res = equilibria.solve_positional_ne(space, params, tol=scenario.tol,
-                                             ne_tol=scenario.ne_tol)
+        res = equilibria.solve_positional_ne(space, params, ne_tol=scenario.ne_tol)
         result = {"sweeps": res.sweeps,
                   "attainment_residual": res.attainment_residual,
                   "consistency_residual": res.consistency_residual,
@@ -438,8 +433,6 @@ def _add_common(p, s0=True, grid=False):
     p.add_argument("--split-equivalent", action="store_true", dest="split_equivalent")
     p.add_argument("--allow-extended-epsilon", action="store_true",
                    dest="allow_extended_epsilon")
-    p.add_argument("--tol", type=float,
-                   help="residual tolerance of the positional sweeps; every other solve is exact")
     p.add_argument("--ne-tol", type=float, dest="ne_tol", help="equilibrium gap tolerance")
     p.add_argument("--state-cap", type=int, dest="state_cap")
     if s0:

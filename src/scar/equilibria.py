@@ -13,6 +13,8 @@ play covers every deviating strategy.
 The non-capturing construction is judged at its one start only: against the
 frozen rest a deviator plays a deterministic one-player game, whose value at
 the start a forward search over the reachable (state, mode) pairs gives exactly.
+The search does not depend on (gamma, eps), so each construction runs it once
+per player and only the discounting is redone per parameter point.
 
 Both threat constructions go through one builder: they differ only in the
 cooperative moves, and share the punishments taken from the N auxiliary
@@ -25,21 +27,23 @@ and derives both capture turns and closed-form payoffs from that single pass.
 
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
-solver stops at a residual tolerance (`tol`, the only value tolerance left),
-detects oscillation, reports non-convergence honestly, and gates any converged
-profile behind the exact verifier. The threat construction, by contrast, is
-sound by construction and serves as the fallback.
+sweeps may oscillate. Each sweep is a deterministic map of the value vectors,
+so the solver stops only on exact evidence: a fixpoint, which it gates behind
+the exact verifier, or a repeat of earlier values, which proves a cycle and is
+reported as non-convergence. No value tolerance is left in the package. The
+threat construction, by contrast, is sound by construction and serves as the
+fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bellman
-from .bellman import DEFAULT_VALUE_TOL
 from .cr import CaptureTimeTable, exact_capture_times
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
 from .payoffs import GameParams, turn_payoff, turn_payoff_matrix
@@ -218,84 +222,68 @@ class PositionalNEResult:
     profile: PositionalProfile
     values: np.ndarray
     sweeps: int
-    residual: float
     attainment_residual: float
     consistency_residual: float
     verification: NEReport
 
 
 def solve_positional_ne(space: StateSpace, params: GameParams,
-                        tol: float = DEFAULT_VALUE_TOL,
-                        ne_tol: float = DEFAULT_NE_TOL,
-                        stable_sweeps: int = 3,
-                        sweep_cap: int | None = None) -> PositionalNEResult:
+                        ne_tol: float = DEFAULT_NE_TOL) -> PositionalNEResult:
     """Search for a deterministic positional equilibrium by greedy value sweeps.
 
-    Each sweep recomputes every mover's greedy action against the current value
-    vectors (canonical tie-breaking) and backs the values up one step. On
-    convergence the profile is re-evaluated exactly and gated behind the exact
-    verifier. Raises NonConvergenceError (with a cycle witness if the profile
-    oscillates) or NotAnEquilibriumError (converged but fails verification).
+    Each sweep u -> F(u) recomputes every mover's greedy action against the
+    current value vectors (canonical tie-breaking) and backs the values up one
+    step; F is a deterministic map of u. The sweeps stop at the first exact
+    fixpoint F(u) == u, whose profile is re-evaluated exactly and gated behind
+    the exact verifier. An exact repeat of an earlier u proves they oscillate
+    (Brent's cycle finder keeps one saved copy, refreshed at powers of two).
+    The search gives up past n_states + 1 + ceil(1075 / log2(1/gamma))
+    sweeps: once the moves stop changing, capture values settle within |S|
+    sweeps, and every other value has by then been multiplied by gamma down
+    to a float fixed point. Raises NonConvergenceError (cycle_period is the
+    exact period, None at the cap) or NotAnEquilibriumError (the fixpoint
+    fails verification).
     """
     n = params.n_players
     gamma = params.gamma
-    if sweep_cap is None:
-        sweep_cap = 10 * bellman.iteration_cap(gamma, tol)
     q = turn_payoff_matrix(space, params)
     nc = space.is_noncapture
     u = np.zeros((n, space.n_states))
     u[:, space.is_capture] = q[:, space.is_capture]
-    prev_key = None
-    stable = 0
-    history = []
-    moves = None
-    converged = False
-    sweeps = 0
-    residual = math.inf
-    for sweeps in range(1, sweep_cap + 1):
+    cap = space.n_states + 1 + math.ceil(1075 / math.log2(1.0 / gamma))
+    saved, power, period = u, 1, 0
+    for sweeps in range(1, cap + 1):
         parts = [bellman.greedy_moves(space, u[p - 1], nc & (space.mover == p), maximize=True)
                  for p in range(1, n + 1)]
         moves = sum(parts)  # movers partition the rows, so plain addition merges
-        chosen = space.succ_of_moves(moves)
         new_u = u.copy()
-        new_u[:, nc] = gamma * u[:, chosen[nc]]
-        residual = float(np.abs(new_u[:, nc] - u[:, nc]).max(initial=0.0))
-        u = new_u
-        key = moves[nc].tobytes()
-        stable = stable + 1 if key == prev_key else 1
-        prev_key = key
-        history.append(hash(key))
-        if len(history) > 64:
-            history.pop(0)
-        if residual <= tol and stable >= stable_sweeps:
-            converged = True
+        new_u[:, nc] = gamma * u[:, space.succ_of_moves(moves)[nc]]
+        if np.array_equal(new_u, u):
             break
-    if not converged:
-        report = {
-            "sweeps": sweeps,
-            "residual": residual,
-            "cycle_period": _detect_cycle(history),
-            "recent_profile_hashes": history[-16:],
-        }
+        residual = float(np.abs(new_u - u).max())
+        u = new_u
+        period += 1
+        if np.array_equal(u, saved):
+            raise NonConvergenceError(
+                f"sweeps cycle with period {period} after {sweeps} sweeps; "
+                "the threat-strategy construction is the sound fallback",
+                {"sweeps": sweeps, "residual": residual, "cycle_period": period})
+        if period == power:
+            saved, power, period = u, 2 * power, 0
+    else:
         raise NonConvergenceError(
-            f"no stable profile after {sweeps} sweeps (residual {residual:.3e}); "
-            "the threat-strategy construction is the sound fallback", report)
+            f"no fixpoint or cycle after {cap} sweeps (residual {residual:.3e}); "
+            "the threat-strategy construction is the sound fallback",
+            {"sweeps": cap, "residual": residual, "cycle_period": None})
     profile = PositionalProfile(space, moves, validate=False)
     values = exact_profile_values(space, params, moves)
     attainment, consistency = equation_residuals(space, params, profile, values)
     verification = verify_positional_ne(space, params, profile, tol=ne_tol)
     if not verification.is_ne:
         raise NotAnEquilibriumError(
-            f"sweeps converged but a player can still improve by {verification.max_gap:.3e}",
-            verification)
-    return PositionalNEResult(profile, values, sweeps, residual, attainment, consistency, verification)
-
-
-def _detect_cycle(history: list) -> int | None:
-    for period in range(2, len(history) // 2 + 1):
-        if all(history[-i] == history[-i - period] for i in range(1, period + 1)):
-            return period
-    return None
+            f"sweeps reached a fixpoint but a player can still improve by "
+            f"{verification.max_gap:.3e}", verification)
+    return PositionalNEResult(profile, values, sweeps, attainment, consistency, verification)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +376,12 @@ class NonCapturingConstruction:
     s0_index: int
     s0: tuple
 
+    @functools.cached_property
+    def searches(self) -> list:
+        """Per player, `_start_local_search` of this construction, run once."""
+        return [_start_local_search(self.profile, player)
+                for player in range(1, self.profile.space.n_players + 1)]
+
 
 def build_noncapturing_ne(space: StateSpace, params: GameParams, s0=None,
                           state_cap: int = DEFAULT_STATE_CAP) -> NonCapturingConstruction:
@@ -453,23 +447,28 @@ def verify_noncapturing_ne(space: StateSpace, params: GameParams,
     follows the construction's own automaton, found by `_start_local_value`
     over the nodes reachable from there, with no iteration or tolerance.
     """
-    gains, explored = zip(*(_start_local_value(space, params, construction.profile, player)
-                            for player in range(1, params.n_players + 1)))
-    return NonCapturingNEReport(max(gains) <= tol, tol, list(gains), construction.s0_index,
-                                list(explored))
+    gains = [_start_local_value(space, params, search, player)
+             for player, search in enumerate(construction.searches, start=1)]
+    return NonCapturingNEReport(max(gains) <= tol, tol, gains, construction.s0_index,
+                                [search.nodes for search in construction.searches])
 
 
-def _start_local_value(space, params, prof, player):
-    """Best value of `player` from (s0, initial mode) against the profile's own
-    prescribed/observe automaton, and the number of (state, mode) nodes visited.
+@dataclass(frozen=True)
+class StartLocalSearch:
+    """What one player can reach from (s0, initial mode) against the rest of
+    the automaton: per capture node in breadth-first order its state, shortest
+    and longest depth, whether the reachable graph is acyclic, and its size."""
 
-    With everyone else frozen, play is a one-player deterministic graph whose
-    only rewards q sit at capture states, where it stops. A capture with q >= 0
-    is best reached by a shortest path; a reachable cycle (necessarily
-    capture-free) secures 0; without one the graph is acyclic, and a capture
-    with q < 0 is best reached by a longest path. q is discounted one factor of
-    gamma per step, as value iteration does, so the value equals its fixpoint.
-    """
+    captures: list  # (state, shortest depth, longest depth)
+    acyclic: bool
+    nodes: int
+
+
+def _start_local_search(prof, player) -> StartLocalSearch:
+    """Forward search from (s0, initial mode) over (state, mode) nodes: the
+    deviator takes every real slot, everyone else the profile's own
+    prescribed/observe automaton. Depends on the graph and profile only."""
+    space = prof.space
     start = (prof.s0_index, prof.initial_mode())
     depth = {start: 0}
     succ = {}
@@ -505,13 +504,25 @@ def _start_local_value(space, params, prof, player):
             indegree[child] -= 1
             if indegree[child] == 0:
                 ready.append(child)
-    acyclic = len(ready) == len(succ)
-    best = -math.inf if acyclic else 0.0  # a cycle's 0 beats every q < 0
-    for node in order:
-        if space.is_noncapture[node[0]]:
-            continue
-        value = turn_payoff(space, params, node[0], player)
-        for _ in range(depth[node] if value >= 0 else longest[node]):
+    captures = [(node[0], depth[node], longest[node]) for node in order
+                if not space.is_noncapture[node[0]]]
+    return StartLocalSearch(captures, len(ready) == len(succ), len(succ))
+
+
+def _start_local_value(space, params, search, player):
+    """Best value of `player` from the start of his `search`.
+
+    With everyone else frozen, play is a one-player deterministic graph whose
+    only rewards q sit at capture states, where it stops. A capture with q >= 0
+    is best reached by a shortest path; a reachable cycle (necessarily
+    capture-free) secures 0; without one the graph is acyclic, and a capture
+    with q < 0 is best reached by a longest path. q is discounted one factor of
+    gamma per step, as value iteration does, so the value equals its fixpoint.
+    """
+    best = -math.inf if search.acyclic else 0.0  # a cycle's 0 beats every q < 0
+    for idx, shortest, longest in search.captures:
+        value = turn_payoff(space, params, idx, player)
+        for _ in range(shortest if value >= 0 else longest):
             value = params.gamma * value
         best = max(best, value)
-    return best, len(succ)
+    return best

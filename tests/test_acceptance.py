@@ -47,7 +47,6 @@ from scar.payoffs import GameParams, turn_payoff
 from scar.simulate import run
 from scar.states import build_state_space
 
-VALUE_TOL = 1e-10
 NE_TOL = 1e-8
 
 PATHS_AND_TREES = [
@@ -301,8 +300,7 @@ def test_criterion_11_positional_ne_residuals():
     for g, n, gamma, eps in instances:
         space = build_state_space(g, n)
         try:
-            res = solve_positional_ne(space, GameParams(n, gamma, eps),
-                                      tol=VALUE_TOL, ne_tol=NE_TOL)
+            res = solve_positional_ne(space, GameParams(n, gamma, eps), ne_tol=NE_TOL)
         except NonConvergenceError as exc:
             # honest outcome: reported as non-convergent, never as an equilibrium
             assert exc.report["sweeps"] > 0

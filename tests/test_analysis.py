@@ -14,6 +14,7 @@ from scar.analysis import (
 from scar.cr import exact_capture_times
 from scar.errors import ValidationError
 from scar.graph import cycle_graph, path_graph, petersen_graph
+from scar.payoffs import GameParams
 from scar.states import build_state_space
 
 
@@ -122,6 +123,32 @@ def test_theorem_suite_extracts_optimal_moves_once_per_table(monkeypatch):
     # every builder of a capturing, omega-tilde and non-capturing profile ran
     assert {"capturing-ne-exists", "cr-optimal-ne-on-omega-tilde", "noncapturing-ne-exists"} <= reports
     assert sorted(calls) == [2, 4]  # the one-pursuer table and the N-player table
+
+
+def test_theorem_suite_searches_noncapturing_start_once_per_player(monkeypatch):
+    """The forward search from the stacked start does not depend on (gamma,
+    eps): one suite runs it once per player, and every grid point's gains are
+    those of a construction built and searched afresh at that point."""
+    from scar import equilibria
+
+    calls = []
+    search = equilibria._start_local_search
+
+    def counting(prof, player):
+        calls.append(player)
+        return search(prof, player)
+
+    monkeypatch.setattr(equilibria, "_start_local_search", counting)
+    g = cycle_graph(8)
+    reports = {r.theorem_id: r for r in theorem_suite(g, 4)}
+    assert sorted(calls) == [1, 2, 3, 4]
+    space = build_state_space(g, 4)
+    instances = reports["noncapturing-ne-exists"].instances
+    assert len(instances) == 25
+    for inst in instances:
+        params = GameParams(4, inst["gamma"], inst["epsilon"])
+        fresh = equilibria.build_noncapturing_ne(space, params)
+        assert inst["gains"] == equilibria.verify_noncapturing_ne(space, params, fresh).per_player_gain
 
 
 def test_escape_witness():

@@ -36,7 +36,8 @@ def test_solve_json_report(capsys):
     doc = json.loads(out)
     assert doc["schema_version"] == 1
     assert doc["scenario"]["n_players"] == 2
-    assert doc["scenario"]["tol"] == 1e-10  # defaults echoed
+    assert doc["scenario"]["ne_tol"] == 1e-8  # defaults echoed
+    assert "tol" not in doc["scenario"]  # no value tolerance left
     assert doc["result"]["values_at_s0"][0] == pytest.approx(0.125)
     assert doc["result"]["capture_time"] == 3
     assert doc["result"]["verification"]["is_ne"]
@@ -46,9 +47,9 @@ def test_report_scenario_reruns_byte_identically(tmp_path, capsys):
     """A report's own `scenario` block, graph string and top-level tolerances
     included, reproduces the report."""
     code, out, _ = run_cli(capsys, "verify", "--builtin", "cycle:4", "--n", "3", "--gamma", "0.2",
-                           "--epsilon", "0.5", "--tol", "1e-9", "--ne-tol", "1e-7")
+                           "--epsilon", "0.5", "--ne-tol", "1e-7")
     echo = json.loads(out)["scenario"]
-    assert (echo["tol"], echo["ne_tol"]) == (1e-9, 1e-7)
+    assert echo["ne_tol"] == 1e-7
     path = tmp_path / "echo.json"
     path.write_text(json.dumps(echo))
     assert run_cli(capsys, "verify", "--scenario", str(path)) == (code, out, "")
@@ -57,11 +58,12 @@ def test_report_scenario_reruns_byte_identically(tmp_path, capsys):
 
 def test_suite_counterexample_reruns_through_verify(tmp_path, capsys):
     """A failing suite instance's scenario, which covers every start, reruns
-    through `verify --scenario` with the verdict `replay_scenario` gives."""
+    through `verify --scenario` with the verdict `replay_scenario` gives, under
+    the suite's gap tolerance (its top-level `tol`) without --ne-tol."""
     from scar.analysis import make_grid, replay_scenario, theorem_suite
 
     grid = make_grid(4, gammas=[0.3], epsilons=[0.25])
-    reports = {r.theorem_id: r for r in theorem_suite(cycle_graph(8), 4, grid=grid)}
+    reports = {r.theorem_id: r for r in theorem_suite(cycle_graph(8), 4, grid=grid, tol=1e-9)}
     scenario = reports["cr-optimal-ne-on-omega-tilde"].counterexample["scenario"]
     assert scenario["s0"] is None
     path = tmp_path / "cex.json"
@@ -70,6 +72,7 @@ def test_suite_counterexample_reruns_through_verify(tmp_path, capsys):
     assert (code, err) == (5, "")
     result = json.loads(out)["result"]
     assert result["is_ne"] is False
+    assert result["tol"] == 1e-9
     assert result["max_gap"] == replay_scenario(scenario)["max_gap"]
 
 def test_solve_validation_exit_code(capsys):
@@ -290,6 +293,13 @@ def test_zero_ne_tol_in_scenario_is_kept(tmp_path, capsys):
     assert json.loads(out)["scenario"]["ne_tol"] == 0.0
 
 
+def test_old_value_tolerance_key_is_ignored(tmp_path, capsys):
+    path = _scenario_path(tmp_path, tolerances={"value": 0, "ne_gap": 1e-7})
+    code, out, _ = run_cli(capsys, "verify", "--scenario", path)
+    assert code == 0
+    assert json.loads(out)["scenario"]["ne_tol"] == 1e-7
+
+
 @pytest.mark.parametrize("argv", [PATH3, ["copnumber", "--builtin", "path:3"]])
 def test_zero_state_cap_flag_is_kept(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--state-cap", "0")
@@ -301,22 +311,6 @@ def test_zero_state_cap_in_scenario_is_kept(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--scenario", _scenario_path(tmp_path, state_cap=0))
     assert code == 3
     assert "cap of 0" in err
-
-
-@pytest.mark.parametrize("tol", ["0", "-1"])
-def test_nonpositive_value_tol_flag_is_rejected(capsys, tol):
-    code, out, err = run_cli(capsys, *PATH3, "--tol", tol)
-    assert code == 2
-    assert out == ""
-    assert "value tolerance must be positive" in err
-
-
-@pytest.mark.parametrize("tol", [0, -1])
-def test_nonpositive_value_tol_in_scenario_is_rejected(tmp_path, capsys, tol):
-    path = _scenario_path(tmp_path, tolerances={"value": tol})
-    code, _, err = run_cli(capsys, "verify", "--scenario", path)
-    assert code == 2
-    assert "value tolerance must be positive" in err
 
 
 def test_negative_ne_tol_flag_is_rejected(capsys):

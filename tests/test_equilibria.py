@@ -369,8 +369,50 @@ def test_nonconvergent_instance_reported_not_returned():
     with pytest.raises(NonConvergenceError) as info:
         solve_positional_ne(space, params)
     assert info.value.report["cycle_period"] == 3
+    assert info.value.report["sweeps"] < 50  # an exact repeat, long before any cap
     threat = build_threat_profile(space, params)
     assert verify_threat_ne(space, params, threat).is_ne
+
+
+def _python_positional_sweeps(space, params):
+    """Canonical greedy sweeps in plain Python: each mover takes the first
+    action, in ascending vertex order, within TIE_TOL of his best continuation,
+    and every value is backed up one step from the previous sweep's. Stops at
+    the first sweep that changes no value; returns (sweeps, moves by state)."""
+    n = params.n_players
+    q = turn_payoff_matrix(space, params)
+    u = [[float(q[m][s]) if space.is_capture[s] else 0.0 for s in range(space.n_states)]
+         for m in range(n)]
+    sweeps = 0
+    while True:
+        sweeps += 1
+        new = [row[:] for row in u]
+        moves = {}
+        for s in np.flatnonzero(space.is_noncapture).tolist():
+            own = u[int(space.mover[s]) - 1]
+            options = space.actions(s, int(space.mover[s]))
+            nexts = [space.transition_index(s, a) for a in options]
+            best = max(own[x] for x in nexts)
+            k = next(i for i, x in enumerate(nexts) if own[x] >= best - bellman.TIE_TOL)
+            moves[s] = options[k]
+            for m in range(n):
+                new[m][s] = params.gamma * u[m][nexts[k]]
+        if new == u:
+            return sweeps, moves
+        u = new
+
+
+@pytest.mark.parametrize("graph, gamma, eps", [(delayed_capture_graph(), 0.1, 0.25),
+                                               (cycle_graph(5), 0.95, 0.125)])
+def test_positional_sweeps_stop_at_the_exact_fixpoint(graph, gamma, eps):
+    """The solver stops at the first sweep whose values repeat exactly, with
+    the moves of that sweep: no stability wait and no value tolerance."""
+    space = build_state_space(graph, 3)
+    params = GameParams(3, gamma, eps)
+    sweeps, moves = _python_positional_sweeps(space, params)
+    res = solve_positional_ne(space, params)
+    assert res.sweeps == sweeps
+    assert res.profile.move[list(moves)].tolist() == list(moves.values())
 
 
 # -- non-capturing construction ----------------------------------------------
