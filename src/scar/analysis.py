@@ -20,7 +20,7 @@ from . import equilibria
 from .cr import CopNumberResult, cop_number, exact_capture_times, t_n_max
 from .equilibria import DEFAULT_NE_TOL
 from .errors import ValidationError
-from .graph import Graph, serialize_graph
+from .graph import Graph, parse_graph, serialize_graph
 from .payoffs import GameParams
 from .profiles import PositionalProfile, combine_player_moves, greedy_cop_moves, random_profile
 from .simulate import payoffs_of, profile_outcomes, run, run_with_forced_deviation
@@ -76,40 +76,72 @@ def _scenario(g: Graph, n_players, gamma=None, epsilon=None, split_equivalent=Fa
     }
 
 
+# ---------------------------------------------------------------------------
+# Named profiles: the one map from a profile name to its construction and check.
+
+PLAYABLE_PROFILES = ("cr-optimal", "threat", "capturing-threat")
+VERIFIABLE_PROFILES = PLAYABLE_PROFILES + ("noncapturing", "positional-ne")
+
+
+def _check_kind(kind, kinds, verb):
+    if kind not in kinds:
+        raise ValidationError(f"cannot {verb} profile {kind!r}; expected one of {', '.join(kinds)}")
+
+
+def build_profile(space, params: GameParams, kind: str):
+    """The named playable profile: canonical optimal pursuit or a threat profile."""
+    _check_kind(kind, PLAYABLE_PROFILES, "play")
+    if kind == "cr-optimal":
+        return PositionalProfile(space, exact_capture_times(space).cr_optimal_moves)
+    if kind == "threat":
+        return equilibria.build_threat_profile(space, params)
+    return equilibria.build_capturing_threat_ne(space, params)
+
+
+def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
+                   state_cap: int = DEFAULT_STATE_CAP) -> dict:
+    """Build the named profile and check it as an equilibrium; the verdict dict.
+
+    `s0` adds the verdict at that start for `cr-optimal` and sets the start of
+    the non-capturing construction (None: its first qualifying start).
+    """
+    _check_kind(kind, VERIFIABLE_PROFILES, "verify")
+    if kind == "cr-optimal":
+        _, rep = equilibria.check_cr_optimal_ne(space, params, tol=tol)
+        result = rep.summary()
+        if s0 is not None:
+            result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(tuple(s0)))
+        return result
+    if kind == "noncapturing":
+        constr = equilibria.build_noncapturing_ne(space, params, s0=s0, state_cap=state_cap)
+        rep = equilibria.verify_noncapturing_ne(space, params, constr, tol=tol)
+        trace = run(space, params, constr.profile, constr.s0_index)
+        return {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
+                "s0": list(constr.s0), "termination": trace.termination}
+    if kind == "positional-ne":
+        res = equilibria.solve_positional_ne(space, params, ne_tol=tol)
+        return {"sweeps": res.sweeps,
+                "attainment_residual": res.attainment_residual,
+                "consistency_residual": res.consistency_residual,
+                **res.verification.summary()}
+    rep = equilibria.verify_threat_ne(space, params, build_profile(space, params, kind), tol=tol)
+    return {**rep.summary(), "captures_everywhere": rep.captures_everywhere()}
+
+
 def replay_scenario(scenario: dict) -> dict:
     """Re-run a serialized counterexample scenario and report the verdict.
 
     Failing suite instances embed everything needed to reproduce themselves:
-    the graph document, parameters, tolerances, the named profile, and the
-    start. The verdict dict mirrors what the original suite checked.
+    the graph document, parameters, gap tolerance, the named profile, and the
+    start (absent or None for every start). The verdict is `verify_profile`'s.
     """
-    from .graph import parse_graph
-
-    g = parse_graph(scenario["graph"])
     n = scenario["n_players"]
     params = GameParams(n, scenario["gamma"], scenario["epsilon"],
                         split_equivalent=bool(scenario.get("split_equivalent")))
-    tol = scenario.get("tol", DEFAULT_NE_TOL)
-    space = build_state_space(g, n)
-    kind = scenario["profile"]
-    if kind in ("threat", "capturing-threat"):
-        if kind == "threat":
-            threat = equilibria.build_threat_profile(space, params)
-        else:
-            threat = equilibria.build_capturing_threat_ne(space, params)
-        ver = equilibria.verify_threat_ne(space, params, threat, tol=tol)
-        return {"is_ne": ver.is_ne, "captures_everywhere": ver.captures_everywhere(),
-                **ver.summary()}
-    if kind == "cr-optimal":
-        _, ver = equilibria.check_cr_optimal_ne(space, params, tol=tol)
-        return ver.summary()
-    if kind == "noncapturing-construction":
-        constr = equilibria.build_noncapturing_ne(space, params, s0=tuple(scenario["s0"]))
-        trace = run(space, params, constr.profile, constr.s0_index)
-        ver = equilibria.verify_noncapturing_ne(space, params, constr, tol=tol)
-        return {"is_ne": ver.is_ne, "termination": trace.termination,
-                "gains": ver.per_player_gain}
-    raise ValidationError(f"cannot replay profile kind {kind!r}")
+    s0 = scenario.get("s0")
+    return verify_profile(build_state_space(parse_graph(scenario["graph"]), n), params,
+                          scenario["profile"], scenario.get("tol", DEFAULT_NE_TOL),
+                          s0=tuple(s0) if s0 else None)
 
 
 @dataclass
@@ -253,7 +285,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                              "termination": termination, "is_ne": ver.is_ne,
                              "gains": ver.per_player_gain},
                             scenario(gamma, eps, s0=list(construction.s0),
-                                     profile="noncapturing-construction"))
+                                     profile="noncapturing"))
 
     if c is None:
         escape_rep = TheoremReport(
@@ -461,7 +493,7 @@ def delayed_capture_demo(gamma: float = 0.9, epsilon: float = 0.25) -> DelayedCa
         greedy_cop_moves(space, 2),
         exact_capture_times(space).cr_optimal_moves,  # evader rows of the exact optimal evasion
     ])
-    profile = PositionalProfile(space, moves, validate=False)
+    profile = PositionalProfile(space, moves)
     s0 = (6, 1, 4, 1)
     coop = run(space, params, profile, s0)
     dev = run_with_forced_deviation(space, params, profile, deviator=1,

@@ -89,7 +89,7 @@ def solve_mdp(space, fixed, gamma, free_mask, frozen_succ):
                      follow=(rest, frozen_succ[rest]))
 
 
-def greedy_moves(space, values, rows_mask, maximize=True, tie_tol=TIE_TOL):
+def greedy_moves(space, values, rows_mask, maximize=True):
     """First optimal action (ascending vertex order) per state in `rows_mask`.
 
     Returns a full-length move array, NULL (0) outside the requested rows.
@@ -103,9 +103,9 @@ def greedy_moves(space, values, rows_mask, maximize=True, tie_tol=TIE_TOL):
     gathered = values[space.succ[rows]]
     if maximize:
         best = gathered.max(axis=1)
-        pick = (gathered >= best[:, None] - tie_tol).argmax(axis=1)
+        pick = (gathered >= best[:, None] - TIE_TOL).argmax(axis=1)
     else:
         best = gathered.min(axis=1)
-        pick = (gathered <= best[:, None] + tie_tol).argmax(axis=1)
+        pick = (gathered <= best[:, None] + TIE_TOL).argmax(axis=1)
     moves[rows] = space.nbr[space.stay[rows], pick]
     return moves

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, equilibria, simulate
-from .cr import cop_number, exact_capture_times
+from .cr import cop_number
 from .equilibria import DEFAULT_NE_TOL
 from .errors import CapacityError, NonConvergenceError, NotAnEquilibriumError, ScarError, ValidationError
 from .graph import Graph, builtin_graph, parse_graph, serialize_graph
 from .payoffs import GameParams
-from .profiles import PositionalProfile
 from .states import build_state_space, DEFAULT_STATE_CAP
 
 SCHEMA_VERSION = 1
@@ -36,11 +35,12 @@ EXIT_SUITE_FAILURE = 5
 
 
 class Scenario:
-    """Resolved inputs of one solve: graph, player count, parameters, start."""
+    """Resolved inputs of one solve: graph, player count, parameters, start, and
+    the named profile `verify` and `simulate` run (not echoed in reports)."""
 
     def __init__(self, graph: Graph, n_players: int, gamma: float, epsilon=None,
                  split_equivalent=False, allow_extended_epsilon=False, s0=None,
-                 ne_tol=DEFAULT_NE_TOL, state_cap=DEFAULT_STATE_CAP):
+                 ne_tol=DEFAULT_NE_TOL, state_cap=DEFAULT_STATE_CAP, profile="cr-optimal"):
         self.graph = graph
         self.params = GameParams(n_players, gamma, epsilon,
                                  split_equivalent=split_equivalent,
@@ -48,13 +48,12 @@ class Scenario:
         self.s0 = s0
         self.ne_tol = ne_tol
         self.state_cap = state_cap
+        self.profile = profile
 
     def space(self):
         space = build_state_space(self.graph, self.params.n_players, self.state_cap)
         if self.s0 is not None:
-            idx = space.index_of(tuple(self.s0))
-            if idx == space.terminal_index:
-                raise ValidationError("initial state must not be the terminal state")
+            space.index_of(tuple(self.s0))  # validates the start
         return space
 
     def to_json_obj(self):
@@ -73,9 +72,12 @@ class Scenario:
         }
 
 
-def _load_graph(args) -> Graph:
-    if getattr(args, "scenario", None):
-        doc = json.loads(Path(args.scenario).read_text())
+def _read_scenario(args) -> dict:
+    return json.loads(Path(args.scenario).read_text()) if args.scenario else {}
+
+
+def _load_graph(args, doc) -> Graph:
+    if args.scenario:
         gdoc = doc.get("graph")
         if isinstance(gdoc, str):  # a report's own scenario echo
             return parse_graph(gdoc)
@@ -87,9 +89,9 @@ def _load_graph(args) -> Graph:
             if "builtin" in gdoc:
                 return builtin_graph(gdoc["builtin"])
         raise ValidationError("scenario graph must be an edge list or carry edge_list, path or builtin")
-    if getattr(args, "graph", None):
+    if args.graph:
         return parse_graph(Path(args.graph).read_text())
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return builtin_graph(args.builtin)
     raise ValidationError("no graph given: use --scenario, --graph FILE, or --builtin NAME")
 
@@ -103,31 +105,29 @@ def _parse_s0(text, n_players):
 
 
 def _load_scenario(args) -> Scenario:
-    doc = {}
-    if getattr(args, "scenario", None):
-        doc = json.loads(Path(args.scenario).read_text())
-    graph = _load_graph(args)
-    n_players = _first_set(getattr(args, "n", None), doc.get("n_players"), doc.get("n"))
+    doc = _read_scenario(args)
+    graph = _load_graph(args, doc)
+    n_players = _first_set(args.n, doc.get("n_players"), doc.get("n"))
     if n_players is None:
         raise ValidationError("player count missing: --n or scenario n_players")
     _check_player_count(n_players)
     gamma = args.gamma if args.gamma is not None else doc.get("gamma")
     if gamma is None:
         raise ValidationError("gamma missing: --gamma or scenario gamma")
-    split = bool(getattr(args, "split_equivalent", False) or doc.get("split_equivalent"))
+    split = bool(args.split_equivalent or doc.get("split_equivalent"))
     epsilon = None
     if not split:
         epsilon = args.epsilon if args.epsilon is not None else doc.get("epsilon")
         if epsilon is None:
             raise ValidationError("epsilon missing: --epsilon, --split-equivalent, or scenario")
     s0 = None
-    if getattr(args, "s0", None):
+    if args.s0:
         s0 = _parse_s0(args.s0, int(n_players))
     elif doc.get("s0"):
         s0 = tuple(doc["s0"])
     # a report's scenario echo carries the gap tolerance as `ne_tol`, a suite
     # counterexample as `tol`
-    ne_tol = float(_first_set(getattr(args, "ne_tol", None),
+    ne_tol = float(_first_set(args.ne_tol,
                               doc.get("tolerances", {}).get("ne_gap"), doc.get("ne_tol"),
                               doc.get("tol"), DEFAULT_NE_TOL))
     if not ne_tol >= 0:
@@ -135,12 +135,12 @@ def _load_scenario(args) -> Scenario:
     return Scenario(
         graph, int(n_players), float(gamma), epsilon,
         split_equivalent=split,
-        allow_extended_epsilon=bool(getattr(args, "allow_extended_epsilon", False)
+        allow_extended_epsilon=bool(args.allow_extended_epsilon
                                     or doc.get("allow_extended_epsilon")),
         s0=s0,
         ne_tol=ne_tol,
-        state_cap=int(_first_set(getattr(args, "state_cap", None), doc.get("state_cap"),
-                                 DEFAULT_STATE_CAP)),
+        state_cap=int(_first_set(args.state_cap, doc.get("state_cap"), DEFAULT_STATE_CAP)),
+        profile=_first_set(getattr(args, "profile", None), doc.get("profile"), "cr-optimal"),
     )
 
 
@@ -155,7 +155,7 @@ def _check_player_count(n_players):
 
 
 def _grid_from(args, n_players):
-    if getattr(args, "grid", None):
+    if args.grid:
         gpart, _, epart = args.grid.partition(";")
         gammas = [float(x) for x in gpart.split(",") if x]
         epsilons = [float(x) for x in epart.split(",") if x]
@@ -163,7 +163,7 @@ def _grid_from(args, n_players):
     return analysis.make_grid(n_players)
 
 
-def _emit(obj, args):
+def _emit(obj):
     print(json.dumps(obj, indent=2, default=_json_default))
 
 
@@ -224,7 +224,7 @@ def cmd_solve(args):
         "verification": gaps,
         **extra,
     }
-    _emit(_report("solve", scenario, result), args)
+    _emit(_report("solve", scenario, result))
     return EXIT_OK
 
 
@@ -248,7 +248,7 @@ def cmd_reproduce_example(args):
             "deviation_profitable": demo.deviation_profitable,
             "consistent": demo.prediction_consistent,
         }
-        _emit(_report("reproduce-example", None, result), args)
+        _emit(_report("reproduce-example", None, result))
         return EXIT_OK
     print("delayed-capture example: 9-vertex tree, two pursuers, one evader")
     print(f"s0: C1=6 C2=1 R=4, C1 moves first; gamma={demo.gamma} eps={demo.epsilon}")
@@ -278,7 +278,7 @@ def cmd_reproduce_example(args):
 
 
 def cmd_copnumber(args):
-    g = _load_graph(args)
+    g = _load_graph(args, _read_scenario(args))
     if args.selfish:
         rep = analysis.selfish_cop_number(g, max_cops=args.max_cops, verify=args.verify,
                                           state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
@@ -295,7 +295,7 @@ def cmd_copnumber(args):
                          state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
         result = {"cop_number": res.value, "finite_by_cops": res.finite_by_cops}
     _emit({"schema_version": SCHEMA_VERSION, "command": "copnumber",
-           "graph": serialize_graph(g), "max_cops": args.max_cops, "result": result}, args)
+           "graph": serialize_graph(g), "max_cops": args.max_cops, "result": result})
     if args.selfish and args.verify and not result["consistent"]:
         return EXIT_SUITE_FAILURE
     return EXIT_OK
@@ -308,7 +308,7 @@ def cmd_sweep(args):
     rows = analysis.sweep(scenario.graph, scenario.params.n_players, grid=grid,
                           s0_list=s0_list, tol=scenario.ne_tol, state_cap=scenario.state_cap)
     if args.json:
-        _emit(_report("sweep", scenario, {"rows": rows}), args)
+        _emit(_report("sweep", scenario, {"rows": rows}))
     else:
         sys.stdout.write(analysis.sweep_csv(rows))
     return EXIT_OK
@@ -316,35 +316,10 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     scenario = _load_scenario(args)
-    space = scenario.space()
-    params = scenario.params
-    if args.profile == "cr-optimal":
-        _, rep = equilibria.check_cr_optimal_ne(space, params, tol=scenario.ne_tol)
-        result = rep.summary()
-        if scenario.s0 is not None:
-            result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(tuple(scenario.s0)))
-    elif args.profile in ("threat", "capturing-threat"):
-        if args.profile == "threat":
-            threat = equilibria.build_threat_profile(space, params)
-        else:
-            threat = equilibria.build_capturing_threat_ne(space, params)
-        rep = equilibria.verify_threat_ne(space, params, threat, tol=scenario.ne_tol)
-        result = rep.summary()
-        result["captures_everywhere"] = rep.captures_everywhere()
-    elif args.profile == "noncapturing":
-        constr = equilibria.build_noncapturing_ne(space, params, s0=scenario.s0,
-                                                  state_cap=scenario.state_cap)
-        rep = equilibria.verify_noncapturing_ne(space, params, constr, tol=scenario.ne_tol)
-        trace = simulate.run(space, params, constr.profile, constr.s0_index)
-        result = {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
-                  "s0": list(constr.s0), "termination": trace.termination}
-    else:  # positional-ne
-        res = equilibria.solve_positional_ne(space, params, ne_tol=scenario.ne_tol)
-        result = {"sweeps": res.sweeps,
-                  "attainment_residual": res.attainment_residual,
-                  "consistency_residual": res.consistency_residual,
-                  **res.verification.summary()}
-    _emit(_report("verify", scenario, {"profile": args.profile, **result}), args)
+    result = analysis.verify_profile(scenario.space(), scenario.params, scenario.profile,
+                                     scenario.ne_tol, s0=scenario.s0,
+                                     state_cap=scenario.state_cap)
+    _emit(_report("verify", scenario, {"profile": scenario.profile, **result}))
     return EXIT_OK if result.get("is_ne", True) else EXIT_SUITE_FAILURE
 
 
@@ -355,15 +330,7 @@ def cmd_simulate(args):
     if scenario.s0 is None:
         raise ValidationError("simulate needs --s0")
     idx0 = space.index_of(tuple(scenario.s0))
-    if args.profile == "cr-optimal":
-        profile = PositionalProfile(space, exact_capture_times(space).cr_optimal_moves,
-                                    validate=False)
-    elif args.profile == "threat":
-        profile = equilibria.build_threat_profile(space, params)
-    elif args.profile == "capturing-threat":
-        profile = equilibria.build_capturing_threat_ne(space, params)
-    else:
-        raise ValidationError(f"unknown profile {args.profile!r}")
+    profile = analysis.build_profile(space, params, scenario.profile)
     plan = {}
     if args.plan:
         if args.deviator is None:
@@ -387,12 +354,12 @@ def cmd_simulate(args):
         result = {"trace": trace.to_json_obj(), "termination": trace.termination,
                   "capture_time": None if trace.capture_time == math.inf else trace.capture_time,
                   "capturing_set": list(trace.capturing_set), "payoffs": payoffs}
-        _emit(_report("simulate", scenario, result), args)
+        _emit(_report("simulate", scenario, result))
     return EXIT_OK
 
 
 def cmd_equivalence(args):
-    g = _load_graph(args)
+    g = _load_graph(args, _read_scenario(args))
     n_players = _first_set(args.n, 3)
     _check_player_count(n_players)
     rep = analysis.payoff_equivalence_check(g, n_players, trials=args.trials,
@@ -407,7 +374,7 @@ def cmd_equivalence(args):
     }
     _emit({"schema_version": SCHEMA_VERSION, "command": "equivalence",
            "graph": serialize_graph(g), "n_players": n_players, "seed": args.seed,
-           "result": result}, args)
+           "result": result})
     return EXIT_OK if rep.all_sums_exact and rep.cr_optimal_is_ne else EXIT_SUITE_FAILURE
 
 
@@ -417,16 +384,21 @@ def cmd_theorems(args):
     reports = analysis.theorem_suite(scenario.graph, scenario.params.n_players, grid=grid,
                                      tol=scenario.ne_tol, state_cap=scenario.state_cap)
     result = [r.summary() for r in reports]
-    _emit(_report("theorems", scenario, {"reports": result}), args)
+    _emit(_report("theorems", scenario, {"reports": result}))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_SUITE_FAILURE
 
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, s0=True, grid=False):
+def _add_graph(p):
     p.add_argument("--scenario", help="JSON scenario file")
     p.add_argument("--graph", help="edge-list graph file")
     p.add_argument("--builtin", help="named graph, e.g. petersen, path:4, cycle:5")
+    p.add_argument("--state-cap", type=int, dest="state_cap")
+
+
+def _add_common(p, grid=False):
+    _add_graph(p)
     p.add_argument("--n", type=int, help="number of players (pursuers + 1)")
     p.add_argument("--gamma", type=float)
     p.add_argument("--epsilon", type=float)
@@ -434,12 +406,9 @@ def _add_common(p, s0=True, grid=False):
     p.add_argument("--allow-extended-epsilon", action="store_true",
                    dest="allow_extended_epsilon")
     p.add_argument("--ne-tol", type=float, dest="ne_tol", help="equilibrium gap tolerance")
-    p.add_argument("--state-cap", type=int, dest="state_cap")
-    if s0:
-        p.add_argument("--s0", help="initial state as x1,...,xN,p")
+    p.add_argument("--s0", help="initial state as x1,...,xN,p")
     if grid:
         p.add_argument("--grid", help="gamma and eps lists: g1,g2,...;e1,e2,...")
-    p.add_argument("--json", action="store_true", help="JSON output")
 
 
 def build_parser():
@@ -455,35 +424,31 @@ def build_parser():
     p = sub.add_parser("reproduce-example", help="built-in delayed-capture demonstration")
     p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="JSON report instead of text")
     p.set_defaults(func=cmd_reproduce_example)
 
     p = sub.add_parser("copnumber", help="cop number by exact game solving")
-    p.add_argument("--scenario")
-    p.add_argument("--graph")
-    p.add_argument("--builtin")
+    _add_graph(p)
     p.add_argument("--max-cops", type=int, default=3, dest="max_cops")
     p.add_argument("--selfish", action="store_true")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--state-cap", type=int, dest="state_cap")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_copnumber)
 
     p = sub.add_parser("sweep", help="grid sweep CSV over (gamma, eps, s0)")
     _add_common(p, grid=True)
+    p.add_argument("--json", action="store_true", help="JSON report instead of CSV")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="verify a named profile as an equilibrium")
     _add_common(p)
-    p.add_argument("--profile", default="cr-optimal",
-                   choices=["cr-optimal", "threat", "capturing-threat", "noncapturing",
-                            "positional-ne"])
+    p.add_argument("--profile", choices=analysis.VERIFIABLE_PROFILES,
+                   help="default: the scenario's profile, else cr-optimal")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="play a profile out from --s0")
     _add_common(p)
-    p.add_argument("--profile", default="cr-optimal",
-                   choices=["cr-optimal", "threat", "capturing-threat"])
+    p.add_argument("--profile", choices=analysis.PLAYABLE_PROFILES,
+                   help="default: the scenario's profile, else cr-optimal")
     p.add_argument("--deviator", type=int)
     p.add_argument("--plan", help="forced moves t1:a1,t2:a2,...")
     p.add_argument("--turn-cap", type=int, dest="turn_cap")
@@ -496,15 +461,11 @@ def build_parser():
 
     p = sub.add_parser("equivalence",
                        help="split-equivalent payoff battery with random profiles")
-    p.add_argument("--scenario")
-    p.add_argument("--graph")
-    p.add_argument("--builtin")
+    _add_graph(p)
     p.add_argument("--n", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--state-cap", type=int, dest="state_cap")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_equivalence)
 
     return parser

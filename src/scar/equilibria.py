@@ -93,13 +93,13 @@ def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
                     kind: str) -> ThreatProfile:
     """Cooperate along `cooperative_move`; punish the first deviator with the
     coalition strategy from his auxiliary game (his own rows stay cooperative)."""
-    cooperative = PositionalProfile(space, cooperative_move, validate=False)
+    cooperative = PositionalProfile(space, cooperative_move)
     punishments = {}
     for d, sol in enumerate(aux, start=1):
         moves = sol.coalition_move.copy()
         own_rows = space.is_noncapture & (space.mover == d)
         moves[own_rows] = cooperative.move[own_rows]
-        punishments[d] = PositionalProfile(space, moves, validate=False)
+        punishments[d] = PositionalProfile(space, moves)
     return ThreatProfile(space, cooperative, punishments, kind=kind)
 
 
@@ -146,9 +146,8 @@ class NEReport:
     witness: list  # per player, state index attaining his max gap
     profile_values: np.ndarray
 
-    def is_ne_at(self, idx: int, tol: float | None = None) -> bool:
-        t = self.tol if tol is None else tol
-        return bool((self.gaps[:, idx] <= t).all())
+    def is_ne_at(self, idx: int) -> bool:
+        return bool((self.gaps[:, idx] <= self.tol).all())
 
     def summary(self) -> dict:
         return {
@@ -275,7 +274,7 @@ def solve_positional_ne(space: StateSpace, params: GameParams,
             f"no fixpoint or cycle after {cap} sweeps (residual {residual:.3e}); "
             "the threat-strategy construction is the sound fallback",
             {"sweeps": cap, "residual": residual, "cycle_period": None})
-    profile = PositionalProfile(space, moves, validate=False)
+    profile = PositionalProfile(space, moves)
     values = exact_profile_values(space, params, moves)
     attainment, consistency = equation_residuals(space, params, profile, values)
     verification = verify_positional_ne(space, params, profile, tol=ne_tol)
@@ -362,7 +361,7 @@ def check_cr_optimal_ne(space: StateSpace, params: GameParams,
     """
     if table is None:
         table = exact_capture_times(space)
-    profile = PositionalProfile(space, table.cr_optimal_moves, validate=False)
+    profile = PositionalProfile(space, table.cr_optimal_moves)
     report = verify_positional_ne(space, params, profile, tol=tol)
     return profile, report
 

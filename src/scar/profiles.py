@@ -32,13 +32,15 @@ def validate_moves(space: StateSpace, moves: np.ndarray) -> None:
 
 
 class PositionalProfile:
-    """One action per non-capture state for whoever moves there."""
+    """One action per non-capture state for whoever moves there.
 
-    def __init__(self, space: StateSpace, moves: np.ndarray, validate: bool = True):
+    Moves are not checked here: `validate_moves` checks a whole array, and
+    `simulate.run` rejects any illegal move that is played.
+    """
+
+    def __init__(self, space: StateSpace, moves: np.ndarray):
         self.space = space
         self.move = np.asarray(moves, dtype=np.int64)
-        if validate:
-            validate_moves(space, self.move)
 
     def initial_mode(self):
         return None
@@ -115,7 +117,7 @@ def random_profile(space: StateSpace, rng: np.random.Generator) -> PositionalPro
     nc = np.flatnonzero(space.is_noncapture)
     slot = rng.integers(0, space.acount[nc])
     moves[nc] = space.nbr[space.stay[nc], slot]
-    return PositionalProfile(space, moves, validate=False)
+    return PositionalProfile(space, moves)
 
 
 ALL_STAY = 0

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cr import gamma_power_times
 from .errors import IllegalMoveError, ValidationError
 from .payoffs import GameParams, total_payoff, turn_payoff_matrix
 from .states import NULL_MOVE, TERMINAL, StateSpace
@@ -168,8 +169,7 @@ def exact_profile_values(space: StateSpace, params: GameParams, moves: np.ndarra
     turns, capture_at = profile_outcomes(space, moves) if outcomes is None else outcomes
     q = turn_payoff_matrix(space, params)
     finite = turns >= 0
-    powers = np.zeros(space.n_states)
-    powers[finite] = params.gamma ** turns[finite].astype(float)
+    powers = gamma_power_times(params.gamma, turns)
     values = np.zeros((params.n_players, space.n_states))
     safe_cap = np.maximum(capture_at, 0)
     for m in range(params.n_players):

@@ -225,7 +225,7 @@ def test_failing_report_replays_to_same_verdict():
     for r in failing:
         scenario = r.counterexample["scenario"]
         if scenario is None or scenario.get("profile") not in (
-                "threat", "capturing-threat", "cr-optimal", "noncapturing-construction"):
+                "threat", "capturing-threat", "cr-optimal", "noncapturing"):
             continue
         verdict = replay_scenario(scenario)
         assert verdict["is_ne"] is False

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from scar.analysis import _scenario, replay_scenario
 from scar.cli import main
 from scar.graph import serialize_graph, cycle_graph
 
@@ -60,7 +61,7 @@ def test_suite_counterexample_reruns_through_verify(tmp_path, capsys):
     """A failing suite instance's scenario, which covers every start, reruns
     through `verify --scenario` with the verdict `replay_scenario` gives, under
     the suite's gap tolerance (its top-level `tol`) without --ne-tol."""
-    from scar.analysis import make_grid, replay_scenario, theorem_suite
+    from scar.analysis import make_grid, theorem_suite
 
     grid = make_grid(4, gammas=[0.3], epsilons=[0.25])
     reports = {r.theorem_id: r for r in theorem_suite(cycle_graph(8), 4, grid=grid, tol=1e-9)}
@@ -74,6 +75,62 @@ def test_suite_counterexample_reruns_through_verify(tmp_path, capsys):
     assert result["is_ne"] is False
     assert result["tol"] == 1e-9
     assert result["max_gap"] == replay_scenario(scenario)["max_gap"]
+
+
+@pytest.mark.parametrize("kind, graph, n_players, gamma, eps, s0", [
+    ("threat", cycle_graph(8), 4, 0.3, 0.25, None),
+    ("capturing-threat", cycle_graph(8), 4, 0.3, 0.25, None),
+    ("cr-optimal", cycle_graph(8), 4, 0.3, 0.25, None),
+    ("noncapturing", cycle_graph(4), 3, 0.5, 0.25, [1, 1, 3, 1]),
+])
+def test_scenario_profile_is_honoured(tmp_path, capsys, kind, graph, n_players, gamma, eps, s0):
+    """A suite scenario reruns as its own `profile` without --profile, to the
+    verdict `replay_scenario` gives."""
+    doc = _scenario(graph, n_players, gamma, eps, s0=s0, profile=kind)
+    path = tmp_path / "cex.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+    assert err == ""
+    result = json.loads(out)["result"]
+    assert result["profile"] == kind
+    assert code == (0 if result["is_ne"] else 5)
+    for key, value in replay_scenario(doc).items():
+        assert result[key] == value, key
+
+
+def test_profile_flag_wins_over_scenario(tmp_path, capsys):
+    path = tmp_path / "cex.json"
+    path.write_text(json.dumps(_scenario(cycle_graph(4), 3, 0.2, 0.5, profile="noncapturing")))
+    code, out, _ = run_cli(capsys, "verify", "--scenario", str(path), "--profile", "cr-optimal")
+    assert code == 0
+    assert json.loads(out)["result"]["profile"] == "cr-optimal"
+
+
+def test_unrunnable_scenario_profile_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "cex.json"
+    # the escape suite's own document: no parameters, profile "-"
+    path.write_text(json.dumps(_scenario(cycle_graph(4), 2)))
+    code, out, _ = run_cli(capsys, "verify", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    path.write_text(json.dumps(_scenario(cycle_graph(4), 3, 0.5, 0.25)))
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert "cannot verify profile '-'" in err
+    path.write_text(json.dumps(_scenario(cycle_graph(4), 3, 0.5, 0.25, s0=[1, 1, 3, 1],
+                                         profile="noncapturing")))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert "cannot play profile 'noncapturing'" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "theorems", "simulate", "copnumber",
+                                     "equivalence"])
+def test_json_flag_only_where_it_selects_the_format(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--builtin", "path:3", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
 
 def test_solve_validation_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "--builtin", "path:3", "--n", "2",

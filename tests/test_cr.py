@@ -22,7 +22,7 @@ from scar.graph import (
     petersen_graph,
     star_graph,
 )
-from scar.profiles import PositionalProfile
+from scar.profiles import PositionalProfile, validate_moves
 from scar.simulate import run
 from scar.payoffs import GameParams
 from scar.states import build_state_space
@@ -175,7 +175,9 @@ def test_extracted_strategies_achieve_table_times():
     for g, n in ((path_graph(4), 2), (cycle_graph(5), 3), (delayed_capture_graph(), 3)):
         space = build_state_space(g, n)
         table = exact_capture_times(space)
-        profile = PositionalProfile(space, extract_cr_optimal_moves(space, table))
+        moves = extract_cr_optimal_moves(space, table)
+        validate_moves(space, moves)
+        profile = PositionalProfile(space, moves)
         params = GameParams(n, 0.5, 0.25)
         nc = np.flatnonzero(space.is_noncapture)
         rng = np.random.default_rng(3)

@@ -22,7 +22,13 @@ from scar.equilibria import (
 from scar.errors import NonConvergenceError, NotApplicableError, ValidationError
 from scar.graph import build_graph, cycle_graph, delayed_capture_graph, path_graph, petersen_graph
 from scar.payoffs import GameParams, turn_payoff, turn_payoff_matrix
-from scar.profiles import PositionalProfile, greedy_cop_moves, merge_cop_moves, random_profile
+from scar.profiles import (
+    PositionalProfile,
+    greedy_cop_moves,
+    merge_cop_moves,
+    random_profile,
+    validate_moves,
+)
 from scar.simulate import exact_profile_values, run, run_with_forced_deviation
 from scar.states import build_state_space
 
@@ -219,6 +225,7 @@ def test_freeze_profile_is_not_ne_on_pursuer_win_graph():
     stay = np.zeros(space.n_states, dtype=np.int64)
     nc = np.flatnonzero(space.is_noncapture)
     stay[nc] = space.positions[nc, space.mover[nc] - 1]
+    validate_moves(space, stay)
     report = verify_positional_ne(space, params, PositionalProfile(space, stay))
     assert not report.is_ne
     assert max(report.per_player_gap[:2]) > 0.01
@@ -353,7 +360,7 @@ def test_corrupted_punishment_is_detected(tree9_space):
         moves = threat.punishments[1].move.copy()
         rows = np.flatnonzero(space.is_noncapture & (space.mover == 2))
         moves[rows] = space.positions[rows, 1]
-        threat.punishments[1] = PositionalProfile(space, moves, validate=False)
+        threat.punishments[1] = PositionalProfile(space, moves)
         report = verify_threat_ne(space, params, threat)
         if report.per_player_gain[0] > 1e-6:
             detected = True

@@ -9,7 +9,13 @@ from scar.equilibria import build_threat_profile
 from scar.errors import IllegalMoveError, ValidationError
 from scar.graph import cycle_graph, delayed_capture_graph, path_graph
 from scar.payoffs import GameParams
-from scar.profiles import PositionalProfile, combine_player_moves, greedy_cop_moves, random_profile
+from scar.profiles import (
+    PositionalProfile,
+    combine_player_moves,
+    greedy_cop_moves,
+    random_profile,
+    validate_moves,
+)
 from scar.simulate import (
     exact_profile_values,
     payoffs_of,
@@ -31,7 +37,7 @@ def tree9():
         greedy_cop_moves(space, 2),
         extract_cr_optimal_moves(space, table),
     ])
-    return space, PositionalProfile(space, moves, validate=False)
+    return space, PositionalProfile(space, moves)
 
 
 def test_cooperative_trace_matches_expected(tree9):
@@ -81,7 +87,7 @@ def test_exact_payoff_mode(tree9):
 def test_initial_capture_state():
     space = build_state_space(cycle_graph(4), 3)
     params = GameParams(3, 0.5, 0.25)
-    profile = PositionalProfile(space, np.zeros(space.n_states, dtype=np.int64), validate=False)
+    profile = PositionalProfile(space, np.zeros(space.n_states, dtype=np.int64))
     trace = run(space, params, profile, (2, 1, 2, 3))
     assert trace.capture_time == 0
     assert trace.termination == "captured"
@@ -96,6 +102,7 @@ def test_freeze_profile_cycles():
     nc = np.flatnonzero(space.is_noncapture)
     p = space.mover[nc]
     stay[nc] = space.positions[nc, p - 1]
+    validate_moves(space, stay)
     trace = run(space, params, PositionalProfile(space, stay), (1, 1, 3, 1))
     assert trace.termination == "cycle"
     assert trace.capture_time == math.inf
@@ -106,7 +113,7 @@ def test_turn_cap_flags_inconclusive():
     space = build_state_space(cycle_graph(4), 2)
     params = GameParams(2, 0.5, 0.5)
     table = exact_capture_times(space)
-    profile = PositionalProfile(space, extract_cr_optimal_moves(space, table), validate=False)
+    profile = PositionalProfile(space, extract_cr_optimal_moves(space, table))
     trace = run(space, params, profile, (1, 3, 1), turn_cap=1)
     assert trace.termination == "turn_cap"
     with pytest.raises(ValidationError):
@@ -118,7 +125,7 @@ def test_terminal_start_rejected():
 
     space = build_state_space(path_graph(2), 2)
     params = GameParams(2, 0.5, 0.5)
-    profile = PositionalProfile(space, np.zeros(space.n_states, dtype=np.int64), validate=False)
+    profile = PositionalProfile(space, np.zeros(space.n_states, dtype=np.int64))
     with pytest.raises(ValidationError):
         run(space, params, profile, TERMINAL)
 
