@@ -1,7 +1,7 @@
 """Selfish pursuit games on graphs: exact solvers, equilibria, verification."""
 
 from .graph import Graph, builtin_graph, closed_neighborhood, parse_graph, serialize_graph
-from .payoffs import GameParams, total_payoff, turn_payoff, validate_params
+from .payoffs import GameParams, total_payoff, turn_payoff
 from .states import NULL_MOVE, TERMINAL, StateSpace, actions, build_state_space, classify, transition
 from .cr import (
     CaptureTimeTable,
@@ -12,6 +12,7 @@ from .cr import (
     t_n_max,
 )
 from .equilibria import (
+    Game,
     build_capturing_threat_ne,
     build_noncapturing_ne,
     build_threat_profile,
@@ -25,11 +26,11 @@ from .simulate import payoffs_of, run, run_with_forced_deviation
 
 __all__ = [
     "Graph", "builtin_graph", "closed_neighborhood", "parse_graph", "serialize_graph",
-    "GameParams", "total_payoff", "turn_payoff", "validate_params",
+    "GameParams", "total_payoff", "turn_payoff",
     "NULL_MOVE", "TERMINAL", "StateSpace", "actions", "build_state_space", "classify", "transition",
     "CaptureTimeTable", "cop_number", "discounted_cr_value", "exact_capture_times",
     "minimax_capture_times", "t_n_max",
-    "build_capturing_threat_ne", "build_noncapturing_ne", "build_threat_profile",
+    "Game", "build_capturing_threat_ne", "build_noncapturing_ne", "build_threat_profile",
     "check_cr_optimal_ne", "solve_aux_game", "solve_positional_ne",
     "verify_positional_ne", "verify_threat_ne",
     "payoffs_of", "run", "run_with_forced_deviation",

@@ -47,6 +47,8 @@ def make_grid(n_players: int, gammas=None, epsilons=None) -> SweepGrid:
         epsilons = [hi * k / 4 for k in range(5)]
     if gammas is None:
         gammas = [0.1, 0.3, 0.5, 0.7, 0.95]
+    if not gammas or not epsilons:
+        raise ValidationError("grid needs at least one gamma and one epsilon")
     out = []
     for g in gammas:
         if not 0.0 < g < 1.0:
@@ -88,14 +90,14 @@ def _check_kind(kind, kinds, verb):
         raise ValidationError(f"cannot {verb} profile {kind!r}; expected one of {', '.join(kinds)}")
 
 
-def build_profile(space, params: GameParams, kind: str):
+def build_profile(game: equilibria.Game, kind: str):
     """The named playable profile: canonical optimal pursuit or a threat profile."""
     _check_kind(kind, PLAYABLE_PROFILES, "play")
     if kind == "cr-optimal":
-        return PositionalProfile(space, exact_capture_times(space).cr_optimal_moves)
+        return PositionalProfile(game.space, exact_capture_times(game.space).cr_optimal_moves)
     if kind == "threat":
-        return equilibria.build_threat_profile(space, params)
-    return equilibria.build_capturing_threat_ne(space, params)
+        return equilibria.build_threat_profile(game)
+    return equilibria.build_capturing_threat_ne(game, exact_capture_times(game.space))
 
 
 def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
@@ -106,8 +108,9 @@ def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
     the non-capturing construction (None: its first qualifying start).
     """
     _check_kind(kind, VERIFIABLE_PROFILES, "verify")
+    game = equilibria.Game(space, params)
     if kind == "cr-optimal":
-        _, rep = equilibria.check_cr_optimal_ne(space, params, tol=tol)
+        rep = equilibria.check_cr_optimal_ne(game, exact_capture_times(space), tol=tol)
         result = rep.summary()
         if s0 is not None:
             result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(tuple(s0)))
@@ -119,12 +122,12 @@ def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
         return {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
                 "s0": list(constr.s0), "termination": trace.termination}
     if kind == "positional-ne":
-        res = equilibria.solve_positional_ne(space, params, ne_tol=tol)
+        res = equilibria.solve_positional_ne(game, ne_tol=tol)
         return {"sweeps": res.sweeps,
                 "attainment_residual": res.attainment_residual,
                 "consistency_residual": res.consistency_residual,
                 **res.verification.summary()}
-    rep = equilibria.verify_threat_ne(space, params, build_profile(space, params, kind), tol=tol)
+    rep = equilibria.verify_threat_ne(game, build_profile(game, kind), tol=tol)
     return {**rep.summary(), "captures_everywhere": rep.captures_everywhere()}
 
 
@@ -232,21 +235,18 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
         termination = run(space, params, construction.profile, construction.s0_index).termination
         reports.append(nonc_rep)
 
-    # One pass over the grid. Each point's auxiliary games serve both threat
-    # builders, and its two threat verdicts serve the cop-win suite too. Only
-    # one point's arrays are alive at a time: the games and threat profiles go
-    # once verified, the verdicts before the non-capturing check runs.
+    # One pass over the grid. Each point's game serves both threat builders, and
+    # its two threat verdicts the cop-win suite too. Only one point's arrays are
+    # alive at a time: the game and verdicts go before the non-capturing check.
     scenario = functools.partial(_scenario, g, n_players, tol=tol)
     for gamma, eps in grid.points():
         params = GameParams(n_players, gamma, eps)
-        aux = equilibria.solve_all_aux_games(space, params)
+        game = equilibria.Game(space, params)
         verdicts = {"threat": equilibria.verify_threat_ne(
-            space, params, equilibria.build_threat_profile(space, params, aux=aux), tol=tol)}
+            game, equilibria.build_threat_profile(game), tol=tol)}
         if capturing:
             verdicts["capturing-threat"] = equilibria.verify_threat_ne(
-                space, params,
-                equilibria.build_capturing_threat_ne(space, params, table=table, aux=aux), tol=tol)
-        del aux
+                game, equilibria.build_capturing_threat_ne(game, table), tol=tol)
 
         ver = verdicts["threat"]
         threat_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
@@ -260,7 +260,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                             "capture_time_bound": bound, **ver.summary()},
                            scenario(gamma, eps, profile="capturing-threat"))
             if params.in_omega_tilde:
-                _, ver = equilibria.check_cr_optimal_ne(space, params, table=table, tol=tol)
+                ver = equilibria.check_cr_optimal_ne(game, table, tol=tol)
                 omega_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
                                  scenario(gamma, eps, profile="cr-optimal"))
 
@@ -277,7 +277,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                                        "captures_everywhere": ver.captures_everywhere()},
                                       scenario(gamma, eps, profile=kind))
 
-        del verdicts, ver  # the point's threat and omega-tilde arrays
+        del game, verdicts, ver  # the point's tables, games and verdicts
         if noncapturing:
             ver = equilibria.verify_noncapturing_ne(space, params, construction, tol=tol)
             nonc_rep.record(termination == "cycle" and ver.is_ne,
@@ -301,14 +301,12 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     return reports
 
 
-def escape_start_witness(space, table=None):
+def escape_start_witness(space, table):
     """An initial state from which the evader escapes all N-1 pursuers, if any.
 
     The exact table is the certificate: from such a start the evader's optimal
     evasion guarantees zero payoff for everyone, so no equilibrium can capture.
     """
-    if table is None:
-        table = exact_capture_times(space)
     escapes = table.escape_states()
     return int(escapes[0]) if escapes.size else None
 
@@ -346,15 +344,15 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
     table = exact_capture_times(space)
     diag = grid.points()[:: max(1, len(grid.points()) // sample_points)][:sample_points]
     for gamma, eps in diag:
-        params = GameParams(n_players, gamma, eps)
-        threat = equilibria.build_capturing_threat_ne(space, params, table=table)
-        ver = equilibria.verify_threat_ne(space, params, threat, tol=tol)
+        game = equilibria.Game(space, GameParams(n_players, gamma, eps))
+        threat = equilibria.build_capturing_threat_ne(game, table)
+        ver = equilibria.verify_threat_ne(game, threat, tol=tol)
         ok = ver.is_ne and ver.captures_everywhere()
         report.verified_points.append({"gamma": gamma, "epsilon": eps, "ok": ok})
         report.consistent = report.consistent and ok
     if k >= 2:
         small = build_state_space(g, k, state_cap)  # K-1 = k-1 pursuers
-        witness = escape_start_witness(small)
+        witness = escape_start_witness(small, exact_capture_times(small))
         report.escape_witness = (list(small.state_at(witness)) if witness is not None else None)
         report.consistent = report.consistent and witness is not None
     return report
@@ -394,7 +392,8 @@ def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
         if cop_sum != expected or pays[-1] != -expected:
             failures.append({"trial": trial, "s0": list(space.state_at(s0)),
                              "capture_time": None if t == math.inf else t})
-    _, ver = equilibria.check_cr_optimal_ne(space, params, tol=tol)
+    ver = equilibria.check_cr_optimal_ne(equilibria.Game(space, params),
+                                         exact_capture_times(space), tol=tol)
     return EquivalenceReport(trials, not failures, failures, ver.is_ne, ver.max_gap)
 
 
@@ -420,23 +419,25 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
         starts = [int(s) for s in np.flatnonzero(space.is_noncapture)]
     else:
         starts = [space._as_index(s) for s in s0_list]
+    labels = [",".join(str(x) for x in space.state_at(s0)) for s0 in starts]
     rows = []
     for gamma, eps in grid.points():
-        params = GameParams(n_players, gamma, eps)
-        _, ver = equilibria.check_cr_optimal_ne(space, params, table=table, tol=tol)
-        threat = equilibria.build_threat_profile(space, params)
-        coop_turns, _ = profile_outcomes(space, threat.cooperative.move)
-        for s0 in starts:
-            state = space.state_at(s0)
-            t = int(coop_turns[s0])
+        game = equilibria.Game(space, GameParams(n_players, gamma, eps))
+        ver = equilibria.check_cr_optimal_ne(game, table, tol=tol)
+        is_ne = (ver.gaps <= tol).all(axis=0).tolist()
+        max_gap = ver.gaps.max(axis=0).tolist()
+        threat = equilibria.build_threat_profile(game)
+        turns = profile_outcomes(space, threat.cooperative.move)[0].tolist()
+        omega_tilde = game.params.in_omega_tilde
+        for s0, label in zip(starts, labels):
             rows.append({
                 "gamma": gamma,
                 "epsilon": eps,
-                "s0": ",".join(str(x) for x in state),
-                "omega_tilde": params.in_omega_tilde,
-                "cr_optimal_is_ne": ver.is_ne_at(s0),
-                "max_gap": float(ver.gaps[:, s0].max()),
-                "threat_capture_time": t if t >= 0 else "inf",
+                "s0": label,
+                "omega_tilde": omega_tilde,
+                "cr_optimal_is_ne": is_ne[s0],
+                "max_gap": max_gap[s0],
+                "threat_capture_time": turns[s0] if turns[s0] >= 0 else "inf",
             })
     return rows
 

@@ -155,12 +155,15 @@ def _check_player_count(n_players):
 
 
 def _grid_from(args, n_players):
-    if args.grid:
-        gpart, _, epart = args.grid.partition(";")
+    if not args.grid:
+        return analysis.make_grid(n_players)
+    gpart, _, epart = args.grid.partition(";")
+    try:
         gammas = [float(x) for x in gpart.split(",") if x]
         epsilons = [float(x) for x in epart.split(",") if x]
-        return analysis.make_grid(n_players, gammas, epsilons)
-    return analysis.make_grid(n_players)
+    except ValueError as exc:
+        raise ValidationError(f"--grid: {exc}") from None
+    return analysis.make_grid(n_players, gammas, epsilons)
 
 
 def _emit(obj):
@@ -191,9 +194,10 @@ def cmd_solve(args):
     scenario = _load_scenario(args)
     space = scenario.space()
     params = scenario.params
+    game = equilibria.Game(space, params)
     method = "positional-sweeps"
     try:
-        res = equilibria.solve_positional_ne(space, params, ne_tol=scenario.ne_tol)
+        res = equilibria.solve_positional_ne(game, ne_tol=scenario.ne_tol)
         profile = res.profile
         values = res.values
         gaps = res.verification.summary()
@@ -205,10 +209,10 @@ def cmd_solve(args):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGENCE
         method = "threat-fallback"
-        threat = equilibria.build_threat_profile(space, params)
-        ver = equilibria.verify_threat_ne(space, params, threat, tol=scenario.ne_tol)
-        profile = threat
-        values = simulate.exact_profile_values(space, params, threat.cooperative.move)
+        profile = equilibria.build_threat_profile(game)
+        ver = equilibria.verify_threat_ne(game, profile, tol=scenario.ne_tol)
+        values = simulate.exact_profile_values(
+            game, simulate.profile_outcomes(space, profile.cooperative.move))
         gaps = ver.summary()
         extra = {"fallback_reason": str(exc)}
     s0 = scenario.s0 or space.state_at(int(np.flatnonzero(space.is_noncapture)[0]))
@@ -330,7 +334,7 @@ def cmd_simulate(args):
     if scenario.s0 is None:
         raise ValidationError("simulate needs --s0")
     idx0 = space.index_of(tuple(scenario.s0))
-    profile = analysis.build_profile(space, params, scenario.profile)
+    profile = analysis.build_profile(equilibria.Game(space, params), scenario.profile)
     plan = {}
     if args.plan:
         if args.deviator is None:

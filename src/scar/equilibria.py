@@ -16,14 +16,13 @@ the start a forward search over the reachable (state, mode) pairs gives exactly.
 The search does not depend on (gamma, eps), so each construction runs it once
 per player and only the discounting is redone per parameter point.
 
-Both threat constructions go through one builder: they differ only in the
-cooperative moves, and share the punishments taken from the N auxiliary
-player-vs-coalition games, each solved to its exact fixpoint like the best
-responses (`bellman.solve_zero_sum`), so no value tolerance enters the threat
-pipeline. Those games depend on (space, params) alone, so a caller that needs
-both profiles solves them once (`solve_all_aux_games`) and passes them as
-`aux=`. The threat verifier resolves cooperative play once (`profile_outcomes`)
-and derives both capture turns and closed-form payoffs from that single pass.
+Solvers and verifiers take a `Game`, one state space at one parameter point,
+which builds its turn-payoff table and its N auxiliary player-vs-coalition
+games (`bellman.solve_zero_sum`, exact like the best responses) once. Both
+threat constructions cooperate along different moves and take the same
+punishments from those games. Best responses are never shared: a verifier
+solves them against the profile it is handed. The threat verifier resolves
+cooperative play once (`profile_outcomes`) for capture turns and payoffs.
 
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
@@ -73,20 +72,40 @@ class AuxSolution:
     iterations: int
 
 
-def solve_aux_game(space: StateSpace, params: GameParams, player: int) -> AuxSolution:
-    """Exact value and optimal positional strategies of the player-vs-coalition game."""
-    q = turn_payoff_matrix(space, params)
-    fixed = q[player - 1].copy()
+def solve_aux_game(space: StateSpace, params: GameParams, player: int,
+                   payoffs: np.ndarray) -> AuxSolution:
+    """Exact value and optimal positional strategies of the player-vs-coalition
+    game, whose boundary is the player's row of the turn-payoff table."""
     max_mask = space.mover == player
-    values, iterations, _ = bellman.solve_zero_sum(space, fixed, params.gamma, max_mask)
+    values, iterations, _ = bellman.solve_zero_sum(space, payoffs[player - 1], params.gamma,
+                                                   max_mask)
     nc = space.is_noncapture
     own = bellman.greedy_moves(space, values, nc & max_mask, maximize=True)
     coalition = bellman.greedy_moves(space, values, nc & ~max_mask, maximize=False)
     return AuxSolution(player, values, own, coalition, iterations)
 
 
-def solve_all_aux_games(space: StateSpace, params: GameParams) -> list:
-    return [solve_aux_game(space, params, n) for n in range(1, params.n_players + 1)]
+@dataclass(frozen=True)
+class Game:
+    """One state space under one parameter point. Its turn-payoff table and
+    auxiliary games depend on nothing else, so each is built once, on first
+    use, and shared by every solver and verifier handed the game."""
+
+    space: StateSpace
+    params: GameParams
+
+    @functools.cached_property
+    def payoffs(self) -> np.ndarray:
+        """`turn_payoff_matrix`, read-only since every caller shares it."""
+        q = turn_payoff_matrix(self.space, self.params)
+        q.flags.writeable = False
+        return q
+
+    @functools.cached_property
+    def aux(self) -> list:
+        """Per player, the `AuxSolution` of his game against the coalition."""
+        return [solve_aux_game(self.space, self.params, n, self.payoffs)
+                for n in range(1, self.params.n_players + 1)]
 
 
 def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
@@ -103,34 +122,25 @@ def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
     return ThreatProfile(space, cooperative, punishments, kind=kind)
 
 
-def build_threat_profile(space: StateSpace, params: GameParams,
-                         aux: list | None = None) -> ThreatProfile:
+def build_threat_profile(game: Game) -> ThreatProfile:
     """Cooperate along everyone's own aux-optimal strategy; punish the first deviator
     with the coalition strategies from his auxiliary game."""
-    if aux is None:
-        aux = solve_all_aux_games(space, params)
-    return _threat_profile(space, combine_player_moves(space, [a.own_move for a in aux]),
-                           aux, "threat")
+    own = [a.own_move for a in game.aux]
+    return _threat_profile(game.space, combine_player_moves(game.space, own), game.aux, "threat")
 
 
-def build_capturing_threat_ne(space: StateSpace, params: GameParams,
-                              table: CaptureTimeTable | None = None,
-                              aux: list | None = None) -> ThreatProfile:
+def build_capturing_threat_ne(game: Game, table: CaptureTimeTable) -> ThreatProfile:
     """Threat profile whose cooperative part is the canonical optimal pursuit.
 
     Requires the N-1 pursuers to force capture from every start (cop number at
     most N-1); equilibrium play then captures from every initial state.
     """
-    if table is None:
-        table = exact_capture_times(space)
     if not table.finite_on_noncapture():
         raise NotApplicableError(
-            f"the evader escapes {space.n_players - 1} pursuers from some start; "
+            f"the evader escapes {game.space.n_players - 1} pursuers from some start; "
             "a capturing equilibrium of this form needs cop number <= pursuer count"
         )
-    if aux is None:
-        aux = solve_all_aux_games(space, params)
-    return _threat_profile(space, table.cr_optimal_moves, aux, "capturing-threat")
+    return _threat_profile(game.space, table.cr_optimal_moves, game.aux, "capturing-threat")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +168,7 @@ class NEReport:
         }
 
 
-def verify_positional_ne(space: StateSpace, params: GameParams, profile: PositionalProfile,
+def verify_positional_ne(game: Game, profile: PositionalProfile,
                          tol: float = DEFAULT_NE_TOL) -> NEReport:
     """Best-response gap of every player from every state against the frozen rest.
 
@@ -166,9 +176,10 @@ def verify_positional_ne(space: StateSpace, params: GameParams, profile: Positio
     MDP solved to its exact fixpoint. The profile is an equilibrium from every
     initial state iff every gap is at most `tol`.
     """
+    space, params = game.space, game.params
     n = params.n_players
-    u = exact_profile_values(space, params, profile.move)
-    q = turn_payoff_matrix(space, params)
+    u = exact_profile_values(game, profile_outcomes(space, profile.move))
+    q = game.payoffs
     frozen_succ = space.succ_of_moves(profile.move)
     gaps = np.zeros((n, space.n_states))
     for player in range(1, n + 1):
@@ -182,16 +193,16 @@ def verify_positional_ne(space: StateSpace, params: GameParams, profile: Positio
     return NEReport(max_gap <= tol, tol, gaps, max_gap, per_player, witness, u)
 
 
-def equation_residuals(space: StateSpace, params: GameParams, profile: PositionalProfile,
-                       values: np.ndarray) -> tuple:
+def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarray) -> tuple:
     """Residuals of the coupled equilibrium equations for (profile, values).
 
     Returns (attainment, consistency): how far the mover's prescribed action is
     from attaining the argmax of his own continuation, and how far the value
     vector is from the one-step expansion under the profile, both sup-norm.
     """
+    space, params = game.space, game.params
     gamma = params.gamma
-    q = turn_payoff_matrix(space, params)
+    q = game.payoffs
     chosen = space.succ_of_moves(profile.move)
     attainment = 0.0
     consistency = 0.0
@@ -226,8 +237,7 @@ class PositionalNEResult:
     verification: NEReport
 
 
-def solve_positional_ne(space: StateSpace, params: GameParams,
-                        ne_tol: float = DEFAULT_NE_TOL) -> PositionalNEResult:
+def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> PositionalNEResult:
     """Search for a deterministic positional equilibrium by greedy value sweeps.
 
     Each sweep u -> F(u) recomputes every mover's greedy action against the
@@ -243,9 +253,10 @@ def solve_positional_ne(space: StateSpace, params: GameParams,
     exact period, None at the cap) or NotAnEquilibriumError (the fixpoint
     fails verification).
     """
+    space, params = game.space, game.params
     n = params.n_players
     gamma = params.gamma
-    q = turn_payoff_matrix(space, params)
+    q = game.payoffs
     nc = space.is_noncapture
     u = np.zeros((n, space.n_states))
     u[:, space.is_capture] = q[:, space.is_capture]
@@ -275,9 +286,9 @@ def solve_positional_ne(space: StateSpace, params: GameParams,
             "the threat-strategy construction is the sound fallback",
             {"sweeps": cap, "residual": residual, "cycle_period": None})
     profile = PositionalProfile(space, moves)
-    values = exact_profile_values(space, params, moves)
-    attainment, consistency = equation_residuals(space, params, profile, values)
-    verification = verify_positional_ne(space, params, profile, tol=ne_tol)
+    values = exact_profile_values(game, profile_outcomes(space, moves))
+    attainment, consistency = equation_residuals(game, profile, values)
+    verification = verify_positional_ne(game, profile, tol=ne_tol)
     if not verification.is_ne:
         raise NotAnEquilibriumError(
             f"sweeps reached a fixpoint but a player can still improve by "
@@ -309,7 +320,7 @@ class ThreatNEReport:
         }
 
 
-def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfile,
+def verify_threat_ne(game: Game, threat: ThreatProfile,
                      tol: float = DEFAULT_NE_TOL) -> ThreatNEReport:
     """Check that no one-shot deviation followed by optimal play against the
     punishers beats cooperative play, from any state (hence any start).
@@ -319,11 +330,12 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
     cooperative path whose payoff-to-go is an exact closed form. Comparing the
     two at every state of the deviator covers every deviating strategy.
     """
+    space, params = game.space, game.params
     n = params.n_players
     gamma = params.gamma
-    q = turn_payoff_matrix(space, params)
+    q = game.payoffs
     outcomes = profile_outcomes(space, threat.cooperative.move)
-    u_coop = exact_profile_values(space, params, threat.cooperative.move, outcomes=outcomes)
+    u_coop = exact_profile_values(game, outcomes)
     nc = space.is_noncapture
     per_player_gain = []
     witness = []
@@ -350,20 +362,15 @@ def verify_threat_ne(space: StateSpace, params: GameParams, threat: ThreatProfil
                           outcomes[0], space.is_noncapture)
 
 
-def check_cr_optimal_ne(space: StateSpace, params: GameParams,
-                        table: CaptureTimeTable | None = None,
-                        tol: float = DEFAULT_NE_TOL):
+def check_cr_optimal_ne(game: Game, table: CaptureTimeTable,
+                        tol: float = DEFAULT_NE_TOL) -> NEReport:
     """Verify the canonical optimal-pursuit profile as a positional equilibrium.
 
     Expected to pass from every start whenever gamma < eps/(1-eps) (and always
     in split-equivalent mode); outside that region it may fail, and the report
     then carries the offending states.
     """
-    if table is None:
-        table = exact_capture_times(space)
-    profile = PositionalProfile(space, table.cr_optimal_moves)
-    report = verify_positional_ne(space, params, profile, tol=tol)
-    return profile, report
+    return verify_positional_ne(game, PositionalProfile(game.space, table.cr_optimal_moves), tol=tol)
 
 
 # ---------------------------------------------------------------------------

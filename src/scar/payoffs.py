@@ -62,18 +62,6 @@ class GameParams:
         return self.gamma < self.epsilon / (1.0 - self.epsilon)
 
 
-@dataclass(frozen=True)
-class ParamsReport:
-    ok: bool
-    in_omega_tilde: bool | None
-    message: str
-
-
-def validate_params(params: GameParams) -> ParamsReport:
-    """Params are validated on construction; this reports the derived flags."""
-    return ParamsReport(ok=True, in_omega_tilde=params.in_omega_tilde, message="ok")
-
-
 def _split(params: GameParams, n1: int, capturing: bool, exact: bool):
     """Reward to one pursuer at a capture state with n1 capturing pursuers."""
     ncops = params.n_players - 1

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cr import gamma_power_times
 from .errors import IllegalMoveError, ValidationError
-from .payoffs import GameParams, total_payoff, turn_payoff_matrix
+from .payoffs import GameParams, total_payoff
 from .states import NULL_MOVE, TERMINAL, StateSpace
 
 CAPTURED = "captured"
@@ -159,21 +159,19 @@ def profile_outcomes(space: StateSpace, moves: np.ndarray):
     return np.where(captured, turns, -1), np.where(captured, jump, -1)
 
 
-def exact_profile_values(space: StateSpace, params: GameParams, moves: np.ndarray,
-                         outcomes: tuple | None = None) -> np.ndarray:
+def exact_profile_values(game, outcomes: tuple) -> np.ndarray:
     """(n_players, n_states) payoff of positional play, in closed form gamma^T * split.
 
-    `outcomes` is the (turns, capture_at) pair of `profile_outcomes` for these
-    moves, when the caller already holds it.
+    `game` is the `equilibria.Game` played and `outcomes` the (turns,
+    capture_at) pair of `profile_outcomes` for the play's moves.
     """
-    turns, capture_at = profile_outcomes(space, moves) if outcomes is None else outcomes
-    q = turn_payoff_matrix(space, params)
+    turns, capture_at = outcomes
     finite = turns >= 0
-    powers = gamma_power_times(params.gamma, turns)
-    values = np.zeros((params.n_players, space.n_states))
+    powers = gamma_power_times(game.params.gamma, turns)
+    values = np.zeros((game.params.n_players, game.space.n_states))
     safe_cap = np.maximum(capture_at, 0)
-    for m in range(params.n_players):
-        values[m] = np.where(finite, powers * q[m, safe_cap], 0.0)
+    for m in range(game.params.n_players):
+        values[m] = np.where(finite, powers * game.payoffs[m, safe_cap], 0.0)
     return values
 
 

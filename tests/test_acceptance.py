@@ -26,6 +26,7 @@ from scar.cr import (
     minimax_capture_times,
 )
 from scar.equilibria import (
+    Game,
     build_capturing_threat_ne,
     build_noncapturing_ne,
     build_threat_profile,
@@ -205,13 +206,14 @@ def test_criterion_06_threat_ne_battery(battery_graphs):
         capturing_applicable = table.finite_on_noncapture()
         for gamma, eps in grid.points():
             params = GameParams(3, gamma, eps)
-            threat = build_threat_profile(space, params)
-            rep = verify_threat_ne(space, params, threat, tol=NE_TOL)
+            game = Game(space, params)
+            threat = build_threat_profile(game)
+            rep = verify_threat_ne(game, threat, tol=NE_TOL)
             assert rep.is_ne, f"{name} threat at ({gamma},{eps}): gain {max(rep.per_player_gain):.2e}"
             instances += 1
             if capturing_applicable:
-                cap = build_capturing_threat_ne(space, params, table=table)
-                rep2 = verify_threat_ne(space, params, cap, tol=NE_TOL)
+                cap = build_capturing_threat_ne(game, table)
+                rep2 = verify_threat_ne(game, cap, tol=NE_TOL)
                 assert rep2.is_ne, f"{name} capturing at ({gamma},{eps}): gain {max(rep2.per_player_gain):.2e}"
                 assert rep2.captures_everywhere()
                 instances += 1
@@ -229,7 +231,7 @@ def test_criterion_07_omega_tilde_theorem():
         for gamma, eps in points:
             params = GameParams(3, gamma, eps)
             assert params.in_omega_tilde
-            _, rep = check_cr_optimal_ne(space, params, table=table, tol=NE_TOL)
+            rep = check_cr_optimal_ne(Game(space, params), table, tol=NE_TOL)
             assert rep.is_ne, f"({gamma},{eps}) on {g.vertex_count}-cycle: gap {rep.max_gap:.2e}"
     _report(7, started, "C4 and C5, 5 sampled points inside the region, every start")
 
@@ -300,7 +302,7 @@ def test_criterion_11_positional_ne_residuals():
     for g, n, gamma, eps in instances:
         space = build_state_space(g, n)
         try:
-            res = solve_positional_ne(space, GameParams(n, gamma, eps), ne_tol=NE_TOL)
+            res = solve_positional_ne(Game(space, GameParams(n, gamma, eps)), ne_tol=NE_TOL)
         except NonConvergenceError as exc:
             # honest outcome: reported as non-convergent, never as an equilibrium
             assert exc.report["sweeps"] > 0

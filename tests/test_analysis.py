@@ -90,22 +90,43 @@ def test_theorem_suite_petersen():
     assert "capturing-ne-exists" not in reports  # needs cop number <= 2
 
 
-def test_theorem_suite_solves_each_aux_game_once(monkeypatch):
+def _count_tables_and_games(monkeypatch):
+    """Record every payoff table and auxiliary game the package builds."""
     from scar import equilibria
 
-    calls = []
-    solve = equilibria.solve_aux_game
+    tables, games = [], []
+    table_of, solve = equilibria.turn_payoff_matrix, equilibria.solve_aux_game
 
-    def counting(space, params, player):
-        calls.append((params.gamma, params.epsilon, player))
-        return solve(space, params, player)
+    def counting_table(space, params):
+        tables.append((params.gamma, params.epsilon))
+        return table_of(space, params)
 
-    monkeypatch.setattr(equilibria, "solve_aux_game", counting)
+    def counting_game(space, params, player, payoffs):
+        games.append((params.gamma, params.epsilon, player))
+        return solve(space, params, player, payoffs)
+
+    monkeypatch.setattr(equilibria, "turn_payoff_matrix", counting_table)
+    monkeypatch.setattr(equilibria, "solve_aux_game", counting_game)
+    return tables, games
+
+
+def test_theorem_suite_solves_each_aux_game_once(monkeypatch):
+    tables, games = _count_tables_and_games(monkeypatch)
     grid = small_grid(4)
     reports = {r.theorem_id for r in theorem_suite(cycle_graph(4), 4, grid=grid)}
-    assert "capturing-ne-exists" in reports  # both threat builders ran
-    assert len(calls) == len(grid.points()) * 4
-    assert len(set(calls)) == len(calls)
+    # both threat builders and the omega-tilde check ran
+    assert {"capturing-ne-exists", "cr-optimal-ne-on-omega-tilde"} <= reports
+    assert sorted(tables) == sorted(grid.points())
+    assert len(games) == len(grid.points()) * 4
+    assert len(set(games)) == len(games)
+
+
+def test_sweep_builds_one_payoff_table_per_point(monkeypatch):
+    tables, games = _count_tables_and_games(monkeypatch)
+    grid = small_grid(3)
+    sweep(cycle_graph(4), 3, grid=grid)
+    assert sorted(tables) == sorted(grid.points())
+    assert len(games) == len(set(games)) == len(grid.points()) * 3
 
 
 def test_theorem_suite_extracts_optimal_moves_once_per_table(monkeypatch):
@@ -153,11 +174,11 @@ def test_theorem_suite_searches_noncapturing_start_once_per_player(monkeypatch):
 
 def test_escape_witness():
     space = build_state_space(petersen_graph(), 3)
-    w = escape_start_witness(space)
     table = exact_capture_times(space)
+    w = escape_start_witness(space, table)
     assert w is not None and table.times[w] < 0
     copwin = build_state_space(path_graph(4), 2)
-    assert escape_start_witness(copwin) is None
+    assert escape_start_witness(copwin, exact_capture_times(copwin)) is None
 
 
 def test_payoff_equivalence_small():

@@ -414,3 +414,17 @@ def test_zero_player_count_in_scenario_is_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--scenario", _scenario_path(tmp_path, n_players=0))
     assert code == 2
     assert "need at least 2 players, got 0" in err
+
+
+@pytest.mark.parametrize("command, graph, n, grid, message", [
+    ("theorems", "path:5", "3", ";0.1", "at least one gamma and one epsilon"),
+    ("theorems", "cycle:5", "3", "0.5;", "at least one gamma and one epsilon"),
+    ("theorems", "cycle:5", "3", "0.5,abc;0.1", "could not convert string to float: 'abc'"),
+    ("sweep", "path:5", "3", ";0.1", "at least one gamma and one epsilon"),
+])
+def test_empty_or_unparsable_grid_is_rejected(capsys, command, graph, n, grid, message):
+    code, out, err = run_cli(capsys, command, "--builtin", graph, "--n", n, "--gamma", "0.5",
+                             "--epsilon", "0.25", "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert message in err

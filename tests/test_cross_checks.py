@@ -8,7 +8,9 @@ simulation and confirm no sampled deviation ever beats the verified payoff.
 import numpy as np
 import pytest
 
+from scar.cr import exact_capture_times
 from scar.equilibria import (
+    Game,
     build_capturing_threat_ne,
     build_noncapturing_ne,
     build_threat_profile,
@@ -60,8 +62,9 @@ def _random_moves_for(space, player, rng):
 def test_threat_ne_survives_simulated_deviations(g, n_players, gamma, eps):
     space = build_state_space(g, n_players)
     params = GameParams(n_players, gamma, eps)
-    threat = build_threat_profile(space, params)
-    report = verify_threat_ne(space, params, threat)
+    game = Game(space, params)
+    threat = build_threat_profile(game)
+    report = verify_threat_ne(game, threat)
     assert report.is_ne
     rng = np.random.default_rng(99)
     nc = np.flatnonzero(space.is_noncapture)
@@ -78,8 +81,9 @@ def test_threat_ne_survives_simulated_deviations(g, n_players, gamma, eps):
 def test_capturing_threat_survives_simulated_deviations():
     space = build_state_space(cycle_graph(5), 3)
     params = GameParams(3, 0.8, 0.3)
-    threat = build_capturing_threat_ne(space, params)
-    assert verify_threat_ne(space, params, threat).is_ne
+    game = Game(space, params)
+    threat = build_capturing_threat_ne(game, exact_capture_times(space))
+    assert verify_threat_ne(game, threat).is_ne
     rng = np.random.default_rng(4)
     nc = np.flatnonzero(space.is_noncapture)
     for s0 in rng.choice(nc, size=10, replace=False):
@@ -132,7 +136,7 @@ def test_positional_solver_fuzz_never_lies():
         eps = float(rng.uniform(0.0, 0.5))
         space = build_state_space(g, 3)
         try:
-            res = solve_positional_ne(space, GameParams(3, gamma, eps))
+            res = solve_positional_ne(Game(space, GameParams(3, gamma, eps)))
         except (NonConvergenceError, NotAnEquilibriumError):
             refused += 1
             continue
@@ -151,6 +155,7 @@ def test_threat_verifier_fuzz_on_random_graphs():
         eps = float(rng.uniform(0.0, 0.5))
         space = build_state_space(g, 3)
         params = GameParams(3, gamma, eps)
-        threat = build_threat_profile(space, params)
-        report = verify_threat_ne(space, params, threat)
+        game = Game(space, params)
+        threat = build_threat_profile(game)
+        report = verify_threat_ne(game, threat)
         assert report.is_ne, (gamma, eps, sorted(g.edges))

@@ -8,6 +8,7 @@ from scar import bellman
 from scar.analysis import make_grid
 from scar.cr import exact_capture_times, extract_cr_optimal_moves, gamma_power_times, t_n_max
 from scar.equilibria import (
+    Game,
     build_capturing_threat_ne,
     build_noncapturing_ne,
     build_threat_profile,
@@ -29,7 +30,7 @@ from scar.profiles import (
     random_profile,
     validate_moves,
 )
-from scar.simulate import exact_profile_values, run, run_with_forced_deviation
+from scar.simulate import exact_profile_values, profile_outcomes, run, run_with_forced_deviation
 from scar.states import build_state_space
 
 
@@ -50,7 +51,7 @@ def test_evader_aux_game_equals_pursuit_value(tree9_space):
     space = tree9_space
     params = GameParams(3, 0.9, 0.25)
     table = exact_capture_times(space)
-    sol = solve_aux_game(space, params, 3)
+    sol = solve_aux_game(space, params, 3, turn_payoff_matrix(space, params))
     want = -gamma_power_times(0.9, table.times)
     want[space.terminal_index] = 0.0
     assert np.abs(sol.values - want).max() <= 1e-8
@@ -58,7 +59,8 @@ def test_evader_aux_game_equals_pursuit_value(tree9_space):
 
 def test_lone_pursuer_aux_value_positive_on_pursuer_win_graph():
     space = build_state_space(path_graph(3), 3)
-    sol = solve_aux_game(space, GameParams(3, 0.5, 0.25), 1)
+    params = GameParams(3, 0.5, 0.25)
+    sol = solve_aux_game(space, params, 1, turn_payoff_matrix(space, params))
     assert (sol.values[: space.terminal_index] > 0).all()
 
 
@@ -67,7 +69,8 @@ def test_lone_pursuer_aux_value_zero_when_evader_dodges():
     # is out of immediate reach, the adversarial coalition keeps him safe forever
     space = build_state_space(cycle_graph(4), 3)
     g = space.graph
-    sol = solve_aux_game(space, GameParams(3, 0.5, 0.25), 1)
+    params = GameParams(3, 0.5, 0.25)
+    sol = solve_aux_game(space, params, 1, turn_payoff_matrix(space, params))
     for idx in np.flatnonzero(space.is_noncapture):
         x1 = int(space.positions[idx, 0])
         x3 = int(space.positions[idx, 2])
@@ -80,18 +83,18 @@ def test_aux_strategies_attain_value(c4_space):
     space = c4_space
     params = GameParams(3, 0.7, 0.4)
     for n in (1, 2, 3):
-        sol = solve_aux_game(space, params, n)
+        sol = solve_aux_game(space, params, n, turn_payoff_matrix(space, params))
         moves = sol.coalition_move.copy()
         own_rows = space.is_noncapture & (space.mover == n)
         moves[own_rows] = sol.own_move[own_rows]
-        values = exact_profile_values(space, params, moves)
+        values = exact_profile_values(Game(space, params), profile_outcomes(space, moves))
         assert np.abs(values[n - 1] - sol.values).max() <= 1e-7
 
 
 def test_tie_break_scale_invariance(c4_space):
     space = c4_space
     params = GameParams(3, 0.7, 0.4)
-    sol = solve_aux_game(space, params, 2)
+    sol = solve_aux_game(space, params, 2, turn_payoff_matrix(space, params))
     nc = space.is_noncapture
     own_rows = nc & (space.mover == 2)
     other_rows = nc & (space.mover != 2)
@@ -151,7 +154,7 @@ def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
     space = build_state_space(g, n)
     params = GameParams(n, 0.9, 0.25)
     q = turn_payoff_matrix(space, params)
-    threat = build_threat_profile(space, params)
+    threat = build_threat_profile(Game(space, params))
     frozen = [extract_cr_optimal_moves(space, exact_capture_times(space))]
     frozen += [threat.punishments[d].move for d in range(1, n + 1)]
     for moves in frozen:
@@ -180,18 +183,25 @@ def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
     q = turn_payoff_matrix(space, params)
     for player in range(1, n + 1):
         max_mask = space.mover == player
-        sol = solve_aux_game(space, params, player)
+        sol = solve_aux_game(space, params, player, q)
         assert sol.values.tolist() == _python_zero_sum(space, q[player - 1], gamma, max_mask)
         values, iterations, residual = bellman.solve_zero_sum(space, q[player - 1], gamma, max_mask)
         assert residual == 0.0 and iterations <= space.n_states + 1
         assert np.array_equal(values, sol.values)
 
 
+def test_game_payoff_table_is_read_only(c4_space):
+    game = Game(c4_space, GameParams(3, 0.7, 0.4))
+    with pytest.raises(ValueError):
+        game.payoffs[0, 0] = 1.0
+    assert game.payoffs is game.payoffs  # built once
+
+
 # -- positional equilibrium solver and verifier -----------------------------
 
 def test_two_player_positional_ne_on_path():
     space = build_state_space(path_graph(3), 2)
-    res = solve_positional_ne(space, GameParams(2, 0.5, 0.5))
+    res = solve_positional_ne(Game(space, GameParams(2, 0.5, 0.5)))
     i0 = space.index_of((1, 3, 1))
     assert res.values[0][i0] == pytest.approx(0.125, abs=1e-10)
     assert res.values[1][i0] == pytest.approx(-0.125, abs=1e-10)
@@ -203,7 +213,7 @@ def test_two_player_positional_ne_on_path():
 def test_positional_ne_boundary_values(c4_space):
     space = c4_space
     params = GameParams(3, 0.6, 0.3)
-    res = solve_positional_ne(space, params)
+    res = solve_positional_ne(Game(space, params))
     from scar.payoffs import turn_payoff_matrix
 
     q = turn_payoff_matrix(space, params)
@@ -212,7 +222,7 @@ def test_positional_ne_boundary_values(c4_space):
 
 
 def test_positional_ne_on_example_tree(tree9_space):
-    res = solve_positional_ne(tree9_space, GameParams(3, 0.9, 0.25))
+    res = solve_positional_ne(Game(tree9_space, GameParams(3, 0.9, 0.25)))
     assert res.verification.is_ne
     assert res.verification.max_gap <= 1e-8
 
@@ -226,7 +236,7 @@ def test_freeze_profile_is_not_ne_on_pursuer_win_graph():
     nc = np.flatnonzero(space.is_noncapture)
     stay[nc] = space.positions[nc, space.mover[nc] - 1]
     validate_moves(space, stay)
-    report = verify_positional_ne(space, params, PositionalProfile(space, stay))
+    report = verify_positional_ne(Game(space, params), PositionalProfile(space, stay))
     assert not report.is_ne
     assert max(report.per_player_gap[:2]) > 0.01
 
@@ -234,7 +244,7 @@ def test_freeze_profile_is_not_ne_on_pursuer_win_graph():
 def test_cr_optimal_is_ne_inside_omega_tilde(c4_space):
     params = GameParams(3, 0.2, 0.5)
     assert params.in_omega_tilde
-    _, report = check_cr_optimal_ne(c4_space, params)
+    report = check_cr_optimal_ne(Game(c4_space, params), exact_capture_times(c4_space))
     assert report.is_ne
 
 
@@ -242,7 +252,7 @@ def test_cr_optimal_fails_outside_omega_tilde_on_tree(tree9_space):
     # at gamma=0.9 > (1/3)^(1/8) the leading pursuer gains by retreating first
     params = GameParams(3, 0.9, 0.25)
     assert not params.in_omega_tilde
-    _, report = check_cr_optimal_ne(tree9_space, params)
+    report = check_cr_optimal_ne(Game(tree9_space, params), exact_capture_times(tree9_space))
     assert not report.is_ne
     i0 = tree9_space.index_of((6, 1, 4, 1))
     # the worked retreat deviation already nets 0.9^13*0.75 - 0.9^5*0.25, so the
@@ -253,11 +263,11 @@ def test_cr_optimal_fails_outside_omega_tilde_on_tree(tree9_space):
 def test_equation_residuals_reject_wrong_values(c4_space):
     space = c4_space
     params = GameParams(3, 0.5, 0.25)
-    res = solve_positional_ne(space, params)
-    att, cons = equation_residuals(space, params, res.profile, res.values)
+    res = solve_positional_ne(Game(space, params))
+    att, cons = equation_residuals(Game(space, params), res.profile, res.values)
     assert att <= 1e-10 and cons <= 1e-10
     wrong = res.values + 0.01
-    _, cons_wrong = equation_residuals(space, params, res.profile, wrong)
+    _, cons_wrong = equation_residuals(Game(space, params), res.profile, wrong)
     assert cons_wrong > 1e-3
 
 
@@ -266,9 +276,11 @@ def test_verified_ne_sound_against_random_deviations(c4_space):
     # deviations per player, exact payoffs on both sides
     space = c4_space
     params = GameParams(3, 0.2, 0.5)
-    profile, report = check_cr_optimal_ne(space, params)
+    table = exact_capture_times(space)
+    profile = PositionalProfile(space, table.cr_optimal_moves)
+    report = check_cr_optimal_ne(Game(space, params), table)
     assert report.is_ne
-    base = exact_profile_values(space, params, profile.move)
+    base = exact_profile_values(Game(space, params), profile_outcomes(space, profile.move))
     rng = np.random.default_rng(17)
     nc = np.flatnonzero(space.is_noncapture)
     for player in (1, 2, 3):
@@ -278,7 +290,7 @@ def test_verified_ne_sound_against_random_deviations(c4_space):
             patch = rng.integers(0, space.acount[rows])
             moves[rows] = np.where(rng.random(rows.size) < 0.5,
                                    space.act[rows, patch], moves[rows])
-            dev = exact_profile_values(space, params, moves)
+            dev = exact_profile_values(Game(space, params), profile_outcomes(space, moves))
             assert (dev[player - 1] <= base[player - 1] + 1e-8).all()
 
 
@@ -286,14 +298,15 @@ def test_verified_ne_sound_against_random_deviations(c4_space):
 
 def test_threat_profile_is_ne_on_tree(tree9_space):
     params = GameParams(3, 0.9, 0.25)
-    threat = build_threat_profile(tree9_space, params)
-    report = verify_threat_ne(tree9_space, params, threat)
+    game = Game(tree9_space, params)
+    threat = build_threat_profile(game)
+    report = verify_threat_ne(game, threat)
     assert report.is_ne
 
 
 def test_threat_equilibrium_path_is_cooperative(tree9_space):
     params = GameParams(3, 0.9, 0.25)
-    threat = build_threat_profile(tree9_space, params)
+    threat = build_threat_profile(Game(tree9_space, params))
     a = run(tree9_space, params, threat, (6, 1, 4, 1))
     b = run(tree9_space, params, threat.cooperative, (6, 1, 4, 1))
     assert a.states == b.states
@@ -303,8 +316,9 @@ def test_capturing_threat_ne_on_two_pursuer_graphs():
     for g in (cycle_graph(4), cycle_graph(5)):
         space = build_state_space(g, 3)
         params = GameParams(3, 0.9, 0.25)
-        threat = build_capturing_threat_ne(space, params)
-        report = verify_threat_ne(space, params, threat)
+        game = Game(space, params)
+        threat = build_capturing_threat_ne(game, exact_capture_times(space))
+        report = verify_threat_ne(game, threat)
         assert report.is_ne
         assert report.captures_everywhere()
 
@@ -313,8 +327,9 @@ def test_capturing_threat_respects_time_bound():
     space = build_state_space(path_graph(4), 3)
     params = GameParams(3, 0.7, 0.3)
     table = exact_capture_times(space)
-    threat = build_capturing_threat_ne(space, params, table=table)
-    report = verify_threat_ne(space, params, threat)
+    game = Game(space, params)
+    threat = build_capturing_threat_ne(game, table)
+    report = verify_threat_ne(game, threat)
     assert report.is_ne and report.captures_everywhere()
     bound = t_n_max(space, table)
     assert report.cooperative_turns[space.is_noncapture].max() <= bound
@@ -323,7 +338,7 @@ def test_capturing_threat_respects_time_bound():
 def test_capturing_threat_precondition():
     space = build_state_space(petersen_graph(), 3)
     with pytest.raises(NotApplicableError):
-        build_capturing_threat_ne(space, GameParams(3, 0.5, 0.25))
+        build_capturing_threat_ne(Game(space, GameParams(3, 0.5, 0.25)), exact_capture_times(space))
 
 
 def test_robber_deviation_meets_full_pursuit():
@@ -331,7 +346,7 @@ def test_robber_deviation_meets_full_pursuit():
     # to the coalition pursuit and still capture
     space = build_state_space(cycle_graph(4), 3)
     params = GameParams(3, 0.7, 0.3)
-    threat = build_capturing_threat_ne(space, params)
+    threat = build_capturing_threat_ne(Game(space, params), exact_capture_times(space))
     s0 = (1, 2, 3, 3)  # robber moves first
     prescribed = threat.cooperative.prescribed(space.index_of(s0))
     other = [a for a in space.actions(s0, 3) if a != prescribed][0]
@@ -345,7 +360,7 @@ def test_cr_optimal_is_ne_in_two_player_game():
     # profile is an equilibrium for any parameters
     space = build_state_space(path_graph(4), 2)
     for gamma in (0.2, 0.9):
-        _, rep = check_cr_optimal_ne(space, GameParams(2, gamma, 0.5))
+        rep = check_cr_optimal_ne(Game(space, GameParams(2, gamma, 0.5)), exact_capture_times(space))
         assert rep.is_ne
 
 
@@ -355,13 +370,13 @@ def test_corrupted_punishment_is_detected(tree9_space):
     space = tree9_space
     detected = False
     for gamma, eps in ((0.9, 0.25), (0.95, 0.1), (0.8, 0.25)):
-        params = GameParams(3, gamma, eps)
-        threat = build_capturing_threat_ne(space, params)
+        game = Game(space, GameParams(3, gamma, eps))
+        threat = build_capturing_threat_ne(game, exact_capture_times(space))
         moves = threat.punishments[1].move.copy()
         rows = np.flatnonzero(space.is_noncapture & (space.mover == 2))
         moves[rows] = space.positions[rows, 1]
         threat.punishments[1] = PositionalProfile(space, moves)
-        report = verify_threat_ne(space, params, threat)
+        report = verify_threat_ne(game, threat)
         if report.per_player_gain[0] > 1e-6:
             detected = True
     assert detected
@@ -372,13 +387,13 @@ def test_nonconvergent_instance_reported_not_returned():
     # refuse with a cycle witness, and the threat construction still delivers
     g = build_graph(6, [(1, 2), (1, 4), (1, 5), (2, 5), (3, 6), (5, 6)])
     space = build_state_space(g, 3)
-    params = GameParams(3, 0.7727, 0.1326)
+    game = Game(space, GameParams(3, 0.7727, 0.1326))
     with pytest.raises(NonConvergenceError) as info:
-        solve_positional_ne(space, params)
+        solve_positional_ne(game)
     assert info.value.report["cycle_period"] == 3
     assert info.value.report["sweeps"] < 50  # an exact repeat, long before any cap
-    threat = build_threat_profile(space, params)
-    assert verify_threat_ne(space, params, threat).is_ne
+    threat = build_threat_profile(game)
+    assert verify_threat_ne(game, threat).is_ne
 
 
 def _python_positional_sweeps(space, params):
@@ -417,7 +432,7 @@ def test_positional_sweeps_stop_at_the_exact_fixpoint(graph, gamma, eps):
     space = build_state_space(graph, 3)
     params = GameParams(3, gamma, eps)
     sweeps, moves = _python_positional_sweeps(space, params)
-    res = solve_positional_ne(space, params)
+    res = solve_positional_ne(Game(space, params))
     assert res.sweeps == sweeps
     assert res.profile.move[list(moves)].tolist() == list(moves.values())
 

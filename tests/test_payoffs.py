@@ -4,7 +4,7 @@ import pytest
 
 from scar.errors import ValidationError
 from scar.graph import cycle_graph, path_graph
-from scar.payoffs import GameParams, symbolic_payoffs, turn_payoff, turn_payoff_matrix, validate_params
+from scar.payoffs import GameParams, symbolic_payoffs, turn_payoff, turn_payoff_matrix
 from scar.states import build_state_space
 
 
@@ -83,7 +83,6 @@ def test_split_monotonicity(n):
 
 def test_validate_params_examples():
     ok = GameParams(3, 0.9, 0.25)
-    assert validate_params(ok).ok
     assert ok.in_omega_tilde is False  # 0.9 >= 0.25/0.75
     assert GameParams(3, 0.2, 0.5).in_omega_tilde is True
     with pytest.raises(ValidationError):

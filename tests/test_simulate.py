@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scar.cr import exact_capture_times, extract_cr_optimal_moves
-from scar.equilibria import build_threat_profile
+from scar.equilibria import Game, build_threat_profile
 from scar.errors import IllegalMoveError, ValidationError
 from scar.graph import cycle_graph, delayed_capture_graph, path_graph
 from scar.payoffs import GameParams
@@ -149,7 +149,7 @@ def test_determinism(tree9):
 def test_threat_mode_switch_timing():
     space = build_state_space(delayed_capture_graph(), 3)
     params = GameParams(3, 0.9, 0.25)
-    threat = build_threat_profile(space, params)
+    threat = build_threat_profile(Game(space, params))
     # no deviation: identical to the cooperative parts, mode never leaves coop
     plain = run(space, params, threat.cooperative, (6, 1, 4, 1))
     full = run(space, params, threat, (6, 1, 4, 1))
@@ -168,7 +168,7 @@ def test_threat_mode_switch_timing():
 def test_deviation_to_prescribed_move_is_no_deviation():
     space = build_state_space(delayed_capture_graph(), 3)
     params = GameParams(3, 0.9, 0.25)
-    threat = build_threat_profile(space, params)
+    threat = build_threat_profile(Game(space, params))
     s0 = (6, 1, 4, 1)
     prescribed = threat.cooperative.prescribed(space.index_of(s0))
     trace = run_with_forced_deviation(space, params, threat, 1, {1: prescribed}, s0)
@@ -204,7 +204,7 @@ def test_profile_outcomes_match_simulation():
     for _ in range(5):
         profile = random_profile(space, rng)
         turns, cap_at = profile_outcomes(space, profile.move)
-        values = exact_profile_values(space, params, profile.move)
+        values = exact_profile_values(Game(space, params), (turns, cap_at))
         nc = np.flatnonzero(space.is_noncapture)
         for idx in rng.choice(nc, size=25, replace=False):
             trace = run(space, params, profile, int(idx))
