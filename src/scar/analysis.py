@@ -116,7 +116,7 @@ def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
             result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(tuple(s0)))
         return result
     if kind == "noncapturing":
-        constr = equilibria.build_noncapturing_ne(space, params, s0=s0, state_cap=state_cap)
+        constr = equilibria.build_noncapturing_ne(space, s0=s0, state_cap=state_cap)
         rep = equilibria.verify_noncapturing_ne(space, params, constr, tol=tol)
         trace = run(space, params, constr.profile, constr.s0_index)
         return {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
@@ -127,7 +127,7 @@ def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
                 "attainment_residual": res.attainment_residual,
                 "consistency_residual": res.consistency_residual,
                 **res.verification.summary()}
-    rep = equilibria.verify_threat_ne(game, build_profile(game, kind), tol=tol)
+    [rep] = equilibria.verify_threat_ne(game, [build_profile(game, kind)], tol=tol)
     return {**rep.summary(), "captures_everywhere": rep.captures_everywhere()}
 
 
@@ -229,24 +229,24 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
             "noncapturing-ne-exists",
             "with cop number >= 2 some start admits a non-capturing equilibrium",
             scope + ", at the stacked-pursuers start")
-        params = GameParams(n_players, grid.gammas[0], grid.epsilons[0])
-        construction = equilibria.build_noncapturing_ne(space, params, state_cap=state_cap)
-        # cooperative play, and so its termination, does not depend on (gamma, eps)
-        termination = run(space, params, construction.profile, construction.s0_index).termination
+        construction = equilibria.build_noncapturing_ne(space, state_cap=state_cap)
+        termination = None
         reports.append(nonc_rep)
 
-    # One pass over the grid. Each point's game serves both threat builders, and
-    # its two threat verdicts the cop-win suite too. Only one point's arrays are
-    # alive at a time: the game and verdicts go before the non-capturing check.
+    # One pass over the grid. Each point's game serves both threat builders,
+    # one verifier call checks both profiles, and its verdicts serve the cop-win
+    # suite too. Only one point's arrays are alive at a time: the game and
+    # verdicts go before the non-capturing check.
     scenario = functools.partial(_scenario, g, n_players, tol=tol)
     for gamma, eps in grid.points():
         params = GameParams(n_players, gamma, eps)
         game = equilibria.Game(space, params)
-        verdicts = {"threat": equilibria.verify_threat_ne(
-            game, equilibria.build_threat_profile(game), tol=tol)}
+        threats = {"threat": equilibria.build_threat_profile(game)}
         if capturing:
-            verdicts["capturing-threat"] = equilibria.verify_threat_ne(
-                game, equilibria.build_capturing_threat_ne(game, table), tol=tol)
+            threats["capturing-threat"] = equilibria.build_capturing_threat_ne(game, table)
+        verdicts = dict(zip(threats, equilibria.verify_threat_ne(game, list(threats.values()),
+                                                                 tol=tol)))
+        del threats
 
         ver = verdicts["threat"]
         threat_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
@@ -279,6 +279,9 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
 
         del game, verdicts, ver  # the point's tables, games and verdicts
         if noncapturing:
+            if termination is None:  # cooperative play does not depend on (gamma, eps)
+                termination = run(space, params, construction.profile,
+                                  construction.s0_index).termination
             ver = equilibria.verify_noncapturing_ne(space, params, construction, tol=tol)
             nonc_rep.record(termination == "cycle" and ver.is_ne,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
@@ -346,7 +349,7 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
     for gamma, eps in diag:
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))
         threat = equilibria.build_capturing_threat_ne(game, table)
-        ver = equilibria.verify_threat_ne(game, threat, tol=tol)
+        [ver] = equilibria.verify_threat_ne(game, [threat], tol=tol)
         ok = ver.is_ne and ver.captures_everywhere()
         report.verified_points.append({"gamma": gamma, "epsilon": eps, "ok": ok})
         report.consistent = report.consistent and ok

@@ -1,11 +1,15 @@
-"""Exact value iteration over a state space's successor tables.
+"""Exact value iteration over a state space's per-mover turn blocks.
 
 Every discounted solve in the package runs the one synchronous loop below over
 groups of rows; every row outside the groups keeps a pinned boundary value:
 
-  max rows:     v(s) = gamma * max_a v(succ(s, a)), over an (m, K) successor block;
+  max rows:     v(s) = gamma * max_a v(succ(s, a)), over a (K, m) successor block;
   min rows:     v(s) = gamma * min_a v(succ(s, a));
   follow rows:  v(s) = gamma * v(succ(s)), one frozen successor per row.
+
+The max and min groups are per-mover blocks (`StateSpace.turn_block`: one
+player's non-capture rows with their successors, gathered once per space), so
+the solvers and the greedy scan take players, never row masks.
 
 Zero-sum games use max and min rows, best-response MDPs max and follow rows;
 both start at 0 off the boundary and run to their exact fixpoint. Play is
@@ -31,81 +35,99 @@ from .errors import NonConvergenceError
 #: gamma 0.1 past 12 turns, and then the scan may pick a worse move (ROADMAP item 3).
 TIE_TOL = 1e-12
 
-def _value_iteration(v, gamma, cap, maximize=None, minimize=None, follow=None):
+
+def _value_iteration(v, gamma, cap, groups):
     """Synchronous value iteration on `v`, updated in place.
 
-    Each group is a pair (rows, succ) of indices into `v`: `maximize` and
-    `minimize` rows take gamma times the max or min of their (m, K) successor
-    block, `follow` rows gamma times their one successor (m,). Every group is
-    updated from the same `v`, and the residual is the sup change over the
-    updated rows. Stops once a sweep changes nothing, or after `cap` sweeps.
+    Each group is a triple (rows, block, rule) indexing `v`: a reduction rule
+    (`np.maximum.reduce` or `np.minimum.reduce`) gives a row gamma times that
+    reduction of its column of the (K, m) successor `block`; rule None gives it
+    gamma times its one successor, block[i] for rows[i]. Every group is updated
+    from the same `v`, into two buffers per group allocated once (this sweep's
+    values and the last), and the residual is the sup change over the updated
+    rows. Stops once a sweep changes nothing, or after `cap` sweeps.
     Returns (values, iterations, residual).
     """
-    # blocks are gathered as contiguous (K, m) arrays: reducing across K rows
-    # runs several times faster than along a short last axis
-    groups = [(g[0], g[1] if reduce is None else np.ascontiguousarray(g[1].T), reduce)
-              for g, reduce in ((maximize, np.max), (minimize, np.min), (follow, None)) if g is not None]
-    rows = np.concatenate([g[0] for g in groups])
+    work = [(rows, block, rule, np.empty(block.shape), (v[rows], np.empty(rows.size)))
+            for rows, block, rule in groups]
     residual = math.inf
     iterations = 0
     for iterations in range(1, cap + 1):
-        new = np.concatenate([gamma * (v[succ] if reduce is None else reduce(v[succ], axis=0))
-                              for _, succ, reduce in groups])
-        residual = float(np.abs(new - v[rows]).max(initial=0.0))
-        v[rows] = new
+        new_at = iterations % 2
+        for _, block, rule, gathered, buffers in work:
+            new = buffers[new_at]
+            if rule is None:
+                v.take(block, out=new, mode="clip")  # indices are in range: skip the check
+            else:
+                v.take(block, out=gathered, mode="clip")
+                rule(gathered, axis=0, out=new)
+            new *= gamma
+        residual = 0.0
+        for rows, _, _, _, buffers in work:
+            new, change = buffers[new_at], buffers[1 - new_at]  # the last sweep's values go
+            v[rows] = new
+            np.subtract(new, change, out=change)
+            residual = max(residual, float(np.abs(change, out=change).max(initial=0.0)))
         if residual == 0.0:
             break
     return v, iterations, residual
 
 
-def _fixpoint(space, fixed, gamma, **groups):
+def _fixpoint(space, fixed, gamma, groups):
     """Sweeps from 0 on the non-capture rows (`fixed` pins the rest) to the
     exact fixpoint; NonConvergenceError if still moving after |S| + 1 sweeps."""
     values, iterations, residual = _value_iteration(
-        np.where(space.is_noncapture, 0.0, fixed), gamma, space.n_states + 1, **groups)
+        np.where(space.is_noncapture, 0.0, fixed), gamma, space.n_states + 1, groups)
     if residual != 0.0:
         raise NonConvergenceError(f"values still moving after {iterations} sweeps")
     return values, iterations, residual
 
 
-def solve_zero_sum(space, fixed, gamma, max_mask):
-    """Exact value of the zero-sum game whose `max_mask` rows maximize and the
-    rest minimize, with boundary `fixed`. Returns (values, iterations, residual)."""
-    nc = space.is_noncapture
-    hi = np.flatnonzero(nc & max_mask)
-    lo = np.flatnonzero(nc & ~max_mask)
-    return _fixpoint(space, fixed, gamma, maximize=(hi, space.succ[hi]),
-                     minimize=(lo, space.succ[lo]))
+def _players(space):
+    return range(1, space.n_players + 1)
 
 
-def solve_mdp(space, fixed, gamma, free_mask, frozen_succ):
-    """Exact best response: `free_mask` rows maximize, the rest follow
+def solve_zero_sum(space, fixed, gamma, maximizers):
+    """Exact value of the zero-sum game whose `maximizers` (players) maximize
+    and everyone else minimizes, with boundary `fixed`.
+    Returns (values, iterations, residual)."""
+    groups = []
+    for p in _players(space):
+        block = space.turn_block(p)
+        groups.append((block.rows, block.succ,
+                       np.maximum.reduce if p in maximizers else np.minimum.reduce))
+    return _fixpoint(space, fixed, gamma, groups)
+
+
+def solve_mdp(space, fixed, gamma, player, frozen_succ):
+    """Exact best response: `player`'s rows maximize, everyone else's follow
     `frozen_succ` (the successor under the frozen opponents' profile), with
     boundary `fixed`. Returns (values, iterations, residual)."""
-    nc = space.is_noncapture
-    free = np.flatnonzero(nc & free_mask)
-    rest = np.flatnonzero(nc & ~free_mask)
-    return _fixpoint(space, fixed, gamma, maximize=(free, space.succ[free]),
-                     follow=(rest, frozen_succ[rest]))
+    free = space.turn_block(player)
+    rest = np.concatenate([space.turn_block(p).rows for p in _players(space) if p != player])
+    return _fixpoint(space, fixed, gamma,
+                     [(free.rows, free.succ, np.maximum.reduce), (rest, frozen_succ[rest], None)])
 
 
-def greedy_moves(space, values, rows_mask, maximize=True):
-    """First optimal action (ascending vertex order) per state in `rows_mask`.
+def greedy_moves(space, values, movers, maximize=True):
+    """First optimal action (ascending vertex order) per non-capture state of
+    the `movers` (players).
 
     Returns a full-length move array, NULL (0) outside the requested rows.
     Padded action slots replicate slot 0, so a first-occurrence scan can never
     pick a padded slot before the identical real one.
     """
     moves = np.zeros(space.n_states, dtype=np.int64)
-    rows = np.flatnonzero(rows_mask)
-    if rows.size == 0:
-        return moves
-    gathered = values[space.succ[rows]]
-    if maximize:
-        best = gathered.max(axis=1)
-        pick = (gathered >= best[:, None] - TIE_TOL).argmax(axis=1)
-    else:
-        best = gathered.min(axis=1)
-        pick = (gathered <= best[:, None] + TIE_TOL).argmax(axis=1)
-    moves[rows] = space.nbr[space.stay[rows], pick]
+    for p in movers:
+        block = space.turn_block(p)
+        gathered = values[block.succ]
+        if maximize:
+            near_best = gathered >= gathered.max(axis=0) - TIE_TOL
+        else:
+            near_best = gathered <= gathered.min(axis=0) + TIE_TOL
+        # some slot is the best, so the last one is taken only when no earlier one is
+        move = block.act[-1]
+        for hit, act in zip(near_best[-2::-1], block.act[-2::-1]):
+            move = np.where(hit, act, move)
+        moves[block.rows] = move
     return moves

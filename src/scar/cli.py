@@ -210,7 +210,7 @@ def cmd_solve(args):
             return EXIT_NONCONVERGENCE
         method = "threat-fallback"
         profile = equilibria.build_threat_profile(game)
-        ver = equilibria.verify_threat_ne(game, profile, tol=scenario.ne_tol)
+        [ver] = equilibria.verify_threat_ne(game, [profile], tol=scenario.ne_tol)
         values = simulate.exact_profile_values(
             game, simulate.profile_outcomes(space, profile.cooperative.move))
         gaps = ver.summary()

@@ -181,8 +181,8 @@ def discounted_cr_value(space: StateSpace, gamma: float) -> DiscountedValue:
     the max, evader turns the min. Satisfies v(s) = gamma^T(s) with gamma^inf = 0.
     """
     fixed = np.where(space.is_capture, 1.0, 0.0)
-    max_mask = space.mover < space.n_players
-    values, iterations, _ = bellman.solve_zero_sum(space, fixed, gamma, max_mask)
+    pursuers = range(1, space.n_players)
+    values, iterations, _ = bellman.solve_zero_sum(space, fixed, gamma, pursuers)
     return DiscountedValue(values, iterations)
 
 
@@ -203,7 +203,6 @@ def extract_cr_optimal_moves(space: StateSpace, table: CaptureTimeTable) -> np.n
     """
     # integer times and the sentinel are exact in float64, so the scan's tie slack never bites
     keyed = np.where(table.times >= 0, table.times, _NEVER).astype(float)
-    nc = space.is_noncapture
-    pursuer = space.mover < space.n_players
-    return (bellman.greedy_moves(space, keyed, nc & pursuer, maximize=False)
-            + bellman.greedy_moves(space, keyed, nc & ~pursuer, maximize=True))
+    n = space.n_players
+    return (bellman.greedy_moves(space, keyed, range(1, n), maximize=False)
+            + bellman.greedy_moves(space, keyed, (n,), maximize=True))

@@ -9,7 +9,10 @@ themselves are evaluated in closed form (deterministic positional play either
 captures within |S| turns or provably cycles). For threat profiles the punished
 deviator faces fixed positional punishers, so his best possible continuation is
 again such an exact MDP value, and a one-shot deviation scan along cooperative
-play covers every deviating strategy.
+play covers every deviating strategy. That MDP depends only on the punishers'
+moves off the deviator's own rows, so the threat verifier takes every threat
+profile of one game at once and solves it once per deviator and distinct
+punishment.
 The non-capturing construction is judged at its one start only: against the
 frozen rest a deviator plays a deterministic one-player game, whose value at
 the start a forward search over the reachable (state, mode) pairs gives exactly.
@@ -20,9 +23,11 @@ Solvers and verifiers take a `Game`, one state space at one parameter point,
 which builds its turn-payoff table and its N auxiliary player-vs-coalition
 games (`bellman.solve_zero_sum`, exact like the best responses) once. Both
 threat constructions cooperate along different moves and take the same
-punishments from those games. Best responses are never shared: a verifier
-solves them against the profile it is handed. The threat verifier resolves
-cooperative play once (`profile_outcomes`) for capture turns and payoffs.
+punishments from those games. Best responses are shared only between profiles
+whose punishers' moves are equal, compared move by move: a verifier solves them
+against the profiles it is handed, never against a cache. The threat verifier
+resolves cooperative play once per profile (`profile_outcomes`) for capture
+turns and payoffs.
 
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
@@ -76,12 +81,11 @@ def solve_aux_game(space: StateSpace, params: GameParams, player: int,
                    payoffs: np.ndarray) -> AuxSolution:
     """Exact value and optimal positional strategies of the player-vs-coalition
     game, whose boundary is the player's row of the turn-payoff table."""
-    max_mask = space.mover == player
     values, iterations, _ = bellman.solve_zero_sum(space, payoffs[player - 1], params.gamma,
-                                                   max_mask)
-    nc = space.is_noncapture
-    own = bellman.greedy_moves(space, values, nc & max_mask, maximize=True)
-    coalition = bellman.greedy_moves(space, values, nc & ~max_mask, maximize=False)
+                                                   (player,))
+    others = [p for p in range(1, space.n_players + 1) if p != player]
+    own = bellman.greedy_moves(space, values, (player,), maximize=True)
+    coalition = bellman.greedy_moves(space, values, others, maximize=False)
     return AuxSolution(player, values, own, coalition, iterations)
 
 
@@ -183,8 +187,7 @@ def verify_positional_ne(game: Game, profile: PositionalProfile,
     frozen_succ = space.succ_of_moves(profile.move)
     gaps = np.zeros((n, space.n_states))
     for player in range(1, n + 1):
-        free = space.mover == player
-        v, _, _ = bellman.solve_mdp(space, q[player - 1], params.gamma, free, frozen_succ)
+        v, _, _ = bellman.solve_mdp(space, q[player - 1], params.gamma, player, frozen_succ)
         gaps[player - 1] = v - u[player - 1]
     gaps[:, space.terminal_index] = 0.0
     per_player = [float(gaps[i].max()) for i in range(n)]
@@ -209,10 +212,10 @@ def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarra
     nc = space.is_noncapture
     for player in range(1, params.n_players + 1):
         u = values[player - 1]
-        rows = np.flatnonzero(nc & (space.mover == player))
-        if rows.size:
-            best = gamma * u[space.succ[rows]].max(axis=1)
-            taken = gamma * u[chosen[rows]]
+        block = space.turn_block(player)
+        if block.rows.size:
+            best = gamma * u[block.succ].max(axis=0)
+            taken = gamma * u[chosen[block.rows]]
             attainment = max(attainment, float((best - taken).max()))
     for m in range(params.n_players):
         u = values[m]
@@ -263,7 +266,7 @@ def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> Positiona
     cap = space.n_states + 1 + math.ceil(1075 / math.log2(1.0 / gamma))
     saved, power, period = u, 1, 0
     for sweeps in range(1, cap + 1):
-        parts = [bellman.greedy_moves(space, u[p - 1], nc & (space.mover == p), maximize=True)
+        parts = [bellman.greedy_moves(space, u[p - 1], (p,), maximize=True)
                  for p in range(1, n + 1)]
         moves = sum(parts)  # movers partition the rows, so plain addition merges
         new_u = u.copy()
@@ -311,6 +314,13 @@ class ThreatNEReport:
     def captures_everywhere(self) -> bool:
         return bool((self.cooperative_turns[self.noncapture_mask] >= 0).all())
 
+    def __eq__(self, other):
+        if not isinstance(other, ThreatNEReport):
+            return NotImplemented
+        return (self.summary() == other.summary() and self.witness == other.witness
+                and np.array_equal(self.cooperative_turns, other.cooperative_turns)
+                and np.array_equal(self.noncapture_mask, other.noncapture_mask))
+
     def summary(self) -> dict:
         return {
             "is_ne": self.is_ne,
@@ -320,46 +330,59 @@ class ThreatNEReport:
         }
 
 
-def verify_threat_ne(game: Game, threat: ThreatProfile,
-                     tol: float = DEFAULT_NE_TOL) -> ThreatNEReport:
-    """Check that no one-shot deviation followed by optimal play against the
-    punishers beats cooperative play, from any state (hence any start).
+def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
+    """Check each threat profile of `game` in `threats`: no one-shot deviation
+    followed by optimal play against the punishers beats cooperative play, from
+    any state (hence any start). Returns one report per profile, in order.
 
     After a deviation the deviator faces fixed positional punishers forever, so
     his best continuation is the exact value of that MDP; before it, play is the
     cooperative path whose payoff-to-go is an exact closed form. Comparing the
-    two at every state of the deviator covers every deviating strategy.
+    two at every state of the deviator covers every deviating strategy. The MDP
+    reads the punishers' moves only off the deviator's own rows, so profiles
+    whose punishments agree there share one solve.
     """
     space, params = game.space, game.params
     n = params.n_players
     gamma = params.gamma
     q = game.payoffs
-    outcomes = profile_outcomes(space, threat.cooperative.move)
-    u_coop = exact_profile_values(game, outcomes)
-    nc = space.is_noncapture
-    per_player_gain = []
-    witness = []
+    turns, coop = [], []  # per profile: capture turns; per player, cooperative payoff on his rows
+    for threat in threats:
+        outcomes = profile_outcomes(space, threat.cooperative.move)
+        u = exact_profile_values(game, outcomes)
+        turns.append(outcomes[0])
+        coop.append([u[p - 1][space.turn_block(p).rows] for p in range(1, n + 1)])
+        del outcomes, u
+    gains = [[] for _ in threats]
+    witnesses = [[] for _ in threats]
     for player in range(1, n + 1):
-        punish_succ = space.succ_of_moves(threat.punishments[player].move)
-        free = space.mover == player
-        v_pun, _, _ = bellman.solve_mdp(space, q[player - 1], gamma, free, punish_succ)
-        rows = np.flatnonzero(nc & free)
-        if rows.size == 0:
-            per_player_gain.append(0.0)
-            witness.append(-1)
-            continue
-        dev = gamma * v_pun[space.succ[rows]]
-        # padded slots repeat slot 0, so they neither add nor hide a deviation
-        deviating = space.nbr[space.stay[rows]] != threat.cooperative.move[rows, None]
-        dev = np.where(deviating, dev, -np.inf)
-        best_dev = dev.max(axis=1)
-        gain = best_dev - u_coop[player - 1][rows]
-        at = int(gain.argmax())
-        per_player_gain.append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
-        witness.append(int(rows[at]))
-    max_gain = max(per_player_gain)
-    return ThreatNEReport(max_gain <= tol, tol, per_player_gain, witness,
-                          outcomes[0], space.is_noncapture)
+        block = space.turn_block(player)
+        off_own = np.ones(space.n_states, dtype=bool)
+        off_own[block.rows] = False
+        solved = []  # (punishers' moves off his rows, deviation values on his block)
+        for k, threat in enumerate(threats):
+            u_coop = coop[k][player - 1]
+            coop[k][player - 1] = None  # freed player by player
+            if block.rows.size == 0:
+                gains[k].append(0.0)
+                witnesses[k].append(-1)
+                continue
+            punish = threat.punishments[player].move
+            key = punish[off_own]
+            dev = next((d for other, d in solved if np.array_equal(other, key)), None)
+            if dev is None:
+                v_pun, _, _ = bellman.solve_mdp(space, q[player - 1], gamma, player,
+                                                space.succ_of_moves(punish))
+                dev = gamma * v_pun[block.succ]
+                solved.append((key, dev))
+            # padded slots repeat slot 0, so they neither add nor hide a deviation
+            deviating = block.act != threat.cooperative.move[block.rows]
+            gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop
+            at = int(gain.argmax())
+            gains[k].append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
+            witnesses[k].append(int(block.rows[at]))
+    return [ThreatNEReport(max(g) <= tol, tol, g, w, t, space.is_noncapture)
+            for g, w, t in zip(gains, witnesses, turns)]
 
 
 def check_cr_optimal_ne(game: Game, table: CaptureTimeTable,
@@ -389,7 +412,7 @@ class NonCapturingConstruction:
                 for player in range(1, self.profile.space.n_players + 1)]
 
 
-def build_noncapturing_ne(space: StateSpace, params: GameParams, s0=None,
+def build_noncapturing_ne(space: StateSpace, s0=None,
                           state_cap: int = DEFAULT_STATE_CAP) -> NonCapturingConstruction:
     """Stack all pursuers on one vertex against an evader who can dodge one of them.
 

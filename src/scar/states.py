@@ -37,6 +37,18 @@ TERMINAL = _Terminal()
 DEFAULT_STATE_CAP = 50_000_000
 
 
+@dataclass(frozen=True, eq=False)
+class TurnBlock:
+    """The non-capture rows where one player moves, with their successor and
+    action slots as contiguous, read-only (K, m) arrays: column i belongs to
+    rows[i]. Reducing across K rows runs several times faster than along a
+    short last axis."""
+
+    rows: np.ndarray  # (m,) ascending state indices
+    succ: np.ndarray  # (K, m) successor indices, right-padded like `nbr`
+    act: np.ndarray  # (K, m) action vertices aligned with `succ`, in the smallest dtype
+
+
 @dataclass(frozen=True)
 class StateClass:
     """Classification of a single state."""
@@ -97,6 +109,7 @@ class StateSpace:
         self._stride = n_players * v ** (n_players - player)
         self._turn = np.where(player < n_players, 1, 1 - n_players)
         self._succ = None
+        self._blocks = {}
 
     # -- state <-> index ---------------------------------------------------
 
@@ -194,6 +207,19 @@ class StateSpace:
         if self._succ is None:
             self._build_tables()
         return self._succ
+
+    def turn_block(self, player: int) -> TurnBlock:
+        """`player`'s `TurnBlock`, gathered from `succ` once per space."""
+        block = self._blocks.get(player)
+        if block is None:
+            rows = np.flatnonzero(self.is_noncapture & (self.mover == player))
+            succ = np.ascontiguousarray(self.succ[rows].T)
+            small = np.min_scalar_type(self.n_vertices)
+            act = self.nbr[self.stay[rows]].T.astype(small, order="C")
+            for a in (rows, succ, act):
+                a.flags.writeable = False
+            block = self._blocks[player] = TurnBlock(rows, succ, act)
+        return block
 
     @property
     def act(self) -> np.ndarray:

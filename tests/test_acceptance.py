@@ -208,12 +208,12 @@ def test_criterion_06_threat_ne_battery(battery_graphs):
             params = GameParams(3, gamma, eps)
             game = Game(space, params)
             threat = build_threat_profile(game)
-            rep = verify_threat_ne(game, threat, tol=NE_TOL)
+            [rep] = verify_threat_ne(game, [threat], tol=NE_TOL)
             assert rep.is_ne, f"{name} threat at ({gamma},{eps}): gain {max(rep.per_player_gain):.2e}"
             instances += 1
             if capturing_applicable:
                 cap = build_capturing_threat_ne(game, table)
-                rep2 = verify_threat_ne(game, cap, tol=NE_TOL)
+                [rep2] = verify_threat_ne(game, [cap], tol=NE_TOL)
                 assert rep2.is_ne, f"{name} capturing at ({gamma},{eps}): gain {max(rep2.per_player_gain):.2e}"
                 assert rep2.captures_everywhere()
                 instances += 1
@@ -240,7 +240,7 @@ def test_criterion_08_noncapturing_constructions():
     started = time.perf_counter()
     space = build_state_space(cycle_graph(4), 3)
     params = GameParams(3, 0.9, 0.25)
-    constr = build_noncapturing_ne(space, params)
+    constr = build_noncapturing_ne(space)
     assert constr.s0 == (1, 1, 3, 1)
     trace = run(space, params, constr.profile, constr.s0_index)
     assert trace.termination == "cycle" and trace.capture_time == math.inf

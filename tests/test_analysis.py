@@ -121,6 +121,28 @@ def test_theorem_suite_solves_each_aux_game_once(monkeypatch):
     assert len(set(games)) == len(games)
 
 
+def test_theorem_suite_solves_each_punisher_mdp_once(monkeypatch):
+    """Both threat kinds of a grid point punish a deviator alike off his own
+    rows, so one verifier call solves each deviator's MDP once: N solves per
+    grid point, plus N per omega-tilde point for optimal pursuit."""
+    from scar import bellman
+
+    calls = []
+    solve = bellman.solve_mdp
+
+    def counting(space, fixed, gamma, player, frozen_succ):
+        calls.append(gamma)
+        return solve(space, fixed, gamma, player, frozen_succ)
+
+    monkeypatch.setattr(bellman, "solve_mdp", counting)
+    grid = small_grid(4)
+    reports = {r.theorem_id for r in theorem_suite(cycle_graph(4), 4, grid=grid)}
+    assert {"threat-ne-exists", "capturing-ne-exists", "cr-optimal-ne-on-omega-tilde"} <= reports
+    omega = [p for p in grid.points() if GameParams(4, *p).in_omega_tilde]
+    assert omega
+    assert len(calls) == 4 * (len(grid.points()) + len(omega))
+
+
 def test_sweep_builds_one_payoff_table_per_point(monkeypatch):
     tables, games = _count_tables_and_games(monkeypatch)
     grid = small_grid(3)
@@ -168,7 +190,7 @@ def test_theorem_suite_searches_noncapturing_start_once_per_player(monkeypatch):
     assert len(instances) == 25
     for inst in instances:
         params = GameParams(4, inst["gamma"], inst["epsilon"])
-        fresh = equilibria.build_noncapturing_ne(space, params)
+        fresh = equilibria.build_noncapturing_ne(space)
         assert inst["gains"] == equilibria.verify_noncapturing_ne(space, params, fresh).per_player_gain
 
 

@@ -95,31 +95,63 @@ def test_tie_break_scale_invariance(c4_space):
     space = c4_space
     params = GameParams(3, 0.7, 0.4)
     sol = solve_aux_game(space, params, 2, turn_payoff_matrix(space, params))
-    nc = space.is_noncapture
-    own_rows = nc & (space.mover == 2)
-    other_rows = nc & (space.mover != 2)
     for scale in (2.0, 0.5, 64.0):
         assert np.array_equal(
-            bellman.greedy_moves(space, sol.values * scale, own_rows, maximize=True),
+            bellman.greedy_moves(space, sol.values * scale, (2,), maximize=True),
             sol.own_move)
         assert np.array_equal(
-            bellman.greedy_moves(space, sol.values * scale, other_rows, maximize=False),
+            bellman.greedy_moves(space, sol.values * scale, (1, 3), maximize=False),
             sol.coalition_move)
+
+
+def _python_greedy_moves(space, values, movers, maximize):
+    """Per non-capture state of the movers, the first action in ascending
+    vertex order whose successor value is within TIE_TOL of the best."""
+    values = values.tolist()
+    moves = [0] * space.n_states
+    for s in np.flatnonzero(space.is_noncapture).tolist():
+        mover = int(space.mover[s])
+        if mover not in movers:
+            continue
+        options = space.actions(s, mover)
+        vals = [values[space.transition_index(s, a)] for a in options]
+        if maximize:
+            best = max(vals)
+            moves[s] = next(a for a, x in zip(options, vals) if x >= best - bellman.TIE_TOL)
+        else:
+            best = min(vals)
+            moves[s] = next(a for a, x in zip(options, vals) if x <= best + bellman.TIE_TOL)
+    return moves
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+@pytest.mark.parametrize("g", [cycle_graph(5), petersen_graph()], ids=["cycle:5", "petersen"])
+def test_greedy_moves_take_the_first_slot_within_tie_tol(g, maximize):
+    """The block scan picks what a plain per-state scan picks. Values are a few
+    integer levels plus offsets planted just inside and just outside TIE_TOL,
+    so most rows hold exact ties and near-ties on both sides of the slack."""
+    space = build_state_space(g, 3)
+    rng = np.random.default_rng(23)
+    offsets = np.array([0.0, 0.4, 0.9, 1.1, 2.5, -0.6]) * bellman.TIE_TOL
+    for _ in range(5):
+        values = rng.integers(0, 3, size=space.n_states) + rng.choice(offsets, size=space.n_states)
+        for movers in ((1, 2, 3), (1, 3), (2,)):
+            got = bellman.greedy_moves(space, values, movers, maximize=maximize)
+            assert got.tolist() == _python_greedy_moves(space, values, movers, maximize)
 
 
 def test_zero_sum_backup_is_contraction(c4_space):
     space = c4_space
     rng = np.random.default_rng(5)
     gamma = 0.8
-    max_mask = space.mover == 1
     nc = space.is_noncapture
-    hi = (np.flatnonzero(nc & max_mask), space.succ[nc & max_mask])
-    lo = (np.flatnonzero(nc & ~max_mask), space.succ[nc & ~max_mask])
+    blocks = {p: space.turn_block(p) for p in (1, 2, 3)}
+    groups = [(b.rows, b.succ, np.max if p == 1 else np.min) for p, b in blocks.items()]
     for _ in range(20):
         v = rng.normal(size=space.n_states)
         w = rng.normal(size=space.n_states)
-        uv, _, _ = bellman._value_iteration(v.copy(), gamma, 1, maximize=hi, minimize=lo)
-        uw, _, _ = bellman._value_iteration(w.copy(), gamma, 1, maximize=hi, minimize=lo)
+        uv, _, _ = bellman._value_iteration(v.copy(), gamma, 1, groups)
+        uw, _, _ = bellman._value_iteration(w.copy(), gamma, 1, groups)
         assert np.abs(uv[nc] - uw[nc]).max() <= gamma * np.abs(v - w).max() + 1e-12
 
 
@@ -161,7 +193,7 @@ def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
         frozen_succ = space.succ_of_moves(moves)
         for player in range(1, n + 1):
             free = space.mover == player
-            values, _, residual = bellman.solve_mdp(space, q[player - 1], params.gamma, free,
+            values, _, residual = bellman.solve_mdp(space, q[player - 1], params.gamma, player,
                                                     frozen_succ)
             assert residual == 0.0
             assert values.tolist() == _python_best_response(space, q[player - 1], params.gamma,
@@ -185,7 +217,7 @@ def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
         max_mask = space.mover == player
         sol = solve_aux_game(space, params, player, q)
         assert sol.values.tolist() == _python_zero_sum(space, q[player - 1], gamma, max_mask)
-        values, iterations, residual = bellman.solve_zero_sum(space, q[player - 1], gamma, max_mask)
+        values, iterations, residual = bellman.solve_zero_sum(space, q[player - 1], gamma, (player,))
         assert residual == 0.0 and iterations <= space.n_states + 1
         assert np.array_equal(values, sol.values)
 
@@ -300,7 +332,7 @@ def test_threat_profile_is_ne_on_tree(tree9_space):
     params = GameParams(3, 0.9, 0.25)
     game = Game(tree9_space, params)
     threat = build_threat_profile(game)
-    report = verify_threat_ne(game, threat)
+    [report] = verify_threat_ne(game, [threat])
     assert report.is_ne
 
 
@@ -318,7 +350,7 @@ def test_capturing_threat_ne_on_two_pursuer_graphs():
         params = GameParams(3, 0.9, 0.25)
         game = Game(space, params)
         threat = build_capturing_threat_ne(game, exact_capture_times(space))
-        report = verify_threat_ne(game, threat)
+        [report] = verify_threat_ne(game, [threat])
         assert report.is_ne
         assert report.captures_everywhere()
 
@@ -329,7 +361,7 @@ def test_capturing_threat_respects_time_bound():
     table = exact_capture_times(space)
     game = Game(space, params)
     threat = build_capturing_threat_ne(game, table)
-    report = verify_threat_ne(game, threat)
+    [report] = verify_threat_ne(game, [threat])
     assert report.is_ne and report.captures_everywhere()
     bound = t_n_max(space, table)
     assert report.cooperative_turns[space.is_noncapture].max() <= bound
@@ -364,20 +396,38 @@ def test_cr_optimal_is_ne_in_two_player_game():
         assert rep.is_ne
 
 
-def test_corrupted_punishment_is_detected(tree9_space):
+def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
     # lobotomize the punishment against player 1: the other pursuer just stays;
-    # for some parameters deviating then beats cooperating and the verifier sees it
+    # for some parameters deviating then beats cooperating and the verifier sees
+    # it, also when the corrupted profile is checked in one call with profiles
+    # whose punishments are intact
     space = tree9_space
+    table = exact_capture_times(space)
+    solved_for = []
+    solve = bellman.solve_mdp
+
+    def counting(space, fixed, gamma, player, frozen_succ):
+        solved_for.append(player)
+        return solve(space, fixed, gamma, player, frozen_succ)
+
+    monkeypatch.setattr(bellman, "solve_mdp", counting)
     detected = False
     for gamma, eps in ((0.9, 0.25), (0.95, 0.1), (0.8, 0.25)):
         game = Game(space, GameParams(3, gamma, eps))
-        threat = build_capturing_threat_ne(game, exact_capture_times(space))
-        moves = threat.punishments[1].move.copy()
+        corrupted = build_capturing_threat_ne(game, table)
+        moves = corrupted.punishments[1].move.copy()
         rows = np.flatnonzero(space.is_noncapture & (space.mover == 2))
         moves[rows] = space.positions[rows, 1]
-        threat.punishments[1] = PositionalProfile(space, moves)
-        report = verify_threat_ne(game, threat)
-        if report.per_player_gain[0] > 1e-6:
+        corrupted.punishments[1] = PositionalProfile(space, moves)
+        profiles = [build_threat_profile(game), build_capturing_threat_ne(game, table), corrupted]
+        solved_for.clear()
+        reports = verify_threat_ne(game, profiles)
+        # the intact kinds punish alike off each deviator's own rows and share
+        # his MDP; the corrupted punishment of player 1 gets a solve of its own
+        assert sorted(solved_for) == [1, 1, 2, 3]
+        assert reports == [verify_threat_ne(game, [p])[0] for p in profiles]
+        assert reports[1].is_ne
+        if reports[2].per_player_gain[0] > 1e-6:
             detected = True
     assert detected
 
@@ -393,7 +443,7 @@ def test_nonconvergent_instance_reported_not_returned():
     assert info.value.report["cycle_period"] == 3
     assert info.value.report["sweeps"] < 50  # an exact repeat, long before any cap
     threat = build_threat_profile(game)
-    assert verify_threat_ne(game, threat).is_ne
+    assert verify_threat_ne(game, [threat])[0].is_ne
 
 
 def _python_positional_sweeps(space, params):
@@ -442,7 +492,7 @@ def test_positional_sweeps_stop_at_the_exact_fixpoint(graph, gamma, eps):
 def test_noncapturing_ne_on_c4(c4_space):
     space = c4_space
     params = GameParams(3, 0.9, 0.25)
-    constr = build_noncapturing_ne(space, params)
+    constr = build_noncapturing_ne(space)
     assert constr.s0 == (1, 1, 3, 1)
     trace = run(space, params, constr.profile, constr.s0_index)
     assert trace.termination == "cycle"
@@ -454,32 +504,31 @@ def test_noncapturing_ne_on_c4(c4_space):
 
 def test_noncapturing_explicit_start(c4_space):
     params = GameParams(3, 0.5, 0.5)
-    constr = build_noncapturing_ne(c4_space, params, s0=(2, 2, 4, 1))
+    constr = build_noncapturing_ne(c4_space, s0=(2, 2, 4, 1))
     assert constr.s0 == (2, 2, 4, 1)
     report = verify_noncapturing_ne(c4_space, params, constr)
     assert report.is_ne
 
 
 def test_noncapturing_rejects_bad_starts(c4_space):
-    params = GameParams(3, 0.5, 0.5)
     with pytest.raises(ValidationError):
-        build_noncapturing_ne(c4_space, params, s0=(1, 2, 3, 1))  # not stacked
+        build_noncapturing_ne(c4_space, s0=(1, 2, 3, 1))  # not stacked
     with pytest.raises(ValidationError):
-        build_noncapturing_ne(c4_space, params, s0=(1, 1, 2, 2))  # wrong mover
+        build_noncapturing_ne(c4_space, s0=(1, 1, 2, 2))  # wrong mover
     with pytest.raises(ValidationError):
-        build_noncapturing_ne(c4_space, params, s0=(1, 1, 2, 1))  # adjacent: pursuer wins
+        build_noncapturing_ne(c4_space, s0=(1, 1, 2, 1))  # adjacent: pursuer wins
 
 
 def test_noncapturing_not_applicable_on_pursuer_win():
     space = build_state_space(path_graph(3), 3)
     with pytest.raises(NotApplicableError):
-        build_noncapturing_ne(space, GameParams(3, 0.5, 0.25))
+        build_noncapturing_ne(space)
 
 
 def test_noncapturing_on_petersen():
     space = build_state_space(petersen_graph(), 3)
     params = GameParams(3, 0.5, 0.25)
-    constr = build_noncapturing_ne(space, params)
+    constr = build_noncapturing_ne(space)
     trace = run(space, params, constr.profile, constr.s0_index)
     assert trace.termination == "cycle"
     report = verify_noncapturing_ne(space, params, constr)
@@ -490,7 +539,7 @@ def test_noncapturing_verifier_stays_local_at_benchmark_scale():
     """Petersen with N=4 has 40,001 states and 160,004 (state, mode) pairs; each
     best response only needs the few hundred reachable from (s0, ALL_STAY)."""
     space = build_state_space(petersen_graph(), 4)
-    constr = build_noncapturing_ne(space, GameParams(4, 0.5, 0.25))
+    constr = build_noncapturing_ne(space)
     for gamma, eps in make_grid(4).points():
         report = verify_noncapturing_ne(space, GameParams(4, gamma, eps), constr)
         assert report.is_ne
@@ -573,7 +622,7 @@ def test_pursuer_deviation_gains_match_python_value_iteration(graph, n, sabotage
     pursuers who chase instead of stacking switch the evader to the wrong mode."""
     space = build_state_space(graph, n)
     params = GameParams(n, 0.9, 0.25)
-    constr = build_noncapturing_ne(space, params)
+    constr = build_noncapturing_ne(space)
     constr.profile = sabotage(space, constr.profile)
     report = verify_noncapturing_ne(space, params, constr)
     expected = [_python_deviation_value(space, params, constr.profile, p) for p in range(1, n)]
@@ -600,7 +649,7 @@ def test_evader_deviation_gain_matches_python_value_iteration(graph, n, sabotage
     however he runs, so his best response is the longest delay."""
     space = build_state_space(graph, n)
     params = GameParams(n, 0.9, 0.25)
-    constr = build_noncapturing_ne(space, params)
+    constr = build_noncapturing_ne(space)
     constr.profile = sabotage(space, constr.profile)
     report = verify_noncapturing_ne(space, params, constr)
     expected = _python_deviation_value(space, params, constr.profile, n)

@@ -146,6 +146,28 @@ def test_succ_table_matches_transition(name):
         assert space.state_at(space.transition_index(idx, int(moves[idx]))) == expected
 
 
+@pytest.mark.parametrize("name, n", [("delayed-capture", 3), ("cycle:5", 4)])
+def test_turn_blocks_partition_the_successor_table(name, n):
+    """Each player's block holds exactly his non-capture rows, ascending, with
+    their successor and action slots transposed; the blocks are built once and
+    cannot be written."""
+    space = build_state_space(builtin_graph(name), n)
+    seen = []
+    for player in range(1, n + 1):
+        block = space.turn_block(player)
+        assert space.turn_block(player) is block
+        assert np.array_equal(block.rows,
+                              np.flatnonzero(space.is_noncapture & (space.mover == player)))
+        assert np.array_equal(block.succ, space.succ[block.rows].T)
+        assert np.array_equal(block.act, space.act[block.rows].T)
+        assert block.succ.flags.c_contiguous and block.act.flags.c_contiguous
+        for a in (block.rows, block.succ, block.act):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        seen.extend(block.rows.tolist())
+    assert sorted(seen) == np.flatnonzero(space.is_noncapture).tolist()
+
+
 def test_state_validation():
     space = build_state_space(path_graph(3), 2)
     with pytest.raises(ValidationError):
