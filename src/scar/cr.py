@@ -7,8 +7,9 @@ independent implementations are kept side by side:
   * minimax_capture_times -- the oracle: synchronous sweeps of the defining
     min/max fixpoint equations until nothing changes;
   * exact_capture_times  -- the production solver: retrograde labeling
-    (Berarducci & Intrigila 1993) over a CSR reverse graph built once per
-    call, advancing level-synchronous frontiers out of the capture states;
+    (Berarducci & Intrigila 1993), advancing level-synchronous frontiers out
+    of the capture states; each frontier's predecessors are computed from the
+    packed state index, so no successor table or reverse graph is built;
     pursuer turns take the first labeled successor, evader turns count their
     successors down with whole-array `bincount` passes.
 
@@ -83,39 +84,23 @@ def minimax_capture_times(space: StateSpace) -> CaptureTimeTable:
 def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
     """Retrograde labeling from the capture states, one BFS level at a time.
 
-    The real action slots of the non-capture rows are inverted once into a
-    CSR reverse graph: `pred[start[t]:start[t + 1]]` lists the states with an
-    edge into t, once per edge. Level d's frontier holds every state labeled d.
-    Its unlabeled predecessors on a pursuer turn take d + 1 (the min); those on
-    an evader turn count down their successors and take d + 1 when the last
-    one is labeled (the max). Each level is a handful of whole-array passes;
-    the Python loop runs once per level, never per state or edge.
+    Level d's frontier holds every state labeled d. Its predecessors come
+    straight from the packed index (`StateSpace.predecessors`), once per edge,
+    with no successor table or reverse graph behind them. The unlabeled ones on
+    a pursuer turn take d + 1 (the min); those on an evader turn count down
+    their successors and take d + 1 when the last one is labeled (the max).
+    Each level is a handful of whole-array passes; the Python loop runs once
+    per level, never per state or edge.
     """
     n = space.n_states
-    acount = space.acount
-    nc = np.flatnonzero(space.is_noncapture)
-    real = (np.arange(space.succ.shape[1]) < acount[:, None]) & space.is_noncapture[:, None]
-    dst = space.succ[real]  # row by row, so edge e leaves repeat(nc, acount[nc])[e]
-    del real
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=n), out=start[1:])
-    order = np.argsort(dst, kind="stable")
-    del dst
-    pred = np.repeat(nc, acount[nc])[order]
-    del order
-
     pursuer_turn = space.mover < space.n_players
-    counter = acount  # a fresh array per read, counted down in place
+    counter = space.acount  # a fresh array per read, counted down in place
     times = np.full(n, -1, dtype=np.int64)
     frontier = np.flatnonzero(space.is_capture)
     times[frontier] = 0
     d = 0
     while frontier.size:
-        lo = start[frontier]
-        width = start[frontier + 1] - lo
-        ends = np.cumsum(width)
-        # pred indices lo[i], ..., lo[i] + width[i] - 1 for each frontier state i
-        p = pred[np.arange(ends[-1]) + np.repeat(lo - ends + width, width)]
+        p = space.predecessors(frontier)
         p = p[times[p] < 0]
         on_pursuer = pursuer_turn[p]
         mark = np.zeros(n, dtype=bool)

@@ -509,8 +509,7 @@ def _start_local_search(prof, player) -> StartLocalSearch:
             continue
         mover = int(space.mover[idx])
         if mover == player:
-            # padded slots repeat slot 0, so dict.fromkeys keeps the real ones
-            moves = dict.fromkeys(zip(space.nbr[space.stay[idx]].tolist(), space.succ[idx].tolist()))
+            moves = [(a, space.transition_index(idx, a)) for a in space.actions(idx, mover)]
         else:
             action = prof.prescribed(idx, mode)
             moves = [(action, space.transition_index(idx, action))]

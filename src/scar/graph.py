@@ -185,6 +185,22 @@ def petersen_graph() -> Graph:
     return build_graph(10, outer + spokes + inner)
 
 
+def dodecahedron_graph() -> Graph:
+    """Outer 5-cycle 1..5, middle 10-cycle 6..15, inner 5-cycle 16..20.
+
+    Outer vertex i joins middle vertex 6 + 2(i-1), and middle vertex
+    7 + 2(i-1) joins inner vertex 15 + i. Planar, cubic and of girth 5, so
+    three pursuers are needed (Aigner & Fromme 1984) and suffice.
+    """
+    edges = []
+    for i in range(5):
+        outer, inner = 1 + i, 16 + i
+        edges += [(outer, 1 + (i + 1) % 5), (outer, 6 + 2 * i),
+                  (7 + 2 * i, inner), (inner, 16 + (i + 1) % 5)]
+    edges += [(6 + j, 6 + (j + 1) % 10) for j in range(10)]
+    return build_graph(20, edges)
+
+
 def delayed_capture_graph() -> Graph:
     """The 9-vertex tree of the built-in delayed-capture example.
 
@@ -201,6 +217,7 @@ BUILTIN_GRAPHS = {
     "complete": complete_graph,
     "star": star_graph,
     "petersen": petersen_graph,
+    "dodecahedron": dodecahedron_graph,
     "delayed-capture": delayed_capture_graph,
 }
 

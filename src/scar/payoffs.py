@@ -92,15 +92,15 @@ def turn_payoff(space, params: GameParams, s, player: int, exact: bool = False):
 def turn_payoff_matrix(space, params: GameParams) -> np.ndarray:
     """(n_players, n_states) float matrix of turn payoffs; zero off capture states.
 
-    Capture states are grouped by their captor count n1, so `_split` runs once
-    per distinct n1 and side; the entries equal `turn_payoff` bit for bit.
+    Capture states are grouped by their captor count n1 in 1..N-1, so `_split`
+    runs once per n1 and side; the entries equal `turn_payoff` bit for bit.
     """
     n = params.n_players
     q = np.zeros((n, space.n_states))
     cap = np.flatnonzero(space.is_capture)
     q[n - 1, cap] = -1.0
     n1_of = space.capture_count[cap]
-    for n1 in np.unique(n1_of).tolist():
+    for n1 in range(1, n):  # an empty group writes nothing
         rows = cap[n1_of == n1]
         q[:n - 1, rows] = np.where(space._cop_on_robber[rows].T,
                                    _split(params, n1, True, exact=False),

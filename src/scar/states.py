@@ -191,7 +191,25 @@ class StateSpace:
         p = self.mover[rows]
         return rows + (moves - self.stay[rows]) * self._stride[p] + self._turn[p]
 
-    # -- dense successor table (built lazily, used by the solvers) ---------
+    def predecessors(self, targets) -> np.ndarray:
+        """Every non-capture state with a move into one of the non-terminal
+        `targets`, once per move: the inverse of `_step`.
+
+        The player p who moved into t is the one before t's mover (N before
+        player 1), and now sits on y = x_p(t). Closed neighbourhoods are
+        symmetric, so p came from some u in N[y]: t - turn[p] + (u - y) * stride[p]
+        for each real slot u of `nbr[y]`. Candidates that are capture states
+        are dropped, as capture states make no move.
+        """
+        p = (self.mover[targets] - 2) % self.n_players + 1
+        y = self.positions[targets, p - 1]
+        stride = self._stride[p]
+        base = targets - self._turn[p] - y * stride
+        real = np.arange(self.nbr.shape[1]) < self._hood_size[y][:, None]
+        cand = (base[:, None] + self.nbr[y] * stride[:, None])[real]
+        return cand[self.is_noncapture[cand]]
+
+    # -- dense successor table (built lazily; only the oracle solver reads it)
 
     def _build_tables(self):
         rows = np.flatnonzero(self.is_noncapture)
@@ -209,13 +227,15 @@ class StateSpace:
         return self._succ
 
     def turn_block(self, player: int) -> TurnBlock:
-        """`player`'s `TurnBlock`, gathered from `succ` once per space."""
+        """`player`'s `TurnBlock`, stepped from the packed index once per space."""
         block = self._blocks.get(player)
         if block is None:
             rows = np.flatnonzero(self.is_noncapture & (self.mover == player))
-            succ = np.ascontiguousarray(self.succ[rows].T)
-            small = np.min_scalar_type(self.n_vertices)
-            act = self.nbr[self.stay[rows]].T.astype(small, order="C")
+            hood = self.nbr[self.stay[rows]].T
+            succ = np.empty(hood.shape, dtype=np.int64)
+            for j, moves in enumerate(hood):
+                succ[j] = self._step(rows, moves)
+            act = hood.astype(np.min_scalar_type(self.n_vertices), order="C")
             for a in (rows, succ, act):
                 a.flags.writeable = False
             block = self._blocks[player] = TurnBlock(rows, succ, act)

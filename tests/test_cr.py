@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scar.graph import (
     complete_graph,
     cycle_graph,
     delayed_capture_graph,
+    dodecahedron_graph,
     path_graph,
     petersen_graph,
     star_graph,
@@ -72,7 +74,9 @@ def test_capture_states_are_zero():
     (delayed_capture_graph(), 2), (delayed_capture_graph(), 3),
     (cycle_graph(5), 4), (cycle_graph(6), 4),
     (petersen_graph(), 3),  # escape states: Petersen needs three pursuers
-    (build_graph(1, []), 2),  # every state captures: an empty reverse graph
+    (build_graph(1, []), 2),  # every state captures: no frontier state has a predecessor
+    (dodecahedron_graph(), 3),  # 24,001 states, escape states as on Petersen
+    (cycle_graph(4), 5), (path_graph(3), 5),  # N=5: player 1's predecessors wrap to player 5
 ])
 def test_oracle_agrees_with_attractor(g, n):
     space = build_state_space(g, n)
@@ -113,9 +117,36 @@ def test_cop_numbers():
     assert cop_number(path_graph(4)).value == 1
     assert cop_number(cycle_graph(4)).value == 2
     assert cop_number(petersen_graph()).value == 3
+    assert cop_number(dodecahedron_graph()).value == 3  # k=3: 640,001 states
     res = cop_number(cycle_graph(5), max_cops=1)
     assert res.value is None
     assert res.finite_by_cops == {1: False}
+
+
+def test_retrograde_builds_no_successor_table():
+    spaces = []
+
+    def solver(space):
+        spaces.append(space)
+        return exact_capture_times(space)
+
+    assert cop_number(petersen_graph(), solver=solver).value == 3
+    assert [s.n_players for s in spaces] == [2, 3, 4]
+    assert all(s._succ is None for s in spaces)
+    space = build_state_space(petersen_graph(), 4)
+    exact_capture_times(space)
+    assert space._succ is None
+
+
+def test_retrograde_memory_peak_per_state():
+    space = build_state_space(petersen_graph(), 4)  # 40,001 states
+    tracemalloc.start()
+    try:
+        exact_capture_times(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * space.n_states
 
 
 def test_cop_number_capacity():

@@ -545,6 +545,7 @@ def test_noncapturing_verifier_stays_local_at_benchmark_scale():
         assert report.is_ne
         assert report.per_player_gain == [0.0] * 4
         assert max(report.explored) < 1000
+    assert space._succ is None  # the search steps each move; no dense successor table
 
 
 def _loop_merge_cop_moves(space):

@@ -122,6 +122,16 @@ def test_builtin_names():
         builtin_graph("path")
 
 
+def test_dodecahedron_builtin():
+    g = builtin_graph("dodecahedron")
+    assert (g.vertex_count, len(g.edges)) == (20, 30)
+    assert {g.degree(v) for v in range(1, 21)} == {3}
+    # distance-regular: from every vertex, 1, 3, 6, 6, 3, 1 vertices at distance 0..5
+    for v in range(1, 21):
+        dist = g.distances_from(v)[1:]
+        assert [dist.count(d) for d in range(6)] == [1, 3, 6, 6, 3, 1]
+
+
 def test_distances():
     g = delayed_capture_graph()
     assert g.distance(1, 9) == 6

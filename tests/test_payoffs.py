@@ -116,7 +116,8 @@ def test_turn_payoff_matrix_consistent(c4_3p):
 
 
 @pytest.mark.parametrize("n,graph", [(2, cycle_graph(4)), (3, cycle_graph(4)),
-                                     (4, path_graph(3)), (5, path_graph(3))])
+                                     (4, path_graph(3)), (5, path_graph(3)),
+                                     (4, path_graph(1))])  # only n1 = 3 occurs
 def test_turn_payoff_matrix_equals_turn_payoff_exactly(n, graph):
     space = build_state_space(graph, n)
     for params in (GameParams(n, 0.7, 0.0), GameParams(n, 0.7, 1.0 / (n - 1)),

@@ -152,9 +152,10 @@ def test_turn_blocks_partition_the_successor_table(name, n):
     their successor and action slots transposed; the blocks are built once and
     cannot be written."""
     space = build_state_space(builtin_graph(name), n)
+    blocks = [space.turn_block(player) for player in range(1, n + 1)]
+    assert space._succ is None  # stepped slot by slot, not gathered from `succ`
     seen = []
-    for player in range(1, n + 1):
-        block = space.turn_block(player)
+    for player, block in enumerate(blocks, start=1):
         assert space.turn_block(player) is block
         assert np.array_equal(block.rows,
                               np.flatnonzero(space.is_noncapture & (space.mover == player)))
@@ -185,3 +186,18 @@ def test_functional_wrappers():
     assert classify(space, (6, 1, 4, 1)).kind == "noncapture"
     assert actions(space, (6, 1, 4, 1), 1) == [5, 6, 7]
     assert transition(space, (6, 1, 4, 1), 5) == (5, 1, 4, 2)
+
+
+@pytest.mark.parametrize("name, n", [("delayed-capture", 3), ("cycle:4", 5), ("path:3", 2)])
+def test_predecessors_invert_the_successor_table(name, n):
+    """`predecessors` lists, once per move, every non-capture state with a real
+    action slot into the target; at N=5 player 1's targets wrap back to player 5."""
+    space = build_state_space(builtin_graph(name), n)
+    into = [[] for _ in range(space.n_states)]
+    for s in np.flatnonzero(space.is_noncapture).tolist():
+        for t in space.succ[s, :space.acount[s]].tolist():
+            into[t].append(s)
+    targets = np.arange(space.terminal_index)
+    for t in targets.tolist():
+        assert sorted(space.predecessors(np.array([t])).tolist()) == into[t]
+    assert sorted(space.predecessors(targets).tolist()) == sorted(s for ps in into for s in ps)
