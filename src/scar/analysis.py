@@ -118,7 +118,7 @@ def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
     if kind == "noncapturing":
         constr = equilibria.build_noncapturing_ne(space, s0=s0, state_cap=state_cap)
         rep = equilibria.verify_noncapturing_ne(space, params, constr, tol=tol)
-        trace = run(space, params, constr.profile, constr.s0_index)
+        trace = run(space, constr.profile, constr.s0_index)
         return {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
                 "s0": list(constr.s0), "termination": trace.termination}
     if kind == "positional-ne":
@@ -230,7 +230,8 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
             "with cop number >= 2 some start admits a non-capturing equilibrium",
             scope + ", at the stacked-pursuers start")
         construction = equilibria.build_noncapturing_ne(space, state_cap=state_cap)
-        termination = None
+        # cooperative play does not depend on (gamma, eps)
+        termination = run(space, construction.profile, construction.s0_index).termination
         reports.append(nonc_rep)
 
     # One pass over the grid. Each point's game serves both threat builders,
@@ -279,9 +280,6 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
 
         del game, verdicts, ver  # the point's tables, games and verdicts
         if noncapturing:
-            if termination is None:  # cooperative play does not depend on (gamma, eps)
-                termination = run(space, params, construction.profile,
-                                  construction.s0_index).termination
             ver = equilibria.verify_noncapturing_ne(space, params, construction, tol=tol)
             nonc_rep.record(termination == "cycle" and ver.is_ne,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
@@ -387,7 +385,7 @@ def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
     for trial in range(trials):
         profile = random_profile(space, rng)
         s0 = int(nc_idx[rng.integers(0, nc_idx.size)])
-        trace = run(space, params, profile, s0)
+        trace = run(space, profile, s0)
         pays = payoffs_of(params, trace, exact=True)
         cop_sum = sum(pays[:-1])
         t = trace.capture_time
@@ -499,9 +497,8 @@ def delayed_capture_demo(gamma: float = 0.9, epsilon: float = 0.25) -> DelayedCa
     ])
     profile = PositionalProfile(space, moves)
     s0 = (6, 1, 4, 1)
-    coop = run(space, params, profile, s0)
-    dev = run_with_forced_deviation(space, params, profile, deviator=1,
-                                    deviation_plan={1: 7}, s0=s0)
+    coop = run(space, profile, s0)
+    dev = run_with_forced_deviation(space, profile, deviator=1, deviation_plan={1: 7}, s0=s0)
     pays_coop = payoffs_of(params, coop)
     pays_dev = payoffs_of(params, dev)
     t_coop, t_dev = coop.capture_time, dev.capture_time

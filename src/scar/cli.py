@@ -217,7 +217,7 @@ def cmd_solve(args):
         extra = {"fallback_reason": str(exc)}
     s0 = scenario.s0 or space.state_at(int(np.flatnonzero(space.is_noncapture)[0]))
     idx0 = space.index_of(tuple(s0))
-    trace = simulate.run(space, params, profile, idx0)
+    trace = simulate.run(space, profile, idx0)
     result = {
         "method": method,
         "values_at_s0": [float(values[m][idx0]) for m in range(params.n_players)],
@@ -343,10 +343,10 @@ def cmd_simulate(args):
             turn, _, action = item.partition(":")
             plan[int(turn)] = int(action)
     if plan:
-        trace = simulate.run_with_forced_deviation(space, params, profile, args.deviator,
+        trace = simulate.run_with_forced_deviation(space, profile, args.deviator,
                                                    plan, idx0, turn_cap=args.turn_cap)
     else:
-        trace = simulate.run(space, params, profile, idx0, turn_cap=args.turn_cap)
+        trace = simulate.run(space, profile, idx0, turn_cap=args.turn_cap)
     if args.table:
         print(simulate.render_turn_table(trace))
         t = trace.capture_time

@@ -71,14 +71,14 @@ class Trace:
         return out
 
 
-def run(space: StateSpace, params: GameParams, profile, s0, turn_cap=None) -> Trace:
+def run(space: StateSpace, profile, s0, turn_cap=None) -> Trace:
     """Play `profile` from s0 until capture, a certified cycle, or the turn cap."""
-    return run_with_forced_deviation(space, params, profile, deviator=None,
+    return run_with_forced_deviation(space, profile, deviator=None,
                                      deviation_plan={}, s0=s0, turn_cap=turn_cap)
 
 
-def run_with_forced_deviation(space: StateSpace, params: GameParams, profile,
-                              deviator, deviation_plan, s0, turn_cap=None) -> Trace:
+def run_with_forced_deviation(space: StateSpace, profile, deviator, deviation_plan, s0,
+                              turn_cap=None) -> Trace:
     """Like `run`, but the deviator plays deviation_plan[t] at the listed turns.
 
     Everyone else reacts through the profile's own mode automaton, so a threat

@@ -9,6 +9,19 @@ next. States are packed into a mixed-radix integer
 so value vectors are flat arrays; the single terminal state takes the last
 index. Capture classification ignores the mover coordinate: a state is a
 capture state iff some pursuer token sits on the evader's vertex.
+
+Each per-state table takes the smallest signed integer dtype that holds its
+range, about 12 bytes a state in all at N=4:
+
+  * `positions` and `stay` (vertex ids, 0 for the null move): int8 up to 127
+    vertices, int16 up to 32767, int32 beyond;
+  * `mover` and `capture_count`: int8 (int16 past 127 players);
+  * the neighbourhood sizes behind `acount` (and the retrograde countdown):
+    int8 unless some closed neighbourhood has more than 127 vertices.
+
+They are signed so that a move's offset `a - stay` and the previous mover
+`mover - 2` come out negative rather than wrapping around. Index arithmetic
+promotes through the int64 `_stride`, so every state index stays int64.
 """
 
 from __future__ import annotations
@@ -37,6 +50,15 @@ TERMINAL = _Terminal()
 DEFAULT_STATE_CAP = 50_000_000
 
 
+def _signed(limit: int):
+    """Smallest signed integer dtype holding -limit..limit: the values 0..limit
+    and every difference of two of them."""
+    for dtype in (np.int8, np.int16):
+        if limit <= np.iinfo(dtype).max:
+            return dtype
+    return np.int32
+
+
 @dataclass(frozen=True, eq=False)
 class TurnBlock:
     """The non-capture rows where one player moves, with their successor and
@@ -46,7 +68,7 @@ class TurnBlock:
 
     rows: np.ndarray  # (m,) ascending state indices
     succ: np.ndarray  # (K, m) successor indices, right-padded like `nbr`
-    act: np.ndarray  # (K, m) action vertices aligned with `succ`, in the smallest dtype
+    act: np.ndarray  # (K, m) action vertices aligned with `succ`, in the dtype of `stay`
 
 
 @dataclass(frozen=True)
@@ -76,24 +98,26 @@ class StateSpace:
         self.n_states = n_nonterminal + 1
         self.terminal_index = n_nonterminal
 
-        idx = np.arange(n_nonterminal, dtype=np.int64)
-        self.mover = np.zeros(self.n_states, dtype=np.int64)
-        self.mover[:n_nonterminal] = idx % n_players + 1
-        self.positions = np.zeros((self.n_states, n_players), dtype=np.int64)
-        rest = idx // n_players
-        for i in reversed(range(n_players)):
-            self.positions[:n_nonterminal, i] = rest % v + 1
-            rest //= v
-        robber = self.positions[:, -1]
-        cop_on_robber = self.positions[:, :-1] == robber[:, None]
+        player = np.arange(n_players + 1)
+        self._stride = n_players * v ** (n_players - player)
+        self._turn = np.where(player < n_players, 1, 1 - n_players)
+
+        # Column i (player i + 1) cycles through 1..V in runs of stride[i + 1], V**i times.
+        vertex = _signed(v)
+        vertices = np.arange(1, v + 1, dtype=vertex)
+        self.positions = np.zeros((self.n_states, n_players), dtype=vertex)
+        for i in range(n_players):
+            self.positions[:n_nonterminal, i] = np.tile(np.repeat(vertices, self._stride[i + 1]), v**i)
+        player_id = _signed(n_players)
+        self.mover = np.zeros(self.n_states, dtype=player_id)
+        self.mover[:n_nonterminal] = np.tile(np.arange(1, n_players + 1, dtype=player_id), v**n_players)
+        cop_on_robber = self.positions[:, :-1] == self.positions[:, -1:]
         cop_on_robber[self.terminal_index] = False
-        self.is_capture = cop_on_robber.any(axis=1)
-        self.is_capture[self.terminal_index] = False
-        self.capture_count = cop_on_robber.sum(axis=1)
         self._cop_on_robber = cop_on_robber
-        self.is_nonterminal = np.ones(self.n_states, dtype=bool)
-        self.is_nonterminal[self.terminal_index] = False
-        self.is_noncapture = self.is_nonterminal & ~self.is_capture
+        self.is_capture = cop_on_robber.any(axis=1)
+        self.capture_count = cop_on_robber.sum(axis=1, dtype=player_id)
+        self.is_noncapture = ~self.is_capture
+        self.is_noncapture[self.terminal_index] = False
         # The move model. The mover steps within the closed neighbourhood of his
         # own vertex `stay`: row u of `nbr` is N[u] ascending, right-padded with
         # its first entry, and row 0 holds the null move of capture and terminal
@@ -102,12 +126,11 @@ class StateSpace:
         hoods = [[NULL_MOVE]] + [graph.closed_neighborhood(u) for u in range(1, v + 1)]
         width = max(len(h) for h in hoods)
         self.nbr = np.array([h + h[:1] * (width - len(h)) for h in hoods], dtype=np.int64)
-        self._hood_size = np.array([len(h) for h in hoods], dtype=np.int64)
-        self.stay = self.positions[np.arange(self.n_states), self.mover - 1]
-        self.stay[~self.is_noncapture] = NULL_MOVE
-        player = np.arange(n_players + 1)
-        self._stride = n_players * v ** (n_players - player)
-        self._turn = np.where(player < n_players, 1, 1 - n_players)
+        self._hood_size = np.array([len(h) for h in hoods], dtype=_signed(width))
+        self.stay = np.zeros(self.n_states, dtype=vertex)
+        for i in range(n_players):  # the mover of index j is player j % N + 1
+            self.stay[i:n_nonterminal:n_players] = self.positions[i:n_nonterminal:n_players, i]
+        self.stay[self.is_capture] = NULL_MOVE
         self._succ = None
         self._blocks = {}
 
@@ -235,7 +258,7 @@ class StateSpace:
             succ = np.empty(hood.shape, dtype=np.int64)
             for j, moves in enumerate(hood):
                 succ[j] = self._step(rows, moves)
-            act = hood.astype(np.min_scalar_type(self.n_vertices), order="C")
+            act = hood.astype(self.stay.dtype, order="C")
             for a in (rows, succ, act):
                 a.flags.writeable = False
             block = self._blocks[player] = TurnBlock(rows, succ, act)

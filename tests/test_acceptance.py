@@ -242,7 +242,7 @@ def test_criterion_08_noncapturing_constructions():
     params = GameParams(3, 0.9, 0.25)
     constr = build_noncapturing_ne(space)
     assert constr.s0 == (1, 1, 3, 1)
-    trace = run(space, params, constr.profile, constr.s0_index)
+    trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle" and trace.capture_time == math.inf
     rep = verify_noncapturing_ne(space, params, constr, tol=NE_TOL)
     assert rep.is_ne

@@ -26,7 +26,6 @@ from scar.graph import (
 )
 from scar.profiles import PositionalProfile, validate_moves
 from scar.simulate import run
-from scar.payoffs import GameParams
 from scar.states import build_state_space
 
 
@@ -77,6 +76,8 @@ def test_capture_states_are_zero():
     (build_graph(1, []), 2),  # every state captures: no frontier state has a predecessor
     (dodecahedron_graph(), 3),  # 24,001 states, escape states as on Petersen
     (cycle_graph(4), 5), (path_graph(3), 5),  # N=5: player 1's predecessors wrap to player 5
+    (path_graph(200), 2),  # past 127 vertices: int16 positions
+    (star_graph(150), 2),  # the centre's closed neighbourhood needs int16 sizes too
 ])
 def test_oracle_agrees_with_attractor(g, n):
     space = build_state_space(g, n)
@@ -209,12 +210,11 @@ def test_extracted_strategies_achieve_table_times():
         moves = extract_cr_optimal_moves(space, table)
         validate_moves(space, moves)
         profile = PositionalProfile(space, moves)
-        params = GameParams(n, 0.5, 0.25)
         nc = np.flatnonzero(space.is_noncapture)
         rng = np.random.default_rng(3)
         for idx in rng.choice(nc, size=min(60, nc.size), replace=False):
             t = table.time_of(int(idx))
-            trace = run(space, params, profile, int(idx))
+            trace = run(space, profile, int(idx))
             if t == math.inf:
                 assert trace.termination == "cycle"
             else:

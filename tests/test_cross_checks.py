@@ -70,11 +70,11 @@ def test_threat_ne_survives_simulated_deviations(g, n_players, gamma, eps):
     nc = np.flatnonzero(space.is_noncapture)
     starts = rng.choice(nc, size=min(12, nc.size), replace=False)
     for s0 in starts:
-        base_pay = payoffs_of(params, run(space, params, threat, int(s0)))
+        base_pay = payoffs_of(params, run(space, threat, int(s0)))
         for player in range(1, n_players + 1):
             for _ in range(25):
                 dev = _UnilateralDeviation(threat, player, _random_moves_for(space, player, rng))
-                pay = payoffs_of(params, run(space, params, dev, int(s0)))
+                pay = payoffs_of(params, run(space, dev, int(s0)))
                 assert pay[player - 1] <= base_pay[player - 1] + 1e-8
 
 
@@ -87,11 +87,11 @@ def test_capturing_threat_survives_simulated_deviations():
     rng = np.random.default_rng(4)
     nc = np.flatnonzero(space.is_noncapture)
     for s0 in rng.choice(nc, size=10, replace=False):
-        base_pay = payoffs_of(params, run(space, params, threat, int(s0)))
+        base_pay = payoffs_of(params, run(space, threat, int(s0)))
         for player in (1, 2, 3):
             for _ in range(20):
                 dev = _UnilateralDeviation(threat, player, _random_moves_for(space, player, rng))
-                pay = payoffs_of(params, run(space, params, dev, int(s0)))
+                pay = payoffs_of(params, run(space, dev, int(s0)))
                 assert pay[player - 1] <= base_pay[player - 1] + 1e-8
 
 
@@ -105,7 +105,7 @@ def test_noncapturing_ne_survives_simulated_deviations():
         for _ in range(200):
             dev = _UnilateralDeviation(constr.profile, player,
                                        _random_moves_for(space, player, rng))
-            trace = run(space, params, dev, constr.s0_index)
+            trace = run(space, dev, constr.s0_index)
             pay = payoffs_of(params, trace)
             assert pay[player - 1] <= 1e-8  # cooperative payoff is zero
 

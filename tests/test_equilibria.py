@@ -339,8 +339,8 @@ def test_threat_profile_is_ne_on_tree(tree9_space):
 def test_threat_equilibrium_path_is_cooperative(tree9_space):
     params = GameParams(3, 0.9, 0.25)
     threat = build_threat_profile(Game(tree9_space, params))
-    a = run(tree9_space, params, threat, (6, 1, 4, 1))
-    b = run(tree9_space, params, threat.cooperative, (6, 1, 4, 1))
+    a = run(tree9_space, threat, (6, 1, 4, 1))
+    b = run(tree9_space, threat.cooperative, (6, 1, 4, 1))
     assert a.states == b.states
 
 
@@ -382,7 +382,7 @@ def test_robber_deviation_meets_full_pursuit():
     s0 = (1, 2, 3, 3)  # robber moves first
     prescribed = threat.cooperative.prescribed(space.index_of(s0))
     other = [a for a in space.actions(s0, 3) if a != prescribed][0]
-    trace = run_with_forced_deviation(space, params, threat, 3, {1: other}, s0)
+    trace = run_with_forced_deviation(space, threat, 3, {1: other}, s0)
     assert trace.steps[0].mode == ("punish", 3)
     assert trace.termination == "captured"
 
@@ -494,7 +494,7 @@ def test_noncapturing_ne_on_c4(c4_space):
     params = GameParams(3, 0.9, 0.25)
     constr = build_noncapturing_ne(space)
     assert constr.s0 == (1, 1, 3, 1)
-    trace = run(space, params, constr.profile, constr.s0_index)
+    trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle"
     assert trace.capture_time == math.inf
     report = verify_noncapturing_ne(space, params, constr)
@@ -529,7 +529,7 @@ def test_noncapturing_on_petersen():
     space = build_state_space(petersen_graph(), 3)
     params = GameParams(3, 0.5, 0.25)
     constr = build_noncapturing_ne(space)
-    trace = run(space, params, constr.profile, constr.s0_index)
+    trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle"
     report = verify_noncapturing_ne(space, params, constr)
     assert report.is_ne

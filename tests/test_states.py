@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,46 @@ def test_predecessors_invert_the_successor_table(name, n):
     for t in targets.tolist():
         assert sorted(space.predecessors(np.array([t])).tolist()) == into[t]
     assert sorted(space.predecessors(targets).tolist()) == sorted(s for ps in into for s in ps)
+
+
+@pytest.mark.parametrize("name", ["path:200", "star:150"])
+def test_wide_graph_tables(name):
+    """Past 127 vertices positions take int16, signed so that `move - stay`
+    cannot wrap; the star's centre also needs an int16 neighbourhood size."""
+    space = build_state_space(builtin_graph(name), 2)
+    v = space.n_vertices
+    assert space.positions.dtype == space.stay.dtype == np.int16
+    first, last = (1, 1, 1), (v, v, 2)
+    assert space.state_at(0) == first and space.index_of(first) == 0
+    assert space.state_at(space.terminal_index - 1) == last
+    assert space.index_of(last) == space.terminal_index - 1
+    succ, acount = space.succ, space.acount
+    assert acount.max() == max(len(space.graph.closed_neighborhood(u)) for u in range(1, v + 1))
+    rng = np.random.default_rng(5)
+    nc = np.flatnonzero(space.is_noncapture)
+    # the high rows put the mover on vertices past 127
+    for idx in np.concatenate([rng.choice(nc, size=150, replace=False), nc[-150:]]).tolist():
+        mover = space.state_at(idx)[-1]
+        acts = space.actions(idx, mover)
+        assert acount[idx] == len(acts)
+        for j, a in enumerate(acts):
+            assert space.state_at(int(succ[idx, j])) == space.transition(idx, a)
+            assert succ[idx, j] == space.transition_index(idx, a)
+
+
+def test_table_memory_and_dtypes():
+    """Petersen with N=4 (40,001 states): every per-state table is int8 or bool,
+    about 12 bytes a state in all, and building them peaks within 24 (int64
+    tables held 62 and peaked at 94)."""
+    g = builtin_graph("petersen")
+    tracemalloc.start()
+    try:
+        space = build_state_space(g, 4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for table in (space.positions, space.mover, space.stay, space.capture_count,
+                  space._hood_size, space.acount):
+        assert table.dtype == np.int8
+    assert held <= 16 * space.n_states
+    assert peak <= 24 * space.n_states
