@@ -3,7 +3,8 @@
 Claims that quantify over the whole parameter rectangle are checked on a
 sampled grid (exhaustive over initial states, sampled over (gamma, eps)); every
 report states that scope and a failing instance always carries a replayable
-scenario.
+scenario. A suite solves two capture tables, its own N-player one and the
+one-pursuer one, and reads every hypothesis on the cop number off them.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
             result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(tuple(s0)))
         return result
     if kind == "noncapturing":
-        constr = equilibria.build_noncapturing_ne(space, s0=s0, state_cap=state_cap)
+        table1 = exact_capture_times(build_state_space(space.graph, 2, state_cap))
+        constr = equilibria.build_noncapturing_ne(space, table1, s0=s0)
         rep = equilibria.verify_noncapturing_ne(space, params, constr, tol=tol)
         trace = run(space, constr.profile, constr.s0_index)
         return {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
@@ -179,19 +181,20 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     """Run every capture/escape guarantee whose hypothesis the graph satisfies.
 
     Grid-quantified claims are sampled on the grid and exhaustive over starts;
-    the scope string says so explicitly.
+    the scope string says so explicitly. No cop-number search runs: the
+    N-player and one-pursuer tables decide every hypothesis.
     """
     if grid is None:
         grid = make_grid(n_players)
     space = build_state_space(g, n_players, state_cap)
     table = exact_capture_times(space)
-    # The suites only tell c <= N-1 from c >= N, so the search stops at N-1
-    # pursuers; None means c >= N.
-    c = cop_number(g, max_cops=n_players - 1, state_cap=state_cap).value
+    # The hypotheses split the cop number c at 1 and at N-1. A pursuer who
+    # stays put never helps the evader, so c <= N-1 iff the N-1 pursuers of
+    # `table` capture from every start, and c == 1 iff one pursuer does.
+    table1 = table if n_players == 2 else exact_capture_times(build_state_space(g, 2, state_cap))
+    capturing = table.finite_on_noncapture()
+    cop_win = table1.finite_on_noncapture()
     scope = f"sampled {len(grid.gammas)}x{len(grid.epsilons)} (gamma, eps) grid, all initial states"
-
-    capturing = c is not None
-    noncapturing = c is None or c >= 2
     threat_rep = TheoremReport(
         "threat-ne-exists",
         "the mutual-threat profile is an equilibrium from every start",
@@ -207,16 +210,15 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
             "under gamma < eps/(1-eps) the canonical optimal pursuit is itself an equilibrium",
             scope + " (grid points inside the region only)")
         reports += [cap_rep, omega_rep]
-        bound = t_n_max(space, table)
-    if c == 1:
+        bound = t_n_max(table)
+    if cop_win:
         # The capturing guarantee rests on a deviation that earns at least the
         # bystander share of a capture many turns out. At eps = 0 that share is
         # exactly zero (surrendering punishers cost nothing, so non-capturing
         # equilibria exist even here), and under heavy discounting it drops
         # below any float verification tolerance; the claim is only testable
         # where the incentive stays resolvable.
-        space2 = build_state_space(g, 2, state_cap)
-        horizon = n_players * t_n_max(space2, exact_capture_times(space2))
+        horizon = n_players * t_n_max(table1)
         copwin_rep = TheoremReport(
             "cop-win-all-ne-capturing",
             "on a pursuer-win graph every verified equilibrium captures from every start",
@@ -224,12 +226,12 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                     " above 10x the gap tolerance (elsewhere the deviation incentive is"
                     " smaller than anything float verification can resolve)")
         reports.append(copwin_rep)
-    if noncapturing:
+    else:
         nonc_rep = TheoremReport(
             "noncapturing-ne-exists",
             "with cop number >= 2 some start admits a non-capturing equilibrium",
             scope + ", at the stacked-pursuers start")
-        construction = equilibria.build_noncapturing_ne(space, state_cap=state_cap)
+        construction = equilibria.build_noncapturing_ne(space, table1)
         # cooperative play does not depend on (gamma, eps)
         termination = run(space, construction.profile, construction.s0_index).termination
         reports.append(nonc_rep)
@@ -265,7 +267,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                 omega_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
                                  scenario(gamma, eps, profile="cr-optimal"))
 
-        if c == 1:
+        if cop_win:
             if eps <= 0.0 or eps * gamma**horizon <= 10 * tol:
                 copwin_rep.instances.append(
                     {"passed": None, "skipped": True, "gamma": gamma, "epsilon": eps,
@@ -279,7 +281,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                                       scenario(gamma, eps, profile=kind))
 
         del game, verdicts, ver  # the point's tables, games and verdicts
-        if noncapturing:
+        if not cop_win:
             ver = equilibria.verify_noncapturing_ne(space, params, construction, tol=tol)
             nonc_rep.record(termination == "cycle" and ver.is_ne,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
@@ -288,12 +290,12 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                             scenario(gamma, eps, s0=list(construction.s0),
                                      profile="noncapturing"))
 
-    if c is None:
+    if not capturing:
         escape_rep = TheoremReport(
             "escape-start-forces-noncapture",
             "with cop number >= N some start makes every equilibrium non-capturing",
             "exact capture-time table, exhaustive over starts")
-        witness = escape_start_witness(space, table)
+        witness = escape_start_witness(table)
         escape_rep.record(witness is not None,
                           {"witness_s0": list(space.state_at(witness)) if witness is not None else None},
                           _scenario(g, n_players))
@@ -302,7 +304,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     return reports
 
 
-def escape_start_witness(space, table):
+def escape_start_witness(table):
     """An initial state from which the evader escapes all N-1 pursuers, if any.
 
     The exact table is the certificate: from such a start the evader's optimal
@@ -341,8 +343,8 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
     n_players = k + 1
     if grid is None:
         grid = make_grid(n_players)
-    space = build_state_space(g, n_players, state_cap)
-    table = exact_capture_times(space)
+    table = cnum.table  # the k-pursuer table that decided c
+    space = table.space
     diag = grid.points()[:: max(1, len(grid.points()) // sample_points)][:sample_points]
     for gamma, eps in diag:
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))
@@ -352,9 +354,9 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
         report.verified_points.append({"gamma": gamma, "epsilon": eps, "ok": ok})
         report.consistent = report.consistent and ok
     if k >= 2:
-        small = build_state_space(g, k, state_cap)  # K-1 = k-1 pursuers
-        witness = escape_start_witness(small, exact_capture_times(small))
-        report.escape_witness = (list(small.state_at(witness)) if witness is not None else None)
+        small = exact_capture_times(build_state_space(g, k, state_cap))  # K-1 = k-1 pursuers
+        witness = escape_start_witness(small)
+        report.escape_witness = list(small.space.state_at(witness)) if witness is not None else None
         report.consistent = report.consistent and witness is not None
     return report
 

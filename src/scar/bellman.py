@@ -125,9 +125,6 @@ def greedy_moves(space, values, movers, maximize=True):
             near_best = gathered >= gathered.max(axis=0) - TIE_TOL
         else:
             near_best = gathered <= gathered.min(axis=0) + TIE_TOL
-        # some slot is the best, so the last one is taken only when no earlier one is
-        move = block.act[-1]
-        for hit, act in zip(near_best[-2::-1], block.act[-2::-1]):
-            move = np.where(hit, act, move)
-        moves[block.rows] = move
+        first = near_best.argmax(axis=0)  # the first True slot
+        moves[block.rows] = np.take_along_axis(block.act, first[None], axis=0)[0]
     return moves

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class CaptureTimeTable:
     @functools.cached_property
     def cr_optimal_moves(self) -> np.ndarray:
         """`extract_cr_optimal_moves` of this table, computed once and read-only."""
-        moves = extract_cr_optimal_moves(self.space, self)
+        moves = extract_cr_optimal_moves(self)
         moves.flags.writeable = False
         return moves
 
@@ -114,9 +114,9 @@ def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
     return CaptureTimeTable(space, times)
 
 
-def t_n_max(space: StateSpace, table: CaptureTimeTable):
+def t_n_max(table: CaptureTimeTable):
     """Worst-case optimal capture time over all non-capture starts; inf if any escape."""
-    vals = table.times[space.is_noncapture]
+    vals = table.times[table.space.is_noncapture]
     if vals.size == 0:
         return 0
     if (vals < 0).any():
@@ -128,18 +128,14 @@ def t_n_max(space: StateSpace, table: CaptureTimeTable):
 class CopNumberResult:
     value: int | None  # None when every k <= max_cops still lets the evader escape
     finite_by_cops: dict  # k -> whether k pursuers force capture from every start
-
-    def __int__(self):
-        if self.value is None:
-            raise ValueError("cop number exceeds the searched range")
-        return self.value
+    table: CaptureTimeTable | None = field(compare=False, repr=False)  # the last k's, the deciding one
 
 
 def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
                solver=exact_capture_times) -> CopNumberResult:
     """Least k <= max_cops whose k-pursuer game is capture-guaranteed everywhere."""
     finite_by_cops = {}
-    value = None
+    value = table = None
     for k in range(1, max_cops + 1):
         try:
             space = build_state_space(g, k + 1, state_cap)
@@ -150,7 +146,7 @@ def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
         if finite_by_cops[k]:
             value = k
             break
-    return CopNumberResult(value, finite_by_cops)
+    return CopNumberResult(value, finite_by_cops, table)
 
 
 @dataclass
@@ -179,15 +175,20 @@ def gamma_power_times(gamma: float, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_cr_optimal_moves(space: StateSpace, table: CaptureTimeTable) -> np.ndarray:
+def extract_cr_optimal_moves(table: CaptureTimeTable) -> np.ndarray:
     """Canonical optimal move per non-capture state, straight off the exact table.
 
     Pursuer turns pick the first successor minimizing T, evader turns the first
     maximizing it (escape counts as +inf). Play under these moves reaches a
     capture state after exactly T(s0) turns whenever T(s0) is finite.
     """
-    # integer times and the sentinel are exact in float64, so the scan's tie slack never bites
-    keyed = np.where(table.times >= 0, table.times, _NEVER).astype(float)
-    n = space.n_players
-    return (bellman.greedy_moves(space, keyed, range(1, n), maximize=False)
-            + bellman.greedy_moves(space, keyed, (n,), maximize=True))
+    space = table.space
+    keyed = np.where(table.times >= 0, table.times, _NEVER)
+    moves = np.zeros(space.n_states, dtype=np.int64)
+    for p in range(1, space.n_players + 1):
+        block = space.turn_block(p)
+        gathered = keyed[block.succ]
+        # padded slots repeat slot 0, so the first optimum is always a real slot
+        best = gathered.argmax(axis=0) if p == space.n_players else gathered.argmin(axis=0)
+        moves[block.rows] = np.take_along_axis(block.act, best[None], axis=0)[0]
+    return moves

@@ -13,11 +13,12 @@ play covers every deviating strategy. That MDP depends only on the punishers'
 moves off the deviator's own rows, so the threat verifier takes every threat
 profile of one game at once and solves it once per deviator and distinct
 punishment.
-The non-capturing construction is judged at its one start only: against the
-frozen rest a deviator plays a deterministic one-player game, whose value at
-the start a forward search over the reachable (state, mode) pairs gives exactly.
-The search does not depend on (gamma, eps), so each construction runs it once
-per player and only the discounting is redone per parameter point.
+The non-capturing construction reads its start and evasion off the
+one-pursuer capture table it is handed, and is judged at that start only:
+against the frozen rest a deviator plays a deterministic one-player game,
+whose value at the start a forward search over the reachable (state, mode)
+pairs gives exactly. The search does not depend on (gamma, eps), so each
+construction runs it once per player and only the discounting is redone.
 
 Solvers and verifiers take a `Game`, one state space at one parameter point,
 which builds its turn-payoff table and its N auxiliary player-vs-coalition
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bellman
-from .cr import CaptureTimeTable, exact_capture_times
+from .cr import CaptureTimeTable
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
 from .payoffs import GameParams, turn_payoff, turn_payoff_matrix
 from .profiles import (
@@ -59,7 +60,7 @@ from .profiles import (
     merge_cop_moves,
 )
 from .simulate import exact_profile_values, profile_outcomes
-from .states import DEFAULT_STATE_CAP, StateSpace, build_state_space
+from .states import StateSpace
 
 DEFAULT_NE_TOL = 1e-8
 
@@ -412,21 +413,25 @@ class NonCapturingConstruction:
                 for player in range(1, self.profile.space.n_players + 1)]
 
 
-def build_noncapturing_ne(space: StateSpace, s0=None,
-                          state_cap: int = DEFAULT_STATE_CAP) -> NonCapturingConstruction:
+def build_noncapturing_ne(space: StateSpace, table1: CaptureTimeTable,
+                          s0=None) -> NonCapturingConstruction:
     """Stack all pursuers on one vertex against an evader who can dodge one of them.
 
-    Qualifying starts are (x, ..., x, y, 1) where the single-pursuer game from
-    (x, y) with the pursuer to move is an evader win. NotApplicableError on
-    pursuer-win graphs, where no such start exists.
+    `table1` is the exact capture-time table of the one-pursuer game on the
+    same graph. Qualifying starts are (x, ..., x, y, 1) where that game from
+    (x, y) with the pursuer to move is an evader win; the default is the first
+    in (x, y) order. NotApplicableError on pursuer-win graphs, where no such
+    start exists.
     """
-    space2 = build_state_space(space.graph, 2, state_cap)
-    table2 = exact_capture_times(space2)
-    if table2.finite_on_noncapture():
+    space1 = table1.space
+    if space1.n_players != 2 or space1.graph != space.graph:
+        raise ValidationError("table1 must be the one-pursuer table of the same graph")
+    if table1.finite_on_noncapture():
         raise NotApplicableError("one pursuer already wins this graph from every start")
-    v = space.graph.vertex_count
     if s0 is None:
-        s0 = _first_qualifying_start(space, space2, table2)
+        escapes = table1.escape_states()
+        x, y = space1.positions[escapes[space1.mover[escapes] == 1][0]]
+        s0 = (int(x),) * (space.n_players - 1) + (int(y), 1)
     idx0 = space._as_index(s0)
     s0 = space.state_at(idx0)
     positions = s0[:-1]
@@ -434,27 +439,15 @@ def build_noncapturing_ne(space: StateSpace, s0=None,
     if mover != 1 or any(p != x for p in positions[:-1]):
         raise ValidationError(
             f"start {s0!r} is not of the stacked form (x, ..., x, y, 1)")
-    if table2.times[space2.index_of((x, y, 1))] >= 0:
+    if table1.times[space1.index_of((x, y, 1))] >= 0:
         raise ValidationError(
             f"start {s0!r} does not qualify: one pursuer at {x} catches the evader at {y}")
-    evade = np.zeros((v + 1, v + 1), dtype=np.int64)
-    moves2 = table2.cr_optimal_moves
-    for c in range(1, v + 1):
-        for r in range(1, v + 1):
-            if c != r:
-                evade[c, r] = moves2[space2.index_of((c, r, 2))]
+    # evasion move per (pursuer vertex, own vertex), read off the evader's rows
+    evader_rows = space1.turn_block(2).rows
+    evade = np.zeros((space.graph.vertex_count + 1,) * 2, dtype=np.int64)
+    evade[tuple(space1.positions[evader_rows].T)] = table1.cr_optimal_moves[evader_rows]
     profile = NonCapturingProfile(space, merge_cop_moves(space), evade, idx0)
     return NonCapturingConstruction(profile, idx0, s0)
-
-
-def _first_qualifying_start(space, space2, table2):
-    for x in range(1, space.graph.vertex_count + 1):
-        for y in range(1, space.graph.vertex_count + 1):
-            if y == x:
-                continue
-            if table2.times[space2.index_of((x, y, 1))] < 0:
-                return tuple([x] * (space.n_players - 1)) + (y, 1)
-    raise NotApplicableError("no qualifying stacked start found")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllegalMoveError
+from .graph import Graph
 from .states import NULL_MOVE, StateSpace
 
 
@@ -96,18 +97,25 @@ class ThreatProfile:
         return mode
 
 
+def _distance_table(g: Graph) -> np.ndarray:
+    """(V+1) x (V+1) shortest-path distances between 1-based vertex ids; row and
+    column 0 are unused."""
+    dist = np.zeros((g.vertex_count + 1, g.vertex_count + 1), dtype=np.int64)
+    for v in range(1, g.vertex_count + 1):
+        dist[v] = g.distances_from(v)
+    return dist
+
+
 def greedy_cop_moves(space: StateSpace, cop: int) -> np.ndarray:
     """Single-minded pursuit for one pursuer: step to the neighbor (or stay)
     closest to the evader's current vertex, lowest vertex id on ties."""
-    g = space.graph
+    dist = _distance_table(space.graph)
     moves = np.zeros(space.n_states, dtype=np.int64)
     rows = np.flatnonzero(space.is_noncapture & (space.mover == cop))
-    robber = space.positions[rows, -1]
-    here = space.stay[rows]
-    for i, s in enumerate(rows):
-        target_dist = g.distances_from(int(robber[i]))
-        options = g.closed_neighborhood(int(here[i]))
-        moves[s] = min(options, key=lambda a: (target_dist[a], a))
+    options = space.nbr[space.stay[rows]]
+    # padded slots repeat slot 0, so the first closest slot is the lowest closest vertex
+    nearest = dist[space.positions[rows, -1][:, None], options].argmin(axis=1)
+    moves[rows] = options[np.arange(rows.size), nearest]
     return moves
 
 
@@ -171,10 +179,7 @@ def merge_cop_moves(space: StateSpace) -> np.ndarray:
     A pursuer stays while every pursuer shares his vertex; otherwise he steps
     to the lowest vertex one closer to the lowest-indexed pursuer elsewhere.
     """
-    g = space.graph
-    dist = np.zeros((g.vertex_count + 1, g.vertex_count + 1), dtype=np.int64)
-    for v in range(1, g.vertex_count + 1):
-        dist[v] = g.distances_from(v)
+    dist = _distance_table(space.graph)
     rows = np.flatnonzero(space.is_noncapture & (space.mover < space.n_players))
     here = space.stay[rows]
     cops = space.positions[rows, :space.n_players - 1]

@@ -240,7 +240,7 @@ def test_criterion_08_noncapturing_constructions():
     started = time.perf_counter()
     space = build_state_space(cycle_graph(4), 3)
     params = GameParams(3, 0.9, 0.25)
-    constr = build_noncapturing_ne(space)
+    constr = build_noncapturing_ne(space, exact_capture_times(build_state_space(cycle_graph(4), 2)))
     assert constr.s0 == (1, 1, 3, 1)
     trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle" and trace.capture_time == math.inf
@@ -250,7 +250,7 @@ def test_criterion_08_noncapturing_constructions():
     # table certifies an escape start, so every equilibrium there is non-capturing
     pspace = build_state_space(petersen_graph(), 3)
     ptable = exact_capture_times(pspace)
-    witness = escape_start_witness(pspace, ptable)
+    witness = escape_start_witness(ptable)
     assert witness is not None
     assert ptable.times[witness] < 0
     _report(8, started,

@@ -11,9 +11,9 @@ from scar.analysis import (
     sweep_csv,
     theorem_suite,
 )
-from scar.cr import exact_capture_times
+from scar.cr import cop_number, exact_capture_times
 from scar.errors import ValidationError
-from scar.graph import cycle_graph, path_graph, petersen_graph
+from scar.graph import cycle_graph, path_graph, petersen_graph, star_graph
 from scar.payoffs import GameParams
 from scar.states import build_state_space
 
@@ -157,9 +157,9 @@ def test_theorem_suite_extracts_optimal_moves_once_per_table(monkeypatch):
     calls = []
     extract = cr.extract_cr_optimal_moves
 
-    def counting(space, table):
-        calls.append(space.n_players)
-        return extract(space, table)
+    def counting(table):
+        calls.append(table.space.n_players)
+        return extract(table)
 
     monkeypatch.setattr(cr, "extract_cr_optimal_moves", counting)
     reports = {r.theorem_id for r in theorem_suite(cycle_graph(4), 4, grid=small_grid(4))}
@@ -186,21 +186,82 @@ def test_theorem_suite_searches_noncapturing_start_once_per_player(monkeypatch):
     reports = {r.theorem_id: r for r in theorem_suite(g, 4)}
     assert sorted(calls) == [1, 2, 3, 4]
     space = build_state_space(g, 4)
+    table1 = exact_capture_times(build_state_space(g, 2))
     instances = reports["noncapturing-ne-exists"].instances
     assert len(instances) == 25
     for inst in instances:
         params = GameParams(4, inst["gamma"], inst["epsilon"])
-        fresh = equilibria.build_noncapturing_ne(space)
+        fresh = equilibria.build_noncapturing_ne(space, table1)
         assert inst["gains"] == equilibria.verify_noncapturing_ne(space, params, fresh).per_player_gain
+
+
+def _ids_by_cop_number(g, n):
+    """Suite ids by the hypotheses each suite states on the cop number c."""
+    c = cop_number(g, max_cops=n - 1).value  # None: c >= N
+    ids = ["threat-ne-exists"]
+    if c is not None:
+        ids += ["capturing-ne-exists", "cr-optimal-ne-on-omega-tilde"]
+    if c == 1:
+        ids.append("cop-win-all-ne-capturing")
+    if c is None or c >= 2:
+        ids.append("noncapturing-ne-exists")
+    if c is None:
+        ids.append("escape-start-forces-noncapture")
+    return ids
+
+
+@pytest.mark.parametrize("g, n", [(g, n) for g in (path_graph(4), cycle_graph(4), cycle_graph(5),
+                                                   star_graph(5)) for n in (2, 3, 4)]
+                         + [(petersen_graph(), 2), (petersen_graph(), 3)])
+def test_suite_hypotheses_match_cop_number(g, n):
+    """The suites read c <= N-1 off the N-player table and c == 1 off the
+    one-pursuer table; they run what a cop-number search would choose."""
+    grid = make_grid(n, gammas=[0.5], epsilons=[0.5 / (n - 1)])
+    assert [r.theorem_id for r in theorem_suite(g, n, grid=grid)] == _ids_by_cop_number(g, n)
+
+
+def _count_builds(monkeypatch):
+    """Player counts of every state space built and every capture table solved,
+    wherever a `scar` module binds the two functions; a cop-number search fails."""
+    import scar
+    from scar import analysis, cr, states
+
+    calls = {"build_state_space": [], "exact_capture_times": []}
+    for name, fn, players in (("build_state_space", states.build_state_space, lambda r: r.n_players),
+                              ("exact_capture_times", cr.exact_capture_times,
+                               lambda r: r.space.n_players)):
+        def counting(*args, _fn=fn, _calls=calls[name], _players=players, **kwargs):
+            result = _fn(*args, **kwargs)
+            _calls.append(_players(result))
+            return result
+        for mod in vars(scar).values():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("cop-number search")
+
+    monkeypatch.setattr(analysis, "cop_number", no_search)
+    return calls
+
+
+@pytest.mark.parametrize("g, n, players", [(cycle_graph(8), 4, [2, 4]), (cycle_graph(5), 2, [2])])
+def test_theorem_suite_solves_two_capture_tables(monkeypatch, g, n, players):
+    """Its own N-player table and the one-pursuer table, one of each; at N = 2
+    they are the same table."""
+    calls = _count_builds(monkeypatch)
+    theorem_suite(g, n, grid=small_grid(n))
+    assert sorted(calls["build_state_space"]) == players
+    assert sorted(calls["exact_capture_times"]) == players
 
 
 def test_escape_witness():
     space = build_state_space(petersen_graph(), 3)
     table = exact_capture_times(space)
-    w = escape_start_witness(space, table)
+    w = escape_start_witness(table)
     assert w is not None and table.times[w] < 0
     copwin = build_state_space(path_graph(4), 2)
-    assert escape_start_witness(copwin, exact_capture_times(copwin)) is None
+    assert escape_start_witness(exact_capture_times(copwin)) is None
 
 
 def test_payoff_equivalence_small():

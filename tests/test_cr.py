@@ -40,7 +40,7 @@ def test_k2_hand_derived():
     space = build_state_space(path_graph(2), 2)
     table = exact_capture_times(space)
     assert table.time_of((1, 2, 2)) == 2  # robber must stay, then the cop steps on
-    assert t_n_max(space, table) == 2
+    assert t_n_max(table) == 2
 
 
 def test_c4_evader_escapes():
@@ -48,7 +48,7 @@ def test_c4_evader_escapes():
     table = exact_capture_times(space)
     for s in [(1, 3, 1), (1, 3, 2), (2, 4, 1)]:
         assert table.time_of(s) == math.inf
-    assert t_n_max(space, table) == math.inf
+    assert t_n_max(table) == math.inf
     # exact characterization: the only pursuer wins are adjacent evaders on the
     # pursuer's own turn (one-step grabs); from everywhere else distance 2 is
     # maintained forever
@@ -207,7 +207,7 @@ def test_extracted_strategies_achieve_table_times():
     for g, n in ((path_graph(4), 2), (cycle_graph(5), 3), (delayed_capture_graph(), 3)):
         space = build_state_space(g, n)
         table = exact_capture_times(space)
-        moves = extract_cr_optimal_moves(space, table)
+        moves = extract_cr_optimal_moves(table)
         validate_moves(space, moves)
         profile = PositionalProfile(space, moves)
         nc = np.flatnonzero(space.is_noncapture)
@@ -235,11 +235,11 @@ def _argpick_moves(space, table):
 
 @pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4), (petersen_graph(), 3)])
 def test_extracted_moves_match_integer_first_optimum_scan(g, n):
-    """The float scan of `greedy_moves` picks what an integer argmin/argmax picks:
-    times below 2**53 and the escape sentinel 2**62 are exact in float64."""
+    """The per-block first optimum equals an independent argmin/argmax scan of
+    the integer keyed times over the dense successor table."""
     space = build_state_space(g, n)
     table = exact_capture_times(space)
-    assert np.array_equal(extract_cr_optimal_moves(space, table), _argpick_moves(space, table))
+    assert np.array_equal(extract_cr_optimal_moves(table), _argpick_moves(space, table))
 
 
 def test_gamma_power_maps_escape_to_zero():

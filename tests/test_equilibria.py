@@ -187,7 +187,7 @@ def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
     params = GameParams(n, 0.9, 0.25)
     q = turn_payoff_matrix(space, params)
     threat = build_threat_profile(Game(space, params))
-    frozen = [extract_cr_optimal_moves(space, exact_capture_times(space))]
+    frozen = [extract_cr_optimal_moves(exact_capture_times(space))]
     frozen += [threat.punishments[d].move for d in range(1, n + 1)]
     for moves in frozen:
         frozen_succ = space.succ_of_moves(moves)
@@ -363,7 +363,7 @@ def test_capturing_threat_respects_time_bound():
     threat = build_capturing_threat_ne(game, table)
     [report] = verify_threat_ne(game, [threat])
     assert report.is_ne and report.captures_everywhere()
-    bound = t_n_max(space, table)
+    bound = t_n_max(table)
     assert report.cooperative_turns[space.is_noncapture].max() <= bound
 
 
@@ -489,10 +489,15 @@ def test_positional_sweeps_stop_at_the_exact_fixpoint(graph, gamma, eps):
 
 # -- non-capturing construction ----------------------------------------------
 
+def _table1(space):
+    """The one-pursuer capture-time table of the space's graph."""
+    return exact_capture_times(build_state_space(space.graph, 2))
+
+
 def test_noncapturing_ne_on_c4(c4_space):
     space = c4_space
     params = GameParams(3, 0.9, 0.25)
-    constr = build_noncapturing_ne(space)
+    constr = build_noncapturing_ne(space, _table1(space))
     assert constr.s0 == (1, 1, 3, 1)
     trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle"
@@ -504,7 +509,7 @@ def test_noncapturing_ne_on_c4(c4_space):
 
 def test_noncapturing_explicit_start(c4_space):
     params = GameParams(3, 0.5, 0.5)
-    constr = build_noncapturing_ne(c4_space, s0=(2, 2, 4, 1))
+    constr = build_noncapturing_ne(c4_space, _table1(c4_space), s0=(2, 2, 4, 1))
     assert constr.s0 == (2, 2, 4, 1)
     report = verify_noncapturing_ne(c4_space, params, constr)
     assert report.is_ne
@@ -512,23 +517,49 @@ def test_noncapturing_explicit_start(c4_space):
 
 def test_noncapturing_rejects_bad_starts(c4_space):
     with pytest.raises(ValidationError):
-        build_noncapturing_ne(c4_space, s0=(1, 2, 3, 1))  # not stacked
+        build_noncapturing_ne(c4_space, _table1(c4_space), s0=(1, 2, 3, 1))  # not stacked
     with pytest.raises(ValidationError):
-        build_noncapturing_ne(c4_space, s0=(1, 1, 2, 2))  # wrong mover
+        build_noncapturing_ne(c4_space, _table1(c4_space), s0=(1, 1, 2, 2))  # wrong mover
     with pytest.raises(ValidationError):
-        build_noncapturing_ne(c4_space, s0=(1, 1, 2, 1))  # adjacent: pursuer wins
+        build_noncapturing_ne(c4_space, _table1(c4_space), s0=(1, 1, 2, 1))  # adjacent: pursuer wins
+    with pytest.raises(ValidationError):
+        build_noncapturing_ne(c4_space, exact_capture_times(c4_space))  # two pursuers
+    with pytest.raises(ValidationError):
+        build_noncapturing_ne(c4_space, _table1(build_state_space(cycle_graph(5), 3)))  # other graph
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(4), cycle_graph(7), petersen_graph(),
+                                   build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)])])
+def test_noncapturing_start_and_evasion_match_per_pair_scan(graph):
+    """Default start: the first (x, y) in x-major order whose one-pursuer game,
+    pursuer to move, is an evader win; evasion: the one-pursuer optimal move
+    at (c, r, 2) for every c != r, and 0 on the diagonal."""
+    space = build_state_space(graph, 3)
+    table1 = _table1(space)
+    constr = build_noncapturing_ne(space, table1)
+    v = graph.vertex_count
+    pairs = [(x, y) for x in range(1, v + 1) for y in range(1, v + 1)
+             if x != y and table1.time_of((x, y, 1)) == math.inf]
+    x, y = pairs[0]
+    assert constr.s0 == (x, x, y, 1)
+    evade = np.zeros((v + 1, v + 1), dtype=np.int64)
+    for c in range(1, v + 1):
+        for r in range(1, v + 1):
+            if c != r:
+                evade[c, r] = table1.cr_optimal_moves[table1.space.index_of((c, r, 2))]
+    assert np.array_equal(constr.profile.evade_move, evade)
 
 
 def test_noncapturing_not_applicable_on_pursuer_win():
     space = build_state_space(path_graph(3), 3)
     with pytest.raises(NotApplicableError):
-        build_noncapturing_ne(space)
+        build_noncapturing_ne(space, _table1(space))
 
 
 def test_noncapturing_on_petersen():
     space = build_state_space(petersen_graph(), 3)
     params = GameParams(3, 0.5, 0.25)
-    constr = build_noncapturing_ne(space)
+    constr = build_noncapturing_ne(space, _table1(space))
     trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle"
     report = verify_noncapturing_ne(space, params, constr)
@@ -539,7 +570,7 @@ def test_noncapturing_verifier_stays_local_at_benchmark_scale():
     """Petersen with N=4 has 40,001 states and 160,004 (state, mode) pairs; each
     best response only needs the few hundred reachable from (s0, ALL_STAY)."""
     space = build_state_space(petersen_graph(), 4)
-    constr = build_noncapturing_ne(space)
+    constr = build_noncapturing_ne(space, _table1(space))
     for gamma, eps in make_grid(4).points():
         report = verify_noncapturing_ne(space, GameParams(4, gamma, eps), constr)
         assert report.is_ne
@@ -573,6 +604,19 @@ def _loop_merge_cop_moves(space):
 def test_merge_cop_moves_match_per_row_reference(g, n):
     space = build_state_space(g, n)
     assert np.array_equal(merge_cop_moves(space), _loop_merge_cop_moves(space))
+
+
+@pytest.mark.parametrize("g, n", [(delayed_capture_graph(), 3), (cycle_graph(6), 3), (cycle_graph(4), 4)])
+def test_greedy_cop_moves_match_per_row_reference(g, n):
+    """Each pursuer steps to the closed-neighbourhood vertex closest to the
+    evader, lowest id on ties, per row by BFS distance."""
+    space = build_state_space(g, n)
+    for cop in range(1, n):
+        expected = np.zeros(space.n_states, dtype=np.int64)
+        for s in np.flatnonzero(space.is_noncapture & (space.mover == cop)):
+            dist = g.distances_from(int(space.positions[s, -1]))
+            expected[s] = min(g.closed_neighborhood(int(space.stay[s])), key=lambda a: (dist[a], a))
+        assert np.array_equal(greedy_cop_moves(space, cop), expected)
 
 
 def _python_deviation_value(space, params, prof, player, tol=1e-13):
@@ -623,7 +667,7 @@ def test_pursuer_deviation_gains_match_python_value_iteration(graph, n, sabotage
     pursuers who chase instead of stacking switch the evader to the wrong mode."""
     space = build_state_space(graph, n)
     params = GameParams(n, 0.9, 0.25)
-    constr = build_noncapturing_ne(space)
+    constr = build_noncapturing_ne(space, _table1(space))
     constr.profile = sabotage(space, constr.profile)
     report = verify_noncapturing_ne(space, params, constr)
     expected = [_python_deviation_value(space, params, constr.profile, p) for p in range(1, n)]
@@ -633,7 +677,7 @@ def test_pursuer_deviation_gains_match_python_value_iteration(graph, n, sabotage
 
 
 def _cr_optimal_pursuers(space, prof):
-    return dataclasses.replace(prof, merge_moves=extract_cr_optimal_moves(space, exact_capture_times(space)))
+    return dataclasses.replace(prof, merge_moves=extract_cr_optimal_moves(exact_capture_times(space)))
 
 
 def _random_pursuers(space, prof):
@@ -650,7 +694,7 @@ def test_evader_deviation_gain_matches_python_value_iteration(graph, n, sabotage
     however he runs, so his best response is the longest delay."""
     space = build_state_space(graph, n)
     params = GameParams(n, 0.9, 0.25)
-    constr = build_noncapturing_ne(space)
+    constr = build_noncapturing_ne(space, _table1(space))
     constr.profile = sabotage(space, constr.profile)
     report = verify_noncapturing_ne(space, params, constr)
     expected = _python_deviation_value(space, params, constr.profile, n)

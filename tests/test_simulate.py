@@ -35,7 +35,7 @@ def tree9():
     moves = combine_player_moves(space, [
         greedy_cop_moves(space, 1),
         greedy_cop_moves(space, 2),
-        extract_cr_optimal_moves(space, table),
+        extract_cr_optimal_moves(table),
     ])
     return space, PositionalProfile(space, moves)
 
@@ -111,7 +111,7 @@ def test_turn_cap_flags_inconclusive():
     space = build_state_space(cycle_graph(4), 2)
     params = GameParams(2, 0.5, 0.5)
     table = exact_capture_times(space)
-    profile = PositionalProfile(space, extract_cr_optimal_moves(space, table))
+    profile = PositionalProfile(space, extract_cr_optimal_moves(table))
     trace = run(space, profile, (1, 3, 1), turn_cap=1)
     assert trace.termination == "turn_cap"
     with pytest.raises(ValidationError):
@@ -254,7 +254,7 @@ class _SingleControllerWiring:
 def test_path_equivalence_of_the_two_wirings(tree9):
     space, profile = tree9
     tokens = [greedy_cop_moves(space, 1), greedy_cop_moves(space, 2),
-              extract_cr_optimal_moves(space, exact_capture_times(space))]
+              extract_cr_optimal_moves(exact_capture_times(space))]
     bundled = _SingleControllerWiring(space, tokens)
     nc = np.flatnonzero(space.is_noncapture)
     rng = np.random.default_rng(23)
