@@ -109,6 +109,16 @@ def solve_mdp(space, fixed, gamma, player, frozen_succ):
                      [(free.rows, free.succ, np.maximum.reduce), (rest, frozen_succ[rest], None)])
 
 
+def first_act(act, gathered, target, hit):
+    """Per column i of the (K, m) blocks, act[j, i] at the first slot j where
+    hit(gathered[j, i], target[i]), which some slot must satisfy. One pass per
+    slot row, last to first: faster than a first-true `argmax` down the slots."""
+    pick = act[-1].copy()
+    for j in range(act.shape[0] - 2, -1, -1):
+        np.copyto(pick, act[j], where=hit(gathered[j], target))
+    return pick
+
+
 def greedy_moves(space, values, movers, maximize=True):
     """First optimal action (ascending vertex order) per non-capture state of
     the `movers` (players).
@@ -122,9 +132,8 @@ def greedy_moves(space, values, movers, maximize=True):
         block = space.turn_block(p)
         gathered = values[block.succ]
         if maximize:
-            near_best = gathered >= gathered.max(axis=0) - TIE_TOL
+            best = first_act(block.act, gathered, gathered.max(axis=0) - TIE_TOL, np.greater_equal)
         else:
-            near_best = gathered <= gathered.min(axis=0) + TIE_TOL
-        first = near_best.argmax(axis=0)  # the first True slot
-        moves[block.rows] = np.take_along_axis(block.act, first[None], axis=0)[0]
+            best = first_act(block.act, gathered, gathered.min(axis=0) + TIE_TOL, np.less_equal)
+        moves[block.rows] = best
     return moves

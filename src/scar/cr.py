@@ -8,10 +8,10 @@ independent implementations are kept side by side:
     min/max fixpoint equations until nothing changes;
   * exact_capture_times  -- the production solver: retrograde labeling
     (Berarducci & Intrigila 1993), advancing level-synchronous frontiers out
-    of the capture states; each frontier's predecessors are computed from the
-    packed state index, so no successor table or reverse graph is built;
-    pursuer turns take the first labeled successor, evader turns count their
-    successors down with whole-array `bincount` passes.
+    of the capture states, split by mover; each group's predecessors are
+    computed from the packed state index, so no successor table or reverse
+    graph is built; pursuer turns take the first labeled successor, evader
+    turns count their successors down in place, at the frontier only.
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
 The discounted value solver, an exact fixpoint of zero-sum value iteration,
@@ -84,34 +84,37 @@ def minimax_capture_times(space: StateSpace) -> CaptureTimeTable:
 def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
     """Retrograde labeling from the capture states, one BFS level at a time.
 
-    Level d's frontier holds every state labeled d. Its predecessors come
-    straight from the packed index (`StateSpace.predecessors`), once per edge,
-    with no successor table or reverse graph behind them. The unlabeled ones on
-    a pursuer turn take d + 1 (the min); those on an evader turn count down
-    their successors and take d + 1 when the last one is labeled (the max).
-    Each level is a handful of whole-array passes; the Python loop runs once
-    per level, never per state or edge.
+    Level d's frontier holds every state labeled d, split by mover. One player
+    p moved into each mover's group, so its predecessors come straight from
+    the packed index (`StateSpace.mover_predecessors`), once per edge, and all
+    have p's turn type. Unlabeled ones on a pursuer turn take d + 1 (the min);
+    on the evader's they count their successors down in place and take d + 1
+    at zero (the max). A level touches only its frontier, their predecessors
+    and a bool scratch `mark`.
     """
-    n = space.n_states
-    pursuer_turn = space.mover < space.n_players
+    n_players = space.n_players
+    times = np.full(space.n_states, -1, dtype=np.int64)
+    times[space.is_capture] = 0
     counter = space.acount  # a fresh array per read, counted down in place
-    times = np.full(n, -1, dtype=np.int64)
-    frontier = np.flatnonzero(space.is_capture)
-    times[frontier] = 0
+    one = counter.dtype.type(1)  # a Python 1 sends np.subtract.at down its slow path
+    mark = space.is_capture.copy()
+    by_mover = mark[:-1].reshape(-1, n_players)  # column m - 1 holds mover m's states
     d = 0
-    while frontier.size:
-        p = space.predecessors(frontier)
-        p = p[times[p] < 0]
-        on_pursuer = pursuer_turn[p]
-        mark = np.zeros(n, dtype=bool)
-        mark[p[on_pursuer]] = True
-        hit = np.bincount(p[~on_pursuer], minlength=n)
-        counter -= hit
-        mark |= (hit > 0) & (counter == 0)
+    while True:
+        frontier = [np.flatnonzero(by_mover[:, m]) * n_players + m for m in range(n_players)]
+        if not any(f.size for f in frontier):
+            return CaptureTimeTable(space, times)
+        mark[:] = False
         d += 1
-        frontier = np.flatnonzero(mark)
-        times[frontier] = d
-    return CaptureTimeTable(space, times)
+        # each group's predecessors have their own mover, so label them at once
+        for m, f in enumerate(frontier, start=1):
+            cand = space.mover_predecessors(f, m)
+            cand = cand[times[cand] < 0]
+            if m == 1:  # moved into by the evader, player N
+                np.subtract.at(counter, cand, one)
+                cand = cand[counter[cand] == 0]
+            times[cand] = d
+            mark[cand] = True
 
 
 def t_n_max(table: CaptureTimeTable):
@@ -189,6 +192,6 @@ def extract_cr_optimal_moves(table: CaptureTimeTable) -> np.ndarray:
         block = space.turn_block(p)
         gathered = keyed[block.succ]
         # padded slots repeat slot 0, so the first optimum is always a real slot
-        best = gathered.argmax(axis=0) if p == space.n_players else gathered.argmin(axis=0)
-        moves[block.rows] = np.take_along_axis(block.act, best[None], axis=0)[0]
+        best = gathered.max(axis=0) if p == space.n_players else gathered.min(axis=0)
+        moves[block.rows] = bellman.first_act(block.act, gathered, best, np.equal)
     return moves

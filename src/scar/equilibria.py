@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bellman
-from .cr import CaptureTimeTable
+from .cr import CaptureTimeTable, gamma_power_times
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
 from .payoffs import GameParams, turn_payoff, turn_payoff_matrix
 from .profiles import (
@@ -347,13 +347,14 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
     n = params.n_players
     gamma = params.gamma
     q = game.payoffs
+    own_rows = [space.turn_block(p).rows for p in range(1, n + 1)]
     turns, coop = [], []  # per profile: capture turns; per player, cooperative payoff on his rows
     for threat in threats:
-        outcomes = profile_outcomes(space, threat.cooperative.move)
-        u = exact_profile_values(game, outcomes)
-        turns.append(outcomes[0])
-        coop.append([u[p - 1][space.turn_block(p).rows] for p in range(1, n + 1)])
-        del outcomes, u
+        t, capture_at = profile_outcomes(space, threat.cooperative.move)
+        turns.append(t)
+        # gamma^T * split on his own rows only; an escape (-1) reads the terminal's zero payoff
+        coop.append([gamma_power_times(gamma, t[rows]) * q[i, capture_at[rows]]
+                     for i, rows in enumerate(own_rows)])
     gains = [[] for _ in threats]
     witnesses = [[] for _ in threats]
     for player in range(1, n + 1):

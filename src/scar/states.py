@@ -216,21 +216,32 @@ class StateSpace:
 
     def predecessors(self, targets) -> np.ndarray:
         """Every non-capture state with a move into one of the non-terminal
-        `targets`, once per move: the inverse of `_step`.
-
-        The player p who moved into t is the one before t's mover (N before
-        player 1), and now sits on y = x_p(t). Closed neighbourhoods are
-        symmetric, so p came from some u in N[y]: t - turn[p] + (u - y) * stride[p]
-        for each real slot u of `nbr[y]`. Candidates that are capture states
-        are dropped, as capture states make no move.
-        """
-        p = (self.mover[targets] - 2) % self.n_players + 1
-        y = self.positions[targets, p - 1]
-        stride = self._stride[p]
-        base = targets - self._turn[p] - y * stride
-        real = np.arange(self.nbr.shape[1]) < self._hood_size[y][:, None]
-        cand = (base[:, None] + self.nbr[y] * stride[:, None])[real]
+        `targets`, once per move: the inverse of `_step`."""
+        mover = self.mover[targets]
+        cand = np.concatenate([self.mover_predecessors(targets[mover == m], m)
+                               for m in range(1, self.n_players + 1)])
         return cand[self.is_noncapture[cand]]
+
+    def mover_predecessors(self, targets, m: int) -> np.ndarray:
+        """`predecessors` of `targets` that all have mover m, capture states kept.
+
+        The player p who moved into them is the one before m (N before player
+        1), and now sits on y = x_p(t). Closed neighbourhoods are symmetric, so
+        p came from some u in N[y]: t - turn[p] + (u - y) * stride[p] for each
+        real slot u of `nbr[y]`. Slot j runs only over the y with more than j.
+        """
+        p = (m - 2) % self.n_players + 1
+        stride = self._stride[p]
+        y = self.positions[targets, p - 1]
+        base = targets - self._turn[p] - np.multiply(y, stride, dtype=np.int64)
+        size = self._hood_size[y]
+        parts = []
+        for j in range(self.nbr.shape[1]):
+            if j >= self._hood_size[1:].min():  # some y has no slot j
+                keep = size > j
+                y, base, size = y[keep], base[keep], size[keep]
+            parts.append(self.nbr[y, j] * stride + base)
+        return np.concatenate(parts)
 
     # -- dense successor table (built lazily; only the oracle solver reads it)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scar.cr import (
+    CaptureTimeTable,
     cop_number,
     discounted_cr_value,
     exact_capture_times,
@@ -13,6 +14,7 @@ from scar.cr import (
     minimax_capture_times,
     t_n_max,
 )
+from scar.equilibria import build_noncapturing_ne
 from scar.errors import CapacityError
 from scar.graph import (
     build_graph,
@@ -78,6 +80,8 @@ def test_capture_states_are_zero():
     (cycle_graph(4), 5), (path_graph(3), 5),  # N=5: player 1's predecessors wrap to player 5
     (path_graph(200), 2),  # past 127 vertices: int16 positions
     (star_graph(150), 2),  # the centre's closed neighbourhood needs int16 sizes too
+    # unequal closed neighbourhoods at N=4: padded slots in every per-mover group
+    (star_graph(5), 4), (delayed_capture_graph(), 4),
 ])
 def test_oracle_agrees_with_attractor(g, n):
     space = build_state_space(g, n)
@@ -147,7 +151,30 @@ def test_retrograde_memory_peak_per_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * space.n_states
+    assert peak <= 28 * space.n_states  # 18 measured: int64 labels, int8 countdown, bool mark
+
+
+@pytest.mark.parametrize("g, n", [(cycle_graph(5), 2), (petersen_graph(), 2), (path_graph(5), 3)])
+def test_times_readers_agree_on_an_int32_copy(g, n):
+    """Every reader of `times` gives the same result on an int32 copy of the
+    labels as on the int64 table: none wraps its sentinel around."""
+    space = build_state_space(g, n)
+    wide = exact_capture_times(space)
+    narrow = CaptureTimeTable(space, wide.times.astype(np.int32))
+    assert np.array_equal(extract_cr_optimal_moves(narrow), extract_cr_optimal_moves(wide))
+    for gamma in (0.1, 0.9):
+        assert np.array_equal(gamma_power_times(gamma, narrow.times),
+                              gamma_power_times(gamma, wide.times))
+    assert t_n_max(narrow) == t_n_max(wide)
+    assert ([narrow.time_of(s) for s in range(space.n_states)]
+            == [wide.time_of(s) for s in range(space.n_states)])
+    assert narrow.finite_on_noncapture() == wide.finite_on_noncapture()
+    assert np.array_equal(narrow.escape_states(), wide.escape_states())
+    if n == 2 and not narrow.finite_on_noncapture():
+        big = build_state_space(g, 3)
+        a, b = build_noncapturing_ne(big, narrow), build_noncapturing_ne(big, wide)
+        assert a.s0 == b.s0
+        assert np.array_equal(a.profile.evade_move, b.profile.evade_move)
 
 
 def test_cop_number_capacity():
