@@ -19,7 +19,9 @@ that side's optimal positional strategy the other can only choose among
 capture paths of distinct rows (a reachable cycle would hold it at 0), so the
 k-th sweep, the k-turn value, settles within |S| + 1 sweeps at residual 0.
 No solver takes a value tolerance; the greedy positional-equilibrium sweeps in
-`equilibria` also stop only at an exact fixpoint or an exact repeat.
+`equilibria` also stop only at an exact fixpoint or an exact repeat. Moves are
+read off values by one scan, `greedy_moves`, which keeps the first exact
+optimum with no tie slack.
 """
 
 from __future__ import annotations
@@ -29,11 +31,6 @@ import math
 import numpy as np
 
 from .errors import NonConvergenceError
-
-#: Slack of the first-optimal-action scan, for float noise between branches equal by
-#: symmetry. Genuine gaps (gamma^T times a split) can fall below it, e.g. 0.1^13 at
-#: gamma 0.1 past 12 turns, and then the scan may pick a worse move (ROADMAP item 3).
-TIE_TOL = 1e-12
 
 
 def _value_iteration(v, gamma, cap, groups):
@@ -121,7 +118,9 @@ def first_act(act, gathered, target, hit):
 
 def greedy_moves(space, values, movers, maximize=True):
     """First optimal action (ascending vertex order) per non-capture state of
-    the `movers` (players).
+    the `movers` (players): the first slot whose successor value equals the
+    block's max (or min) exactly. Every move extractor in the package is this
+    scan, on float values or on integer keys.
 
     Returns a full-length move array, NULL (0) outside the requested rows.
     Padded action slots replicate slot 0, so a first-occurrence scan can never
@@ -131,9 +130,6 @@ def greedy_moves(space, values, movers, maximize=True):
     for p in movers:
         block = space.turn_block(p)
         gathered = values[block.succ]
-        if maximize:
-            best = first_act(block.act, gathered, gathered.max(axis=0) - TIE_TOL, np.greater_equal)
-        else:
-            best = first_act(block.act, gathered, gathered.min(axis=0) + TIE_TOL, np.less_equal)
-        moves[block.rows] = best
+        best = gathered.max(axis=0) if maximize else gathered.min(axis=0)
+        moves[block.rows] = first_act(block.act, gathered, best, np.equal)
     return moves

@@ -36,11 +36,13 @@ EXIT_SUITE_FAILURE = 5
 
 class Scenario:
     """Resolved inputs of one solve: graph, player count, parameters, start, and
-    the named profile `verify` and `simulate` run (not echoed in reports)."""
+    the named profile `verify` and `simulate` run (None for the other commands).
+    The profile is echoed in reports only when set, so those two reports rerun
+    as the same profile and the others keep their shape."""
 
     def __init__(self, graph: Graph, n_players: int, gamma: float, epsilon=None,
                  split_equivalent=False, allow_extended_epsilon=False, s0=None,
-                 ne_tol=DEFAULT_NE_TOL, state_cap=DEFAULT_STATE_CAP, profile="cr-optimal"):
+                 ne_tol=DEFAULT_NE_TOL, state_cap=DEFAULT_STATE_CAP, profile=None):
         self.graph = graph
         self.params = GameParams(n_players, gamma, epsilon,
                                  split_equivalent=split_equivalent,
@@ -58,7 +60,7 @@ class Scenario:
 
     def to_json_obj(self):
         p = self.params
-        return {
+        echo = {
             "graph": serialize_graph(self.graph),
             "n_players": p.n_players,
             "gamma": p.gamma,
@@ -70,6 +72,9 @@ class Scenario:
             "ne_tol": self.ne_tol,
             "state_cap": self.state_cap,
         }
+        if self.profile is not None:
+            echo["profile"] = self.profile
+        return echo
 
 
 def _read_scenario(args) -> dict:
@@ -140,7 +145,9 @@ def _load_scenario(args) -> Scenario:
         s0=s0,
         ne_tol=ne_tol,
         state_cap=int(_first_set(args.state_cap, doc.get("state_cap"), DEFAULT_STATE_CAP)),
-        profile=_first_set(getattr(args, "profile", None), doc.get("profile"), "cr-optimal"),
+        # only `verify` and `simulate` take --profile, and only they run one
+        profile=(_first_set(args.profile, doc.get("profile"), "cr-optimal")
+                 if hasattr(args, "profile") else None),
     )
 
 

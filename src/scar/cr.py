@@ -187,11 +187,7 @@ def extract_cr_optimal_moves(table: CaptureTimeTable) -> np.ndarray:
     """
     space = table.space
     keyed = np.where(table.times >= 0, table.times, _NEVER)
-    moves = np.zeros(space.n_states, dtype=np.int64)
-    for p in range(1, space.n_players + 1):
-        block = space.turn_block(p)
-        gathered = keyed[block.succ]
-        # padded slots repeat slot 0, so the first optimum is always a real slot
-        best = gathered.max(axis=0) if p == space.n_players else gathered.min(axis=0)
-        moves[block.rows] = bellman.first_act(block.act, gathered, best, np.equal)
-    return moves
+    evader = space.n_players
+    # the movers partition the rows, so plain addition merges
+    return (bellman.greedy_moves(space, keyed, range(1, evader), maximize=False)
+            + bellman.greedy_moves(space, keyed, (evader,), maximize=True))

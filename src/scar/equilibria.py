@@ -35,7 +35,9 @@ argmax/value equations are not a contraction for three or more players, so the
 sweeps may oscillate. Each sweep is a deterministic map of the value vectors,
 so the solver stops only on exact evidence: a fixpoint, which it gates behind
 the exact verifier, or a repeat of earlier values, which proves a cycle and is
-reported as non-convergence. No value tolerance is left in the package. The
+reported as non-convergence. No value tolerance is left in the package, and
+every move choice (aux-game strategies, sweeps, optimal pursuit) is the first
+exact optimum of `bellman.greedy_moves`, with no tie slack. The
 threat construction, by contrast, is sound by construction and serves as the
 fallback.
 """
@@ -73,8 +75,7 @@ DEFAULT_NE_TOL = 1e-8
 class AuxSolution:
     player: int
     values: np.ndarray
-    own_move: np.ndarray  # optimal move on the player's own turns
-    coalition_move: np.ndarray  # coalition's minimizing move on everyone else's turns
+    move: np.ndarray  # maximizing on the player's own turns, the coalition's minimizing elsewhere
     iterations: int
 
 
@@ -85,9 +86,10 @@ def solve_aux_game(space: StateSpace, params: GameParams, player: int,
     values, iterations, _ = bellman.solve_zero_sum(space, payoffs[player - 1], params.gamma,
                                                    (player,))
     others = [p for p in range(1, space.n_players + 1) if p != player]
-    own = bellman.greedy_moves(space, values, (player,), maximize=True)
-    coalition = bellman.greedy_moves(space, values, others, maximize=False)
-    return AuxSolution(player, values, own, coalition, iterations)
+    # the movers partition the rows, so plain addition merges
+    move = (bellman.greedy_moves(space, values, (player,), maximize=True)
+            + bellman.greedy_moves(space, values, others, maximize=False))
+    return AuxSolution(player, values, move, iterations)
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
     cooperative = PositionalProfile(space, cooperative_move)
     punishments = {}
     for d, sol in enumerate(aux, start=1):
-        moves = sol.coalition_move.copy()
-        own_rows = space.is_noncapture & (space.mover == d)
+        moves = sol.move.copy()
+        own_rows = space.turn_block(d).rows
         moves[own_rows] = cooperative.move[own_rows]
         punishments[d] = PositionalProfile(space, moves)
     return ThreatProfile(space, cooperative, punishments, kind=kind)
@@ -130,8 +132,8 @@ def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
 def build_threat_profile(game: Game) -> ThreatProfile:
     """Cooperate along everyone's own aux-optimal strategy; punish the first deviator
     with the coalition strategies from his auxiliary game."""
-    own = [a.own_move for a in game.aux]
-    return _threat_profile(game.space, combine_player_moves(game.space, own), game.aux, "threat")
+    own = combine_player_moves(game.space, [a.move for a in game.aux])
+    return _threat_profile(game.space, own, game.aux, "threat")
 
 
 def build_capturing_threat_ne(game: Game, table: CaptureTimeTable) -> ThreatProfile:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bellman
 from .errors import IllegalMoveError
 from .graph import Graph
 from .states import NULL_MOVE, StateSpace
@@ -59,7 +60,7 @@ def combine_player_moves(space: StateSpace, per_player: list) -> np.ndarray:
     """Merge per-player move arrays into one dense array keyed by the mover."""
     moves = np.zeros(space.n_states, dtype=np.int64)
     for player, arr in enumerate(per_player, start=1):
-        rows = space.is_noncapture & (space.mover == player)
+        rows = space.turn_block(player).rows
         moves[rows] = arr[rows]
     return moves
 
@@ -109,14 +110,8 @@ def _distance_table(g: Graph) -> np.ndarray:
 def greedy_cop_moves(space: StateSpace, cop: int) -> np.ndarray:
     """Single-minded pursuit for one pursuer: step to the neighbor (or stay)
     closest to the evader's current vertex, lowest vertex id on ties."""
-    dist = _distance_table(space.graph)
-    moves = np.zeros(space.n_states, dtype=np.int64)
-    rows = np.flatnonzero(space.is_noncapture & (space.mover == cop))
-    options = space.nbr[space.stay[rows]]
-    # padded slots repeat slot 0, so the first closest slot is the lowest closest vertex
-    nearest = dist[space.positions[rows, -1][:, None], options].argmin(axis=1)
-    moves[rows] = options[np.arange(rows.size), nearest]
-    return moves
+    key = _distance_table(space.graph)[space.positions[:, cop - 1], space.positions[:, -1]]
+    return bellman.greedy_moves(space, key, (cop,), maximize=False)
 
 
 def random_profile(space: StateSpace, rng: np.random.Generator) -> PositionalProfile:

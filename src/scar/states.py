@@ -214,16 +214,10 @@ class StateSpace:
         p = self.mover[rows]
         return rows + (moves - self.stay[rows]) * self._stride[p] + self._turn[p]
 
-    def predecessors(self, targets) -> np.ndarray:
-        """Every non-capture state with a move into one of the non-terminal
-        `targets`, once per move: the inverse of `_step`."""
-        mover = self.mover[targets]
-        cand = np.concatenate([self.mover_predecessors(targets[mover == m], m)
-                               for m in range(1, self.n_players + 1)])
-        return cand[self.is_noncapture[cand]]
-
     def mover_predecessors(self, targets, m: int) -> np.ndarray:
-        """`predecessors` of `targets` that all have mover m, capture states kept.
+        """The inverse of `_step` on non-terminal `targets` that all have mover
+        m: every state whose mover's step lands in one of them, once per move.
+        Capture states come out too (they have no such move); callers drop them.
 
         The player p who moved into them is the one before m (N before player
         1), and now sits on y = x_p(t). Closed neighbourhoods are symmetric, so

@@ -316,22 +316,30 @@ def test_theorem_reports_carry_replayable_counterexamples():
             assert r.counterexample and "scenario" in r.counterexample
 
 
-def test_failing_report_replays_to_same_verdict():
-    # an absurd gap tolerance turns harmless value-iteration noise into
-    # failures; the embedded scenario must replay to the same verdict
-    from scar.graph import delayed_capture_graph
+def test_failing_report_replays_to_same_verdict(monkeypatch):
+    # a sabotaged threat builder whose cooperative part has everyone stay put
+    # forever: a pursuer next to the evader gains by capturing him, so the
+    # threat suite fails, and its embedded scenario must replay to the same verdict
+    import dataclasses
 
-    grid = make_grid(3, gammas=[0.1], epsilons=[0.0])
-    reports = theorem_suite(delayed_capture_graph(), 3, grid=grid, tol=1e-30)
-    failing = [r for r in reports if not r.passed]
-    assert failing, "1e-30 gap tolerance must fail somewhere"
-    replayed = 0
-    for r in failing:
-        scenario = r.counterexample["scenario"]
-        if scenario is None or scenario.get("profile") not in (
-                "threat", "capturing-threat", "cr-optimal", "noncapturing"):
-            continue
-        verdict = replay_scenario(scenario)
-        assert verdict["is_ne"] is False
-        replayed += 1
-    assert replayed > 0
+    from scar import equilibria
+    from scar.graph import delayed_capture_graph
+    from scar.profiles import PositionalProfile
+
+    build = equilibria.build_threat_profile
+
+    def idle_threat(game):
+        stay = PositionalProfile(game.space, game.space.stay)
+        return dataclasses.replace(build(game), cooperative=stay)
+
+    monkeypatch.setattr(equilibria, "build_threat_profile", idle_threat)
+    grid = make_grid(3, gammas=[0.5], epsilons=[0.25])
+    reports = {r.theorem_id: r for r in theorem_suite(delayed_capture_graph(), 3, grid=grid)}
+    failing = reports["threat-ne-exists"]
+    assert not failing.passed
+    assert failing.counterexample["detail"]["max_gain"] > 0.1
+    scenario = failing.counterexample["scenario"]
+    assert scenario["profile"] == "threat"
+    verdict = replay_scenario(scenario)
+    assert verdict["is_ne"] is False
+    assert verdict["max_gain"] == failing.counterexample["detail"]["max_gain"]

@@ -45,16 +45,36 @@ def test_solve_json_report(capsys):
 
 
 def test_report_scenario_reruns_byte_identically(tmp_path, capsys):
-    """A report's own `scenario` block, graph string and top-level tolerances
-    included, reproduces the report."""
-    code, out, _ = run_cli(capsys, "verify", "--builtin", "cycle:4", "--n", "3", "--gamma", "0.2",
-                           "--epsilon", "0.5", "--ne-tol", "1e-7")
-    echo = json.loads(out)["scenario"]
-    assert echo["ne_tol"] == 1e-7
-    path = tmp_path / "echo.json"
-    path.write_text(json.dumps(echo))
-    assert run_cli(capsys, "verify", "--scenario", str(path)) == (code, out, "")
+    """A report's own `scenario` block, graph string, top-level tolerances and
+    the resolved profile included, reproduces the report."""
+    runs = [("verify", "--builtin", "cycle:4", "--n", "3", "--gamma", "0.2",
+             "--epsilon", "0.5", "--ne-tol", "1e-7"),
+            ("verify", "--builtin", "cycle:5", "--n", "3", "--gamma", "0.7",
+             "--epsilon", "0.3", "--profile", "threat"),
+            ("simulate", "--builtin", "delayed-capture", "--n", "3", "--gamma", "0.9",
+             "--epsilon", "0.25", "--s0", "6,1,4,1", "--profile", "threat")]
+    echoes = []
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        echoes.append(json.loads(out)["scenario"])
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(echoes[-1]))
+        assert run_cli(capsys, argv[0], "--scenario", str(path)) == (code, out, "")
+    assert [e["profile"] for e in echoes] == ["cr-optimal", "threat", "threat"]
+    assert echoes[0]["ne_tol"] == 1e-7
 
+
+def test_zero_tolerance_suites_pass_on_delayed_capture(capsys):
+    """At (0.1, 0) on the delayed-capture tree genuine payoff gaps reach
+    0.1^13; every move is the first exact optimum, so no punisher is picked
+    off by a near-tie and the suites pass with no gap tolerance at all."""
+    code, out, err = run_cli(capsys, "theorems", "--builtin", "delayed-capture", "--n", "3",
+                             "--gamma", "0.1", "--epsilon", "0", "--grid", "0.1;0",
+                             "--ne-tol", "0")
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["result"]["reports"]
+    assert {r["theorem_id"] for r in reports} >= {"threat-ne-exists", "capturing-ne-exists"}
+    assert all(r["passed"] for r in reports)
 
 
 def test_suite_counterexample_reruns_through_verify(tmp_path, capsys):

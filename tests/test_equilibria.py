@@ -84,10 +84,7 @@ def test_aux_strategies_attain_value(c4_space):
     params = GameParams(3, 0.7, 0.4)
     for n in (1, 2, 3):
         sol = solve_aux_game(space, params, n, turn_payoff_matrix(space, params))
-        moves = sol.coalition_move.copy()
-        own_rows = space.is_noncapture & (space.mover == n)
-        moves[own_rows] = sol.own_move[own_rows]
-        values = exact_profile_values(Game(space, params), profile_outcomes(space, moves))
+        values = exact_profile_values(Game(space, params), profile_outcomes(space, sol.move))
         assert np.abs(values[n - 1] - sol.values).max() <= 1e-7
 
 
@@ -96,17 +93,14 @@ def test_tie_break_scale_invariance(c4_space):
     params = GameParams(3, 0.7, 0.4)
     sol = solve_aux_game(space, params, 2, turn_payoff_matrix(space, params))
     for scale in (2.0, 0.5, 64.0):
-        assert np.array_equal(
-            bellman.greedy_moves(space, sol.values * scale, (2,), maximize=True),
-            sol.own_move)
-        assert np.array_equal(
-            bellman.greedy_moves(space, sol.values * scale, (1, 3), maximize=False),
-            sol.coalition_move)
+        own = bellman.greedy_moves(space, sol.values * scale, (2,), maximize=True)
+        coalition = bellman.greedy_moves(space, sol.values * scale, (1, 3), maximize=False)
+        assert np.array_equal(own + coalition, sol.move)
 
 
 def _python_greedy_moves(space, values, movers, maximize):
     """Per non-capture state of the movers, the first action in ascending
-    vertex order whose successor value is within TIE_TOL of the best."""
+    vertex order whose successor value equals the best exactly."""
     values = values.tolist()
     moves = [0] * space.n_states
     for s in np.flatnonzero(space.is_noncapture).tolist():
@@ -115,24 +109,20 @@ def _python_greedy_moves(space, values, movers, maximize):
             continue
         options = space.actions(s, mover)
         vals = [values[space.transition_index(s, a)] for a in options]
-        if maximize:
-            best = max(vals)
-            moves[s] = next(a for a, x in zip(options, vals) if x >= best - bellman.TIE_TOL)
-        else:
-            best = min(vals)
-            moves[s] = next(a for a, x in zip(options, vals) if x <= best + bellman.TIE_TOL)
+        moves[s] = options[vals.index(max(vals) if maximize else min(vals))]
     return moves
 
 
 @pytest.mark.parametrize("maximize", [True, False])
 @pytest.mark.parametrize("g", [cycle_graph(5), petersen_graph()], ids=["cycle:5", "petersen"])
-def test_greedy_moves_take_the_first_slot_within_tie_tol(g, maximize):
-    """The block scan picks what a plain per-state scan picks. Values are a few
-    integer levels plus offsets planted just inside and just outside TIE_TOL,
-    so most rows hold exact ties and near-ties on both sides of the slack."""
+def test_greedy_moves_take_the_first_exact_optimum(g, maximize):
+    """The block scan picks what a plain per-state scan picks: the first exact
+    optimum. Values are a few integer levels plus offsets of +-1e-13, genuine
+    gaps the size of gamma^13 at gamma 0.1, so most rows hold exact ties and
+    near-ties on both sides of the optimum, none of which may be taken for it."""
     space = build_state_space(g, 3)
     rng = np.random.default_rng(23)
-    offsets = np.array([0.0, 0.4, 0.9, 1.1, 2.5, -0.6]) * bellman.TIE_TOL
+    offsets = np.array([0.0, 1e-13, -1e-13, 2e-13])
     for _ in range(5):
         values = rng.integers(0, 3, size=space.n_states) + rng.choice(offsets, size=space.n_states)
         for movers in ((1, 2, 3), (1, 3), (2,)):
@@ -448,7 +438,7 @@ def test_nonconvergent_instance_reported_not_returned():
 
 def _python_positional_sweeps(space, params):
     """Canonical greedy sweeps in plain Python: each mover takes the first
-    action, in ascending vertex order, within TIE_TOL of his best continuation,
+    action, in ascending vertex order, attaining his best continuation exactly,
     and every value is backed up one step from the previous sweep's. Stops at
     the first sweep that changes no value; returns (sweeps, moves by state)."""
     n = params.n_players
@@ -464,8 +454,8 @@ def _python_positional_sweeps(space, params):
             own = u[int(space.mover[s]) - 1]
             options = space.actions(s, int(space.mover[s]))
             nexts = [space.transition_index(s, a) for a in options]
-            best = max(own[x] for x in nexts)
-            k = next(i for i, x in enumerate(nexts) if own[x] >= best - bellman.TIE_TOL)
+            reach = [own[x] for x in nexts]
+            k = reach.index(max(reach))
             moves[s] = options[k]
             for m in range(n):
                 new[m][s] = params.gamma * u[m][nexts[k]]
