@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from . import equilibria
 from .cr import CopNumberResult, cop_number, exact_capture_times, t_n_max
 from .equilibria import DEFAULT_NE_TOL
 from .errors import ValidationError
-from .graph import Graph, parse_graph, serialize_graph
+from .graph import Graph, builtin_graph, parse_graph, serialize_graph
 from .payoffs import GameParams
 from .profiles import PositionalProfile, combine_player_moves, greedy_cop_moves, random_profile
 from .simulate import payoffs_of, profile_outcomes, run, run_with_forced_deviation
@@ -64,19 +66,156 @@ def make_grid(n_players: int, gammas=None, epsilons=None) -> SweepGrid:
     return SweepGrid(tuple(out), tuple(epsilons))
 
 
-def _scenario(g: Graph, n_players, gamma=None, epsilon=None, split_equivalent=False,
-              s0=None, profile="-", tol=DEFAULT_NE_TOL):
-    """A replayable instance; s0 None means the instance covers every start."""
-    return {
-        "graph": serialize_graph(g),
-        "n_players": n_players,
-        "gamma": gamma,
-        "epsilon": epsilon,
-        "split_equivalent": split_equivalent,
-        "s0": s0,
-        "profile": profile,
-        "tol": tol,
-    }
+# ---------------------------------------------------------------------------
+# Scenarios: the one writer and the one reader of a replayable instance.
+
+DEFAULT_PROFILE = "cr-optimal"
+
+
+class Scenario:
+    """Resolved inputs of one solve: graph, player count, parameters, start, gap
+    tolerance, state cap, and the named profile `verify` and `simulate` run
+    (None for the other commands, whose blocks then carry no profile).
+    `to_json_obj` writes every scenario block, report echo and suite
+    counterexample alike, and `read` reads any of them back."""
+
+    def __init__(self, graph: Graph, n_players: int, gamma: float, epsilon=None,
+                 split_equivalent=False, allow_extended_epsilon=False, s0=None,
+                 ne_tol=DEFAULT_NE_TOL, state_cap=DEFAULT_STATE_CAP, profile=None):
+        self.graph = graph
+        self.params = GameParams(n_players, gamma, epsilon,
+                                 split_equivalent=split_equivalent,
+                                 allow_extended_epsilon=allow_extended_epsilon)
+        self.s0 = s0
+        self.ne_tol = ne_tol
+        self.state_cap = state_cap
+        self.profile = profile
+
+    @classmethod
+    def read(cls, get, profile=None) -> "Scenario":
+        """The scenario `get`, a `scenario_reader`, resolves. `profile` is the
+        command's default profile; None, for a command that runs none, leaves
+        the document's profile unread."""
+        graph = get("graph")
+        split = bool(get("split_equivalent"))
+        ne_tol = float(get("ne_tol", DEFAULT_NE_TOL))
+        if not ne_tol >= 0:
+            raise ValidationError(f"equilibrium gap tolerance must be non-negative, got {ne_tol}")
+        s0 = get("s0")
+        return cls(graph, get("n_players"), float(get("gamma")), None if split else get("epsilon"),
+                   split_equivalent=split,
+                   allow_extended_epsilon=bool(get("allow_extended_epsilon")),
+                   s0=tuple(s0) if s0 else None, ne_tol=ne_tol,
+                   state_cap=get("state_cap", DEFAULT_STATE_CAP),
+                   profile=get("profile", profile) if profile else None)
+
+    def space(self):
+        space = build_state_space(self.graph, self.params.n_players, self.state_cap)
+        if self.s0 is not None:
+            space.index_of(tuple(self.s0))  # validates the start
+        return space
+
+    def to_json_obj(self):
+        p = self.params
+        echo = {
+            "graph": serialize_graph(self.graph),
+            "n_players": p.n_players,
+            "gamma": p.gamma,
+            "epsilon": p.epsilon,
+            "split_equivalent": p.split_equivalent,
+            "allow_extended_epsilon": p.allow_extended_epsilon,
+            "in_omega_tilde": p.in_omega_tilde,
+            "s0": list(self.s0) if self.s0 is not None else None,
+            "ne_tol": self.ne_tol,
+            "state_cap": self.state_cap,
+        }
+        if self.profile is not None:
+            echo["profile"] = self.profile
+        return echo
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+# the fields whose document value must have a given type: (check, what it must be)
+_FIELD_TYPES = {
+    "n_players": (_is_int, "an integer"),
+    "state_cap": (_is_int, "an integer"),
+    "gamma": (_is_number, "a number"),
+    "epsilon": (_is_number, "a number"),
+    "ne_tol": (_is_number, "a number"),
+    "s0": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
+}
+
+
+# the fields a command cannot run without, unless it gives a default
+_REQUIRED = {"graph": "no graph given: use --scenario, --graph FILE, or --builtin NAME",
+             "n_players": "player count missing: --n or scenario n_players",
+             "gamma": "gamma missing: --gamma or scenario gamma",
+             "epsilon": "epsilon missing: --epsilon, --split-equivalent, or scenario"}
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+
+
+# the graph forms a document (or the --graph and --builtin flags) may take
+_GRAPH_FORMS = {"edge_list": parse_graph,
+                "path": lambda path: parse_graph(_read_text(path)),
+                "builtin": builtin_graph}
+
+
+def _graph_of(gdoc) -> Graph:
+    if isinstance(gdoc, str):  # a written scenario block's edge list
+        gdoc = {"edge_list": gdoc}
+    for form, make in _GRAPH_FORMS.items():
+        if isinstance(gdoc, dict) and isinstance(gdoc.get(form), str):
+            return make(gdoc[form])
+    raise ValidationError("scenario graph must be an edge list or carry edge_list, path or builtin")
+
+
+def read_document(path) -> dict:
+    """A scenario file's JSON document."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"scenario {path} is not JSON: {exc}") from None
+
+
+def scenario_reader(doc=None, **flags):
+    """The one reader of scenario inputs: `get(key, default=None)` is the
+    flag (None: not given), else the document's key, else the default. The
+    document's gap tolerance is `tolerances.ne_gap`, else `ne_tol`, else `tol`;
+    the `graph` flag and key are edge-list text or a dict carrying
+    `edge_list`, `path` or `builtin`."""
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
+    tolerances = doc.get("tolerances") or {}
+    if not isinstance(tolerances, dict):
+        raise ValidationError("scenario tolerances must be an object")
+
+    def get(key, default=None):
+        named = (tolerances.get("ne_gap"), doc.get("ne_tol"), doc.get("tol")) \
+            if key == "ne_tol" else (doc.get(key),)
+        value = next((v for v in (flags.get(key), *named) if v is not None), default)
+        if value is None and key in _REQUIRED:
+            raise ValidationError(_REQUIRED[key])
+        check, what = _FIELD_TYPES.get(key, (None, None))
+        if value is not None and check is not None and not check(value):
+            raise ValidationError(f"scenario {key} must be {what}, got {value!r}")
+        return _graph_of(value) if key == "graph" else value
+
+    return get
 
 
 # ---------------------------------------------------------------------------
@@ -101,25 +240,27 @@ def build_profile(game: equilibria.Game, kind: str):
     return equilibria.build_capturing_threat_ne(game, exact_capture_times(game.space))
 
 
-def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
-                   state_cap: int = DEFAULT_STATE_CAP) -> dict:
-    """Build the named profile and check it as an equilibrium; the verdict dict.
+def verify_profile(scenario: Scenario) -> dict:
+    """Build the scenario's named profile and check it as an equilibrium under
+    its gap tolerance; the verdict dict of `scar verify`.
 
-    `s0` adds the verdict at that start for `cr-optimal` and sets the start of
-    the non-capturing construction (None: its first qualifying start).
+    The start adds the verdict at that start for `cr-optimal` and sets the
+    start of the non-capturing construction (None: its first qualifying start).
     """
+    kind, tol, s0 = scenario.profile, scenario.ne_tol, scenario.s0
     _check_kind(kind, VERIFIABLE_PROFILES, "verify")
-    game = equilibria.Game(space, params)
+    space = scenario.space()
+    game = equilibria.Game(space, scenario.params)
     if kind == "cr-optimal":
         rep = equilibria.check_cr_optimal_ne(game, exact_capture_times(space), tol=tol)
         result = rep.summary()
         if s0 is not None:
-            result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(tuple(s0)))
+            result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(s0))
         return result
     if kind == "noncapturing":
-        table1 = exact_capture_times(build_state_space(space.graph, 2, state_cap))
+        table1 = exact_capture_times(build_state_space(space.graph, 2, scenario.state_cap))
         constr = equilibria.build_noncapturing_ne(space, table1, s0=s0)
-        rep = equilibria.verify_noncapturing_ne(space, params, constr, tol=tol)
+        rep = equilibria.verify_noncapturing_ne(space, scenario.params, constr, tol=tol)
         trace = run(space, constr.profile, constr.s0_index)
         return {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
                 "s0": list(constr.s0), "termination": trace.termination}
@@ -133,20 +274,11 @@ def verify_profile(space, params: GameParams, kind: str, tol: float, s0=None,
     return {**rep.summary(), "captures_everywhere": rep.captures_everywhere()}
 
 
-def replay_scenario(scenario: dict) -> dict:
-    """Re-run a serialized counterexample scenario and report the verdict.
-
-    Failing suite instances embed everything needed to reproduce themselves:
-    the graph document, parameters, gap tolerance, the named profile, and the
-    start (absent or None for every start). The verdict is `verify_profile`'s.
-    """
-    n = scenario["n_players"]
-    params = GameParams(n, scenario["gamma"], scenario["epsilon"],
-                        split_equivalent=bool(scenario.get("split_equivalent")))
-    s0 = scenario.get("s0")
-    return verify_profile(build_state_space(parse_graph(scenario["graph"]), n), params,
-                          scenario["profile"], scenario.get("tol", DEFAULT_NE_TOL),
-                          s0=tuple(s0) if s0 else None)
+def replay_scenario(doc: dict) -> dict:
+    """Re-run a scenario document, such as a failing suite instance's
+    counterexample, and report the verdict: the `result` of `scar verify
+    --scenario` on it, without the `profile` echo."""
+    return verify_profile(Scenario.read(scenario_reader(doc), DEFAULT_PROFILE))
 
 
 @dataclass
@@ -158,12 +290,13 @@ class TheoremReport:
     passed: bool = True
     counterexample: dict | None = None
 
-    def record(self, passed: bool, detail: dict, scenario: dict | None = None):
+    def record(self, passed: bool, detail: dict, scenario: Scenario | None = None):
         self.instances.append({"passed": passed, **detail})
         if not passed:
             self.passed = False
             if self.counterexample is None:
-                self.counterexample = {"scenario": scenario, "detail": detail}
+                self.counterexample = {"scenario": scenario.to_json_obj() if scenario else None,
+                                       "detail": detail}
 
     def summary(self) -> dict:
         return {
@@ -240,7 +373,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     # one verifier call checks both profiles, and its verdicts serve the cop-win
     # suite too. Only one point's arrays are alive at a time: the game and
     # verdicts go before the non-capturing check.
-    scenario = functools.partial(_scenario, g, n_players, tol=tol)
+    scenario = functools.partial(Scenario, g, n_players, ne_tol=tol, state_cap=state_cap)
     for gamma, eps in grid.points():
         params = GameParams(n_players, gamma, eps)
         game = equilibria.Game(space, params)
@@ -287,8 +420,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
                              "termination": termination, "is_ne": ver.is_ne,
                              "gains": ver.per_player_gain},
-                            scenario(gamma, eps, s0=list(construction.s0),
-                                     profile="noncapturing"))
+                            scenario(gamma, eps, s0=construction.s0, profile="noncapturing"))
 
     if not capturing:
         escape_rep = TheoremReport(
@@ -297,8 +429,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
             "exact capture-time table, exhaustive over starts")
         witness = escape_start_witness(table)
         escape_rep.record(witness is not None,
-                          {"witness_s0": list(space.state_at(witness)) if witness is not None else None},
-                          _scenario(g, n_players))
+                          {"witness_s0": list(space.state_at(witness)) if witness is not None else None})
         reports.append(escape_rep)
 
     return reports

@@ -13,17 +13,15 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import analysis, equilibria, simulate
+from .analysis import DEFAULT_PROFILE, Scenario
 from .cr import cop_number
-from .equilibria import DEFAULT_NE_TOL
 from .errors import CapacityError, NonConvergenceError, NotAnEquilibriumError, ScarError, ValidationError
-from .graph import Graph, builtin_graph, parse_graph, serialize_graph
-from .payoffs import GameParams
-from .states import build_state_space, DEFAULT_STATE_CAP
+from .graph import serialize_graph
+from .states import DEFAULT_STATE_CAP
 
 SCHEMA_VERSION = 1
 
@@ -34,131 +32,29 @@ EXIT_NONCONVERGENCE = 4
 EXIT_SUITE_FAILURE = 5
 
 
-class Scenario:
-    """Resolved inputs of one solve: graph, player count, parameters, start, and
-    the named profile `verify` and `simulate` run (None for the other commands).
-    The profile is echoed in reports only when set, so those two reports rerun
-    as the same profile and the others keep their shape."""
-
-    def __init__(self, graph: Graph, n_players: int, gamma: float, epsilon=None,
-                 split_equivalent=False, allow_extended_epsilon=False, s0=None,
-                 ne_tol=DEFAULT_NE_TOL, state_cap=DEFAULT_STATE_CAP, profile=None):
-        self.graph = graph
-        self.params = GameParams(n_players, gamma, epsilon,
-                                 split_equivalent=split_equivalent,
-                                 allow_extended_epsilon=allow_extended_epsilon)
-        self.s0 = s0
-        self.ne_tol = ne_tol
-        self.state_cap = state_cap
-        self.profile = profile
-
-    def space(self):
-        space = build_state_space(self.graph, self.params.n_players, self.state_cap)
-        if self.s0 is not None:
-            space.index_of(tuple(self.s0))  # validates the start
-        return space
-
-    def to_json_obj(self):
-        p = self.params
-        echo = {
-            "graph": serialize_graph(self.graph),
-            "n_players": p.n_players,
-            "gamma": p.gamma,
-            "epsilon": p.epsilon,
-            "split_equivalent": p.split_equivalent,
-            "allow_extended_epsilon": p.allow_extended_epsilon,
-            "in_omega_tilde": p.in_omega_tilde,
-            "s0": list(self.s0) if self.s0 is not None else None,
-            "ne_tol": self.ne_tol,
-            "state_cap": self.state_cap,
-        }
-        if self.profile is not None:
-            echo["profile"] = self.profile
-        return echo
+def _reader(args):
+    """Every scenario field: its flag, else the --scenario document's key, else
+    the default. The graph flags are the document's `path` and `builtin` forms."""
+    flags = {key: getattr(args, key, None) for key in (
+        "n_players", "gamma", "epsilon", "split_equivalent", "allow_extended_epsilon",
+        "ne_tol", "state_cap", "profile")}
+    flags["graph"] = ({"path": args.graph} if args.graph else
+                      {"builtin": args.builtin} if args.builtin else None)
+    flags["s0"] = _parse_s0(args.s0) if getattr(args, "s0", None) else None
+    doc = analysis.read_document(args.scenario) if args.scenario else None
+    return analysis.scenario_reader(doc, **flags)
 
 
-def _read_scenario(args) -> dict:
-    return json.loads(Path(args.scenario).read_text()) if args.scenario else {}
+def _parse_s0(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(f"--s0 needs comma-separated integers, got {text!r}") from None
 
 
-def _load_graph(args, doc) -> Graph:
-    if args.scenario:
-        gdoc = doc.get("graph")
-        if isinstance(gdoc, str):  # a report's own scenario echo
-            return parse_graph(gdoc)
-        if isinstance(gdoc, dict):
-            if "edge_list" in gdoc:
-                return parse_graph(gdoc["edge_list"])
-            if "path" in gdoc:
-                return parse_graph(Path(gdoc["path"]).read_text())
-            if "builtin" in gdoc:
-                return builtin_graph(gdoc["builtin"])
-        raise ValidationError("scenario graph must be an edge list or carry edge_list, path or builtin")
-    if args.graph:
-        return parse_graph(Path(args.graph).read_text())
-    if args.builtin:
-        return builtin_graph(args.builtin)
-    raise ValidationError("no graph given: use --scenario, --graph FILE, or --builtin NAME")
-
-
-def _parse_s0(text, n_players):
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != n_players + 1:
-        raise ValidationError(
-            f"--s0 needs {n_players} positions plus the mover, got {text!r}")
-    return tuple(parts)
-
-
-def _load_scenario(args) -> Scenario:
-    doc = _read_scenario(args)
-    graph = _load_graph(args, doc)
-    n_players = _first_set(args.n, doc.get("n_players"), doc.get("n"))
-    if n_players is None:
-        raise ValidationError("player count missing: --n or scenario n_players")
-    _check_player_count(n_players)
-    gamma = args.gamma if args.gamma is not None else doc.get("gamma")
-    if gamma is None:
-        raise ValidationError("gamma missing: --gamma or scenario gamma")
-    split = bool(args.split_equivalent or doc.get("split_equivalent"))
-    epsilon = None
-    if not split:
-        epsilon = args.epsilon if args.epsilon is not None else doc.get("epsilon")
-        if epsilon is None:
-            raise ValidationError("epsilon missing: --epsilon, --split-equivalent, or scenario")
-    s0 = None
-    if args.s0:
-        s0 = _parse_s0(args.s0, int(n_players))
-    elif doc.get("s0"):
-        s0 = tuple(doc["s0"])
-    # a report's scenario echo carries the gap tolerance as `ne_tol`, a suite
-    # counterexample as `tol`
-    ne_tol = float(_first_set(args.ne_tol,
-                              doc.get("tolerances", {}).get("ne_gap"), doc.get("ne_tol"),
-                              doc.get("tol"), DEFAULT_NE_TOL))
-    if not ne_tol >= 0:
-        raise ValidationError(f"equilibrium gap tolerance must be non-negative, got {ne_tol}")
-    return Scenario(
-        graph, int(n_players), float(gamma), epsilon,
-        split_equivalent=split,
-        allow_extended_epsilon=bool(args.allow_extended_epsilon
-                                    or doc.get("allow_extended_epsilon")),
-        s0=s0,
-        ne_tol=ne_tol,
-        state_cap=int(_first_set(args.state_cap, doc.get("state_cap"), DEFAULT_STATE_CAP)),
-        # only `verify` and `simulate` take --profile, and only they run one
-        profile=(_first_set(args.profile, doc.get("profile"), "cr-optimal")
-                 if hasattr(args, "profile") else None),
-    )
-
-
-def _first_set(*values):
-    """The first value that is not None: a flag, then the scenario file, then the default."""
-    return next((v for v in values if v is not None), None)
-
-
-def _check_player_count(n_players):
-    if n_players < 2:
-        raise ValidationError(f"need at least 2 players, got {n_players}")
+def _at_least_one(flag, value):
+    if value < 1:
+        raise ValidationError(f"{flag} must be at least 1, got {value}")
 
 
 def _grid_from(args, n_players):
@@ -198,7 +94,7 @@ def _report(command, scenario, result):
 # Commands.
 
 def cmd_solve(args):
-    scenario = _load_scenario(args)
+    scenario = Scenario.read(_reader(args))
     space = scenario.space()
     params = scenario.params
     game = equilibria.Game(space, params)
@@ -241,19 +137,20 @@ def cmd_solve(args):
 
 def cmd_reproduce_example(args):
     demo = analysis.delayed_capture_demo(args.gamma, args.epsilon)
+    # each play: (how it is played, trace, payoffs, symbolic payoffs)
+    plays = {"cooperative": ("both pursuers greedy, evader optimal", demo.cooperative_trace,
+                             demo.cooperative_payoffs, demo.cooperative_symbolic),
+             "deviation": ("C1 retreats to vertex 7 first, then chases", demo.deviation_trace,
+                           demo.deviation_payoffs, demo.deviation_symbolic)}
     if args.json:
         result = {
             "gamma": demo.gamma, "epsilon": demo.epsilon, "s0": list(demo.s0),
-            "cooperative": {"table": simulate.render_turn_table(demo.cooperative_trace),
-                            "capture_time": demo.cooperative_trace.capture_time,
-                            "captured_by": list(demo.cooperative_trace.capturing_set),
-                            "payoffs": list(demo.cooperative_payoffs),
-                            "symbolic": demo.cooperative_symbolic},
-            "deviation": {"table": simulate.render_turn_table(demo.deviation_trace),
-                          "capture_time": demo.deviation_trace.capture_time,
-                          "captured_by": list(demo.deviation_trace.capturing_set),
-                          "payoffs": list(demo.deviation_payoffs),
-                          "symbolic": demo.deviation_symbolic},
+            **{name: {"table": simulate.render_turn_table(trace),
+                      "capture_time": trace.capture_time,
+                      "captured_by": list(trace.capturing_set),
+                      "payoffs": list(payoffs),
+                      "symbolic": symbolic}
+               for name, (_, trace, payoffs, symbolic) in plays.items()},
             "threshold": demo.threshold,
             "threshold_exponent": demo.threshold_exponent,
             "deviation_profitable": demo.deviation_profitable,
@@ -263,22 +160,13 @@ def cmd_reproduce_example(args):
         return EXIT_OK
     print("delayed-capture example: 9-vertex tree, two pursuers, one evader")
     print(f"s0: C1=6 C2=1 R=4, C1 moves first; gamma={demo.gamma} eps={demo.epsilon}")
-    print()
-    print("cooperative play (both pursuers greedy, evader optimal):")
-    print(simulate.render_turn_table(demo.cooperative_trace))
-    print(f"capture at turn {demo.cooperative_trace.capture_time} by "
-          f"C{demo.cooperative_trace.capturing_set[0]}")
-    print("payoffs: " + ", ".join(
-        f"Q{i+1} = {s} = {v:.6f}" for i, (s, v) in
-        enumerate(zip(demo.cooperative_symbolic, demo.cooperative_payoffs))))
-    print()
-    print("deviation play (C1 retreats to vertex 7 first, then chases):")
-    print(simulate.render_turn_table(demo.deviation_trace))
-    print(f"capture at turn {demo.deviation_trace.capture_time} by "
-          f"C{demo.deviation_trace.capturing_set[0]}")
-    print("payoffs: " + ", ".join(
-        f"Q{i+1} = {s} = {v:.6f}" for i, (s, v) in
-        enumerate(zip(demo.deviation_symbolic, demo.deviation_payoffs))))
+    for name, (how, trace, payoffs, symbolic) in plays.items():
+        print()
+        print(f"{name} play ({how}):")
+        print(simulate.render_turn_table(trace))
+        print(f"capture at turn {trace.capture_time} by C{trace.capturing_set[0]}")
+        print("payoffs: " + ", ".join(
+            f"Q{i+1} = {s} = {v:.6f}" for i, (s, v) in enumerate(zip(symbolic, payoffs))))
     print()
     print(f"retreat pays iff gamma > (eps/(1-eps))^(1/{demo.threshold_exponent})"
           f" = {demo.threshold:.6f}")
@@ -289,10 +177,12 @@ def cmd_reproduce_example(args):
 
 
 def cmd_copnumber(args):
-    g = _load_graph(args, _read_scenario(args))
+    _at_least_one("--max-cops", args.max_cops)
+    get = _reader(args)
+    g, state_cap = get("graph"), get("state_cap", DEFAULT_STATE_CAP)
     if args.selfish:
         rep = analysis.selfish_cop_number(g, max_cops=args.max_cops, verify=args.verify,
-                                          state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
+                                          state_cap=state_cap)
         result = {
             "selfish_cop_number": rep.value,
             "cop_number": rep.cop_result.value,
@@ -302,8 +192,7 @@ def cmd_copnumber(args):
             "consistent": rep.consistent,
         }
     else:
-        res = cop_number(g, max_cops=args.max_cops,
-                         state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
+        res = cop_number(g, max_cops=args.max_cops, state_cap=state_cap)
         result = {"cop_number": res.value, "finite_by_cops": res.finite_by_cops}
     _emit({"schema_version": SCHEMA_VERSION, "command": "copnumber",
            "graph": serialize_graph(g), "max_cops": args.max_cops, "result": result})
@@ -313,7 +202,7 @@ def cmd_copnumber(args):
 
 
 def cmd_sweep(args):
-    scenario = _load_scenario(args)
+    scenario = Scenario.read(_reader(args))
     grid = _grid_from(args, scenario.params.n_players)
     s0_list = [scenario.s0] if scenario.s0 is not None else None
     rows = analysis.sweep(scenario.graph, scenario.params.n_players, grid=grid,
@@ -326,16 +215,14 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    scenario = _load_scenario(args)
-    result = analysis.verify_profile(scenario.space(), scenario.params, scenario.profile,
-                                     scenario.ne_tol, s0=scenario.s0,
-                                     state_cap=scenario.state_cap)
+    scenario = Scenario.read(_reader(args), DEFAULT_PROFILE)
+    result = analysis.verify_profile(scenario)
     _emit(_report("verify", scenario, {"profile": scenario.profile, **result}))
     return EXIT_OK if result.get("is_ne", True) else EXIT_SUITE_FAILURE
 
 
 def cmd_simulate(args):
-    scenario = _load_scenario(args)
+    scenario = Scenario.read(_reader(args), DEFAULT_PROFILE)
     space = scenario.space()
     params = scenario.params
     if scenario.s0 is None:
@@ -348,7 +235,10 @@ def cmd_simulate(args):
             raise ValidationError("--plan needs --deviator")
         for item in args.plan.split(","):
             turn, _, action = item.partition(":")
-            plan[int(turn)] = int(action)
+            try:
+                plan[int(turn)] = int(action)
+            except ValueError:
+                raise ValidationError(f"--plan needs turn:action pairs, got {item!r}") from None
     if plan:
         trace = simulate.run_with_forced_deviation(space, profile, args.deviator,
                                                    plan, idx0, turn_cap=args.turn_cap)
@@ -370,12 +260,12 @@ def cmd_simulate(args):
 
 
 def cmd_equivalence(args):
-    g = _load_graph(args, _read_scenario(args))
-    n_players = _first_set(args.n, 3)
-    _check_player_count(n_players)
-    rep = analysis.payoff_equivalence_check(g, n_players, trials=args.trials,
-                                            seed=args.seed, gamma=_first_set(args.gamma, 0.7),
-                                            state_cap=_first_set(args.state_cap, DEFAULT_STATE_CAP))
+    _at_least_one("--trials", args.trials)
+    get = _reader(args)
+    g, n_players = get("graph"), get("n_players", 3)
+    rep = analysis.payoff_equivalence_check(g, n_players, trials=args.trials, seed=args.seed,
+                                            gamma=get("gamma", 0.7),
+                                            state_cap=get("state_cap", DEFAULT_STATE_CAP))
     result = {
         "trials": rep.trials,
         "all_sums_exact": rep.all_sums_exact,
@@ -390,7 +280,7 @@ def cmd_equivalence(args):
 
 
 def cmd_theorems(args):
-    scenario = _load_scenario(args)
+    scenario = Scenario.read(_reader(args))
     grid = _grid_from(args, scenario.params.n_players)
     reports = analysis.theorem_suite(scenario.graph, scenario.params.n_players, grid=grid,
                                      tol=scenario.ne_tol, state_cap=scenario.state_cap)
@@ -410,11 +300,14 @@ def _add_graph(p):
 
 def _add_common(p, grid=False):
     _add_graph(p)
-    p.add_argument("--n", type=int, help="number of players (pursuers + 1)")
+    p.add_argument("--n", type=int, dest="n_players", metavar="N",
+                   help="number of players (pursuers + 1)")
     p.add_argument("--gamma", type=float)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--split-equivalent", action="store_true", dest="split_equivalent")
-    p.add_argument("--allow-extended-epsilon", action="store_true",
+    # store_true flags default to None, not False: not given
+    p.add_argument("--split-equivalent", action="store_true", default=None,
+                   dest="split_equivalent")
+    p.add_argument("--allow-extended-epsilon", action="store_true", default=None,
                    dest="allow_extended_epsilon")
     p.add_argument("--ne-tol", type=float, dest="ne_tol", help="equilibrium gap tolerance")
     p.add_argument("--s0", help="initial state as x1,...,xN,p")
@@ -473,7 +366,7 @@ def build_parser():
     p = sub.add_parser("equivalence",
                        help="split-equivalent payoff battery with random profiles")
     _add_graph(p)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, dest="n_players", metavar="N")
     p.add_argument("--gamma", type=float)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

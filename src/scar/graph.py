@@ -229,7 +229,11 @@ def builtin_graph(name: str) -> Graph:
         raise GraphValidationError(f"unknown builtin graph {name!r}; known: {sorted(BUILTIN_GRAPHS)}")
     builder = BUILTIN_GRAPHS[base]
     if sep:
-        return builder(int(arg))
+        try:
+            size = int(arg)
+        except ValueError:
+            raise GraphValidationError(f"builtin {base!r} needs an integer size, got {arg!r}") from None
+        return builder(size)
     if base in ("path", "cycle", "complete", "star"):
         raise GraphValidationError(f"builtin {base!r} needs a size, e.g. {base}:4")
     return builder()

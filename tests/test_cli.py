@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from scar.analysis import _scenario, replay_scenario
-from scar.cli import main
-from scar.graph import serialize_graph, cycle_graph
+from scar.analysis import Scenario, replay_scenario
+from scar.cli import _json_default, main
+from scar.graph import cycle_graph, path_graph, serialize_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -14,6 +14,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def replayed(doc):
+    """`replay_scenario`'s verdict on `doc` as a report prints it."""
+    return json.loads(json.dumps(replay_scenario(doc), default=_json_default))
+
+
+def without_profile(result):
+    return {key: value for key, value in result.items() if key != "profile"}
 
 
 def test_reproduce_example_default(capsys):
@@ -60,6 +69,8 @@ def test_report_scenario_reruns_byte_identically(tmp_path, capsys):
         path = tmp_path / "echo.json"
         path.write_text(json.dumps(echoes[-1]))
         assert run_cli(capsys, argv[0], "--scenario", str(path)) == (code, out, "")
+        if argv[0] == "verify":
+            assert replayed(echoes[-1]) == without_profile(json.loads(out)["result"])
     assert [e["profile"] for e in echoes] == ["cr-optimal", "threat", "threat"]
     assert echoes[0]["ne_tol"] == 1e-7
 
@@ -80,13 +91,14 @@ def test_zero_tolerance_suites_pass_on_delayed_capture(capsys):
 def test_suite_counterexample_reruns_through_verify(tmp_path, capsys):
     """A failing suite instance's scenario, which covers every start, reruns
     through `verify --scenario` with the verdict `replay_scenario` gives, under
-    the suite's gap tolerance (its top-level `tol`) without --ne-tol."""
+    the suite's gap tolerance (its top-level `ne_tol`) without --ne-tol."""
     from scar.analysis import make_grid, theorem_suite
 
     grid = make_grid(4, gammas=[0.3], epsilons=[0.25])
     reports = {r.theorem_id: r for r in theorem_suite(cycle_graph(8), 4, grid=grid, tol=1e-9)}
     scenario = reports["cr-optimal-ne-on-omega-tilde"].counterexample["scenario"]
     assert scenario["s0"] is None
+    assert scenario["ne_tol"] == 1e-9 and "tol" not in scenario
     path = tmp_path / "cex.json"
     path.write_text(json.dumps(scenario))
     code, out, err = run_cli(capsys, "verify", "--scenario", str(path), "--profile", "cr-optimal")
@@ -106,7 +118,7 @@ def test_suite_counterexample_reruns_through_verify(tmp_path, capsys):
 def test_scenario_profile_is_honoured(tmp_path, capsys, kind, graph, n_players, gamma, eps, s0):
     """A suite scenario reruns as its own `profile` without --profile, to the
     verdict `replay_scenario` gives."""
-    doc = _scenario(graph, n_players, gamma, eps, s0=s0, profile=kind)
+    doc = Scenario(graph, n_players, gamma, eps, s0=s0, profile=kind).to_json_obj()
     path = tmp_path / "cex.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
@@ -120,7 +132,8 @@ def test_scenario_profile_is_honoured(tmp_path, capsys, kind, graph, n_players, 
 
 def test_profile_flag_wins_over_scenario(tmp_path, capsys):
     path = tmp_path / "cex.json"
-    path.write_text(json.dumps(_scenario(cycle_graph(4), 3, 0.2, 0.5, profile="noncapturing")))
+    path.write_text(json.dumps(Scenario(cycle_graph(4), 3, 0.2, 0.5,
+                                        profile="noncapturing").to_json_obj()))
     code, out, _ = run_cli(capsys, "verify", "--scenario", str(path), "--profile", "cr-optimal")
     assert code == 0
     assert json.loads(out)["result"]["profile"] == "cr-optimal"
@@ -128,16 +141,17 @@ def test_profile_flag_wins_over_scenario(tmp_path, capsys):
 
 def test_unrunnable_scenario_profile_is_validation_error(tmp_path, capsys):
     path = tmp_path / "cex.json"
-    # the escape suite's own document: no parameters, profile "-"
-    path.write_text(json.dumps(_scenario(cycle_graph(4), 2)))
+    # hand-written documents naming a profile no command runs
+    doc = {"graph": serialize_graph(cycle_graph(4)), "n_players": 2, "profile": "-"}
+    path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "verify", "--scenario", str(path))
     assert (code, out) == (2, "")
-    path.write_text(json.dumps(_scenario(cycle_graph(4), 3, 0.5, 0.25)))
+    path.write_text(json.dumps({**doc, "n_players": 3, "gamma": 0.5, "epsilon": 0.25}))
     code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
     assert (code, out) == (2, "")
     assert "cannot verify profile '-'" in err
-    path.write_text(json.dumps(_scenario(cycle_graph(4), 3, 0.5, 0.25, s0=[1, 1, 3, 1],
-                                         profile="noncapturing")))
+    path.write_text(json.dumps(Scenario(cycle_graph(4), 3, 0.5, 0.25, s0=[1, 1, 3, 1],
+                                        profile="noncapturing").to_json_obj()))
     code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
     assert (code, out) == (2, "")
     assert "cannot play profile 'noncapturing'" in err
@@ -448,3 +462,104 @@ def test_empty_or_unparsable_grid_is_rejected(capsys, command, graph, n, grid, m
     assert code == 2
     assert out == ""
     assert message in err
+
+
+# -- one scenario reader: flag, else document key, else default; replay is verify
+
+def test_zero_tolerance_echo_replays_as_verify(tmp_path, capsys):
+    """At --ne-tol 0 the threat profile on path:5 fails by a 1.1e-16 gain; its
+    echo, through `replay_scenario` or `verify --scenario`, fails the same way."""
+    argv = ["verify", "--builtin", "path:5", "--n", "3", "--gamma", "0.95", "--epsilon", "0",
+            "--ne-tol", "0", "--profile", "threat"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 5
+    report = json.loads(out)
+    assert report["scenario"]["ne_tol"] == 0.0
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(report["scenario"]))
+    assert run_cli(capsys, "verify", "--scenario", str(path)) == (code, out, "")
+    assert replayed(report["scenario"]) == without_profile(report["result"])
+    assert replayed(report["scenario"])["is_ne"] is False
+
+
+def test_hand_written_builtin_graph_replays_as_verify(tmp_path, capsys):
+    doc = {"graph": {"builtin": "cycle:4"}, "n_players": 3, "gamma": 0.2, "epsilon": 0.5,
+           "s0": [1, 1, 3, 1], "profile": "threat", "tolerances": {"ne_gap": 1e-8}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", "--scenario", str(path))
+    assert code == 0
+    assert replayed(doc) == without_profile(json.loads(out)["result"])
+
+
+@pytest.mark.parametrize("graph", [{"builtin": "cycle:4"}, None])
+def test_graph_flag_wins_over_scenario(tmp_path, capsys, graph):
+    doc = {"n_players": 2, "gamma": 0.5, "epsilon": 0.5}
+    if graph is not None:
+        doc["graph"] = graph
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", "--scenario", str(path), "--builtin", "path:3")
+    assert code == 0
+    assert json.loads(out)["scenario"]["graph"] == serialize_graph(path_graph(3))
+
+
+def test_equivalence_reads_the_scenario(tmp_path, capsys, monkeypatch):
+    from scar import analysis
+
+    seen = {}
+    check = analysis.payoff_equivalence_check
+
+    def recording(g, n_players, **kwargs):
+        seen.update(n_players=n_players, **kwargs)
+        return check(g, n_players, **kwargs)
+
+    monkeypatch.setattr(analysis, "payoff_equivalence_check", recording)
+    path = _scenario_path(tmp_path, n_players=2, gamma=0.3, state_cap=100)
+    code, out, _ = run_cli(capsys, "equivalence", "--scenario", path, "--trials", "2")
+    assert code == 0
+    assert json.loads(out)["n_players"] == 2
+    assert (seen["n_players"], seen["gamma"], seen["state_cap"]) == (2, 0.3, 100)
+    code, _, err = run_cli(capsys, "equivalence", "--scenario",
+                           _scenario_path(tmp_path, state_cap=0), "--trials", "2")
+    assert code == 3
+    assert "cap of 0" in err
+
+
+def test_copnumber_reads_the_scenario_state_cap(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "copnumber", "--scenario", _scenario_path(tmp_path, state_cap=0))
+    assert code == 3
+    assert "cap of 0" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["simulate", *PATH3[1:], "--s0", "1,3,1", "--deviator", "1", "--plan", "1-2"], None),
+    (["verify", *PATH3[1:], "--s0", "a,b,1"], None),
+    (["copnumber", "--builtin", "path:x"], None),
+    (["copnumber", "--graph", "{missing}"], None),
+    (["verify", "--scenario", "{missing}"], None),
+    (["verify", "--scenario", "{file}"], "{bad"),
+    (["verify", "--scenario", "{file}"], "[1, 2]"),
+    (["verify", "--scenario", "{file}"],
+     '{"graph": {"builtin": "path:3"}, "n_players": "3", "gamma": 0.5, "epsilon": 0.5}'),
+    (["verify", "--scenario", "{file}"],
+     '{"graph": {"builtin": "path:3"}, "n_players": 2, "gamma": "x", "epsilon": 0.5}'),
+])
+def test_malformed_input_is_validation_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [a.format(file=path, missing=tmp_path / "missing") for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["copnumber", "--builtin", "path:3", "--max-cops", "0"], "--max-cops"),
+    (EQUIVALENCE[:-1] + ["-3"], "--trials"),
+])
+def test_count_flag_below_one_is_rejected(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{flag} must be at least 1" in err
