@@ -24,7 +24,7 @@ from .cr import CopNumberResult, cop_number, exact_capture_times, t_n_max
 from .equilibria import DEFAULT_NE_TOL
 from .errors import ValidationError
 from .graph import Graph, builtin_graph, parse_graph, serialize_graph
-from .payoffs import GameParams
+from .payoffs import GameParams, discounted
 from .profiles import PositionalProfile, combine_player_moves, greedy_cop_moves, random_profile
 from .simulate import payoffs_of, profile_outcomes, run, run_with_forced_deviation
 from .states import DEFAULT_STATE_CAP, build_state_space
@@ -102,7 +102,7 @@ class Scenario:
         if not ne_tol >= 0:
             raise ValidationError(f"equilibrium gap tolerance must be non-negative, got {ne_tol}")
         s0 = get("s0")
-        return cls(graph, get("n_players"), float(get("gamma")), None if split else get("epsilon"),
+        return cls(graph, get("n_players"), float(get("gamma")), None if split else float(get("epsilon")),
                    split_equivalent=split,
                    allow_extended_epsilon=bool(get("allow_extended_epsilon")),
                    s0=tuple(s0) if s0 else None, ne_tol=ne_tol,
@@ -401,7 +401,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                                  scenario(gamma, eps, profile="cr-optimal"))
 
         if cop_win:
-            if eps <= 0.0 or eps * gamma**horizon <= 10 * tol:
+            if eps <= 0.0 or discounted(gamma, horizon, eps) <= 10 * tol:
                 copwin_rep.instances.append(
                     {"passed": None, "skipped": True, "gamma": gamma, "epsilon": eps,
                      "reason": "incentive below verification resolution"})

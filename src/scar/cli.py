@@ -195,7 +195,8 @@ def cmd_copnumber(args):
         res = cop_number(g, max_cops=args.max_cops, state_cap=state_cap)
         result = {"cop_number": res.value, "finite_by_cops": res.finite_by_cops}
     _emit({"schema_version": SCHEMA_VERSION, "command": "copnumber",
-           "graph": serialize_graph(g), "max_cops": args.max_cops, "result": result})
+           "graph": serialize_graph(g), "max_cops": args.max_cops, "state_cap": state_cap,
+           "result": result})
     if args.selfish and args.verify and not result["consistent"]:
         return EXIT_SUITE_FAILURE
     return EXIT_OK
@@ -263,9 +264,9 @@ def cmd_equivalence(args):
     _at_least_one("--trials", args.trials)
     get = _reader(args)
     g, n_players = get("graph"), get("n_players", 3)
+    gamma, state_cap = get("gamma", 0.7), get("state_cap", DEFAULT_STATE_CAP)
     rep = analysis.payoff_equivalence_check(g, n_players, trials=args.trials, seed=args.seed,
-                                            gamma=get("gamma", 0.7),
-                                            state_cap=get("state_cap", DEFAULT_STATE_CAP))
+                                            gamma=gamma, state_cap=state_cap)
     result = {
         "trials": rep.trials,
         "all_sums_exact": rep.all_sums_exact,
@@ -274,8 +275,8 @@ def cmd_equivalence(args):
         "max_gap": rep.max_gap,
     }
     _emit({"schema_version": SCHEMA_VERSION, "command": "equivalence",
-           "graph": serialize_graph(g), "n_players": n_players, "seed": args.seed,
-           "result": result})
+           "graph": serialize_graph(g), "n_players": n_players, "gamma": gamma,
+           "seed": args.seed, "state_cap": state_cap, "result": result})
     return EXIT_OK if rep.all_sums_exact and rep.cr_optimal_is_ne else EXIT_SUITE_FAILURE
 
 

@@ -15,7 +15,7 @@ independent implementations are kept side by side:
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
 The discounted value solver, an exact fixpoint of zero-sum value iteration,
-cross-checks the tables via v(s) = gamma^T(s) at every gamma.
+cross-checks the tables via v(s) = gamma^T(s) at every gamma, bit for bit.
 """
 
 from __future__ import annotations
@@ -168,14 +168,6 @@ def discounted_cr_value(space: StateSpace, gamma: float) -> DiscountedValue:
     pursuers = range(1, space.n_players)
     values, iterations, _ = bellman.solve_zero_sum(space, fixed, gamma, pursuers)
     return DiscountedValue(values, iterations)
-
-
-def gamma_power_times(gamma: float, times: np.ndarray) -> np.ndarray:
-    """gamma**T with the escape sentinel mapped explicitly to 0."""
-    out = np.zeros(len(times))
-    finite = times >= 0
-    out[finite] = gamma ** times[finite].astype(float)
-    return out
 
 
 def extract_cr_optimal_moves(table: CaptureTimeTable) -> np.ndarray:

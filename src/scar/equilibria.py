@@ -51,9 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bellman
-from .cr import CaptureTimeTable, gamma_power_times
+from .cr import CaptureTimeTable
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
-from .payoffs import GameParams, turn_payoff, turn_payoff_matrix
+from .payoffs import GameParams, discounted_payoff, turn_payoff_matrix
 from .profiles import (
     NonCapturingProfile,
     PositionalProfile,
@@ -354,9 +354,8 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
     for threat in threats:
         t, capture_at = profile_outcomes(space, threat.cooperative.move)
         turns.append(t)
-        # gamma^T * split on his own rows only; an escape (-1) reads the terminal's zero payoff
-        coop.append([gamma_power_times(gamma, t[rows]) * q[i, capture_at[rows]]
-                     for i, rows in enumerate(own_rows)])
+        coop.append([discounted_payoff(space, params, p, capture_at[rows], t[rows])
+                     for p, rows in enumerate(own_rows, start=1)])
     gains = [[] for _ in threats]
     witnesses = [[] for _ in threats]
     for player in range(1, n + 1):
@@ -540,13 +539,10 @@ def _start_local_value(space, params, search, player):
     only rewards q sit at capture states, where it stops. A capture with q >= 0
     is best reached by a shortest path; a reachable cycle (necessarily
     capture-free) secures 0; without one the graph is acyclic, and a capture
-    with q < 0 is best reached by a longest path. q is discounted one factor of
-    gamma per step, as value iteration does, so the value equals its fixpoint.
+    with q < 0 (the evader's) by a longest path. `payoffs.discounted` discounts
+    q as value iteration does, so the value equals its fixpoint.
     """
     best = -math.inf if search.acyclic else 0.0  # a cycle's 0 beats every q < 0
-    for idx, shortest, longest in search.captures:
-        value = turn_payoff(space, params, idx, player)
-        for _ in range(shortest if value >= 0 else longest):
-            value = params.gamma * value
-        best = max(best, value)
-    return best
+    idx, shortest, longest = np.array(search.captures, dtype=np.int64).reshape(-1, 3).T
+    turns = longest if player == space.n_players else shortest
+    return float(discounted_payoff(space, params, player, idx, turns).max(initial=best))

@@ -9,6 +9,8 @@ side payoff-identical to the single-controller pursuit game.
 
 All turn payoffs away from capture states are zero, so a play's total payoff
 is the closed form gamma^T * (capture split), or zero if capture never occurs.
+Only this module knows how a capture is paid: `_share` is the split rule and
+`discounted` the discount rule, q times gamma once per turn as a backup does.
 """
 
 from __future__ import annotations
@@ -62,50 +64,61 @@ class GameParams:
         return self.gamma < self.epsilon / (1.0 - self.epsilon)
 
 
-def _split(params: GameParams, n1: int, capturing: bool, exact: bool):
-    """Reward to one pursuer at a capture state with n1 capturing pursuers."""
+def _share(params: GameParams, n1: int, capturing: bool) -> tuple:
+    """The split rule: one pursuer's share of a capture by n1 pursuers, as
+    (numerator, divisor) with numerator "1", "(1-eps)" or "eps"."""
     ncops = params.n_players - 1
+    if params.split_equivalent or n1 == ncops:
+        return "1", ncops
+    return ("(1-eps)", n1) if capturing else ("eps", ncops - n1)
+
+
+def _class_payoff(params: GameParams, k: int, exact: bool):
+    """Turn payoff of capture class k: a float, or a Fraction when `exact`."""
+    if k < 2:
+        return Fraction(-k) if exact else float(-k)
+    numerator, divisor = _share(params, k // 2, k % 2 == 0)
     one = Fraction(1) if exact else 1.0
-    if params.split_equivalent:
-        return one / ncops
-    if n1 == ncops:
-        return one / ncops
+    if numerator == "1":
+        return one / divisor
     eps = Fraction(params.epsilon) if exact else params.epsilon
-    if capturing:
-        return (one - eps) / n1
-    return eps / (ncops - n1)
+    return (eps if numerator == "eps" else one - eps) / divisor
+
+
+def _class_payoffs(params: GameParams) -> np.ndarray:
+    """Float turn payoff of each `StateSpace.capture_class`."""
+    return np.array([_class_payoff(params, k, False) for k in range(2 * params.n_players)])
 
 
 def turn_payoff(space, params: GameParams, s, player: int, exact: bool = False):
     """Immediate reward of `player` at state `s`; nonzero only at capture states."""
-    idx = space._as_index(s)
-    zero = Fraction(0) if exact else 0.0
-    if idx == space.terminal_index or not space.is_capture[idx]:
-        return zero
-    if player == params.n_players:
-        return -(Fraction(1) if exact else 1.0)
-    n1 = int(space.capture_count[idx])
-    capturing = bool(space._cop_on_robber[idx, player - 1])
-    return _split(params, n1, capturing, exact)
+    return _class_payoff(params, int(space.capture_class[player - 1, space._as_index(s)]), exact)
 
 
 def turn_payoff_matrix(space, params: GameParams) -> np.ndarray:
-    """(n_players, n_states) float matrix of turn payoffs; zero off capture states.
+    """(n_players, n_states) float turn payoffs, equal to `turn_payoff` bit for bit."""
+    return _class_payoffs(params)[space.capture_class]
 
-    Capture states are grouped by their captor count n1 in 1..N-1, so `_split`
-    runs once per n1 and side; the entries equal `turn_payoff` bit for bit.
-    """
-    n = params.n_players
-    q = np.zeros((n, space.n_states))
-    cap = np.flatnonzero(space.is_capture)
-    q[n - 1, cap] = -1.0
-    n1_of = space.capture_count[cap]
-    for n1 in range(1, n):  # an empty group writes nothing
-        rows = cap[n1_of == n1]
-        q[:n - 1, rows] = np.where(space._cop_on_robber[rows].T,
-                                   _split(params, n1, True, exact=False),
-                                   _split(params, n1, False, exact=False))
-    return q
+
+def discounted(gamma: float, turns, shares, key=0):
+    """The discount rule: shares[key] multiplied by gamma once per turn, as a
+    Bellman backup does (fl(fl(q * gamma) * gamma)..., which pow(gamma, T) * q
+    may miss by an ulp), and 0 where turns < 0. A scalar `shares` is one
+    share; row t of the table is every share times gamma t times."""
+    shares = np.atleast_1d(shares)
+    turns = np.asarray(turns)
+    table = np.full((int(turns.max(initial=0)) + 2, shares.size), float(gamma))
+    table[0] = shares
+    np.multiply.accumulate(table, axis=0, out=table)
+    table[-1] = 0.0  # the row that turns = -1 reads
+    return table.ravel()[turns * shares.size + key]
+
+
+def discounted_payoff(space, params: GameParams, player: int, capture_at, turns):
+    """`player`'s turn payoff at the capture states `capture_at`, discounted
+    over `turns` turns; 0 where turns < 0."""
+    return discounted(params.gamma, turns, _class_payoffs(params),
+                      space.capture_class[player - 1][capture_at])
 
 
 def total_payoff(params: GameParams, trace, player: int, exact: bool = False):
@@ -114,31 +127,17 @@ def total_payoff(params: GameParams, trace, player: int, exact: bool = False):
         raise ValidationError("trace hit its turn cap; payoff is undefined for inconclusive traces")
     if trace.termination == "cycle":
         return Fraction(0) if exact else 0.0
-    t = trace.capture_time
-    q = turn_payoff(trace.space, params, trace.states[-1], player, exact=exact)
-    g = Fraction(params.gamma) if exact else params.gamma
-    return g**t * q
+    space, at, t = trace.space, trace.states[-1], trace.capture_time
+    if exact:
+        return Fraction(params.gamma)**t * turn_payoff(space, params, at, player, exact=True)
+    return float(discounted_payoff(space, params, player, at, t))
 
 
 def symbolic_payoffs(params: GameParams, capture_time: int, capturing_set: tuple) -> list:
     """Human-readable closed forms, e.g. 'eps*gamma^5' / '(1-eps)*gamma^5' / '-gamma^5'."""
-    n = params.n_players
-    ncops = n - 1
-    n1 = len(capturing_set)
     out = []
-    for player in range(1, n + 1):
-        if player == n:
-            coeff = "-1"
-        elif params.split_equivalent or n1 == ncops:
-            coeff = f"1/{ncops}" if ncops > 1 else "1"
-        elif player in capturing_set:
-            coeff = "(1-eps)" if n1 == 1 else f"(1-eps)/{n1}"
-        else:
-            coeff = "eps" if ncops - n1 == 1 else f"eps/{ncops - n1}"
-        if coeff == "1":
-            out.append(f"gamma^{capture_time}")
-        elif coeff == "-1":
-            out.append(f"-gamma^{capture_time}")
-        else:
-            out.append(f"{coeff}*gamma^{capture_time}")
-    return out
+    for player in range(1, params.n_players):
+        numerator, divisor = _share(params, len(capturing_set), player in capturing_set)
+        coeff = numerator if divisor == 1 else f"{numerator}/{divisor}"
+        out.append(f"gamma^{capture_time}" if coeff == "1" else f"{coeff}*gamma^{capture_time}")
+    return out + [f"-gamma^{capture_time}"]

@@ -8,7 +8,7 @@ A turn cap exists only as a safety net for externally supplied strategies.
 Whole-space evaluation of positional play needs no play-out at all:
 `profile_outcomes` resolves every start at once by pointer doubling over the
 profile's successor map, in array operations only, and `exact_profile_values`
-turns those outcomes into closed-form payoffs gamma^T * split.
+turns those outcomes into payoffs gamma^T * split by `payoffs.discounted`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cr import gamma_power_times
 from .errors import IllegalMoveError, ValidationError
-from .payoffs import GameParams, total_payoff
+from .payoffs import GameParams, discounted_payoff, total_payoff
 from .states import NULL_MOVE, TERMINAL, StateSpace
 
 CAPTURED = "captured"
@@ -166,13 +165,8 @@ def exact_profile_values(game, outcomes: tuple) -> np.ndarray:
     capture_at) pair of `profile_outcomes` for the play's moves.
     """
     turns, capture_at = outcomes
-    finite = turns >= 0
-    powers = gamma_power_times(game.params.gamma, turns)
-    values = np.zeros((game.params.n_players, game.space.n_states))
-    safe_cap = np.maximum(capture_at, 0)
-    for m in range(game.params.n_players):
-        values[m] = np.where(finite, powers * game.payoffs[m, safe_cap], 0.0)
-    return values
+    return np.stack([discounted_payoff(game.space, game.params, p, capture_at, turns)
+                     for p in range(1, game.params.n_players + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ promotes through the int64 `_stride`, so every state index stays int64.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +254,19 @@ class StateSpace:
         if self._succ is None:
             self._build_tables()
         return self._succ
+
+    @functools.cached_property
+    def capture_class(self) -> np.ndarray:
+        """Read-only (n_players, n_states) int8 capture class of each player at
+        each state, built on first read: 0 off capture, 1 for the evader at a
+        capture, and 2 * n1 for a pursuer among n1 captors, 2 * n1 + 1 for a
+        bystander. `payoffs` pays each class its one turn payoff."""
+        n, cap = self.n_players, self.is_capture
+        classes = np.zeros((n, self.n_states), dtype=np.int8)
+        classes[n - 1, cap] = 1
+        classes[:n - 1, cap] = 2 * self.capture_count[cap] + ~self._cop_on_robber[cap].T
+        classes.flags.writeable = False
+        return classes
 
     def turn_block(self, player: int) -> TurnBlock:
         """`player`'s `TurnBlock`, stepped from the packed index once per space."""

@@ -467,19 +467,61 @@ def test_empty_or_unparsable_grid_is_rejected(capsys, command, graph, n, grid, m
 # -- one scenario reader: flag, else document key, else default; replay is verify
 
 def test_zero_tolerance_echo_replays_as_verify(tmp_path, capsys):
-    """At --ne-tol 0 the threat profile on path:5 fails by a 1.1e-16 gain; its
-    echo, through `replay_scenario` or `verify --scenario`, fails the same way."""
-    argv = ["verify", "--builtin", "path:5", "--n", "3", "--gamma", "0.95", "--epsilon", "0",
-            "--ne-tol", "0", "--profile", "threat"]
+    """At --ne-tol 0 optimal pursuit on the delayed-capture tree fails by a
+    genuine gap of 0.397 (outside omega-tilde); its echo, through
+    `replay_scenario` or `verify --scenario`, fails the same way."""
+    argv = ["verify", "--builtin", "delayed-capture", "--n", "3", "--gamma", "0.95",
+            "--epsilon", "0.25", "--profile", "cr-optimal", "--ne-tol", "0"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 5
     report = json.loads(out)
     assert report["scenario"]["ne_tol"] == 0.0
+    assert report["result"]["max_gap"] > 0.39
     path = tmp_path / "echo.json"
     path.write_text(json.dumps(report["scenario"]))
     assert run_cli(capsys, "verify", "--scenario", str(path)) == (code, out, "")
     assert replayed(report["scenario"]) == without_profile(report["result"])
     assert replayed(report["scenario"])["is_ne"] is False
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["verify", "--builtin", "path:5", "--n", "3", "--gamma", "0.95", "--epsilon", "0",
+      "--profile", "threat"], "per_player_gain"),
+    (["solve", "--builtin", "cycle:8", "--n", "3", "--gamma", "0.1", "--epsilon", "0"],
+     "per_player_gap"),
+])
+def test_closed_forms_equal_the_fixpoints_at_zero_tolerance(capsys, argv, key):
+    """Profile payoffs and best responses are the same iterated products, so
+    an equilibrium verifies with gains of exactly 0.0 and no tolerance (the
+    closed form pow(gamma, T) * q left 1.1e-16 and 1.7e-18 here)."""
+    code, out, _ = run_cli(capsys, *argv, "--ne-tol", "0")
+    assert code == 0
+    result = json.loads(out)["result"]
+    verdict = result.get("verification", result)
+    assert max(verdict[key]) == 0.0
+    if argv[0] == "solve":
+        assert result["method"] == "positional-sweeps"
+        assert result["consistency_residual"] == 0.0
+
+
+def test_integer_epsilon_in_scenario_prints_as_the_flag(tmp_path, capsys):
+    flag = run_cli(capsys, "verify", "--builtin", "path:3", "--n", "2", "--gamma", "0.5",
+                   "--epsilon", "0")
+    doc = run_cli(capsys, "verify", "--scenario",
+                  _scenario_path(tmp_path, epsilon=0, gamma=0.5))
+    assert doc == flag
+    assert json.loads(doc[1])["scenario"]["epsilon"] == 0.0
+
+
+def test_equivalence_and_copnumber_echo_their_inputs(capsys):
+    code, out, _ = run_cli(capsys, "equivalence", "--builtin", "path:3", "--gamma", "0.3",
+                           "--trials", "2", "--state-cap", "1000")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["gamma"], doc["state_cap"]) == (0.3, 1000)
+    code, out, _ = run_cli(capsys, "copnumber", "--builtin", "path:3", "--state-cap", "1000")
+    assert code == 0
+    assert json.loads(out)["state_cap"] == 1000
 
 
 def test_hand_written_builtin_graph_replays_as_verify(tmp_path, capsys):

@@ -10,7 +10,6 @@ from scar.cr import (
     discounted_cr_value,
     exact_capture_times,
     extract_cr_optimal_moves,
-    gamma_power_times,
     minimax_capture_times,
     t_n_max,
 )
@@ -26,6 +25,7 @@ from scar.graph import (
     petersen_graph,
     star_graph,
 )
+from scar.payoffs import discounted
 from scar.profiles import PositionalProfile, validate_moves
 from scar.simulate import run
 from scar.states import build_state_space
@@ -163,8 +163,8 @@ def test_times_readers_agree_on_an_int32_copy(g, n):
     narrow = CaptureTimeTable(space, wide.times.astype(np.int32))
     assert np.array_equal(extract_cr_optimal_moves(narrow), extract_cr_optimal_moves(wide))
     for gamma in (0.1, 0.9):
-        assert np.array_equal(gamma_power_times(gamma, narrow.times),
-                              gamma_power_times(gamma, wide.times))
+        assert np.array_equal(discounted(gamma, narrow.times, 1.0),
+                              discounted(gamma, wide.times, 1.0))
     assert t_n_max(narrow) == t_n_max(wide)
     assert ([narrow.time_of(s) for s in range(space.n_states)]
             == [wide.time_of(s) for s in range(space.n_states)])
@@ -188,9 +188,7 @@ def test_discounted_duality_small():
         space = build_state_space(g, n)
         table = exact_capture_times(space)
         dv = discounted_cr_value(space, gamma)
-        want = gamma_power_times(gamma, table.times)
-        want[space.terminal_index] = 0.0
-        assert np.abs(dv.values - want).max() <= 1e-8
+        assert np.array_equal(dv.values, discounted(gamma, table.times, 1.0))
     # frozen spot values
     space = build_state_space(path_graph(3), 2)
     dv = discounted_cr_value(space, 0.5)
@@ -202,15 +200,14 @@ def test_discounted_duality_small():
 @pytest.mark.parametrize("g, n", [(delayed_capture_graph(), 2), (cycle_graph(8), 4)])
 def test_discounted_value_is_exact_at_low_gamma(g, n):
     """At gamma = 0.1, gamma^T is far below any residual tolerance for the
-    slowest captures; the exact solve still reports it, never 0."""
+    slowest captures; the exact solve still reports it, never 0, and it is
+    the one discount rule's product bit for bit."""
     space = build_state_space(g, n)
     table = exact_capture_times(space)
     values = discounted_cr_value(space, 0.1).values
-    want = gamma_power_times(0.1, table.times)
-    want[space.terminal_index] = 0.0
     finite = table.times >= 0
     assert (values[finite] > 0.0).all()
-    assert (np.abs(values - want)[finite] <= 1e-15 * want[finite]).all()
+    assert np.array_equal(values, discounted(0.1, table.times, 1.0))
     assert (values[~finite] == 0.0).all()
 
 def test_rounds_monotone_with_extra_stacked_cop():
@@ -271,5 +268,5 @@ def test_extracted_moves_match_integer_first_optimum_scan(g, n):
 
 def test_gamma_power_maps_escape_to_zero():
     times = np.array([0, 3, -1], dtype=np.int64)
-    out = gamma_power_times(0.5, times)
-    assert out.tolist() == [1.0, 0.125, 0.0]
+    assert discounted(0.5, times, 1.0).tolist() == [1.0, 0.125, 0.0]
+    assert discounted(0.5, times, [1.0, -1.0], np.array([1, 1, 1])).tolist() == [-1.0, -0.125, 0.0]

@@ -6,7 +6,7 @@ import pytest
 
 from scar import bellman
 from scar.analysis import make_grid
-from scar.cr import exact_capture_times, extract_cr_optimal_moves, gamma_power_times, t_n_max
+from scar.cr import exact_capture_times, extract_cr_optimal_moves, t_n_max
 from scar.equilibria import (
     Game,
     build_capturing_threat_ne,
@@ -22,7 +22,7 @@ from scar.equilibria import (
 )
 from scar.errors import NonConvergenceError, NotApplicableError, ValidationError
 from scar.graph import build_graph, cycle_graph, delayed_capture_graph, path_graph, petersen_graph
-from scar.payoffs import GameParams, turn_payoff, turn_payoff_matrix
+from scar.payoffs import GameParams, discounted, turn_payoff, turn_payoff_matrix
 from scar.profiles import (
     PositionalProfile,
     greedy_cop_moves,
@@ -52,9 +52,7 @@ def test_evader_aux_game_equals_pursuit_value(tree9_space):
     params = GameParams(3, 0.9, 0.25)
     table = exact_capture_times(space)
     sol = solve_aux_game(space, params, 3, turn_payoff_matrix(space, params))
-    want = -gamma_power_times(0.9, table.times)
-    want[space.terminal_index] = 0.0
-    assert np.abs(sol.values - want).max() <= 1e-8
+    assert np.array_equal(sol.values, discounted(0.9, table.times, -1.0))
 
 
 def test_lone_pursuer_aux_value_positive_on_pursuer_win_graph():

@@ -6,7 +6,10 @@
 
 and `theorems_<graph>.instances.json` the per-instance records behind it,
 both made before `theorem_suite` computed each grid point's auxiliary games,
-payoff tables and profile outcomes once. Any change to the suites' numbers,
+payoff tables and profile outcomes once. The path:5 and cycle:4 records were
+rewritten once since, when closed-form payoffs took the Bellman backups'
+discount rule: their float-noise gains and gaps became 0.0 and every other
+value moved by at most 1.1e-16. Any change to the suites' numbers,
 verdicts or order shows up here byte for byte. Together the three runs cover
 every suite: cop-win on path:5, the capturing, omega-tilde and non-capturing
 suites at N=4 on cycle:4, and the escape suite on petersen.

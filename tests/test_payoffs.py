@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scar.errors import ValidationError
 from scar.graph import cycle_graph, path_graph
-from scar.payoffs import GameParams, symbolic_payoffs, turn_payoff, turn_payoff_matrix
+from scar.payoffs import GameParams, discounted, symbolic_payoffs, turn_payoff, turn_payoff_matrix
 from scar.states import build_state_space
 
 
@@ -135,6 +136,26 @@ def test_discount_decay():
     for coeff in (Fraction(1, 4), Fraction(3, 4), Fraction(-1)):
         vals = [abs(coeff) * g**t for t in range(6)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_discounted_is_the_backups_iterated_product():
+    """`discounted` multiplies a share by gamma once per turn, as a Bellman
+    backup does, so it equals that loop bit for bit; pow(gamma, T) * q does
+    not always, which is why no caller may use it."""
+    shares = [1.0, -1.0, 0.75, 1 / 3]
+    turns = np.arange(-1, 60)
+    pow_differs = 0
+    for gamma in (0.1, 0.5, 0.9, 0.95):
+        for k, q in enumerate(shares):
+            want, value = [0.0], q
+            for _ in range(60):
+                want.append(value)
+                value = value * gamma
+            assert discounted(gamma, turns, shares, np.full(turns.size, k)).tolist() == want
+            pow_differs += sum(gamma**t * q != w for t, w in enumerate(want[1:]))
+    assert pow_differs > 0
+    assert float(discounted(0.5, 3, 0.75)) == 0.09375
+    assert float(discounted(0.5, -1, 0.75)) == 0.0
 
 
 def test_symbolic_payoffs():

@@ -255,3 +255,25 @@ def test_table_memory_and_dtypes():
         assert table.dtype == np.int8
     assert held <= 16 * space.n_states
     assert peak <= 24 * space.n_states
+
+
+@pytest.mark.parametrize("graph, n", [(cycle_graph(4), 3), (path_graph(3), 4), (path_graph(2), 5)])
+def test_capture_class_reads_each_states_captors(graph, n):
+    """Each player's capture class, read straight off the state's positions:
+    0 without capture, 1 for the evader, 2 * n1 (+1 for a bystander) for a
+    pursuer at a capture by n1 pursuers."""
+    space = build_state_space(graph, n)
+    classes = space.capture_class
+    assert classes.dtype == np.int8 and not classes.flags.writeable
+    for idx in range(space.n_states):
+        state = space.state_at(idx)
+        positions = () if state is TERMINAL else state[:-1]
+        captors = [i for i, x in enumerate(positions[:-1], start=1) if x == positions[-1]]
+        for player in range(1, n + 1):
+            if not captors:
+                want = 0
+            elif player == n:
+                want = 1
+            else:
+                want = 2 * len(captors) + (player not in captors)
+            assert classes[player - 1, idx] == want
