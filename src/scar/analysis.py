@@ -52,14 +52,19 @@ def make_grid(n_players: int, gammas=None, epsilons=None) -> SweepGrid:
         gammas = [0.1, 0.3, 0.5, 0.7, 0.95]
     if not gammas or not epsilons:
         raise ValidationError("grid needs at least one gamma and one epsilon")
+    bounds = [e / (1.0 - e) for e in epsilons if e < 1.0]
     out = []
     for g in gammas:
         if not 0.0 < g < 1.0:
             raise ValidationError(f"grid gamma {g} outside (0, 1)")
-        while any(e < 1.0 and abs(g - e / (1.0 - e)) < OMEGA_TILDE_BOUNDARY_MARGIN
-                  for e in epsilons):
-            g -= 1e-3
-        out.append(g)
+        nudged = g
+        while any(abs(nudged - b) < OMEGA_TILDE_BOUNDARY_MARGIN for b in bounds):
+            nudged -= 1e-3
+        if nudged <= 0.0:
+            raise ValidationError(f"grid gamma {g} sits on the eps/(1-eps) boundary "
+                                  f"{min(bounds, key=lambda b: abs(g - b))}, and nudging it "
+                                  "off leaves (0, 1)")
+        out.append(nudged)
     for e in epsilons:
         if not 0.0 <= e <= hi:
             raise ValidationError(f"grid epsilon {e} outside [0, {hi}]")

@@ -102,7 +102,6 @@ def cmd_solve(args):
     try:
         res = equilibria.solve_positional_ne(game, ne_tol=scenario.ne_tol)
         profile = res.profile
-        values = res.values
         gaps = res.verification.summary()
         extra = {"sweeps": res.sweeps,
                  "attainment_residual": res.attainment_residual,
@@ -114,8 +113,6 @@ def cmd_solve(args):
         method = "threat-fallback"
         profile = equilibria.build_threat_profile(game)
         [ver] = equilibria.verify_threat_ne(game, [profile], tol=scenario.ne_tol)
-        values = simulate.exact_profile_values(
-            game, simulate.profile_outcomes(space, profile.cooperative.move))
         gaps = ver.summary()
         extra = {"fallback_reason": str(exc)}
     s0 = scenario.s0 or space.state_at(int(np.flatnonzero(space.is_noncapture)[0]))
@@ -123,7 +120,7 @@ def cmd_solve(args):
     trace = simulate.run(space, profile, idx0)
     result = {
         "method": method,
-        "values_at_s0": [float(values[m][idx0]) for m in range(params.n_players)],
+        "values_at_s0": list(simulate.payoffs_of(params, trace)),
         "capture_time": None if trace.capture_time == math.inf else trace.capture_time,
         "capturing_set": list(trace.capturing_set),
         "termination": trace.termination,
@@ -229,6 +226,8 @@ def cmd_simulate(args):
     if scenario.s0 is None:
         raise ValidationError("simulate needs --s0")
     idx0 = space.index_of(tuple(scenario.s0))
+    if args.turn_cap is not None:
+        _at_least_one("--turn-cap", args.turn_cap)
     profile = analysis.build_profile(equilibria.Game(space, params), scenario.profile)
     plan = {}
     if args.plan:
@@ -240,11 +239,8 @@ def cmd_simulate(args):
                 plan[int(turn)] = int(action)
             except ValueError:
                 raise ValidationError(f"--plan needs turn:action pairs, got {item!r}") from None
-    if plan:
-        trace = simulate.run_with_forced_deviation(space, profile, args.deviator,
-                                                   plan, idx0, turn_cap=args.turn_cap)
-    else:
-        trace = simulate.run(space, profile, idx0, turn_cap=args.turn_cap)
+    trace = simulate.run_with_forced_deviation(space, profile, args.deviator, plan, idx0,
+                                               turn_cap=args.turn_cap)
     if args.table:
         print(simulate.render_turn_table(trace))
         t = trace.capture_time

@@ -9,10 +9,9 @@ themselves are evaluated in closed form (deterministic positional play either
 captures within |S| turns or provably cycles). For threat profiles the punished
 deviator faces fixed positional punishers, so his best possible continuation is
 again such an exact MDP value, and a one-shot deviation scan along cooperative
-play covers every deviating strategy. That MDP depends only on the punishers'
-moves off the deviator's own rows, so the threat verifier takes every threat
-profile of one game at once and solves it once per deviator and distinct
-punishment.
+play covers every deviating strategy. The threat verifier takes every threat
+profile of one game at once and solves that MDP once per deviator and distinct
+punishment array.
 The non-capturing construction reads its start and evasion off the
 one-pursuer capture table it is handed, and is judged at that start only:
 against the frozen rest a deviator plays a deterministic one-player game,
@@ -23,10 +22,10 @@ construction runs it once per player and only the discounting is redone.
 Solvers and verifiers take a `Game`, one state space at one parameter point,
 which builds its turn-payoff table and its N auxiliary player-vs-coalition
 games (`bellman.solve_zero_sum`, exact like the best responses) once. Both
-threat constructions cooperate along different moves and take the same
-punishments from those games. Best responses are shared only between profiles
-whose punishers' moves are equal, compared move by move: a verifier solves them
-against the profiles it is handed, never against a cache. The threat verifier
+threat constructions cooperate along different moves and punish with those
+games' strategy arrays themselves. Best responses are shared only between
+profiles whose punishment arrays are equal: a verifier solves them against the
+profiles it is handed, never against a cache. The threat verifier
 resolves cooperative play once per profile (`profile_outcomes`) for capture
 turns and payoffs.
 
@@ -89,6 +88,7 @@ def solve_aux_game(space: StateSpace, params: GameParams, player: int,
     # the movers partition the rows, so plain addition merges
     move = (bellman.greedy_moves(space, values, (player,), maximize=True)
             + bellman.greedy_moves(space, values, others, maximize=False))
+    move.flags.writeable = False  # every threat profile of the game punishes with it
     return AuxSolution(player, values, move, iterations)
 
 
@@ -115,25 +115,19 @@ class Game:
                 for n in range(1, self.params.n_players + 1)]
 
 
-def _threat_profile(space: StateSpace, cooperative_move: np.ndarray, aux: list,
-                    kind: str) -> ThreatProfile:
+def _threat_profile(game: Game, cooperative_move: np.ndarray, kind: str) -> ThreatProfile:
     """Cooperate along `cooperative_move`; punish the first deviator with the
-    coalition strategy from his auxiliary game (his own rows stay cooperative)."""
-    cooperative = PositionalProfile(space, cooperative_move)
-    punishments = {}
-    for d, sol in enumerate(aux, start=1):
-        moves = sol.move.copy()
-        own_rows = space.turn_block(d).rows
-        moves[own_rows] = cooperative.move[own_rows]
-        punishments[d] = PositionalProfile(space, moves)
-    return ThreatProfile(space, cooperative, punishments, kind=kind)
+    strategies of his auxiliary game, `game.aux[d].move` itself."""
+    space = game.space
+    punishments = {sol.player: PositionalProfile(space, sol.move) for sol in game.aux}
+    return ThreatProfile(space, PositionalProfile(space, cooperative_move), punishments, kind)
 
 
 def build_threat_profile(game: Game) -> ThreatProfile:
     """Cooperate along everyone's own aux-optimal strategy; punish the first deviator
     with the coalition strategies from his auxiliary game."""
     own = combine_player_moves(game.space, [a.move for a in game.aux])
-    return _threat_profile(game.space, own, game.aux, "threat")
+    return _threat_profile(game, own, "threat")
 
 
 def build_capturing_threat_ne(game: Game, table: CaptureTimeTable) -> ThreatProfile:
@@ -147,7 +141,7 @@ def build_capturing_threat_ne(game: Game, table: CaptureTimeTable) -> ThreatProf
             f"the evader escapes {game.space.n_players - 1} pursuers from some start; "
             "a capturing equilibrium of this form needs cop number <= pursuer count"
         )
-    return _threat_profile(game.space, table.cr_optimal_moves, game.aux, "capturing-threat")
+    return _threat_profile(game, table.cr_optimal_moves, "capturing-threat")
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +286,13 @@ def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> Positiona
             "the threat-strategy construction is the sound fallback",
             {"sweeps": cap, "residual": residual, "cycle_period": None})
     profile = PositionalProfile(space, moves)
-    values = exact_profile_values(game, profile_outcomes(space, moves))
-    attainment, consistency = equation_residuals(game, profile, values)
     verification = verify_positional_ne(game, profile, tol=ne_tol)
     if not verification.is_ne:
         raise NotAnEquilibriumError(
             f"sweeps reached a fixpoint but a player can still improve by "
             f"{verification.max_gap:.3e}", verification)
+    values = verification.profile_values
+    attainment, consistency = equation_residuals(game, profile, values)
     return PositionalNEResult(profile, values, sweeps, attainment, consistency, verification)
 
 
@@ -341,9 +335,8 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
     After a deviation the deviator faces fixed positional punishers forever, so
     his best continuation is the exact value of that MDP; before it, play is the
     cooperative path whose payoff-to-go is an exact closed form. Comparing the
-    two at every state of the deviator covers every deviating strategy. The MDP
-    reads the punishers' moves only off the deviator's own rows, so profiles
-    whose punishments agree there share one solve.
+    two at every state of the deviator covers every deviating strategy.
+    Profiles whose punishments of a deviator are equal arrays share one solve.
     """
     space, params = game.space, game.params
     n = params.n_players
@@ -360,9 +353,7 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
     witnesses = [[] for _ in threats]
     for player in range(1, n + 1):
         block = space.turn_block(player)
-        off_own = np.ones(space.n_states, dtype=bool)
-        off_own[block.rows] = False
-        solved = []  # (punishers' moves off his rows, deviation values on his block)
+        solved = []  # (punishment moves, deviation values on his block)
         for k, threat in enumerate(threats):
             u_coop = coop[k][player - 1]
             coop[k][player - 1] = None  # freed player by player
@@ -371,13 +362,12 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
                 witnesses[k].append(-1)
                 continue
             punish = threat.punishments[player].move
-            key = punish[off_own]
-            dev = next((d for other, d in solved if np.array_equal(other, key)), None)
+            dev = next((d for other, d in solved if np.array_equal(other, punish)), None)
             if dev is None:
                 v_pun, _, _ = bellman.solve_mdp(space, q[player - 1], gamma, player,
                                                 space.succ_of_moves(punish))
                 dev = gamma * v_pun[block.succ]
-                solved.append((key, dev))
+                solved.append((punish, dev))
             # padded slots repeat slot 0, so they neither add nor hide a deviation
             deviating = block.act != threat.cooperative.move[block.rows]
             gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop

@@ -74,8 +74,9 @@ class ThreatProfile:
 
     The shared mode starts cooperative and switches, irrevocably, to
     ("punish", m) the first time player m's observed move differs from his
-    cooperative part. A punished deviator's own rows hold his cooperative move
-    (he is free anyway; this only matters when simulating him un-deviated).
+    cooperative part. In that mode everyone else follows punishments[m], and
+    m's own rows follow the cooperative part (he is free anyway; this only
+    matters when simulating him un-deviated).
     """
 
     space: StateSpace
@@ -87,7 +88,7 @@ class ThreatProfile:
         return COOPERATIVE
 
     def prescribed(self, idx: int, mode) -> int:
-        if mode == COOPERATIVE:
+        if mode == COOPERATIVE or self.space.mover[idx] == mode[1]:
             return self.cooperative.prescribed(idx)
         return self.punishments[mode[1]].prescribed(idx)
 

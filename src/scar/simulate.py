@@ -84,8 +84,12 @@ def run_with_forced_deviation(space: StateSpace, profile, deviator, deviation_pl
     profile switches to punishing exactly one turn after the first observable
     difference. Revisits only certify a cycle once the plan is exhausted. Plan
     entries at turns where someone else moves are ignored, as are entries past
-    the end of play.
+    the end of play; a deviator outside 1..N or a turn below 1 is invalid.
     """
+    if deviator is not None and not 1 <= deviator <= space.n_players:
+        raise ValidationError(f"deviator must be a player 1..{space.n_players}, got {deviator}")
+    if any(t < 1 for t in deviation_plan):
+        raise ValidationError(f"plan turns start at 1, got {min(deviation_plan)}")
     if s0 is TERMINAL:
         raise ValidationError("initial state must not be the terminal state")
     idx0 = space._as_index(s0)

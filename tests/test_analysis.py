@@ -38,6 +38,11 @@ def test_make_grid_nudges_boundary_gammas():
     assert abs(grid.gammas[0] - 1.0 / 3.0) > 1e-6
 
 
+def test_make_grid_names_a_gamma_the_nudge_would_push_out():
+    with pytest.raises(ValidationError, match=r"gamma 5e-07 sits on the eps/\(1-eps\) boundary 0\.0,"):
+        make_grid(3, gammas=[5e-7], epsilons=[0.0])
+
+
 def test_make_grid_validates():
     with pytest.raises(ValidationError):
         make_grid(3, gammas=[1.5], epsilons=[0.1])

@@ -586,6 +586,8 @@ def test_copnumber_reads_the_scenario_state_cap(tmp_path, capsys):
      '{"graph": {"builtin": "path:3"}, "n_players": "3", "gamma": 0.5, "epsilon": 0.5}'),
     (["verify", "--scenario", "{file}"],
      '{"graph": {"builtin": "path:3"}, "n_players": 2, "gamma": "x", "epsilon": 0.5}'),
+    (["simulate", *PATH3[1:], "--s0", "1,3,1", "--deviator", "3", "--plan", "1:2"], None),
+    (["simulate", *PATH3[1:], "--s0", "1,3,1", "--deviator", "1", "--plan", "0:2"], None),
 ])
 def test_malformed_input_is_validation_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.json"
@@ -600,6 +602,8 @@ def test_malformed_input_is_validation_error(tmp_path, capsys, argv, text):
 @pytest.mark.parametrize("argv, flag", [
     (["copnumber", "--builtin", "path:3", "--max-cops", "0"], "--max-cops"),
     (EQUIVALENCE[:-1] + ["-3"], "--trials"),
+    (["simulate", *PATH3[1:], "--s0", "1,3,1", "--turn-cap", "0"], "--turn-cap"),
+    (["simulate", *PATH3[1:], "--s0", "1,3,1", "--turn-cap", "-3"], "--turn-cap"),
 ])
 def test_count_flag_below_one_is_rejected(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,14 +411,58 @@ def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
         profiles = [build_threat_profile(game), build_capturing_threat_ne(game, table), corrupted]
         solved_for.clear()
         reports = verify_threat_ne(game, profiles)
-        # the intact kinds punish alike off each deviator's own rows and share
-        # his MDP; the corrupted punishment of player 1 gets a solve of its own
+        # the intact kinds punish with the same aux-game moves and share each
+        # deviator's MDP; the corrupted punishment of player 1 gets a solve of its own
         assert sorted(solved_for) == [1, 1, 2, 3]
         assert reports == [verify_threat_ne(game, [p])[0] for p in profiles]
         assert reports[1].is_ne
         if reports[2].per_player_gain[0] > 1e-6:
             detected = True
     assert detected
+
+
+def _threat_pair(game, table):
+    return [build_threat_profile(game), build_capturing_threat_ne(game, table)]
+
+
+def test_threat_profiles_hold_no_per_deviator_copies():
+    """Petersen with N=4 (40,001 states), aux games and capture table solved
+    first: both threat profiles of the point hold at most 16 bytes a state,
+    the threat kind's merged cooperative moves; a copied punishment per
+    deviator would take 72."""
+    game = Game(build_state_space(petersen_graph(), 4), GameParams(4, 0.5, 0.25))
+    table = exact_capture_times(game.space)
+    assert table.cr_optimal_moves.size == game.space.n_states and len(game.aux) == 4
+    tracemalloc.start()
+    try:
+        threats = _threat_pair(game, table)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(threats) == 2
+    assert held <= 16 * game.space.n_states
+
+
+def test_threat_punishments_are_the_read_only_aux_moves(tree9_space):
+    game = Game(tree9_space, GameParams(3, 0.9, 0.25))
+    for threat in _threat_pair(game, exact_capture_times(tree9_space)):
+        for d, sol in enumerate(game.aux, start=1):
+            move = threat.punishments[d].move
+            assert np.shares_memory(move, sol.move) and not move.flags.writeable
+
+
+def test_punish_mode_keeps_the_deviators_rows_cooperative(tree9_space):
+    """In ("punish", d) mode d's own rows follow the cooperative part and
+    everyone else's follow d's auxiliary-game coalition strategy."""
+    space = tree9_space
+    game = Game(space, GameParams(3, 0.9, 0.25))
+    nc = np.flatnonzero(space.is_noncapture)
+    for threat in _threat_pair(game, exact_capture_times(space)):
+        for d, sol in enumerate(game.aux, start=1):
+            own = space.mover[nc] == d
+            expected = np.where(own, threat.cooperative.move[nc], sol.move[nc])
+            played = [threat.prescribed(int(idx), ("punish", d)) for idx in nc]
+            assert played == expected.tolist()
 
 
 def test_nonconvergent_instance_reported_not_returned():
