@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import equilibria
-from .cr import CopNumberResult, cop_number, exact_capture_times, t_n_max
+from .cr import CopNumberResult, cop_number, t_n_max
 from .equilibria import DEFAULT_NE_TOL
 from .errors import ValidationError
 from .graph import Graph, builtin_graph, parse_graph, serialize_graph
@@ -239,10 +239,10 @@ def build_profile(game: equilibria.Game, kind: str):
     """The named playable profile: canonical optimal pursuit or a threat profile."""
     _check_kind(kind, PLAYABLE_PROFILES, "play")
     if kind == "cr-optimal":
-        return PositionalProfile(game.space, exact_capture_times(game.space).cr_optimal_moves)
+        return PositionalProfile(game.space, game.space.capture_table.cr_optimal_moves)
     if kind == "threat":
         return equilibria.build_threat_profile(game)
-    return equilibria.build_capturing_threat_ne(game, exact_capture_times(game.space))
+    return equilibria.build_capturing_threat_ne(game)
 
 
 def verify_profile(scenario: Scenario) -> dict:
@@ -257,13 +257,13 @@ def verify_profile(scenario: Scenario) -> dict:
     space = scenario.space()
     game = equilibria.Game(space, scenario.params)
     if kind == "cr-optimal":
-        rep = equilibria.check_cr_optimal_ne(game, exact_capture_times(space), tol=tol)
+        rep = equilibria.check_cr_optimal_ne(game, tol=tol)
         result = rep.summary()
         if s0 is not None:
             result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(s0))
         return result
     if kind == "noncapturing":
-        table1 = exact_capture_times(build_state_space(space.graph, 2, scenario.state_cap))
+        table1 = build_state_space(space.graph, 2, scenario.state_cap).capture_table
         constr = equilibria.build_noncapturing_ne(space, table1, s0=s0)
         rep = equilibria.verify_noncapturing_ne(space, scenario.params, constr, tol=tol)
         trace = run(space, constr.profile, constr.s0_index)
@@ -325,11 +325,11 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
     if grid is None:
         grid = make_grid(n_players)
     space = build_state_space(g, n_players, state_cap)
-    table = exact_capture_times(space)
+    table = space.capture_table
     # The hypotheses split the cop number c at 1 and at N-1. A pursuer who
     # stays put never helps the evader, so c <= N-1 iff the N-1 pursuers of
     # `table` capture from every start, and c == 1 iff one pursuer does.
-    table1 = table if n_players == 2 else exact_capture_times(build_state_space(g, 2, state_cap))
+    table1 = table if n_players == 2 else build_state_space(g, 2, state_cap).capture_table
     capturing = table.finite_on_noncapture()
     cop_win = table1.finite_on_noncapture()
     scope = f"sampled {len(grid.gammas)}x{len(grid.epsilons)} (gamma, eps) grid, all initial states"
@@ -384,7 +384,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
         game = equilibria.Game(space, params)
         threats = {"threat": equilibria.build_threat_profile(game)}
         if capturing:
-            threats["capturing-threat"] = equilibria.build_capturing_threat_ne(game, table)
+            threats["capturing-threat"] = equilibria.build_capturing_threat_ne(game)
         verdicts = dict(zip(threats, equilibria.verify_threat_ne(game, list(threats.values()),
                                                                  tol=tol)))
         del threats
@@ -401,7 +401,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                             "capture_time_bound": bound, **ver.summary()},
                            scenario(gamma, eps, profile="capturing-threat"))
             if params.in_omega_tilde:
-                ver = equilibria.check_cr_optimal_ne(game, table, tol=tol)
+                ver = equilibria.check_cr_optimal_ne(game, tol=tol)
                 omega_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
                                  scenario(gamma, eps, profile="cr-optimal"))
 
@@ -479,18 +479,17 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
     n_players = k + 1
     if grid is None:
         grid = make_grid(n_players)
-    table = cnum.table  # the k-pursuer table that decided c
-    space = table.space
+    space = cnum.table.space  # the k-pursuer space, whose table decided c
     diag = grid.points()[:: max(1, len(grid.points()) // sample_points)][:sample_points]
     for gamma, eps in diag:
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))
-        threat = equilibria.build_capturing_threat_ne(game, table)
+        threat = equilibria.build_capturing_threat_ne(game)
         [ver] = equilibria.verify_threat_ne(game, [threat], tol=tol)
         ok = ver.is_ne and ver.captures_everywhere()
         report.verified_points.append({"gamma": gamma, "epsilon": eps, "ok": ok})
         report.consistent = report.consistent and ok
     if k >= 2:
-        small = exact_capture_times(build_state_space(g, k, state_cap))  # K-1 = k-1 pursuers
+        small = build_state_space(g, k, state_cap).capture_table  # K-1 = k-1 pursuers
         witness = escape_start_witness(small)
         report.escape_witness = list(small.space.state_at(witness)) if witness is not None else None
         report.consistent = report.consistent and witness is not None
@@ -531,8 +530,7 @@ def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
         if cop_sum != expected or pays[-1] != -expected:
             failures.append({"trial": trial, "s0": list(space.state_at(s0)),
                              "capture_time": None if t == math.inf else t})
-    ver = equilibria.check_cr_optimal_ne(equilibria.Game(space, params),
-                                         exact_capture_times(space), tol=tol)
+    ver = equilibria.check_cr_optimal_ne(equilibria.Game(space, params), tol=tol)
     return EquivalenceReport(trials, not failures, failures, ver.is_ne, ver.max_gap)
 
 
@@ -553,7 +551,6 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
     if grid is None:
         grid = make_grid(n_players)
     space = build_state_space(g, n_players, state_cap)
-    table = exact_capture_times(space)
     if s0_list is None:
         starts = [int(s) for s in np.flatnonzero(space.is_noncapture)]
     else:
@@ -562,7 +559,7 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
     rows = []
     for gamma, eps in grid.points():
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))
-        ver = equilibria.check_cr_optimal_ne(game, table, tol=tol)
+        ver = equilibria.check_cr_optimal_ne(game, tol=tol)
         is_ne = (ver.gaps <= tol).all(axis=0).tolist()
         max_gap = ver.gaps.max(axis=0).tolist()
         threat = equilibria.build_threat_profile(game)
@@ -631,7 +628,7 @@ def delayed_capture_demo(gamma: float = 0.9, epsilon: float = 0.25) -> DelayedCa
     moves = combine_player_moves(space, [
         greedy_cop_moves(space, 1),
         greedy_cop_moves(space, 2),
-        exact_capture_times(space).cr_optimal_moves,  # evader rows of the exact optimal evasion
+        space.capture_table.cr_optimal_moves,  # evader rows of the exact optimal evasion
     ])
     profile = PositionalProfile(space, moves)
     s0 = (6, 1, 4, 1)

@@ -80,16 +80,12 @@ def _fixpoint(space, fixed, gamma, groups):
     return values, iterations, residual
 
 
-def _players(space):
-    return range(1, space.n_players + 1)
-
-
 def solve_zero_sum(space, fixed, gamma, maximizers):
     """Exact value of the zero-sum game whose `maximizers` (players) maximize
     and everyone else minimizes, with boundary `fixed`.
     Returns (values, iterations, residual)."""
     groups = []
-    for p in _players(space):
+    for p in range(1, space.n_players + 1):
         block = space.turn_block(p)
         groups.append((block.rows, block.succ,
                        np.maximum.reduce if p in maximizers else np.minimum.reduce))
@@ -101,7 +97,8 @@ def solve_mdp(space, fixed, gamma, player, frozen_succ):
     `frozen_succ` (the successor under the frozen opponents' profile), with
     boundary `fixed`. Returns (values, iterations, residual)."""
     free = space.turn_block(player)
-    rest = np.concatenate([space.turn_block(p).rows for p in _players(space) if p != player])
+    rest = np.concatenate([space.turn_block(p).rows for p in range(1, space.n_players + 1)
+                           if p != player])
     return _fixpoint(space, fixed, gamma,
                      [(free.rows, free.succ, np.maximum.reduce), (rest, frozen_succ[rest], None)])
 

@@ -14,8 +14,8 @@ independent implementations are kept side by side:
     turns count their successors down in place, at the frontier only.
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
-The discounted value solver, an exact fixpoint of zero-sum value iteration,
-cross-checks the tables via v(s) = gamma^T(s) at every gamma, bit for bit.
+Each state space holds its one table (`StateSpace.capture_table`); tests check
+it against the float oracle `discounted_cr_value`: v(s) = gamma^T(s), bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from . import bellman
 from .errors import CapacityError
 from .graph import Graph
+from .simulate import profile_outcomes
 from .states import DEFAULT_STATE_CAP, StateSpace, build_state_space
 
 _NEVER = np.int64(2**62)  # sentinel used only inside comparisons, never reported
@@ -58,6 +59,13 @@ class CaptureTimeTable:
         moves = extract_cr_optimal_moves(self)
         moves.flags.writeable = False
         return moves
+
+    @functools.cached_property
+    def outcomes(self) -> tuple:
+        """`profile_outcomes` of `cr_optimal_moves`, computed once and read-only."""
+        turns, capture_at = profile_outcomes(self.space, self.cr_optimal_moves)
+        turns.flags.writeable = capture_at.flags.writeable = False
+        return turns, capture_at
 
 
 def minimax_capture_times(space: StateSpace) -> CaptureTimeTable:
@@ -135,8 +143,9 @@ class CopNumberResult:
 
 
 def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
-               solver=exact_capture_times) -> CopNumberResult:
-    """Least k <= max_cops whose k-pursuer game is capture-guaranteed everywhere."""
+               solver=None) -> CopNumberResult:
+    """Least k <= max_cops whose k-pursuer game (the space's `capture_table`,
+    or `solver(space)`) is capture-guaranteed everywhere."""
     finite_by_cops = {}
     value = table = None
     for k in range(1, max_cops + 1):
@@ -144,7 +153,7 @@ def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
             space = build_state_space(g, k + 1, state_cap)
         except CapacityError as exc:
             raise CapacityError(f"cop-number search stopped at k={k}: {exc}") from exc
-        table = solver(space)
+        table = space.capture_table if solver is None else solver(space)
         finite_by_cops[k] = table.finite_on_noncapture()
         if finite_by_cops[k]:
             value = k
@@ -152,22 +161,14 @@ def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
     return CopNumberResult(value, finite_by_cops, table)
 
 
-@dataclass
-class DiscountedValue:
-    values: np.ndarray
-    iterations: int
-
-
-def discounted_cr_value(space: StateSpace, gamma: float) -> DiscountedValue:
+def discounted_cr_value(space: StateSpace, gamma: float) -> np.ndarray:
     """Exact value of the discounted game: controller earns gamma^T_C, evader loses it.
 
     Boundary v = 1 on capture states, 0 at the terminal; controller turns take
     the max, evader turns the min. Satisfies v(s) = gamma^T(s) with gamma^inf = 0.
     """
     fixed = np.where(space.is_capture, 1.0, 0.0)
-    pursuers = range(1, space.n_players)
-    values, iterations, _ = bellman.solve_zero_sum(space, fixed, gamma, pursuers)
-    return DiscountedValue(values, iterations)
+    return bellman.solve_zero_sum(space, fixed, gamma, range(1, space.n_players))[0]
 
 
 def extract_cr_optimal_moves(table: CaptureTimeTable) -> np.ndarray:

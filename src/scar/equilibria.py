@@ -10,8 +10,8 @@ captures within |S| turns or provably cycles). For threat profiles the punished
 deviator faces fixed positional punishers, so his best possible continuation is
 again such an exact MDP value, and a one-shot deviation scan along cooperative
 play covers every deviating strategy. The threat verifier takes every threat
-profile of one game at once and solves that MDP once per deviator and distinct
-punishment array.
+profile of one game at once, and profiles whose punishment arrays are equal
+share one best response.
 The non-capturing construction reads its start and evasion off the
 one-pursuer capture table it is handed, and is judged at that start only:
 against the frozen rest a deviator plays a deterministic one-player game,
@@ -21,13 +21,12 @@ construction runs it once per player and only the discounting is redone.
 
 Solvers and verifiers take a `Game`, one state space at one parameter point,
 which builds its turn-payoff table and its N auxiliary player-vs-coalition
-games (`bellman.solve_zero_sum`, exact like the best responses) once. Both
-threat constructions cooperate along different moves and punish with those
-games' strategy arrays themselves. Best responses are shared only between
-profiles whose punishment arrays are equal: a verifier solves them against the
-profiles it is handed, never against a cache. The threat verifier
-resolves cooperative play once per profile (`profile_outcomes`) for capture
-turns and payoffs.
+games once: each pursuer's by `bellman.solve_zero_sum`, exact like the best
+responses. The evader's payoff -gamma^T does not depend on eps, so his game,
+his best response to optimal pursuit and that pursuit's outcomes are read off
+the space's capture table (`StateSpace.capture_table`). Both threat
+constructions cooperate along different moves and punish with those games'
+strategy arrays themselves.
 
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
@@ -52,7 +51,7 @@ import numpy as np
 from . import bellman
 from .cr import CaptureTimeTable
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
-from .payoffs import GameParams, discounted_payoff, turn_payoff_matrix
+from .payoffs import GameParams, discounted, discounted_payoff, turn_payoff_matrix
 from .profiles import (
     NonCapturingProfile,
     PositionalProfile,
@@ -72,24 +71,21 @@ DEFAULT_NE_TOL = 1e-8
 
 @dataclass
 class AuxSolution:
-    player: int
     values: np.ndarray
     move: np.ndarray  # maximizing on the player's own turns, the coalition's minimizing elsewhere
-    iterations: int
 
 
 def solve_aux_game(space: StateSpace, params: GameParams, player: int,
                    payoffs: np.ndarray) -> AuxSolution:
     """Exact value and optimal positional strategies of the player-vs-coalition
     game, whose boundary is the player's row of the turn-payoff table."""
-    values, iterations, _ = bellman.solve_zero_sum(space, payoffs[player - 1], params.gamma,
-                                                   (player,))
+    values, _, _ = bellman.solve_zero_sum(space, payoffs[player - 1], params.gamma, (player,))
     others = [p for p in range(1, space.n_players + 1) if p != player]
     # the movers partition the rows, so plain addition merges
     move = (bellman.greedy_moves(space, values, (player,), maximize=True)
             + bellman.greedy_moves(space, values, others, maximize=False))
     move.flags.writeable = False  # every threat profile of the game punishes with it
-    return AuxSolution(player, values, move, iterations)
+    return AuxSolution(values, move)
 
 
 @dataclass(frozen=True)
@@ -111,15 +107,32 @@ class Game:
     @functools.cached_property
     def aux(self) -> list:
         """Per player, the `AuxSolution` of his game against the coalition."""
-        return [solve_aux_game(self.space, self.params, n, self.payoffs)
-                for n in range(1, self.params.n_players + 1)]
+        evader, pursuit = self.params.n_players, self.space.capture_table.cr_optimal_moves
+        pursuers = [solve_aux_game(self.space, self.params, n, self.payoffs) for n in range(1, evader)]
+        return pursuers + [AuxSolution(best_response(self, evader, pursuit), pursuit)]
+
+
+def best_response(game: Game, player: int, moves: np.ndarray) -> np.ndarray:
+    """Exact value of `player`'s best response to the rest playing `moves`: the
+    evader's to optimal pursuit off the capture table, else his MDP's fixpoint."""
+    space, gamma = game.space, game.params.gamma
+    if player == space.n_players and moves is space.capture_table.cr_optimal_moves:
+        return discounted(gamma, space.capture_table.times, -1.0)
+    succ = space.succ_of_moves(moves)
+    return bellman.solve_mdp(space, game.payoffs[player - 1], gamma, player, succ)[0]
+
+
+def _outcomes(space: StateSpace, moves: np.ndarray) -> tuple:
+    """`profile_outcomes` of `moves`; optimal pursuit's are the capture table's own."""
+    table = space.capture_table
+    return table.outcomes if moves is table.cr_optimal_moves else profile_outcomes(space, moves)
 
 
 def _threat_profile(game: Game, cooperative_move: np.ndarray, kind: str) -> ThreatProfile:
     """Cooperate along `cooperative_move`; punish the first deviator with the
     strategies of his auxiliary game, `game.aux[d].move` itself."""
     space = game.space
-    punishments = {sol.player: PositionalProfile(space, sol.move) for sol in game.aux}
+    punishments = {d: PositionalProfile(space, sol.move) for d, sol in enumerate(game.aux, start=1)}
     return ThreatProfile(space, PositionalProfile(space, cooperative_move), punishments, kind)
 
 
@@ -130,12 +143,13 @@ def build_threat_profile(game: Game) -> ThreatProfile:
     return _threat_profile(game, own, "threat")
 
 
-def build_capturing_threat_ne(game: Game, table: CaptureTimeTable) -> ThreatProfile:
+def build_capturing_threat_ne(game: Game) -> ThreatProfile:
     """Threat profile whose cooperative part is the canonical optimal pursuit.
 
     Requires the N-1 pursuers to force capture from every start (cop number at
     most N-1); equilibrium play then captures from every initial state.
     """
+    table = game.space.capture_table
     if not table.finite_on_noncapture():
         raise NotApplicableError(
             f"the evader escapes {game.space.n_players - 1} pursuers from some start; "
@@ -173,19 +187,15 @@ def verify_positional_ne(game: Game, profile: PositionalProfile,
                          tol: float = DEFAULT_NE_TOL) -> NEReport:
     """Best-response gap of every player from every state against the frozen rest.
 
-    Profile payoffs are exact closed forms; each player's best response is an
-    MDP solved to its exact fixpoint. The profile is an equilibrium from every
-    initial state iff every gap is at most `tol`.
+    Profile payoffs are exact closed forms, and each player's best response is
+    exact (`best_response`). The profile is an equilibrium from every initial
+    state iff every gap is at most `tol`.
     """
-    space, params = game.space, game.params
-    n = params.n_players
-    u = exact_profile_values(game, profile_outcomes(space, profile.move))
-    q = game.payoffs
-    frozen_succ = space.succ_of_moves(profile.move)
+    space, n = game.space, game.params.n_players
+    u = exact_profile_values(game, _outcomes(space, profile.move))
     gaps = np.zeros((n, space.n_states))
     for player in range(1, n + 1):
-        v, _, _ = bellman.solve_mdp(space, q[player - 1], params.gamma, player, frozen_succ)
-        gaps[player - 1] = v - u[player - 1]
+        gaps[player - 1] = best_response(game, player, profile.move) - u[player - 1]
     gaps[:, space.terminal_index] = 0.0
     per_player = [float(gaps[i].max()) for i in range(n)]
     witness = [int(gaps[i].argmax()) for i in range(n)]
@@ -200,21 +210,19 @@ def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarra
     from attaining the argmax of his own continuation, and how far the value
     vector is from the one-step expansion under the profile, both sup-norm.
     """
-    space, params = game.space, game.params
-    gamma = params.gamma
-    q = game.payoffs
+    space, gamma, q = game.space, game.params.gamma, game.payoffs
     chosen = space.succ_of_moves(profile.move)
     attainment = 0.0
     consistency = 0.0
     nc = space.is_noncapture
-    for player in range(1, params.n_players + 1):
+    for player in range(1, space.n_players + 1):
         u = values[player - 1]
         block = space.turn_block(player)
         if block.rows.size:
             best = gamma * u[block.succ].max(axis=0)
             taken = gamma * u[chosen[block.rows]]
             attainment = max(attainment, float((best - taken).max()))
-    for m in range(params.n_players):
+    for m in range(space.n_players):
         u = values[m]
         resid = np.abs(u[nc] - (q[m][nc] + gamma * u[chosen[nc]]))
         consistency = max(consistency, float(resid.max(initial=0.0)))
@@ -253,10 +261,7 @@ def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> Positiona
     exact period, None at the cap) or NotAnEquilibriumError (the fixpoint
     fails verification).
     """
-    space, params = game.space, game.params
-    n = params.n_players
-    gamma = params.gamma
-    q = game.payoffs
+    space, n, gamma, q = game.space, game.params.n_players, game.params.gamma, game.payoffs
     nc = space.is_noncapture
     u = np.zeros((n, space.n_states))
     u[:, space.is_capture] = q[:, space.is_capture]
@@ -333,24 +338,20 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
     any state (hence any start). Returns one report per profile, in order.
 
     After a deviation the deviator faces fixed positional punishers forever, so
-    his best continuation is the exact value of that MDP; before it, play is the
-    cooperative path whose payoff-to-go is an exact closed form. Comparing the
-    two at every state of the deviator covers every deviating strategy.
-    Profiles whose punishments of a deviator are equal arrays share one solve.
+    his best continuation is his exact `best_response` to them; before it, play
+    is the cooperative path whose payoff-to-go is an exact closed form. Comparing
+    the two at every state of the deviator covers every deviating strategy.
+    Profiles whose punishments of a deviator are equal arrays share one best response.
     """
-    space, params = game.space, game.params
-    n = params.n_players
-    gamma = params.gamma
-    q = game.payoffs
+    space, params, n = game.space, game.params, game.params.n_players
     own_rows = [space.turn_block(p).rows for p in range(1, n + 1)]
     turns, coop = [], []  # per profile: capture turns; per player, cooperative payoff on his rows
     for threat in threats:
-        t, capture_at = profile_outcomes(space, threat.cooperative.move)
+        t, capture_at = _outcomes(space, threat.cooperative.move)
         turns.append(t)
         coop.append([discounted_payoff(space, params, p, capture_at[rows], t[rows])
                      for p, rows in enumerate(own_rows, start=1)])
-    gains = [[] for _ in threats]
-    witnesses = [[] for _ in threats]
+    gains, witnesses = [[] for _ in threats], [[] for _ in threats]
     for player in range(1, n + 1):
         block = space.turn_block(player)
         solved = []  # (punishment moves, deviation values on his block)
@@ -364,9 +365,7 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
             punish = threat.punishments[player].move
             dev = next((d for other, d in solved if np.array_equal(other, punish)), None)
             if dev is None:
-                v_pun, _, _ = bellman.solve_mdp(space, q[player - 1], gamma, player,
-                                                space.succ_of_moves(punish))
-                dev = gamma * v_pun[block.succ]
+                dev = params.gamma * best_response(game, player, punish)[block.succ]
                 solved.append((punish, dev))
             # padded slots repeat slot 0, so they neither add nor hide a deviation
             deviating = block.act != threat.cooperative.move[block.rows]
@@ -378,15 +377,15 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
             for g, w, t in zip(gains, witnesses, turns)]
 
 
-def check_cr_optimal_ne(game: Game, table: CaptureTimeTable,
-                        tol: float = DEFAULT_NE_TOL) -> NEReport:
+def check_cr_optimal_ne(game: Game, tol: float = DEFAULT_NE_TOL) -> NEReport:
     """Verify the canonical optimal-pursuit profile as a positional equilibrium.
 
-    Expected to pass from every start whenever gamma < eps/(1-eps) (and always
-    in split-equivalent mode); outside that region it may fail, and the report
-    then carries the offending states.
+    Expected to pass from every start whenever gamma < eps/(1-eps) at N=3 (and
+    always in split-equivalent mode), but at N >= 4 only under the measured
+    gamma < (eps/(N-2))/(1-eps); elsewhere the report carries the failing states.
     """
-    return verify_positional_ne(game, PositionalProfile(game.space, table.cr_optimal_moves), tol=tol)
+    pursuit = game.space.capture_table.cr_optimal_moves
+    return verify_positional_ne(game, PositionalProfile(game.space, pursuit), tol=tol)
 
 
 # ---------------------------------------------------------------------------

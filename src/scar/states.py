@@ -268,6 +268,12 @@ class StateSpace:
         classes.flags.writeable = False
         return classes
 
+    @functools.cached_property
+    def capture_table(self):
+        """The space's one `cr.CaptureTimeTable`, solved on first read."""
+        from .cr import exact_capture_times  # cr builds on this module
+        return exact_capture_times(self)
+
     def turn_block(self, player: int) -> TurnBlock:
         """`player`'s `TurnBlock`, stepped from the packed index once per space."""
         block = self._blocks.get(player)

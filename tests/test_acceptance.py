@@ -140,8 +140,8 @@ def test_criterion_04_exact_discounted_duality():
             space = build_state_space(g, n_players)
             table = exact_capture_times(space)
             for gamma in (0.3, 0.9):
-                dv = discounted_cr_value(space, gamma)
-                assert np.array_equal(dv.values, discounted(gamma, table.times, 1.0))
+                values = discounted_cr_value(space, gamma)
+                assert np.array_equal(values, discounted(gamma, table.times, 1.0))
     _report(4, started, "142 graphs x N in (2,3) x gamma in (0.3,0.9); v == gamma^T bit for bit")
 
 
@@ -197,8 +197,7 @@ def test_criterion_06_threat_ne_battery(battery_graphs):
     instances = 0
     for name, g in battery_graphs:
         space = build_state_space(g, 3)
-        table = exact_capture_times(space)
-        capturing_applicable = table.finite_on_noncapture()
+        capturing_applicable = space.capture_table.finite_on_noncapture()
         for gamma, eps in grid.points():
             params = GameParams(3, gamma, eps)
             game = Game(space, params)
@@ -207,7 +206,7 @@ def test_criterion_06_threat_ne_battery(battery_graphs):
             assert rep.is_ne, f"{name} threat at ({gamma},{eps}): gain {max(rep.per_player_gain):.2e}"
             instances += 1
             if capturing_applicable:
-                cap = build_capturing_threat_ne(game, table)
+                cap = build_capturing_threat_ne(game)
                 [rep2] = verify_threat_ne(game, [cap], tol=NE_TOL)
                 assert rep2.is_ne, f"{name} capturing at ({gamma},{eps}): gain {max(rep2.per_player_gain):.2e}"
                 assert rep2.captures_everywhere()
@@ -222,11 +221,10 @@ def test_criterion_07_omega_tilde_theorem():
     points = [(0.2, 0.5), (0.5, 0.45), (0.3, 0.4), (0.1, 0.3), (0.6, 0.45)]
     for g in (cycle_graph(4), cycle_graph(5)):
         space = build_state_space(g, 3)
-        table = exact_capture_times(space)
         for gamma, eps in points:
             params = GameParams(3, gamma, eps)
             assert params.in_omega_tilde
-            rep = check_cr_optimal_ne(Game(space, params), table, tol=NE_TOL)
+            rep = check_cr_optimal_ne(Game(space, params), tol=NE_TOL)
             assert rep.is_ne, f"({gamma},{eps}) on {g.vertex_count}-cycle: gap {rep.max_gap:.2e}"
     _report(7, started, "C4 and C5, 5 sampled points inside the region, every start")
 

@@ -187,13 +187,13 @@ def test_discounted_duality_small():
                         (cycle_graph(4), 3, 0.3), (delayed_capture_graph(), 2, 0.9)):
         space = build_state_space(g, n)
         table = exact_capture_times(space)
-        dv = discounted_cr_value(space, gamma)
-        assert np.array_equal(dv.values, discounted(gamma, table.times, 1.0))
+        values = discounted_cr_value(space, gamma)
+        assert np.array_equal(values, discounted(gamma, table.times, 1.0))
     # frozen spot values
     space = build_state_space(path_graph(3), 2)
-    dv = discounted_cr_value(space, 0.5)
-    assert dv.values[space.index_of((1, 3, 1))] == pytest.approx(0.125, abs=1e-10)
-    assert (dv.values[space.is_capture] == 1.0).all()
+    values = discounted_cr_value(space, 0.5)
+    assert values[space.index_of((1, 3, 1))] == pytest.approx(0.125, abs=1e-10)
+    assert (values[space.is_capture] == 1.0).all()
 
 
 
@@ -204,7 +204,7 @@ def test_discounted_value_is_exact_at_low_gamma(g, n):
     the one discount rule's product bit for bit."""
     space = build_state_space(g, n)
     table = exact_capture_times(space)
-    values = discounted_cr_value(space, 0.1).values
+    values = discounted_cr_value(space, 0.1)
     finite = table.times >= 0
     assert (values[finite] > 0.0).all()
     assert np.array_equal(values, discounted(0.1, table.times, 1.0))

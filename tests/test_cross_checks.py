@@ -82,7 +82,7 @@ def test_capturing_threat_survives_simulated_deviations():
     space = build_state_space(cycle_graph(5), 3)
     params = GameParams(3, 0.8, 0.3)
     game = Game(space, params)
-    threat = build_capturing_threat_ne(game, exact_capture_times(space))
+    threat = build_capturing_threat_ne(game)
     assert verify_threat_ne(game, [threat])[0].is_ne
     rng = np.random.default_rng(4)
     nc = np.flatnonzero(space.is_noncapture)

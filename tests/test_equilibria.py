@@ -54,6 +54,32 @@ def test_evader_aux_game_equals_pursuit_value(tree9_space):
     table = exact_capture_times(space)
     sol = solve_aux_game(space, params, 3, turn_payoff_matrix(space, params))
     assert np.array_equal(sol.values, discounted(0.9, table.times, -1.0))
+    # the game's own evader aux game is that table reading, equal to the float solve
+    assert np.array_equal(Game(space, params).aux[2].values, sol.values)
+
+
+def test_evader_side_is_the_capture_table_where_gamma_t_underflows():
+    """path:40 at N=3 and gamma = 0.001: T_max is 116 and gamma^T underflows
+    to 0 past T of about 108, where a float solve of the evader's aux game
+    cannot tell a late capture from escape (its moves left optimal pursuit on
+    440 rows). The game reads his side off the table, and both threat kinds
+    keep the verdicts and cooperative capture turns the float solve gave."""
+    space = build_state_space(path_graph(40), 3)
+    table = space.capture_table
+    assert t_n_max(table) == 116
+    for eps, threat_turns in ((0.0, 11465628), (0.25, 8829495)):
+        game = Game(space, GameParams(3, 0.001, eps))
+        assert game.aux[2].move is table.cr_optimal_moves
+        threat, capturing = verify_threat_ne(
+            game, [build_threat_profile(game), build_capturing_threat_ne(game)])
+        for rep, captures in ((threat, False), (capturing, True)):
+            assert rep.is_ne and rep.summary()["max_gain"] == 0.0
+            assert rep.captures_everywhere() == captures
+        turns = threat.cooperative_turns
+        assert (turns >= 0).sum() == 191001 and turns.sum() == threat_turns
+        assert np.array_equal(capturing.cooperative_turns, table.times)
+        # a deviating evader is caught after T > 108 turns: -gamma^T rounds to -0.0
+        assert math.copysign(1.0, threat.per_player_gain[2]) == -1.0
 
 
 def test_lone_pursuer_aux_value_positive_on_pursuer_win_graph():
@@ -265,7 +291,7 @@ def test_freeze_profile_is_not_ne_on_pursuer_win_graph():
 def test_cr_optimal_is_ne_inside_omega_tilde(c4_space):
     params = GameParams(3, 0.2, 0.5)
     assert params.in_omega_tilde
-    report = check_cr_optimal_ne(Game(c4_space, params), exact_capture_times(c4_space))
+    report = check_cr_optimal_ne(Game(c4_space, params))
     assert report.is_ne
 
 
@@ -273,7 +299,7 @@ def test_cr_optimal_fails_outside_omega_tilde_on_tree(tree9_space):
     # at gamma=0.9 > (1/3)^(1/8) the leading pursuer gains by retreating first
     params = GameParams(3, 0.9, 0.25)
     assert not params.in_omega_tilde
-    report = check_cr_optimal_ne(Game(tree9_space, params), exact_capture_times(tree9_space))
+    report = check_cr_optimal_ne(Game(tree9_space, params))
     assert not report.is_ne
     i0 = tree9_space.index_of((6, 1, 4, 1))
     # the worked retreat deviation already nets 0.9^13*0.75 - 0.9^5*0.25, so the
@@ -297,9 +323,8 @@ def test_verified_ne_sound_against_random_deviations(c4_space):
     # deviations per player, exact payoffs on both sides
     space = c4_space
     params = GameParams(3, 0.2, 0.5)
-    table = exact_capture_times(space)
-    profile = PositionalProfile(space, table.cr_optimal_moves)
-    report = check_cr_optimal_ne(Game(space, params), table)
+    profile = PositionalProfile(space, space.capture_table.cr_optimal_moves)
+    report = check_cr_optimal_ne(Game(space, params))
     assert report.is_ne
     base = exact_profile_values(Game(space, params), profile_outcomes(space, profile.move))
     rng = np.random.default_rng(17)
@@ -338,7 +363,7 @@ def test_capturing_threat_ne_on_two_pursuer_graphs():
         space = build_state_space(g, 3)
         params = GameParams(3, 0.9, 0.25)
         game = Game(space, params)
-        threat = build_capturing_threat_ne(game, exact_capture_times(space))
+        threat = build_capturing_threat_ne(game)
         [report] = verify_threat_ne(game, [threat])
         assert report.is_ne
         assert report.captures_everywhere()
@@ -347,19 +372,18 @@ def test_capturing_threat_ne_on_two_pursuer_graphs():
 def test_capturing_threat_respects_time_bound():
     space = build_state_space(path_graph(4), 3)
     params = GameParams(3, 0.7, 0.3)
-    table = exact_capture_times(space)
     game = Game(space, params)
-    threat = build_capturing_threat_ne(game, table)
+    threat = build_capturing_threat_ne(game)
     [report] = verify_threat_ne(game, [threat])
     assert report.is_ne and report.captures_everywhere()
-    bound = t_n_max(table)
+    bound = t_n_max(space.capture_table)
     assert report.cooperative_turns[space.is_noncapture].max() <= bound
 
 
 def test_capturing_threat_precondition():
     space = build_state_space(petersen_graph(), 3)
     with pytest.raises(NotApplicableError):
-        build_capturing_threat_ne(Game(space, GameParams(3, 0.5, 0.25)), exact_capture_times(space))
+        build_capturing_threat_ne(Game(space, GameParams(3, 0.5, 0.25)))
 
 
 def test_robber_deviation_meets_full_pursuit():
@@ -367,7 +391,7 @@ def test_robber_deviation_meets_full_pursuit():
     # to the coalition pursuit and still capture
     space = build_state_space(cycle_graph(4), 3)
     params = GameParams(3, 0.7, 0.3)
-    threat = build_capturing_threat_ne(Game(space, params), exact_capture_times(space))
+    threat = build_capturing_threat_ne(Game(space, params))
     s0 = (1, 2, 3, 3)  # robber moves first
     prescribed = threat.cooperative.prescribed(space.index_of(s0))
     other = [a for a in space.actions(s0, 3) if a != prescribed][0]
@@ -381,7 +405,7 @@ def test_cr_optimal_is_ne_in_two_player_game():
     # profile is an equilibrium for any parameters
     space = build_state_space(path_graph(4), 2)
     for gamma in (0.2, 0.9):
-        rep = check_cr_optimal_ne(Game(space, GameParams(2, gamma, 0.5)), exact_capture_times(space))
+        rep = check_cr_optimal_ne(Game(space, GameParams(2, gamma, 0.5)))
         assert rep.is_ne
 
 
@@ -391,7 +415,6 @@ def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
     # it, also when the corrupted profile is checked in one call with profiles
     # whose punishments are intact
     space = tree9_space
-    table = exact_capture_times(space)
     solved_for = []
     solve = bellman.solve_mdp
 
@@ -403,17 +426,18 @@ def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
     detected = False
     for gamma, eps in ((0.9, 0.25), (0.95, 0.1), (0.8, 0.25)):
         game = Game(space, GameParams(3, gamma, eps))
-        corrupted = build_capturing_threat_ne(game, table)
+        corrupted = build_capturing_threat_ne(game)
         moves = corrupted.punishments[1].move.copy()
         rows = np.flatnonzero(space.is_noncapture & (space.mover == 2))
         moves[rows] = space.positions[rows, 1]
         corrupted.punishments[1] = PositionalProfile(space, moves)
-        profiles = [build_threat_profile(game), build_capturing_threat_ne(game, table), corrupted]
+        profiles = [build_threat_profile(game), build_capturing_threat_ne(game), corrupted]
         solved_for.clear()
         reports = verify_threat_ne(game, profiles)
         # the intact kinds punish with the same aux-game moves and share each
-        # deviator's MDP; the corrupted punishment of player 1 gets a solve of its own
-        assert sorted(solved_for) == [1, 1, 2, 3]
+        # pursuer's MDP; the corrupted punishment of player 1 gets a solve of its
+        # own, and the evader's against optimal pursuit is the capture table's
+        assert sorted(solved_for) == [1, 1, 2]
         assert reports == [verify_threat_ne(game, [p])[0] for p in profiles]
         assert reports[1].is_ne
         if reports[2].per_player_gain[0] > 1e-6:
@@ -421,8 +445,8 @@ def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
     assert detected
 
 
-def _threat_pair(game, table):
-    return [build_threat_profile(game), build_capturing_threat_ne(game, table)]
+def _threat_pair(game):
+    return [build_threat_profile(game), build_capturing_threat_ne(game)]
 
 
 def test_threat_profiles_hold_no_per_deviator_copies():
@@ -431,11 +455,11 @@ def test_threat_profiles_hold_no_per_deviator_copies():
     the threat kind's merged cooperative moves; a copied punishment per
     deviator would take 72."""
     game = Game(build_state_space(petersen_graph(), 4), GameParams(4, 0.5, 0.25))
-    table = exact_capture_times(game.space)
-    assert table.cr_optimal_moves.size == game.space.n_states and len(game.aux) == 4
+    assert game.space.capture_table.cr_optimal_moves.size == game.space.n_states
+    assert len(game.aux) == 4
     tracemalloc.start()
     try:
-        threats = _threat_pair(game, table)
+        threats = _threat_pair(game)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -445,7 +469,9 @@ def test_threat_profiles_hold_no_per_deviator_copies():
 
 def test_threat_punishments_are_the_read_only_aux_moves(tree9_space):
     game = Game(tree9_space, GameParams(3, 0.9, 0.25))
-    for threat in _threat_pair(game, exact_capture_times(tree9_space)):
+    # the evader's aux game is optimal pursuit: the capture table's own moves
+    assert np.shares_memory(game.aux[-1].move, tree9_space.capture_table.cr_optimal_moves)
+    for threat in _threat_pair(game):
         for d, sol in enumerate(game.aux, start=1):
             move = threat.punishments[d].move
             assert np.shares_memory(move, sol.move) and not move.flags.writeable
@@ -457,7 +483,7 @@ def test_punish_mode_keeps_the_deviators_rows_cooperative(tree9_space):
     space = tree9_space
     game = Game(space, GameParams(3, 0.9, 0.25))
     nc = np.flatnonzero(space.is_noncapture)
-    for threat in _threat_pair(game, exact_capture_times(space)):
+    for threat in _threat_pair(game):
         for d, sol in enumerate(game.aux, start=1):
             own = space.mover[nc] == d
             expected = np.where(own, threat.cooperative.move[nc], sol.move[nc])

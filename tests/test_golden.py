@@ -13,6 +13,14 @@ value moved by at most 1.1e-16. Any change to the suites' numbers,
 verdicts or order shows up here byte for byte. Together the three runs cover
 every suite: cop-win on path:5, the capturing, omega-tilde and non-capturing
 suites at N=4 on cycle:4, and the escape suite on petersen.
+
+`tests/golden/sweep_cycle_8_<s0>.csv` is the stdout of
+
+    scar sweep --builtin cycle:8 --n 4 --gamma 0.5 --epsilon 0.25 --s0 <s0>
+
+written before the sweep read the evader's side off the capture table. From
+1,1,1,5,1 optimal pursuit has positive gaps, among them omega-tilde rows where
+it is no equilibrium; from 1,4,7,3,4 the threat play captures in 3 turns.
 """
 
 import json
@@ -26,6 +34,7 @@ from scar.graph import builtin_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [("path:5", 3), ("cycle:4", 4), ("petersen", 3)]
+SWEEP_STARTS = ["1,1,1,5,1", "1,4,7,3,4"]
 
 
 def _golden(name, suffix):
@@ -45,3 +54,12 @@ def test_theorem_instances_match_golden(name, n):
     reports = theorem_suite(builtin_graph(name), n, grid=make_grid(n))
     doc = [{"theorem_id": r.theorem_id, "instances": r.instances} for r in reports]
     assert json.dumps(doc, indent=1, default=_json_default) + "\n" == _golden(name, ".instances.json")
+
+
+@pytest.mark.parametrize("s0", SWEEP_STARTS)
+def test_sweep_stdout_matches_golden(capsys, s0):
+    code = main(["sweep", "--builtin", "cycle:8", "--n", "4", "--gamma", "0.5",
+                 "--epsilon", "0.25", "--s0", s0])
+    assert code == 0
+    golden = GOLDEN / f"sweep_cycle_8_{s0.replace(',', '_')}.csv"
+    assert capsys.readouterr().out == golden.read_text()
