@@ -7,11 +7,11 @@ player, whose value iteration from zero reaches its exact fixpoint (residual 0)
 within |S| + 1 sweeps, so no value tolerance enters the check; profile payoffs
 themselves are evaluated in closed form (deterministic positional play either
 captures within |S| turns or provably cycles). For threat profiles the punished
-deviator faces fixed positional punishers, so his best possible continuation is
-again such an exact MDP value, and a one-shot deviation scan along cooperative
-play covers every deviating strategy. The threat verifier takes every threat
-profile of one game at once, and profiles whose punishment arrays are equal
-share one best response.
+deviator faces fixed positional punishers, so his best continuation is an exact
+MDP value, and a one-shot deviation scan along cooperative play covers every
+deviating strategy. Against his own aux game's coalition that value is the aux
+value V itself: the frozen backup is >= the zero-sum one and fixes V, and both
+sweep from the same zeros, so V is its least fixpoint, read off with no MDP.
 The non-capturing construction reads its start and evasion off the
 one-pursuer capture table it is handed, and is judged at that start only:
 against the frozen rest a deviator plays a deterministic one-player game,
@@ -341,9 +341,11 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
     his best continuation is his exact `best_response` to them; before it, play
     is the cooperative path whose payoff-to-go is an exact closed form. Comparing
     the two at every state of the deviator covers every deviating strategy.
-    Profiles whose punishments of a deviator are equal arrays share one best response.
+    A punishment that is the game's own aux strategy is read off its value V: the frozen
+    backup is >= the zero-sum one and fixes V, so from the same zeros it ends at V exactly.
     """
     space, params, n = game.space, game.params, game.params.n_players
+    aux = vars(game).get("aux")  # read, never built: a hand-made profile may not use it
     own_rows = [space.turn_block(p).rows for p in range(1, n + 1)]
     turns, coop = [], []  # per profile: capture turns; per player, cooperative payoff on his rows
     for threat in threats:
@@ -354,7 +356,6 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
     gains, witnesses = [[] for _ in threats], [[] for _ in threats]
     for player in range(1, n + 1):
         block = space.turn_block(player)
-        solved = []  # (punishment moves, deviation values on his block)
         for k, threat in enumerate(threats):
             u_coop = coop[k][player - 1]
             coop[k][player - 1] = None  # freed player by player
@@ -363,10 +364,9 @@ def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
                 witnesses[k].append(-1)
                 continue
             punish = threat.punishments[player].move
-            dev = next((d for other, d in solved if np.array_equal(other, punish)), None)
-            if dev is None:
-                dev = params.gamma * best_response(game, player, punish)[block.succ]
-                solved.append((punish, dev))
+            own = aux is not None and punish is aux[player - 1].move
+            values = aux[player - 1].values if own else best_response(game, player, punish)
+            dev = params.gamma * values[block.succ]
             # padded slots repeat slot 0, so they neither add nor hide a deviation
             deviating = block.act != threat.cooperative.move[block.rows]
             gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop

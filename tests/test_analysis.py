@@ -127,11 +127,11 @@ def test_theorem_suite_solves_each_aux_game_once(monkeypatch):
     assert len(set(games)) == len(games)
 
 
-def test_theorem_suite_solves_each_punisher_mdp_once(monkeypatch):
-    """Both threat kinds of a grid point punish a deviator alike off his own
-    rows, so one verifier call solves each pursuer's MDP once: N-1 solves per
-    grid point, plus N-1 per omega-tilde point for optimal pursuit. The
-    evader's best response to optimal pursuit is read off the capture table."""
+def test_theorem_suite_solves_mdps_only_for_optimal_pursuit(monkeypatch):
+    """Both threat kinds punish a deviator with his own aux game's coalition,
+    whose best response is that game's value, so the threat verifier solves no
+    MDP: only optimal pursuit's check at each omega-tilde point solves one per
+    pursuer. The evader's best response to it is read off the capture table."""
     from scar import bellman
 
     calls = []
@@ -147,7 +147,7 @@ def test_theorem_suite_solves_each_punisher_mdp_once(monkeypatch):
     assert {"threat-ne-exists", "capturing-ne-exists", "cr-optimal-ne-on-omega-tilde"} <= reports
     omega = [p for p in grid.points() if GameParams(4, *p).in_omega_tilde]
     assert omega
-    assert len(calls) == 3 * (len(grid.points()) + len(omega))
+    assert len(calls) == 3 * len(omega)
 
 
 def test_sweep_builds_one_payoff_table_per_point(monkeypatch):

@@ -10,6 +10,7 @@ from scar.analysis import make_grid
 from scar.cr import exact_capture_times, extract_cr_optimal_moves, t_n_max
 from scar.equilibria import (
     Game,
+    best_response,
     build_capturing_threat_ne,
     build_noncapturing_ne,
     build_threat_profile,
@@ -434,10 +435,9 @@ def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
         profiles = [build_threat_profile(game), build_capturing_threat_ne(game), corrupted]
         solved_for.clear()
         reports = verify_threat_ne(game, profiles)
-        # the intact kinds punish with the same aux-game moves and share each
-        # pursuer's MDP; the corrupted punishment of player 1 gets a solve of its
-        # own, and the evader's against optimal pursuit is the capture table's
-        assert sorted(solved_for) == [1, 1, 2]
+        # punishments that are the aux-game moves are read off the aux games;
+        # only the corrupted punishment of player 1 gets a solve of its own
+        assert sorted(solved_for) == [1]
         assert reports == [verify_threat_ne(game, [p])[0] for p in profiles]
         assert reports[1].is_ne
         if reports[2].per_player_gain[0] > 1e-6:
@@ -475,6 +475,65 @@ def test_threat_punishments_are_the_read_only_aux_moves(tree9_space):
         for d, sol in enumerate(game.aux, start=1):
             move = threat.punishments[d].move
             assert np.shares_memory(move, sol.move) and not move.flags.writeable
+
+
+def _connected_atlas(networkx, max_vertices):
+    """Every connected graph of 2 to `max_vertices` vertices, up to isomorphism."""
+    graphs = []
+    for ag in networkx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if 2 <= n <= max_vertices and networkx.is_connected(ag):
+            relabel = {v: i + 1 for i, v in enumerate(sorted(ag.nodes()))}
+            graphs.append(build_graph(n, [(relabel[u], relabel[v]) for u, v in ag.edges()]))
+    return graphs
+
+
+def test_deviation_value_is_the_aux_value():
+    """A deviator's best response to his own aux game's coalition is that
+    game's value, bit for bit and sign bits included, for every player at
+    every default-grid point: what lets the threat verifier read it off."""
+    networkx = pytest.importorskip("networkx")
+    graphs = _connected_atlas(networkx, 5)
+    assert len(graphs) == 30
+    cases = [(g, n) for n in (3, 4) for g in graphs] + [(cycle_graph(6), 5)]
+    checked = 0
+    for g, n in cases:
+        space = build_state_space(g, n)
+        for gamma, eps in make_grid(n).points():
+            game = Game(space, GameParams(n, gamma, eps))
+            for d, sol in enumerate(game.aux, start=1):
+                values = best_response(game, d, sol.move)
+                assert np.array_equal(values, sol.values)
+                assert np.array_equal(np.signbit(values), np.signbit(sol.values))
+                checked += 1
+    assert checked == 25 * (30 * 3 + 30 * 4 + 5)
+
+
+def test_copied_punishments_match_the_builders_without_aux_games(tree9_space, monkeypatch):
+    """Copies of the aux moves are not the game's own arrays, so each gets an
+    MDP of its own; the reports equal the builders', and checking the copies on
+    a fresh game solves none of the auxiliary games they never use."""
+    space = tree9_space
+    solved = []
+    for name in ("solve_zero_sum", "solve_mdp"):
+        def counting(*args, _solve=getattr(bellman, name), _name=name):
+            solved.append(_name)
+            return _solve(*args)
+        monkeypatch.setattr(bellman, name, counting)
+    for gamma, eps in ((0.1, 0.0), (0.5, 0.25), (0.95, 0.5)):
+        params = GameParams(3, gamma, eps)
+        game = Game(space, params)
+        built = _threat_pair(game)
+        reports = verify_threat_ne(game, built)
+        copies = [dataclasses.replace(
+            t, cooperative=PositionalProfile(space, t.cooperative.move.copy()),
+            punishments={d: PositionalProfile(space, p.move.copy()) for d, p in t.punishments.items()})
+            for t in built]
+        fresh = Game(space, params)
+        solved.clear()
+        assert verify_threat_ne(fresh, copies) == reports
+        assert solved == ["solve_mdp"] * 6  # one per deviator and profile, no aux game
+        assert "aux" not in vars(fresh)
 
 
 def test_punish_mode_keeps_the_deviators_rows_cooperative(tree9_space):
