@@ -275,7 +275,7 @@ def verify_profile(scenario: Scenario) -> dict:
                 "attainment_residual": res.attainment_residual,
                 "consistency_residual": res.consistency_residual,
                 **res.verification.summary()}
-    [rep] = equilibria.verify_threat_ne(game, [build_profile(game, kind)], tol=tol)
+    rep = equilibria.verify_threat_ne(game, build_profile(game, kind), tol=tol)
     return {**rep.summary(), "captures_everywhere": rep.captures_everywhere()}
 
 
@@ -374,20 +374,16 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
         termination = run(space, construction.profile, construction.s0_index).termination
         reports.append(nonc_rep)
 
-    # One pass over the grid. Each point's game serves both threat builders,
-    # one verifier call checks both profiles, and its verdicts serve the cop-win
-    # suite too. Only one point's arrays are alive at a time: the game and
-    # verdicts go before the non-capturing check.
+    # One pass over the grid. Each point's game serves both threat kinds, and
+    # their verdicts serve the cop-win suite too. Only one point's arrays, and
+    # one threat profile, are alive at a time.
     scenario = functools.partial(Scenario, g, n_players, ne_tol=tol, state_cap=state_cap)
+    kinds = ("threat", "capturing-threat") if capturing else ("threat",)
     for gamma, eps in grid.points():
         params = GameParams(n_players, gamma, eps)
         game = equilibria.Game(space, params)
-        threats = {"threat": equilibria.build_threat_profile(game)}
-        if capturing:
-            threats["capturing-threat"] = equilibria.build_capturing_threat_ne(game)
-        verdicts = dict(zip(threats, equilibria.verify_threat_ne(game, list(threats.values()),
-                                                                 tol=tol)))
-        del threats
+        verdicts = {kind: equilibria.verify_threat_ne(game, build_profile(game, kind), tol=tol)
+                    for kind in kinds}
 
         ver = verdicts["threat"]
         threat_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
@@ -483,8 +479,7 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
     diag = grid.points()[:: max(1, len(grid.points()) // sample_points)][:sample_points]
     for gamma, eps in diag:
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))
-        threat = equilibria.build_capturing_threat_ne(game)
-        [ver] = equilibria.verify_threat_ne(game, [threat], tol=tol)
+        ver = equilibria.verify_threat_ne(game, equilibria.build_capturing_threat_ne(game), tol=tol)
         ok = ver.is_ne and ver.captures_everywhere()
         report.verified_points.append({"gamma": gamma, "epsilon": eps, "ok": ok})
         report.consistent = report.consistent and ok
@@ -518,6 +513,8 @@ def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
     params = GameParams(n_players, gamma, split_equivalent=True)
     rng = np.random.default_rng(seed)
     nc_idx = np.flatnonzero(space.is_noncapture)
+    if nc_idx.size == 0:
+        raise ValidationError("every state is a capture, so no non-capture start exists to draw")
     failures = []
     for trial in range(trials):
         profile = random_profile(space, rng)

@@ -96,6 +96,8 @@ def _report(command, scenario, result):
 def cmd_solve(args):
     scenario = Scenario.read(_reader(args))
     space = scenario.space()
+    if scenario.s0 is None and not space.is_noncapture.any():
+        raise ValidationError("every state is a capture, so no non-capture start exists; give --s0")
     params = scenario.params
     game = equilibria.Game(space, params)
     method = "positional-sweeps"
@@ -112,8 +114,7 @@ def cmd_solve(args):
             return EXIT_NONCONVERGENCE
         method = "threat-fallback"
         profile = equilibria.build_threat_profile(game)
-        [ver] = equilibria.verify_threat_ne(game, [profile], tol=scenario.ne_tol)
-        gaps = ver.summary()
+        gaps = equilibria.verify_threat_ne(game, profile, tol=scenario.ne_tol).summary()
         extra = {"fallback_reason": str(exc)}
     s0 = scenario.s0 or space.state_at(int(np.flatnonzero(space.is_noncapture)[0]))
     idx0 = space.index_of(tuple(s0))

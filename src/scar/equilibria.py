@@ -9,15 +9,16 @@ themselves are evaluated in closed form (deterministic positional play either
 captures within |S| turns or provably cycles). For threat profiles the punished
 deviator faces fixed positional punishers, so his best continuation is an exact
 MDP value, and a one-shot deviation scan along cooperative play covers every
-deviating strategy. Against his own aux game's coalition that value is the aux
-value V itself: the frozen backup is >= the zero-sum one and fixes V, and both
-sweep from the same zeros, so V is its least fixpoint, read off with no MDP.
-The non-capturing construction reads its start and evasion off the
-one-pursuer capture table it is handed, and is judged at that start only:
-against the frozen rest a deviator plays a deterministic one-player game,
-whose value at the start a forward search over the reachable (state, mode)
-pairs gives exactly. The search does not depend on (gamma, eps), so each
-construction runs it once per player and only the discounting is redone.
+deviating strategy. Each verifier call checks one profile. `best_response` is
+the one place that knows an exact shortcut: against his own aux game's
+coalition a player's value is that game's, and the evader's against optimal
+pursuit is the capture table's, both read with no MDP. The non-capturing
+construction reads its start and evasion off the one-pursuer capture table it
+is handed, and is judged at that start only: against the frozen rest a
+deviator plays a deterministic one-player game, whose value at the start a
+forward search over the reachable (state, mode) pairs gives exactly. The
+search does not depend on (gamma, eps), so each construction runs it once per
+player and only the discounting is redone.
 
 Solvers and verifiers take a `Game`, one state space at one parameter point,
 which builds its turn-payoff table and its N auxiliary player-vs-coalition
@@ -113,9 +114,18 @@ class Game:
 
 
 def best_response(game: Game, player: int, moves: np.ndarray) -> np.ndarray:
-    """Exact value of `player`'s best response to the rest playing `moves`: the
-    evader's to optimal pursuit off the capture table, else his MDP's fixpoint."""
+    """Exact value of `player`'s best response to the rest playing `moves`.
+
+    Against his own aux game's coalition (`game.aux`, read if already built)
+    it is that game's value V: the frozen backup is >= the zero-sum one and
+    fixes V, and both sweep from the same zeros, so V is its least fixpoint.
+    The evader's to optimal pursuit is read off the capture table; any other
+    is his MDP's fixpoint.
+    """
     space, gamma = game.space, game.params.gamma
+    aux = vars(game).get("aux")  # read, never built: a hand-made profile may not use it
+    if aux is not None and moves is aux[player - 1].move:
+        return aux[player - 1].values
     if player == space.n_players and moves is space.capture_table.cr_optimal_moves:
         return discounted(gamma, space.capture_table.times, -1.0)
     succ = space.succ_of_moves(moves)
@@ -128,19 +138,19 @@ def _outcomes(space: StateSpace, moves: np.ndarray) -> tuple:
     return table.outcomes if moves is table.cr_optimal_moves else profile_outcomes(space, moves)
 
 
-def _threat_profile(game: Game, cooperative_move: np.ndarray, kind: str) -> ThreatProfile:
+def _threat_profile(game: Game, cooperative_move: np.ndarray) -> ThreatProfile:
     """Cooperate along `cooperative_move`; punish the first deviator with the
     strategies of his auxiliary game, `game.aux[d].move` itself."""
     space = game.space
     punishments = {d: PositionalProfile(space, sol.move) for d, sol in enumerate(game.aux, start=1)}
-    return ThreatProfile(space, PositionalProfile(space, cooperative_move), punishments, kind)
+    return ThreatProfile(space, PositionalProfile(space, cooperative_move), punishments)
 
 
 def build_threat_profile(game: Game) -> ThreatProfile:
     """Cooperate along everyone's own aux-optimal strategy; punish the first deviator
     with the coalition strategies from his auxiliary game."""
     own = combine_player_moves(game.space, [a.move for a in game.aux])
-    return _threat_profile(game, own, "threat")
+    return _threat_profile(game, own)
 
 
 def build_capturing_threat_ne(game: Game) -> ThreatProfile:
@@ -155,7 +165,7 @@ def build_capturing_threat_ne(game: Game) -> ThreatProfile:
             f"the evader escapes {game.space.n_players - 1} pursuers from some start; "
             "a capturing equilibrium of this form needs cop number <= pursuer count"
         )
-    return _threat_profile(game, table.cr_optimal_moves, "capturing-threat")
+    return _threat_profile(game, table.cr_optimal_moves)
 
 
 # ---------------------------------------------------------------------------
@@ -332,49 +342,35 @@ class ThreatNEReport:
         }
 
 
-def verify_threat_ne(game: Game, threats, tol: float = DEFAULT_NE_TOL) -> list:
-    """Check each threat profile of `game` in `threats`: no one-shot deviation
-    followed by optimal play against the punishers beats cooperative play, from
-    any state (hence any start). Returns one report per profile, in order.
+def verify_threat_ne(game: Game, threat: ThreatProfile,
+                     tol: float = DEFAULT_NE_TOL) -> ThreatNEReport:
+    """Check that no one-shot deviation from `threat` followed by optimal play
+    against the punishers beats cooperative play, from any state (hence any start).
 
     After a deviation the deviator faces fixed positional punishers forever, so
     his best continuation is his exact `best_response` to them; before it, play
     is the cooperative path whose payoff-to-go is an exact closed form. Comparing
     the two at every state of the deviator covers every deviating strategy.
-    A punishment that is the game's own aux strategy is read off its value V: the frozen
-    backup is >= the zero-sum one and fixes V, so from the same zeros it ends at V exactly.
     """
-    space, params, n = game.space, game.params, game.params.n_players
-    aux = vars(game).get("aux")  # read, never built: a hand-made profile may not use it
-    own_rows = [space.turn_block(p).rows for p in range(1, n + 1)]
-    turns, coop = [], []  # per profile: capture turns; per player, cooperative payoff on his rows
-    for threat in threats:
-        t, capture_at = _outcomes(space, threat.cooperative.move)
-        turns.append(t)
-        coop.append([discounted_payoff(space, params, p, capture_at[rows], t[rows])
-                     for p, rows in enumerate(own_rows, start=1)])
-    gains, witnesses = [[] for _ in threats], [[] for _ in threats]
-    for player in range(1, n + 1):
+    space, params = game.space, game.params
+    turns, capture_at = _outcomes(space, threat.cooperative.move)
+    gains, witness = [], []
+    for player in range(1, params.n_players + 1):
         block = space.turn_block(player)
-        for k, threat in enumerate(threats):
-            u_coop = coop[k][player - 1]
-            coop[k][player - 1] = None  # freed player by player
-            if block.rows.size == 0:
-                gains[k].append(0.0)
-                witnesses[k].append(-1)
-                continue
-            punish = threat.punishments[player].move
-            own = aux is not None and punish is aux[player - 1].move
-            values = aux[player - 1].values if own else best_response(game, player, punish)
-            dev = params.gamma * values[block.succ]
-            # padded slots repeat slot 0, so they neither add nor hide a deviation
-            deviating = block.act != threat.cooperative.move[block.rows]
-            gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop
-            at = int(gain.argmax())
-            gains[k].append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
-            witnesses[k].append(int(block.rows[at]))
-    return [ThreatNEReport(max(g) <= tol, tol, g, w, t, space.is_noncapture)
-            for g, w, t in zip(gains, witnesses, turns)]
+        if block.rows.size == 0:
+            gains.append(0.0)
+            witness.append(-1)
+            continue
+        u_coop = discounted_payoff(space, params, player, capture_at[block.rows], turns[block.rows])
+        punish = threat.punishments[player].move
+        dev = params.gamma * best_response(game, player, punish)[block.succ]
+        # padded slots repeat slot 0, so they neither add nor hide a deviation
+        deviating = block.act != threat.cooperative.move[block.rows]
+        gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop
+        at = int(gain.argmax())
+        gains.append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
+        witness.append(int(block.rows[at]))
+    return ThreatNEReport(max(gains) <= tol, tol, gains, witness, turns, space.is_noncapture)
 
 
 def check_cr_optimal_ne(game: Game, tol: float = DEFAULT_NE_TOL) -> NEReport:

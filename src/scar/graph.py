@@ -6,6 +6,7 @@ sorted ascending so that every downstream argmax/argmin scan is deterministic.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -20,10 +21,6 @@ class Graph:
     edges: frozenset  # frozenset of (u, v) pairs with u < v
     adjacency: tuple  # adjacency[v-1] is the sorted tuple of neighbors of v
     _dist: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def neighbors(self, v: int) -> tuple:
-        self._check_vertex(v)
-        return self.adjacency[v - 1]
 
     def closed_neighborhood(self, v: int) -> list:
         """N[v] = N(v) union {v}, sorted ascending."""
@@ -65,21 +62,24 @@ def closed_neighborhood(g: Graph, v: int) -> list:
     return g.closed_neighborhood(v)
 
 
-def build_graph(vertex_count: int, edge_pairs) -> Graph:
-    """Validate an explicit vertex count and edge collection into a Graph."""
+def build_graph(vertex_count: int, edge_pairs, prefixes=None) -> Graph:
+    """Validate an explicit vertex count and edge collection into a Graph.
+
+    `prefixes`, if given, holds one message prefix per edge (such as its line
+    number) for the error that edge raises."""
     if vertex_count < 1:
         raise GraphValidationError(f"vertex count must be positive, got {vertex_count}")
     canon = set()
     adj = [[] for _ in range(vertex_count)]
-    for u, v in edge_pairs:
+    for (u, v), at in zip(edge_pairs, prefixes or itertools.repeat("")):
         for x in (u, v):
             if not 1 <= x <= vertex_count:
-                raise GraphValidationError(f"vertex id {x} out of range 1..{vertex_count}")
+                raise GraphValidationError(f"{at}vertex id {x} out of range 1..{vertex_count}")
         if u == v:
-            raise GraphValidationError(f"self-loop at vertex {u}")
+            raise GraphValidationError(f"{at}self-loop at vertex {u}")
         key = (min(u, v), max(u, v))
         if key in canon:
-            raise GraphValidationError(f"duplicate edge {key[0]}-{key[1]}")
+            raise GraphValidationError(f"{at}duplicate edge {key[0]}-{key[1]}")
         canon.add(key)
         adj[u - 1].append(v)
         adj[v - 1].append(u)
@@ -107,7 +107,7 @@ def parse_graph(text: str) -> Graph:
     m lines "u v". '#' starts a comment; blank lines are ignored.
     """
     header = None
-    edges = []
+    edges, prefixes = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,28 +124,14 @@ def parse_graph(text: str) -> Graph:
             continue
         if len(nums) != 2:
             raise GraphParseError(f"line {lineno}: edge line must be 'u v', got {raw.strip()!r}")
-        edges.append((nums[0], nums[1], lineno))
+        edges.append((nums[0], nums[1]))
+        prefixes.append(f"line {lineno}: ")
     if header is None:
         raise GraphParseError("empty document: missing 'n m' header line")
     n, m = header
     if len(edges) != m:
         raise GraphParseError(f"header announces {m} edges but {len(edges)} edge lines found")
-    try:
-        return build_graph(n, [(u, v) for u, v, _ in edges])
-    except GraphValidationError:
-        # rebuild with line attribution for a precise message
-        canon = set()
-        for u, v, lineno in edges:
-            if u == v:
-                raise GraphValidationError(f"line {lineno}: self-loop at vertex {u}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                bad = u if not 1 <= u <= n else v
-                raise GraphValidationError(f"line {lineno}: vertex id {bad} out of range 1..{n}") from None
-            key = (min(u, v), max(u, v))
-            if key in canon:
-                raise GraphValidationError(f"line {lineno}: duplicate edge {key[0]}-{key[1]}") from None
-            canon.add(key)
-        raise
+    return build_graph(n, edges, prefixes)
 
 
 def serialize_graph(g: Graph) -> str:

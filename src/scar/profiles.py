@@ -82,7 +82,6 @@ class ThreatProfile:
     space: StateSpace
     cooperative: PositionalProfile
     punishments: dict  # deviator -> PositionalProfile
-    kind: str = "threat"
 
     def initial_mode(self):
         return COOPERATIVE

@@ -202,12 +202,12 @@ def test_criterion_06_threat_ne_battery(battery_graphs):
             params = GameParams(3, gamma, eps)
             game = Game(space, params)
             threat = build_threat_profile(game)
-            [rep] = verify_threat_ne(game, [threat], tol=NE_TOL)
+            rep = verify_threat_ne(game, threat, tol=NE_TOL)
             assert rep.is_ne, f"{name} threat at ({gamma},{eps}): gain {max(rep.per_player_gain):.2e}"
             instances += 1
             if capturing_applicable:
                 cap = build_capturing_threat_ne(game)
-                [rep2] = verify_threat_ne(game, [cap], tol=NE_TOL)
+                rep2 = verify_threat_ne(game, cap, tol=NE_TOL)
                 assert rep2.is_ne, f"{name} capturing at ({gamma},{eps}): gain {max(rep2.per_player_gain):.2e}"
                 assert rep2.captures_everywhere()
                 instances += 1

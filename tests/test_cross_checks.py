@@ -64,7 +64,7 @@ def test_threat_ne_survives_simulated_deviations(g, n_players, gamma, eps):
     params = GameParams(n_players, gamma, eps)
     game = Game(space, params)
     threat = build_threat_profile(game)
-    [report] = verify_threat_ne(game, [threat])
+    report = verify_threat_ne(game, threat)
     assert report.is_ne
     rng = np.random.default_rng(99)
     nc = np.flatnonzero(space.is_noncapture)
@@ -83,7 +83,7 @@ def test_capturing_threat_survives_simulated_deviations():
     params = GameParams(3, 0.8, 0.3)
     game = Game(space, params)
     threat = build_capturing_threat_ne(game)
-    assert verify_threat_ne(game, [threat])[0].is_ne
+    assert verify_threat_ne(game, threat).is_ne
     rng = np.random.default_rng(4)
     nc = np.flatnonzero(space.is_noncapture)
     for s0 in rng.choice(nc, size=10, replace=False):
@@ -157,5 +157,5 @@ def test_threat_verifier_fuzz_on_random_graphs():
         params = GameParams(3, gamma, eps)
         game = Game(space, params)
         threat = build_threat_profile(game)
-        [report] = verify_threat_ne(game, [threat])
+        report = verify_threat_ne(game, threat)
         assert report.is_ne, (gamma, eps, sorted(g.edges))

@@ -71,8 +71,8 @@ def test_evader_side_is_the_capture_table_where_gamma_t_underflows():
     for eps, threat_turns in ((0.0, 11465628), (0.25, 8829495)):
         game = Game(space, GameParams(3, 0.001, eps))
         assert game.aux[2].move is table.cr_optimal_moves
-        threat, capturing = verify_threat_ne(
-            game, [build_threat_profile(game), build_capturing_threat_ne(game)])
+        threat = verify_threat_ne(game, build_threat_profile(game))
+        capturing = verify_threat_ne(game, build_capturing_threat_ne(game))
         for rep, captures in ((threat, False), (capturing, True)):
             assert rep.is_ne and rep.summary()["max_gain"] == 0.0
             assert rep.captures_everywhere() == captures
@@ -347,7 +347,7 @@ def test_threat_profile_is_ne_on_tree(tree9_space):
     params = GameParams(3, 0.9, 0.25)
     game = Game(tree9_space, params)
     threat = build_threat_profile(game)
-    [report] = verify_threat_ne(game, [threat])
+    report = verify_threat_ne(game, threat)
     assert report.is_ne
 
 
@@ -365,7 +365,7 @@ def test_capturing_threat_ne_on_two_pursuer_graphs():
         params = GameParams(3, 0.9, 0.25)
         game = Game(space, params)
         threat = build_capturing_threat_ne(game)
-        [report] = verify_threat_ne(game, [threat])
+        report = verify_threat_ne(game, threat)
         assert report.is_ne
         assert report.captures_everywhere()
 
@@ -375,7 +375,7 @@ def test_capturing_threat_respects_time_bound():
     params = GameParams(3, 0.7, 0.3)
     game = Game(space, params)
     threat = build_capturing_threat_ne(game)
-    [report] = verify_threat_ne(game, [threat])
+    report = verify_threat_ne(game, threat)
     assert report.is_ne and report.captures_everywhere()
     bound = t_n_max(space.capture_table)
     assert report.cooperative_turns[space.is_noncapture].max() <= bound
@@ -413,8 +413,7 @@ def test_cr_optimal_is_ne_in_two_player_game():
 def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
     # lobotomize the punishment against player 1: the other pursuer just stays;
     # for some parameters deviating then beats cooperating and the verifier sees
-    # it, also when the corrupted profile is checked in one call with profiles
-    # whose punishments are intact
+    # it, while the intact capturing threat still verifies
     space = tree9_space
     solved_for = []
     solve = bellman.solve_mdp
@@ -434,11 +433,10 @@ def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
         corrupted.punishments[1] = PositionalProfile(space, moves)
         profiles = [build_threat_profile(game), build_capturing_threat_ne(game), corrupted]
         solved_for.clear()
-        reports = verify_threat_ne(game, profiles)
+        reports = [verify_threat_ne(game, p) for p in profiles]
         # punishments that are the aux-game moves are read off the aux games;
         # only the corrupted punishment of player 1 gets a solve of its own
         assert sorted(solved_for) == [1]
-        assert reports == [verify_threat_ne(game, [p])[0] for p in profiles]
         assert reports[1].is_ne
         if reports[2].per_player_gain[0] > 1e-6:
             detected = True
@@ -502,11 +500,29 @@ def test_deviation_value_is_the_aux_value():
         for gamma, eps in make_grid(n).points():
             game = Game(space, GameParams(n, gamma, eps))
             for d, sol in enumerate(game.aux, start=1):
-                values = best_response(game, d, sol.move)
+                values = best_response(game, d, sol.move.copy())  # the MDP, not the read
                 assert np.array_equal(values, sol.values)
                 assert np.array_equal(np.signbit(values), np.signbit(sol.values))
                 checked += 1
     assert checked == 25 * (30 * 3 + 30 * 4 + 5)
+
+
+@pytest.mark.parametrize("g, n", [(delayed_capture_graph(), 3), (cycle_graph(5), 4)])
+def test_best_response_reads_the_own_aux_value(g, n, monkeypatch):
+    """Once the aux games are built, a pursuer's best response to his own aux
+    game's moves is that game's value array itself, with no MDP; so verifying
+    pursuer 1's aux moves as a positional profile solves only the other N-1."""
+    space = build_state_space(g, n)
+    game = Game(space, GameParams(n, 0.9, 0.25))
+    aux = game.aux
+    solved = []
+    solve = bellman.solve_mdp
+    monkeypatch.setattr(bellman, "solve_mdp", lambda *args: solved.append(args[3]) or solve(*args))
+    for d in range(1, n):
+        assert best_response(game, d, aux[d - 1].move) is aux[d - 1].values
+    assert solved == []
+    verify_positional_ne(game, PositionalProfile(space, aux[0].move))
+    assert solved == list(range(2, n + 1))
 
 
 def test_copied_punishments_match_the_builders_without_aux_games(tree9_space, monkeypatch):
@@ -524,14 +540,14 @@ def test_copied_punishments_match_the_builders_without_aux_games(tree9_space, mo
         params = GameParams(3, gamma, eps)
         game = Game(space, params)
         built = _threat_pair(game)
-        reports = verify_threat_ne(game, built)
+        reports = [verify_threat_ne(game, t) for t in built]
         copies = [dataclasses.replace(
             t, cooperative=PositionalProfile(space, t.cooperative.move.copy()),
             punishments={d: PositionalProfile(space, p.move.copy()) for d, p in t.punishments.items()})
             for t in built]
         fresh = Game(space, params)
         solved.clear()
-        assert verify_threat_ne(fresh, copies) == reports
+        assert [verify_threat_ne(fresh, t) for t in copies] == reports
         assert solved == ["solve_mdp"] * 6  # one per deviator and profile, no aux game
         assert "aux" not in vars(fresh)
 
@@ -561,7 +577,7 @@ def test_nonconvergent_instance_reported_not_returned():
     assert info.value.report["cycle_period"] == 3
     assert info.value.report["sweeps"] < 50  # an exact repeat, long before any cap
     threat = build_threat_profile(game)
-    assert verify_threat_ne(game, [threat])[0].is_ne
+    assert verify_threat_ne(game, threat).is_ne
 
 
 def _python_positional_sweeps(space, params):

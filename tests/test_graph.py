@@ -69,6 +69,11 @@ def test_vertex_out_of_range():
         parse_graph("3 1\n1 7\n")
 
 
+def test_out_of_range_self_loop_reports_the_range_with_its_line():
+    with pytest.raises(GraphValidationError, match=r"^line 2: vertex id 5 out of range 1\.\.3$"):
+        parse_graph("3 1\n5 5\n")
+
+
 def test_malformed_line():
     with pytest.raises(GraphParseError, match="line 2"):
         parse_graph("3 2\n1 x\n2 3\n")
