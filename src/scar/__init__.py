@@ -6,7 +6,6 @@ from .states import NULL_MOVE, TERMINAL, StateSpace, actions, build_state_space,
 from .cr import (
     CaptureTimeTable,
     cop_number,
-    discounted_cr_value,
     exact_capture_times,
     minimax_capture_times,
     t_n_max,
@@ -28,7 +27,7 @@ __all__ = [
     "Graph", "builtin_graph", "closed_neighborhood", "parse_graph", "serialize_graph",
     "GameParams", "total_payoff", "turn_payoff",
     "NULL_MOVE", "TERMINAL", "StateSpace", "actions", "build_state_space", "classify", "transition",
-    "CaptureTimeTable", "cop_number", "discounted_cr_value", "exact_capture_times",
+    "CaptureTimeTable", "cop_number", "exact_capture_times",
     "minimax_capture_times", "t_n_max",
     "Game", "build_capturing_threat_ne", "build_noncapturing_ne", "build_threat_profile",
     "check_cr_optimal_ne", "solve_aux_game", "solve_positional_ne",

@@ -1,6 +1,6 @@
 """Exact value iteration over a state space's per-mover turn blocks.
 
-Every discounted solve in the package runs the one synchronous loop below over
+Every discounted solve in the package runs the one Gauss-Seidel loop below over
 groups of rows; every row outside the groups keeps a pinned boundary value:
 
   max rows:     v(s) = gamma * max_a v(succ(s, a)), over a (K, m) successor block;
@@ -16,17 +16,19 @@ both start at 0 off the boundary and run to their exact fixpoint. Play is
 deterministic and pays only at the capture states, where it stops, with
 rewards of one sign, so one side prefers any capture to endless play. Against
 that side's optimal positional strategy the other can only choose among
-capture paths of distinct rows (a reachable cycle would hold it at 0), so the
-k-th sweep, the k-turn value, settles within |S| + 1 sweeps at residual 0.
-No solver takes a value tolerance; the greedy positional-equilibrium sweeps in
-`equilibria` also stop only at an exact fixpoint or an exact repeat. Moves are
-read off values by one scan, `greedy_moves`, which keeps the first exact
-optimum with no tie slack.
+capture paths of distinct rows (a reachable cycle would hold it at 0), so
+synchronous sweeps, the k-th giving the k-turn value, settle within |S| + 1
+sweeps at residual 0. The solvers sweep the movers in reverse turn order, N
+down to 1: a mover-p row's successors have mover p + 1 or are pinned, so a
+sweep carries values back N turns. The backup is monotone in floats and rows
+start at 0, on the near side of the fixpoint, so each iterate lies between the
+synchronous one and the fixpoint: the same fixpoint, bit for bit, in no more
+sweeps. No solver takes a value tolerance; the greedy positional-equilibrium
+sweeps in `equilibria` also stop only at an exact fixpoint or an exact repeat.
+Every move is a block's first exact optimum (`first_act`), with no tie slack.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -34,73 +36,79 @@ from .errors import NonConvergenceError
 
 
 def _value_iteration(v, gamma, cap, groups):
-    """Synchronous value iteration on `v`, updated in place.
+    """Gauss-Seidel value iteration on `v`, updated in place.
 
     Each group is a triple (rows, block, rule) indexing `v`: a reduction rule
     (`np.maximum.reduce` or `np.minimum.reduce`) gives a row gamma times that
     reduction of its column of the (K, m) successor `block`; rule None gives it
-    gamma times its one successor, block[i] for rows[i]. Every group is updated
-    from the same `v`, into two buffers per group allocated once (this sweep's
-    values and the last), and the residual is the sup change over the updated
-    rows. Stops once a sweep changes nothing, or after `cap` sweeps.
-    Returns (values, iterations, residual).
+    gamma times its one successor, block[i] for rows[i]. A sweep updates the
+    groups in order, each into two buffers of its own (this sweep's values and
+    the last). Each group must read only pinned rows and the group updated just
+    before it (the last, for the first): so once an update after the first
+    sweep changes nothing, no later one can, and the loop stops there; else
+    after `cap` sweeps, with the sup change of the last as residual. Returns
+    (values, sweeps begun, residual, per group its last gathered block or None).
     """
-    work = [(rows, block, rule, np.empty(block.shape), (v[rows], np.empty(rows.size)))
+    work = [(rows, block, rule, None if rule is None else np.empty(block.shape),
+             (v[rows], np.empty(rows.size)))
             for rows, block, rule in groups]
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, cap + 1):
+    for iterations in range(1, cap + 1):  # cap >= 1
         new_at = iterations % 2
-        for _, block, rule, gathered, buffers in work:
-            new = buffers[new_at]
+        residual = 0.0
+        for rows, block, rule, gathered, buffers in work:
+            new, change = buffers[new_at], buffers[1 - new_at]  # the last sweep's values go
             if rule is None:
                 v.take(block, out=new, mode="clip")  # indices are in range: skip the check
             else:
                 v.take(block, out=gathered, mode="clip")
                 rule(gathered, axis=0, out=new)
             new *= gamma
-        residual = 0.0
-        for rows, _, _, _, buffers in work:
-            new, change = buffers[new_at], buffers[1 - new_at]  # the last sweep's values go
             v[rows] = new
             np.subtract(new, change, out=change)
-            residual = max(residual, float(np.abs(change, out=change).max(initial=0.0)))
-        if residual == 0.0:
-            break
-    return v, iterations, residual
+            step = float(np.abs(change, out=change).max(initial=0.0))
+            if step == 0.0 and iterations > 1:
+                return v, iterations, 0.0, [w[3] for w in work]
+            residual = max(residual, step)
+    return v, iterations, residual, [w[3] for w in work]
 
 
 def _fixpoint(space, fixed, gamma, groups):
     """Sweeps from 0 on the non-capture rows (`fixed` pins the rest) to the
     exact fixpoint; NonConvergenceError if still moving after |S| + 1 sweeps."""
-    values, iterations, residual = _value_iteration(
+    values, iterations, residual, gathered = _value_iteration(
         np.where(space.is_noncapture, 0.0, fixed), gamma, space.n_states + 1, groups)
     if residual != 0.0:
         raise NonConvergenceError(f"values still moving after {iterations} sweeps")
-    return values, iterations, residual
+    return values, iterations, residual, gathered
 
 
 def solve_zero_sum(space, fixed, gamma, maximizers):
     """Exact value of the zero-sum game whose `maximizers` (players) maximize
-    and everyone else minimizes, with boundary `fixed`.
-    Returns (values, iterations, residual)."""
-    groups = []
-    for p in range(1, space.n_players + 1):
-        block = space.turn_block(p)
-        groups.append((block.rows, block.succ,
-                       np.maximum.reduce if p in maximizers else np.minimum.reduce))
-    return _fixpoint(space, fixed, gamma, groups)
+    and everyone else minimizes, with boundary `fixed`, and each non-capture
+    row's first optimal move (NULL elsewhere), read off each group's last
+    gathered block: no later update changed what it gathered, so it holds the
+    fixpoint's values. Returns (values, iterations, residual, moves)."""
+    order = range(space.n_players, 0, -1)  # reverse turn order
+    blocks = [space.turn_block(p) for p in order]
+    rules = [np.maximum.reduce if p in maximizers else np.minimum.reduce for p in order]
+    values, iterations, residual, gathered = _fixpoint(
+        space, fixed, gamma, [(b.rows, b.succ, rule) for b, rule in zip(blocks, rules)])
+    moves = np.zeros(space.n_states, dtype=np.int64)
+    for block, rule, last in zip(blocks, rules, gathered):
+        moves[block.rows] = first_act(block.act, last, rule(last, axis=0), np.equal)
+    return values, iterations, residual, moves
 
 
 def solve_mdp(space, fixed, gamma, player, frozen_succ):
     """Exact best response: `player`'s rows maximize, everyone else's follow
     `frozen_succ` (the successor under the frozen opponents' profile), with
     boundary `fixed`. Returns (values, iterations, residual)."""
-    free = space.turn_block(player)
-    rest = np.concatenate([space.turn_block(p).rows for p in range(1, space.n_players + 1)
-                           if p != player])
-    return _fixpoint(space, fixed, gamma,
-                     [(free.rows, free.succ, np.maximum.reduce), (rest, frozen_succ[rest], None)])
+    groups = []
+    for p in range(space.n_players, 0, -1):  # reverse turn order
+        block = space.turn_block(p)
+        groups.append((block.rows, block.succ, np.maximum.reduce) if p == player
+                      else (block.rows, frozen_succ[block.rows], None))
+    return _fixpoint(space, fixed, gamma, groups)[:3]
 
 
 def first_act(act, gathered, target, hit):
@@ -116,8 +124,8 @@ def first_act(act, gathered, target, hit):
 def greedy_moves(space, values, movers, maximize=True):
     """First optimal action (ascending vertex order) per non-capture state of
     the `movers` (players): the first slot whose successor value equals the
-    block's max (or min) exactly. Every move extractor in the package is this
-    scan, on float values or on integer keys.
+    block's max (or min) exactly (`first_act`), on float values or on
+    integer keys.
 
     Returns a full-length move array, NULL (0) outside the requested rows.
     Padded action slots replicate slot 0, so a first-occurrence scan can never

@@ -14,8 +14,9 @@ independent implementations are kept side by side:
     turns count their successors down in place, at the frontier only.
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
-Each state space holds its one table (`StateSpace.capture_table`); tests check
-it against the float oracle `discounted_cr_value`: v(s) = gamma^T(s), bit for bit.
+Each state space holds its one table (`StateSpace.capture_table`). The tests
+also check it against a float oracle, the discounted pursuit game solved by
+`bellman.solve_zero_sum`, whose value is gamma^T(s) bit for bit.
 """
 
 from __future__ import annotations
@@ -159,16 +160,6 @@ def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
             value = k
             break
     return CopNumberResult(value, finite_by_cops, table)
-
-
-def discounted_cr_value(space: StateSpace, gamma: float) -> np.ndarray:
-    """Exact value of the discounted game: controller earns gamma^T_C, evader loses it.
-
-    Boundary v = 1 on capture states, 0 at the terminal; controller turns take
-    the max, evader turns the min. Satisfies v(s) = gamma^T(s) with gamma^inf = 0.
-    """
-    fixed = np.where(space.is_capture, 1.0, 0.0)
-    return bellman.solve_zero_sum(space, fixed, gamma, range(1, space.n_players))[0]
 
 
 def extract_cr_optimal_moves(table: CaptureTimeTable) -> np.ndarray:

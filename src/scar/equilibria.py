@@ -35,8 +35,8 @@ sweeps may oscillate. Each sweep is a deterministic map of the value vectors,
 so the solver stops only on exact evidence: a fixpoint, which it gates behind
 the exact verifier, or a repeat of earlier values, which proves a cycle and is
 reported as non-convergence. No value tolerance is left in the package, and
-every move choice (aux-game strategies, sweeps, optimal pursuit) is the first
-exact optimum of `bellman.greedy_moves`, with no tie slack. The
+every move choice (aux-game strategies, sweeps, optimal pursuit) is a block's
+first exact optimum (`bellman.first_act`), with no tie slack. The
 threat construction, by contrast, is sound by construction and serves as the
 fallback.
 """
@@ -80,11 +80,7 @@ def solve_aux_game(space: StateSpace, params: GameParams, player: int,
                    payoffs: np.ndarray) -> AuxSolution:
     """Exact value and optimal positional strategies of the player-vs-coalition
     game, whose boundary is the player's row of the turn-payoff table."""
-    values, _, _ = bellman.solve_zero_sum(space, payoffs[player - 1], params.gamma, (player,))
-    others = [p for p in range(1, space.n_players + 1) if p != player]
-    # the movers partition the rows, so plain addition merges
-    move = (bellman.greedy_moves(space, values, (player,), maximize=True)
-            + bellman.greedy_moves(space, values, others, maximize=False))
+    values, _, _, move = bellman.solve_zero_sum(space, payoffs[player - 1], params.gamma, (player,))
     move.flags.writeable = False  # every threat profile of the game punishes with it
     return AuxSolution(values, move)
 

@@ -148,17 +148,19 @@ def profile_outcomes(space: StateSpace, moves: np.ndarray):
     Pointer doubling over the successor map with capture states and the
     terminal made absorbing: after round k, `jump[s]` is where play stands
     2^k turns after s (or where it was absorbed) and `turns[s]` how many of
-    those turns it spent off the absorbing states. Simple paths are shorter
-    than the state count, so ceil(log2(n_states)) rounds settle every play.
+    those turns it spent off the absorbing states. The turns left to capture
+    fall by one per turn of play, so once a round captures no new start (none
+    in (2^(k-1), 2^k] turns), none captures later: about log2(latest capture) + 2 rounds.
     """
     jump = space.succ_of_moves(moves)
     cap_rows = np.flatnonzero(space.is_capture)
     jump[cap_rows] = cap_rows
     turns = space.is_noncapture.astype(np.int64)
-    for _ in range(max(1, (space.n_states - 1).bit_length())):
+    captured, before = space.is_capture[jump], -1
+    while (settled := np.count_nonzero(captured)) > before:  # the last round captured a new start
         turns += turns[jump]
         jump = jump[jump]
-    captured = space.is_capture[jump]
+        captured, before = space.is_capture[jump], settled
     return np.where(captured, turns, -1), np.where(captured, jump, -1)
 
 

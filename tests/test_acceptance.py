@@ -20,7 +20,6 @@ from scar.analysis import (
 )
 from scar.cr import (
     cop_number,
-    discounted_cr_value,
     exact_capture_times,
     minimax_capture_times,
 )
@@ -46,6 +45,8 @@ from scar.graph import (
 from scar.payoffs import GameParams, discounted, turn_payoff
 from scar.simulate import run
 from scar.states import build_state_space
+
+from oracles import discounted_cr_value
 
 NE_TOL = 1e-8
 

@@ -7,7 +7,6 @@ import pytest
 from scar.cr import (
     CaptureTimeTable,
     cop_number,
-    discounted_cr_value,
     exact_capture_times,
     extract_cr_optimal_moves,
     minimax_capture_times,
@@ -29,6 +28,8 @@ from scar.payoffs import discounted
 from scar.profiles import PositionalProfile, validate_moves
 from scar.simulate import run
 from scar.states import build_state_space
+
+from oracles import discounted_cr_value
 
 
 def test_p3_hand_derived_capture_time():

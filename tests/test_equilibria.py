@@ -166,23 +166,24 @@ def test_zero_sum_backup_is_contraction(c4_space):
     for _ in range(20):
         v = rng.normal(size=space.n_states)
         w = rng.normal(size=space.n_states)
-        uv, _, _ = bellman._value_iteration(v.copy(), gamma, 1, groups)
-        uw, _, _ = bellman._value_iteration(w.copy(), gamma, 1, groups)
+        uv = bellman._value_iteration(v.copy(), gamma, 1, groups)[0]
+        uw = bellman._value_iteration(w.copy(), gamma, 1, groups)[0]
         assert np.abs(uv[nc] - uw[nc]).max() <= gamma * np.abs(v - w).max() + 1e-12
 
 
 def _python_fixpoint(space, fixed, backup):
     """Synchronous sweeps from 0 of v[s] = backup(v, s, successors of s) on the
-    non-capture rows, the rest pinned at `fixed`, until nothing changes."""
+    non-capture rows, the rest pinned at `fixed`, until nothing changes.
+    Returns the values and the sweeps taken, the one that changed nothing too."""
     rows = np.flatnonzero(space.is_noncapture).tolist()
     succ = {s: space.succ[s].tolist() for s in rows}
     v = fixed.astype(float).tolist()
     for s in rows:
         v[s] = 0.0
-    for _ in range(space.n_states + 1):
+    for sweeps in range(1, space.n_states + 2):
         new = {s: backup(v, s, succ[s]) for s in rows}
         if all(new[s] == v[s] for s in rows):
-            return v
+            return v, sweeps
         for s in rows:
             v[s] = new[s]
     raise AssertionError("reference sweeps did not settle")
@@ -198,7 +199,8 @@ def _python_best_response(space, fixed, gamma, free, frozen_succ):
 @pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4), (cycle_graph(5), 4)])
 def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
     """Every player's best response against the optimal pursuit and against
-    each threat punishment is the exact fixpoint, reached with residual 0."""
+    each threat punishment is the exact fixpoint, reached with residual 0 in
+    no more sweeps than the synchronous ones take."""
     space = build_state_space(g, n)
     params = GameParams(n, 0.9, 0.25)
     q = turn_payoff_matrix(space, params)
@@ -209,11 +211,12 @@ def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
         frozen_succ = space.succ_of_moves(moves)
         for player in range(1, n + 1):
             free = space.mover == player
-            values, _, residual = bellman.solve_mdp(space, q[player - 1], params.gamma, player,
-                                                    frozen_succ)
-            assert residual == 0.0
-            assert values.tolist() == _python_best_response(space, q[player - 1], params.gamma,
-                                                             free, frozen_succ)
+            values, iterations, residual = bellman.solve_mdp(space, q[player - 1], params.gamma,
+                                                             player, frozen_succ)
+            expected, sweeps = _python_best_response(space, q[player - 1], params.gamma, free,
+                                                     frozen_succ)
+            assert residual == 0.0 and iterations <= sweeps
+            assert values.tobytes() == np.array(expected).tobytes()
 
 
 def _python_zero_sum(space, fixed, gamma, max_mask):
@@ -225,17 +228,25 @@ def _python_zero_sum(space, fixed, gamma, max_mask):
 @pytest.mark.parametrize("gamma", [0.1, 0.95])
 @pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4)])
 def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
-    """Every player-vs-coalition game is solved to its exact fixpoint."""
+    """Every player-vs-coalition game is solved to its exact fixpoint, in no
+    more sweeps than the synchronous ones take, and its moves are the first
+    exact optima of its values on both sides."""
     space = build_state_space(g, n)
     params = GameParams(n, gamma, 0.25)
     q = turn_payoff_matrix(space, params)
     for player in range(1, n + 1):
         max_mask = space.mover == player
         sol = solve_aux_game(space, params, player, q)
-        assert sol.values.tolist() == _python_zero_sum(space, q[player - 1], gamma, max_mask)
-        values, iterations, residual = bellman.solve_zero_sum(space, q[player - 1], gamma, (player,))
-        assert residual == 0.0 and iterations <= space.n_states + 1
-        assert np.array_equal(values, sol.values)
+        expected, sweeps = _python_zero_sum(space, q[player - 1], gamma, max_mask)
+        assert sol.values.tobytes() == np.array(expected).tobytes()
+        values, iterations, residual, moves = bellman.solve_zero_sum(space, q[player - 1], gamma,
+                                                                     (player,))
+        assert residual == 0.0 and iterations <= sweeps <= space.n_states + 1
+        assert np.array_equal(values, sol.values) and np.array_equal(moves, sol.move)
+        others = [p for p in range(1, n + 1) if p != player]
+        own = bellman.greedy_moves(space, sol.values, (player,), maximize=True)
+        coalition = bellman.greedy_moves(space, sol.values, others, maximize=False)
+        assert np.array_equal(own + coalition, sol.move)
 
 
 def test_game_payoff_table_is_read_only(c4_space):

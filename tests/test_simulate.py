@@ -230,6 +230,25 @@ def test_profile_outcomes_agree_with_run_from_every_start(graph, n):
     assert seen == {"captured", "cycle"}
 
 
+def test_profile_outcomes_settle_captures_straddling_powers_of_two():
+    """The doubling stops at the first round that captures no new start. On
+    path:40 a pursuer who stays put, against an evader who walks to him, is
+    reached after 2d - 1 or 2d turns from distance d: every time from 1 to 78,
+    across each power of two up to 64 and one past it."""
+    space = build_state_space(path_graph(40), 2)
+    rows = np.flatnonzero(space.is_noncapture)
+    cop, robber = space.positions[rows, 0].astype(np.int64), space.positions[rows, 1].astype(np.int64)
+    moves = np.zeros(space.n_states, dtype=np.int64)
+    moves[rows] = np.where(space.mover[rows] == 1, cop, robber + np.sign(cop - robber))
+    profile = PositionalProfile(space, moves)
+    validate_moves(space, moves)
+    turns, cap_at = profile_outcomes(space, moves)
+    assert set(turns[rows].tolist()) == set(range(1, 79))
+    for idx in range(space.terminal_index):
+        trace = run(space, profile, idx)
+        assert (turns[idx], cap_at[idx]) == (trace.capture_time, trace.states[-1])
+
+
 class _SingleControllerWiring:
     """The same token strategies bundled under one controller for all pursuers.
 
