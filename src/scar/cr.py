@@ -38,7 +38,11 @@ _NEVER = np.int64(2**62)  # sentinel used only inside comparisons, never reporte
 
 @dataclass
 class CaptureTimeTable:
-    """Optimal capture time per state; times[s] == -1 means the evader evades forever."""
+    """Optimal capture time per state; times[s] == -1 means the evader evades forever.
+
+    Capture rows read 0 and the terminal, the last row, reads -1, so a verdict
+    on the non-capture rows is one whole-array pass over `times[:-1]`.
+    """
 
     space: StateSpace
     times: np.ndarray
@@ -48,11 +52,11 @@ class CaptureTimeTable:
         return math.inf if t < 0 else t
 
     def finite_on_noncapture(self) -> bool:
-        return bool((self.times[self.space.is_noncapture] >= 0).all())
+        return bool(self.times[:-1].min() >= 0)
 
     def escape_states(self) -> np.ndarray:
         """Indices of non-capture states from which the evader escapes forever."""
-        return np.flatnonzero(self.space.is_noncapture & (self.times < 0))
+        return np.flatnonzero(self.times[:-1] < 0)
 
     @functools.cached_property
     def cr_optimal_moves(self) -> np.ndarray:
@@ -128,12 +132,8 @@ def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
 
 def t_n_max(table: CaptureTimeTable):
     """Worst-case optimal capture time over all non-capture starts; inf if any escape."""
-    vals = table.times[table.space.is_noncapture]
-    if vals.size == 0:
-        return 0
-    if (vals < 0).any():
-        return math.inf
-    return int(vals.max())
+    vals = table.times[:-1]  # capture rows read 0
+    return math.inf if vals.min() < 0 else int(vals.max())
 
 
 @dataclass

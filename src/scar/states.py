@@ -7,15 +7,21 @@ next. States are packed into a mixed-radix integer
     idx = ((...(x1-1)*V + (x2-1))*V + ... + (xN-1))*N + (p-1)
 
 so value vectors are flat arrays; the single terminal state takes the last
-index. Capture classification ignores the mover coordinate: a state is a
-capture state iff some pursuer token sits on the evader's vertex.
+index. Index t * N + (p - 1) holds position tuple t with mover p. Capture
+classification ignores the mover coordinate: a state is a capture state iff
+some pursuer token sits on the evader's vertex.
 
-Each per-state table takes the smallest signed integer dtype that holds its
-range, about 12 bytes a state in all at N=4:
+The tables are built from that layout, never by per-state reductions or an
+N-dimensional grid: each `positions` column is written through a 3-D view of
+runs of 1..V, and the per-tuple tables (`mover`, `capture_count`, `stay`)
+through a (V**N, N) view, where captors are counted once per tuple and
+broadcast over its N movers. Each per-state table takes the smallest signed
+integer dtype that holds its range, about 9 bytes a state in all at N=4:
 
-  * `positions` and `stay` (vertex ids, 0 for the null move): int8 up to 127
-    vertices, int16 up to 32767, int32 beyond;
+  * `positions` (N columns) and `stay` (vertex ids, 0 for the null move):
+    int8 up to 127 vertices, int16 up to 32767, int32 beyond;
   * `mover` and `capture_count`: int8 (int16 past 127 players);
+  * `is_capture` and `is_noncapture`: bool;
   * the neighbourhood sizes behind `acount` (and the retrograde countdown):
     int8 unless some closed neighbourhood has more than 127 vertices.
 
@@ -105,18 +111,22 @@ class StateSpace:
 
         # Column i (player i + 1) cycles through 1..V in runs of stride[i + 1], V**i times.
         vertex = _signed(v)
-        vertices = np.arange(1, v + 1, dtype=vertex)
+        n = n_nonterminal
         self.positions = np.zeros((self.n_states, n_players), dtype=vertex)
         for i in range(n_players):
-            self.positions[:n_nonterminal, i] = np.tile(np.repeat(vertices, self._stride[i + 1]), v**i)
+            self.positions[:n, i].reshape(v**i, v, self._stride[i + 1])[...] = (
+                np.arange(1, v + 1, dtype=vertex)[:, None])
         player_id = _signed(n_players)
         self.mover = np.zeros(self.n_states, dtype=player_id)
-        self.mover[:n_nonterminal] = np.tile(np.arange(1, n_players + 1, dtype=player_id), v**n_players)
-        cop_on_robber = self.positions[:, :-1] == self.positions[:, -1:]
-        cop_on_robber[self.terminal_index] = False
-        self._cop_on_robber = cop_on_robber
-        self.is_capture = cop_on_robber.any(axis=1)
-        self.capture_count = cop_on_robber.sum(axis=1, dtype=player_id)
+        self.mover[:n].reshape(-1, n_players)[...] = np.arange(1, n_players + 1, dtype=player_id)
+        # A state's captors depend only on its tuple: count them once per tuple.
+        tuples = self.positions[:n:n_players]
+        captors = np.zeros(len(tuples), dtype=player_id)
+        for i in range(n_players - 1):
+            captors += tuples[:, i] == tuples[:, -1]
+        self.capture_count = np.zeros(self.n_states, dtype=player_id)
+        self.capture_count[:n].reshape(-1, n_players)[...] = captors[:, None]
+        self.is_capture = self.capture_count != 0
         self.is_noncapture = ~self.is_capture
         self.is_noncapture[self.terminal_index] = False
         # The move model. The mover steps within the closed neighbourhood of his
@@ -129,9 +139,8 @@ class StateSpace:
         self.nbr = np.array([h + h[:1] * (width - len(h)) for h in hoods], dtype=np.int64)
         self._hood_size = np.array([len(h) for h in hoods], dtype=_signed(width))
         self.stay = np.zeros(self.n_states, dtype=vertex)
-        for i in range(n_players):  # the mover of index j is player j % N + 1
-            self.stay[i:n_nonterminal:n_players] = self.positions[i:n_nonterminal:n_players, i]
-        self.stay[self.is_capture] = NULL_MOVE
+        # column p - 1 of the tuple view: mover p's own vertex, or the null move (0) at a capture
+        np.multiply(tuples, captors[:, None] == 0, out=self.stay[:n].reshape(-1, n_players))
         self._succ = None
         self._blocks = {}
 
@@ -174,8 +183,8 @@ class StateSpace:
         if idx == self.terminal_index:
             return StateClass("terminal")
         if self.is_capture[idx]:
-            capturing = tuple(int(i) + 1 for i in np.flatnonzero(self._cop_on_robber[idx]))
-            return StateClass("capture", capturing)
+            x = self.positions[idx]
+            return StateClass("capture", tuple(int(i) + 1 for i in np.flatnonzero(x[:-1] == x[-1])))
         return StateClass("noncapture")
 
     def capturing_set(self, s) -> tuple:
@@ -264,7 +273,8 @@ class StateSpace:
         n, cap = self.n_players, self.is_capture
         classes = np.zeros((n, self.n_states), dtype=np.int8)
         classes[n - 1, cap] = 1
-        classes[:n - 1, cap] = 2 * self.capture_count[cap] + ~self._cop_on_robber[cap].T
+        x = self.positions[cap]
+        classes[:n - 1, cap] = 2 * self.capture_count[cap] + (x[:, :-1] != x[:, -1:]).T
         classes.flags.writeable = False
         return classes
 
@@ -278,11 +288,13 @@ class StateSpace:
         """`player`'s `TurnBlock`, stepped from the packed index once per space."""
         block = self._blocks.get(player)
         if block is None:
-            rows = np.flatnonzero(self.is_noncapture & (self.mover == player))
-            hood = self.nbr[self.stay[rows]].T
-            succ = np.empty(hood.shape, dtype=np.int64)
-            for j, moves in enumerate(hood):
-                succ[j] = self._step(rows, moves)
+            n = self.n_players
+            rows = np.flatnonzero(self.is_noncapture[player - 1:self.terminal_index:n]) * n + (player - 1)
+            own = self.stay[rows]
+            hood = self.nbr[own].T
+            stride = self._stride[player]
+            succ = np.multiply(hood, stride, order="C")
+            succ += rows + self._turn[player] - np.multiply(own, stride, dtype=np.int64)
             act = hood.astype(self.stay.dtype, order="C")
             for a in (rows, succ, act):
                 a.flags.writeable = False
@@ -308,9 +320,11 @@ class StateSpace:
 
         Capture states and the terminal map to the terminal index.
         """
-        out = np.full(self.n_states, self.terminal_index, dtype=np.int64)
-        nc = np.flatnonzero(self.is_noncapture)
-        out[nc] = self._step(nc, moves[nc])
+        n, end = self.n_players, self.terminal_index
+        out = np.arange(self.n_states, dtype=np.int64)  # the terminal's own row is already `end`
+        by_tuple = out[:end].reshape(-1, n)  # column p - 1 steps by player p's scalars
+        by_tuple += (moves[:end] - self.stay[:end]).reshape(-1, n) * self._stride[1:] + self._turn[1:]
+        by_tuple[self.is_capture[:end:n]] = end
         return out
 
 

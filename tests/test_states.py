@@ -239,10 +239,51 @@ def test_wide_graph_tables(name):
             assert succ[idx, j] == space.transition_index(idx, a)
 
 
+@pytest.mark.parametrize("name, n", [("cycle:5", 3), ("path:2", 5), ("path:200", 2),
+                                     ("star:150", 2), ("path:1", 70)])
+def test_tables_match_the_packing_formula(name, n):
+    """Every row of the constructor's tables against a pure-Python decode of
+    idx = ((x1-1)*V + ... + (xN-1))*N + (p-1), and `succ_of_moves` against
+    `_step` on random legal moves. path:200 takes int16 positions, star:150
+    int16 neighbourhood sizes; the 1-vertex graph at N=70 is past numpy's
+    dimension limit, so no table may pass through an N-dimensional grid."""
+    space = build_state_space(builtin_graph(name), n)
+    v, end = space.n_vertices, space.terminal_index
+    positions, movers, stays, counts, captor_sets = [], [], [], [], []
+    for idx in range(end):
+        rest, p = divmod(idx, n)
+        x = []
+        for _ in range(n):
+            rest, r = divmod(rest, v)
+            x.insert(0, r + 1)
+        captors = tuple(i for i, xi in enumerate(x[:-1], start=1) if xi == x[-1])
+        positions.append(x)
+        movers.append(p + 1)
+        stays.append(NULL_MOVE if captors else x[p])
+        counts.append(len(captors))
+        captor_sets.append(captors)
+    assert space.positions.tolist() == positions + [[0] * n]
+    assert space.mover.tolist() == movers + [0]
+    assert space.stay.tolist() == stays + [NULL_MOVE]
+    assert space.capture_count.tolist() == counts + [0]
+    assert space.is_capture.tolist() == [c > 0 for c in counts] + [False]
+    assert space.is_noncapture.tolist() == [c == 0 for c in counts] + [False]
+    assert [space.classify(idx).capturing_set for idx in range(end)] == captor_sets
+    assert space.classify(end).kind == "terminal"
+
+    rng = np.random.default_rng(11)
+    nc = np.flatnonzero(space.is_noncapture)
+    moves = rng.integers(1, v + 1, size=space.n_states)  # capture rows' moves are ignored
+    moves[nc] = space.act[nc, rng.integers(0, space.acount[nc])]
+    jump = space.succ_of_moves(moves)
+    assert np.array_equal(jump[nc], space._step(nc, moves[nc]))
+    assert (jump[~space.is_noncapture] == end).all()
+
+
 def test_table_memory_and_dtypes():
     """Petersen with N=4 (40,001 states): every per-state table is int8 or bool,
-    about 12 bytes a state in all, and building them peaks within 24 (int64
-    tables held 62 and peaked at 94)."""
+    about 9 bytes a state in all, and building them peaks within 12 (a
+    per-pursuer capture table held 12; int64 tables held 62 and peaked at 94)."""
     g = builtin_graph("petersen")
     tracemalloc.start()
     try:
@@ -253,8 +294,8 @@ def test_table_memory_and_dtypes():
     for table in (space.positions, space.mover, space.stay, space.capture_count,
                   space._hood_size, space.acount):
         assert table.dtype == np.int8
-    assert held <= 16 * space.n_states
-    assert peak <= 24 * space.n_states
+    assert held <= 10 * space.n_states
+    assert peak <= 12 * space.n_states
 
 
 @pytest.mark.parametrize("graph, n", [(cycle_graph(4), 3), (path_graph(3), 4), (path_graph(2), 5)])
