@@ -459,11 +459,11 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
                        grid: SweepGrid | None = None, sample_points: int = 3,
                        tol: float = DEFAULT_NE_TOL,
                        state_cap: int = DEFAULT_STATE_CAP) -> SelfishCopNumberReport:
-    """Fewest selfish pursuers so that a capturing equilibrium exists for every
-    start and every parameter choice; always equals the ordinary cop number.
-
-    --verify mode samples the existence side (capturing threat equilibria at
-    K = c) and exhibits the non-existence witness at K = c-1.
+    """The classic cop number c (`cr.cop_number`), returned as the selfish one
+    without a search over equilibria. `verify` checks, at `sample_points`
+    points strided through `grid`, that c pursuers' capturing threat profile
+    (one candidate) is an equilibrium capturing from every start, and for
+    c >= 2 finds a start where the evader escapes c - 1 pursuers.
     """
     cnum = cop_number(g, max_cops=max_cops, state_cap=state_cap)
     if cnum.value is None:

@@ -57,16 +57,19 @@ def _at_least_one(flag, value):
         raise ValidationError(f"{flag} must be at least 1, got {value}")
 
 
-def _grid_from(args, n_players):
+def _grid_from(args, params):
+    if params.split_equivalent or params.allow_extended_epsilon:
+        raise ValidationError(f"{args.command} plays every grid point under the standard eps split: "
+                              "--split-equivalent and --allow-extended-epsilon are not supported")
     if not args.grid:
-        return analysis.make_grid(n_players)
+        return analysis.make_grid(params.n_players)
     gpart, _, epart = args.grid.partition(";")
     try:
         gammas = [float(x) for x in gpart.split(",") if x]
         epsilons = [float(x) for x in epart.split(",") if x]
     except ValueError as exc:
         raise ValidationError(f"--grid: {exc}") from None
-    return analysis.make_grid(n_players, gammas, epsilons)
+    return analysis.make_grid(params.n_players, gammas, epsilons)
 
 
 def _emit(obj):
@@ -202,7 +205,7 @@ def cmd_copnumber(args):
 
 def cmd_sweep(args):
     scenario = Scenario.read(_reader(args))
-    grid = _grid_from(args, scenario.params.n_players)
+    grid = _grid_from(args, scenario.params)
     s0_list = [scenario.s0] if scenario.s0 is not None else None
     rows = analysis.sweep(scenario.graph, scenario.params.n_players, grid=grid,
                           s0_list=s0_list, tol=scenario.ne_tol, state_cap=scenario.state_cap)
@@ -279,7 +282,7 @@ def cmd_equivalence(args):
 
 def cmd_theorems(args):
     scenario = Scenario.read(_reader(args))
-    grid = _grid_from(args, scenario.params.n_players)
+    grid = _grid_from(args, scenario.params)
     reports = analysis.theorem_suite(scenario.graph, scenario.params.n_players, grid=grid,
                                      tol=scenario.ne_tol, state_cap=scenario.state_cap)
     result = [r.summary() for r in reports]

@@ -21,13 +21,13 @@ search does not depend on (gamma, eps), so each construction runs it once per
 player and only the discounting is redone.
 
 Solvers and verifiers take a `Game`, one state space at one parameter point,
-which builds its turn-payoff table and its N auxiliary player-vs-coalition
-games once: each pursuer's by `bellman.solve_zero_sum`, exact like the best
-responses. The evader's payoff -gamma^T does not depend on eps, so his game,
-his best response to optimal pursuit and that pursuit's outcomes are read off
-the space's capture table (`StateSpace.capture_table`). Both threat
-constructions cooperate along different moves and punish with those games'
-strategy arrays themselves.
+which builds its N auxiliary player-vs-coalition games once: each pursuer's by
+`bellman.solve_zero_sum`, exact like the best responses, which all read their
+boundary off the class shares (`payoffs.turn_payoffs`). The evader's payoff
+-gamma^T does not depend on eps, so his game, his best response to optimal
+pursuit and that pursuit's outcomes are read off the space's capture table
+(`StateSpace.capture_table`). Both threat constructions cooperate along
+different moves and punish with those games' strategy arrays themselves.
 
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
@@ -52,7 +52,7 @@ import numpy as np
 from . import bellman
 from .cr import CaptureTimeTable
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
-from .payoffs import GameParams, discounted, discounted_payoff, turn_payoff_matrix
+from .payoffs import GameParams, discounted, discounted_payoff, turn_payoffs
 from .profiles import (
     NonCapturingProfile,
     PositionalProfile,
@@ -76,36 +76,29 @@ class AuxSolution:
     move: np.ndarray  # maximizing on the player's own turns, the coalition's minimizing elsewhere
 
 
-def solve_aux_game(space: StateSpace, params: GameParams, player: int,
-                   payoffs: np.ndarray) -> AuxSolution:
+def solve_aux_game(space: StateSpace, params: GameParams, player: int) -> AuxSolution:
     """Exact value and optimal positional strategies of the player-vs-coalition
-    game, whose boundary is the player's row of the turn-payoff table."""
-    values, _, _, move = bellman.solve_zero_sum(space, payoffs[player - 1], params.gamma, (player,))
+    game, whose boundary is the player's `turn_payoffs`."""
+    q = turn_payoffs(space, params, player)
+    values, _, _, move = bellman.solve_zero_sum(space, q, params.gamma, (player,))
     move.flags.writeable = False  # every threat profile of the game punishes with it
     return AuxSolution(values, move)
 
 
 @dataclass(frozen=True)
 class Game:
-    """One state space under one parameter point. Its turn-payoff table and
-    auxiliary games depend on nothing else, so each is built once, on first
-    use, and shared by every solver and verifier handed the game."""
+    """One state space under one parameter point. Its auxiliary games depend
+    on nothing else, so they are built once, on first use, and shared by every
+    solver and verifier handed the game; payoffs are `params.shares`."""
 
     space: StateSpace
     params: GameParams
 
     @functools.cached_property
-    def payoffs(self) -> np.ndarray:
-        """`turn_payoff_matrix`, read-only since every caller shares it."""
-        q = turn_payoff_matrix(self.space, self.params)
-        q.flags.writeable = False
-        return q
-
-    @functools.cached_property
     def aux(self) -> list:
         """Per player, the `AuxSolution` of his game against the coalition."""
         evader, pursuit = self.params.n_players, self.space.capture_table.cr_optimal_moves
-        pursuers = [solve_aux_game(self.space, self.params, n, self.payoffs) for n in range(1, evader)]
+        pursuers = [solve_aux_game(self.space, self.params, n) for n in range(1, evader)]
         return pursuers + [AuxSolution(best_response(self, evader, pursuit), pursuit)]
 
 
@@ -125,7 +118,7 @@ def best_response(game: Game, player: int, moves: np.ndarray) -> np.ndarray:
     if player == space.n_players and moves is space.capture_table.cr_optimal_moves:
         return discounted(gamma, space.capture_table.times, -1.0)
     succ = space.succ_of_moves(moves)
-    return bellman.solve_mdp(space, game.payoffs[player - 1], gamma, player, succ)[0]
+    return bellman.solve_mdp(space, turn_payoffs(space, game.params, player), gamma, player, succ)[0]
 
 
 def _outcomes(space: StateSpace, moves: np.ndarray) -> tuple:
@@ -216,7 +209,7 @@ def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarra
     from attaining the argmax of his own continuation, and how far the value
     vector is from the one-step expansion under the profile, both sup-norm.
     """
-    space, gamma, q = game.space, game.params.gamma, game.payoffs
+    space, gamma = game.space, game.params.gamma
     chosen = space.succ_of_moves(profile.move)
     attainment = 0.0
     consistency = 0.0
@@ -228,12 +221,12 @@ def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarra
             best = gamma * u[block.succ].max(axis=0)
             taken = gamma * u[chosen[block.rows]]
             attainment = max(attainment, float((best - taken).max()))
+    cap = space.is_capture
     for m in range(space.n_players):
-        u = values[m]
-        resid = np.abs(u[nc] - (q[m][nc] + gamma * u[chosen[nc]]))
+        u, q = values[m], turn_payoffs(space, game.params, m + 1)
+        resid = np.abs(u[nc] - gamma * u[chosen[nc]])  # turn payoffs are 0 off capture
         consistency = max(consistency, float(resid.max(initial=0.0)))
-        cap = space.is_capture
-        consistency = max(consistency, float(np.abs(u[cap] - q[m][cap]).max(initial=0.0)))
+        consistency = max(consistency, float(np.abs(u[cap] - q[cap]).max(initial=0.0)))
         consistency = max(consistency, abs(float(u[space.terminal_index])))
     return attainment, consistency
 
@@ -267,10 +260,9 @@ def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> Positiona
     exact period, None at the cap) or NotAnEquilibriumError (the fixpoint
     fails verification).
     """
-    space, n, gamma, q = game.space, game.params.n_players, game.params.gamma, game.payoffs
+    space, n, gamma = game.space, game.params.n_players, game.params.gamma
     nc = space.is_noncapture
-    u = np.zeros((n, space.n_states))
-    u[:, space.is_capture] = q[:, space.is_capture]
+    u = np.stack([turn_payoffs(space, game.params, p) for p in range(1, n + 1)])  # 0 off capture
     cap = space.n_states + 1 + math.ceil(1075 / math.log2(1.0 / gamma))
     saved, power, period = u, 1, 0
     for sweeps in range(1, cap + 1):

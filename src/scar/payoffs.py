@@ -11,10 +11,12 @@ All turn payoffs away from capture states are zero, so a play's total payoff
 is the closed form gamma^T * (capture split), or zero if capture never occurs.
 Only this module knows how a capture is paid: `_share` is the split rule and
 `discounted` the discount rule, q times gamma once per turn as a backup does.
+Whole-space float payoffs are read off `GameParams.shares`, one per capture class.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +65,13 @@ class GameParams:
             return True  # eps/(1-eps) read as +infinity
         return self.gamma < self.epsilon / (1.0 - self.epsilon)
 
+    @functools.cached_property
+    def shares(self) -> np.ndarray:
+        """Read-only float turn payoff of each capture class, built on first read."""
+        shares = np.array([_class_payoff(self, k, False) for k in range(2 * self.n_players)])
+        shares.flags.writeable = False
+        return shares
+
 
 def _share(params: GameParams, n1: int, capturing: bool) -> tuple:
     """The split rule: one pursuer's share of a capture by n1 pursuers, as
@@ -85,19 +94,14 @@ def _class_payoff(params: GameParams, k: int, exact: bool):
     return (eps if numerator == "eps" else one - eps) / divisor
 
 
-def _class_payoffs(params: GameParams) -> np.ndarray:
-    """Float turn payoff of each `StateSpace.capture_class`."""
-    return np.array([_class_payoff(params, k, False) for k in range(2 * params.n_players)])
-
-
 def turn_payoff(space, params: GameParams, s, player: int, exact: bool = False):
     """Immediate reward of `player` at state `s`; nonzero only at capture states."""
     return _class_payoff(params, int(space.capture_class[player - 1, space._as_index(s)]), exact)
 
 
-def turn_payoff_matrix(space, params: GameParams) -> np.ndarray:
-    """(n_players, n_states) float turn payoffs, equal to `turn_payoff` bit for bit."""
-    return _class_payoffs(params)[space.capture_class]
+def turn_payoffs(space, params: GameParams, player: int) -> np.ndarray:
+    """`player`'s float turn payoff at every state, equal to `turn_payoff` bit for bit."""
+    return params.shares[space.capture_class[player - 1]]
 
 
 def discounted(gamma: float, turns, shares, key=0):
@@ -117,8 +121,7 @@ def discounted(gamma: float, turns, shares, key=0):
 def discounted_payoff(space, params: GameParams, player: int, capture_at, turns):
     """`player`'s turn payoff at the capture states `capture_at`, discounted
     over `turns` turns; 0 where turns < 0."""
-    return discounted(params.gamma, turns, _class_payoffs(params),
-                      space.capture_class[player - 1][capture_at])
+    return discounted(params.gamma, turns, params.shares, space.capture_class[player - 1][capture_at])
 
 
 def total_payoff(params: GameParams, trace, player: int, exact: bool = False):

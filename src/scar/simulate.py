@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllegalMoveError, ValidationError
-from .payoffs import GameParams, discounted_payoff, total_payoff
+from .payoffs import GameParams, discounted, total_payoff
 from .states import NULL_MOVE, TERMINAL, StateSpace
 
 CAPTURED = "captured"
@@ -171,8 +171,8 @@ def exact_profile_values(game, outcomes: tuple) -> np.ndarray:
     capture_at) pair of `profile_outcomes` for the play's moves.
     """
     turns, capture_at = outcomes
-    return np.stack([discounted_payoff(game.space, game.params, p, capture_at, turns)
-                     for p in range(1, game.params.n_players + 1)])
+    params = game.params
+    return discounted(params.gamma, turns, params.shares, game.space.capture_class[:, capture_at])
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ class StateSpace:
         """Read-only (n_players, n_states) int8 capture class of each player at
         each state, built on first read: 0 off capture, 1 for the evader at a
         capture, and 2 * n1 for a pursuer among n1 captors, 2 * n1 + 1 for a
-        bystander. `payoffs` pays each class its one turn payoff."""
+        bystander. `payoffs.GameParams.shares` holds each class's turn payoff."""
         n, cap = self.n_players, self.is_capture
         classes = np.zeros((n, self.n_states), dtype=np.int8)
         classes[n - 1, cap] = 1

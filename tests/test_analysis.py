@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from scar.analysis import (
@@ -96,21 +98,24 @@ def test_theorem_suite_petersen():
 
 
 def _count_tables_and_games(monkeypatch):
-    """Record every payoff table and auxiliary game the package builds."""
+    """Record every payoff table (`GameParams.shares`) and auxiliary game the
+    package builds."""
     from scar import equilibria
 
     tables, games = [], []
-    table_of, solve = equilibria.turn_payoff_matrix, equilibria.solve_aux_game
+    build_shares, solve = GameParams.shares.func, equilibria.solve_aux_game
 
-    def counting_table(space, params):
+    def counting_table(params):
         tables.append((params.gamma, params.epsilon))
-        return table_of(space, params)
+        return build_shares(params)
 
-    def counting_game(space, params, player, payoffs):
+    def counting_game(space, params, player):
         games.append((params.gamma, params.epsilon, player))
-        return solve(space, params, player, payoffs)
+        return solve(space, params, player)
 
-    monkeypatch.setattr(equilibria, "turn_payoff_matrix", counting_table)
+    counted = functools.cached_property(counting_table)
+    counted.__set_name__(GameParams, "shares")
+    monkeypatch.setattr(GameParams, "shares", counted)
     monkeypatch.setattr(equilibria, "solve_aux_game", counting_game)
     return tables, games
 

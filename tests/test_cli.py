@@ -464,6 +464,34 @@ def test_empty_or_unparsable_grid_is_rejected(capsys, command, graph, n, grid, m
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["theorems", "sweep"])
+@pytest.mark.parametrize("setting, flags", [
+    ("--split-equivalent", ["--split-equivalent"]),
+    ("--allow-extended-epsilon", ["--epsilon", "0.25", "--allow-extended-epsilon"]),
+])
+def test_grid_commands_reject_split_settings(capsys, command, setting, flags):
+    """The grid fixes every point's eps split, so the split-mode flags are
+    refused, not echoed over a run that ignored them."""
+    code, out, err = run_cli(capsys, command, "--builtin", "cycle:4", "--n", "3",
+                             "--gamma", "0.5", *flags)
+    assert code == 2
+    assert out == ""
+    assert setting in err and "not supported" in err
+
+
+@pytest.mark.parametrize("command", ["theorems", "sweep"])
+@pytest.mark.parametrize("key, fields", [
+    ("split_equivalent", {"split_equivalent": True}),
+    ("allow_extended_epsilon", {"epsilon": 0.25, "allow_extended_epsilon": True}),
+])
+def test_grid_commands_reject_split_settings_in_scenario(tmp_path, capsys, command, key, fields):
+    path = _scenario_path(tmp_path, n_players=3, **fields)
+    code, out, err = run_cli(capsys, command, "--scenario", path)
+    assert code == 2
+    assert out == ""
+    assert f"--{key.replace('_', '-')}" in err and "not supported" in err
+
+
 # -- one scenario reader: flag, else document key, else default; replay is verify
 
 def test_zero_tolerance_echo_replays_as_verify(tmp_path, capsys):

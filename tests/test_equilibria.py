@@ -24,7 +24,7 @@ from scar.equilibria import (
 )
 from scar.errors import NonConvergenceError, NotApplicableError, ValidationError
 from scar.graph import build_graph, cycle_graph, delayed_capture_graph, path_graph, petersen_graph
-from scar.payoffs import GameParams, discounted, turn_payoff, turn_payoff_matrix
+from scar.payoffs import GameParams, discounted, turn_payoff, turn_payoffs
 from scar.profiles import (
     PositionalProfile,
     greedy_cop_moves,
@@ -53,7 +53,7 @@ def test_evader_aux_game_equals_pursuit_value(tree9_space):
     space = tree9_space
     params = GameParams(3, 0.9, 0.25)
     table = exact_capture_times(space)
-    sol = solve_aux_game(space, params, 3, turn_payoff_matrix(space, params))
+    sol = solve_aux_game(space, params, 3)
     assert np.array_equal(sol.values, discounted(0.9, table.times, -1.0))
     # the game's own evader aux game is that table reading, equal to the float solve
     assert np.array_equal(Game(space, params).aux[2].values, sol.values)
@@ -86,7 +86,7 @@ def test_evader_side_is_the_capture_table_where_gamma_t_underflows():
 def test_lone_pursuer_aux_value_positive_on_pursuer_win_graph():
     space = build_state_space(path_graph(3), 3)
     params = GameParams(3, 0.5, 0.25)
-    sol = solve_aux_game(space, params, 1, turn_payoff_matrix(space, params))
+    sol = solve_aux_game(space, params, 1)
     assert (sol.values[: space.terminal_index] > 0).all()
 
 
@@ -96,7 +96,7 @@ def test_lone_pursuer_aux_value_zero_when_evader_dodges():
     space = build_state_space(cycle_graph(4), 3)
     g = space.graph
     params = GameParams(3, 0.5, 0.25)
-    sol = solve_aux_game(space, params, 1, turn_payoff_matrix(space, params))
+    sol = solve_aux_game(space, params, 1)
     for idx in np.flatnonzero(space.is_noncapture):
         x1 = int(space.positions[idx, 0])
         x3 = int(space.positions[idx, 2])
@@ -109,7 +109,7 @@ def test_aux_strategies_attain_value(c4_space):
     space = c4_space
     params = GameParams(3, 0.7, 0.4)
     for n in (1, 2, 3):
-        sol = solve_aux_game(space, params, n, turn_payoff_matrix(space, params))
+        sol = solve_aux_game(space, params, n)
         values = exact_profile_values(Game(space, params), profile_outcomes(space, sol.move))
         assert np.abs(values[n - 1] - sol.values).max() <= 1e-7
 
@@ -117,7 +117,7 @@ def test_aux_strategies_attain_value(c4_space):
 def test_tie_break_scale_invariance(c4_space):
     space = c4_space
     params = GameParams(3, 0.7, 0.4)
-    sol = solve_aux_game(space, params, 2, turn_payoff_matrix(space, params))
+    sol = solve_aux_game(space, params, 2)
     for scale in (2.0, 0.5, 64.0):
         own = bellman.greedy_moves(space, sol.values * scale, (2,), maximize=True)
         coalition = bellman.greedy_moves(space, sol.values * scale, (1, 3), maximize=False)
@@ -203,7 +203,6 @@ def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
     no more sweeps than the synchronous ones take."""
     space = build_state_space(g, n)
     params = GameParams(n, 0.9, 0.25)
-    q = turn_payoff_matrix(space, params)
     threat = build_threat_profile(Game(space, params))
     frozen = [extract_cr_optimal_moves(exact_capture_times(space))]
     frozen += [threat.punishments[d].move for d in range(1, n + 1)]
@@ -211,9 +210,10 @@ def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
         frozen_succ = space.succ_of_moves(moves)
         for player in range(1, n + 1):
             free = space.mover == player
-            values, iterations, residual = bellman.solve_mdp(space, q[player - 1], params.gamma,
+            q = turn_payoffs(space, params, player)
+            values, iterations, residual = bellman.solve_mdp(space, q, params.gamma,
                                                              player, frozen_succ)
-            expected, sweeps = _python_best_response(space, q[player - 1], params.gamma, free,
+            expected, sweeps = _python_best_response(space, q, params.gamma, free,
                                                      frozen_succ)
             assert residual == 0.0 and iterations <= sweeps
             assert values.tobytes() == np.array(expected).tobytes()
@@ -233,14 +233,13 @@ def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
     exact optima of its values on both sides."""
     space = build_state_space(g, n)
     params = GameParams(n, gamma, 0.25)
-    q = turn_payoff_matrix(space, params)
     for player in range(1, n + 1):
         max_mask = space.mover == player
-        sol = solve_aux_game(space, params, player, q)
-        expected, sweeps = _python_zero_sum(space, q[player - 1], gamma, max_mask)
+        q = turn_payoffs(space, params, player)
+        sol = solve_aux_game(space, params, player)
+        expected, sweeps = _python_zero_sum(space, q, gamma, max_mask)
         assert sol.values.tobytes() == np.array(expected).tobytes()
-        values, iterations, residual, moves = bellman.solve_zero_sum(space, q[player - 1], gamma,
-                                                                     (player,))
+        values, iterations, residual, moves = bellman.solve_zero_sum(space, q, gamma, (player,))
         assert residual == 0.0 and iterations <= sweeps <= space.n_states + 1
         assert np.array_equal(values, sol.values) and np.array_equal(moves, sol.move)
         others = [p for p in range(1, n + 1) if p != player]
@@ -250,10 +249,14 @@ def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
 
 
 def test_game_payoff_table_is_read_only(c4_space):
-    game = Game(c4_space, GameParams(3, 0.7, 0.4))
+    """A game's one payoff table is its params' class shares: read-only, built
+    once, and outside equality and hashing."""
+    params = GameParams(3, 0.7, 0.4)
+    game = Game(c4_space, params)
     with pytest.raises(ValueError):
-        game.payoffs[0, 0] = 1.0
-    assert game.payoffs is game.payoffs  # built once
+        game.params.shares[0] = 1.0
+    assert params.shares is params.shares  # built once
+    assert params == GameParams(3, 0.7, 0.4) and hash(params) == hash(GameParams(3, 0.7, 0.4))
 
 
 # -- positional equilibrium solver and verifier -----------------------------
@@ -273,11 +276,10 @@ def test_positional_ne_boundary_values(c4_space):
     space = c4_space
     params = GameParams(3, 0.6, 0.3)
     res = solve_positional_ne(Game(space, params))
-    from scar.payoffs import turn_payoff_matrix
-
-    q = turn_payoff_matrix(space, params)
     cap = space.is_capture
-    assert np.abs(res.values[:, cap] - q[:, cap]).max() <= 1e-12
+    for p in (1, 2, 3):
+        q = turn_payoffs(space, params, p)
+        assert np.abs(res.values[p - 1, cap] - q[cap]).max() <= 1e-12
 
 
 def test_positional_ne_on_example_tree(tree9_space):
@@ -458,6 +460,24 @@ def _threat_pair(game):
     return [build_threat_profile(game), build_capturing_threat_ne(game)]
 
 
+def test_game_holds_no_per_state_payoff_table():
+    """Petersen with N=4 (40,001 states), the space's own tables built by an
+    earlier point: one more point's `Game`, aux games solved, holds at most 64
+    bytes a state, the N aux values and the pursuers' moves (56). A dense
+    (N, n_states) float payoff table would add 32."""
+    space = build_state_space(petersen_graph(), 4)
+    params = GameParams(4, 0.5, 0.25)
+    assert len(Game(space, params).aux) == 4
+    tracemalloc.start()
+    try:
+        game = Game(space, params)
+        assert len(game.aux) == 4
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * space.n_states
+
+
 def test_threat_profiles_hold_no_per_deviator_copies():
     """Petersen with N=4 (40,001 states), aux games and capture table solved
     first: both threat profiles of the point hold at most 16 bytes a state,
@@ -597,9 +617,8 @@ def _python_positional_sweeps(space, params):
     and every value is backed up one step from the previous sweep's. Stops at
     the first sweep that changes no value; returns (sweeps, moves by state)."""
     n = params.n_players
-    q = turn_payoff_matrix(space, params)
-    u = [[float(q[m][s]) if space.is_capture[s] else 0.0 for s in range(space.n_states)]
-         for m in range(n)]
+    u = [[turn_payoff(space, params, s, m + 1) if space.is_capture[s] else 0.0
+          for s in range(space.n_states)] for m in range(n)]
     sweeps = 0
     while True:
         sweeps += 1

@@ -21,6 +21,12 @@ suites at N=4 on cycle:4, and the escape suite on petersen.
 written before the sweep read the evader's side off the capture table. From
 1,1,1,5,1 optimal pursuit has positive gaps, among them omega-tilde rows where
 it is no equilibrium; from 1,4,7,3,4 the threat play captures in 3 turns.
+
+`tests/golden/solve_*.json` and `verify_*.json` pin the commands of
+`REPORT_CASES`, written before the Bellman solves read their boundary rows off
+the capture-class shares: `solve` through positional sweeps (delayed-capture)
+and through the threat fallback (an oscillating 6-vertex graph, whose sweeps
+cycle with period 3), and `verify` of the positional-equilibrium sweeps.
 """
 
 import json
@@ -35,6 +41,15 @@ from scar.graph import builtin_graph
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [("path:5", 3), ("cycle:4", 4), ("petersen", 3)]
 SWEEP_STARTS = ["1,1,1,5,1", "1,4,7,3,4"]
+OSCILLATING = "6 6\n1 2\n1 4\n1 5\n2 5\n3 6\n5 6\n"
+REPORT_CASES = {
+    "solve_delayed_capture": ["solve", "--builtin", "delayed-capture", "--n", "3",
+                              "--gamma", "0.9", "--epsilon", "0.25"],
+    "solve_oscillating": ["solve", "--graph", None, "--n", "3",
+                          "--gamma", "0.7727", "--epsilon", "0.1326"],
+    "verify_cycle_5_positional_ne": ["verify", "--builtin", "cycle:5", "--n", "4", "--gamma",
+                                     "0.95", "--epsilon", "0.1", "--profile", "positional-ne"],
+}
 
 
 def _golden(name, suffix):
@@ -63,3 +78,12 @@ def test_sweep_stdout_matches_golden(capsys, s0):
     assert code == 0
     golden = GOLDEN / f"sweep_cycle_8_{s0.replace(',', '_')}.csv"
     assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("name", REPORT_CASES)
+def test_report_stdout_matches_golden(capsys, tmp_path, name):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(OSCILLATING)
+    argv = [str(graph) if a is None else a for a in REPORT_CASES[name]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

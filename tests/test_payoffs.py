@@ -5,7 +5,7 @@ import pytest
 
 from scar.errors import ValidationError
 from scar.graph import cycle_graph, path_graph
-from scar.payoffs import GameParams, discounted, symbolic_payoffs, turn_payoff, turn_payoff_matrix
+from scar.payoffs import GameParams, discounted, symbolic_payoffs, turn_payoff, turn_payoffs
 from scar.states import build_state_space
 
 
@@ -109,25 +109,27 @@ def test_epsilon_boundaries_supported():
 
 
 def test_turn_payoff_matrix_consistent(c4_3p):
+    """The turn-payoff matrix, read one player's row at a time (`turn_payoffs`)."""
     params = GameParams(3, 0.7, 0.3)
-    q = turn_payoff_matrix(c4_3p, params)
-    for idx in range(0, c4_3p.n_states - 1, 7):
-        for p in (1, 2, 3):
-            assert q[p - 1, idx] == pytest.approx(turn_payoff(c4_3p, params, idx, p))
+    for p in (1, 2, 3):
+        q = turn_payoffs(c4_3p, params, p)
+        for idx in range(0, c4_3p.n_states - 1, 7):
+            assert q[idx] == pytest.approx(turn_payoff(c4_3p, params, idx, p))
 
 
 @pytest.mark.parametrize("n,graph", [(2, cycle_graph(4)), (3, cycle_graph(4)),
                                      (4, path_graph(3)), (5, path_graph(3)),
                                      (4, path_graph(1))])  # only n1 = 3 occurs
 def test_turn_payoff_matrix_equals_turn_payoff_exactly(n, graph):
+    """Every row of the turn-payoff matrix, as `turn_payoffs` reads it off the
+    class shares, equals the scalar reader bit for bit."""
     space = build_state_space(graph, n)
     for params in (GameParams(n, 0.7, 0.0), GameParams(n, 0.7, 1.0 / (n - 1)),
                    GameParams(n, 0.7, split_equivalent=True),
                    GameParams(n, 0.7, 0.9, allow_extended_epsilon=True)):
-        q = turn_payoff_matrix(space, params)
-        expected = [[turn_payoff(space, params, s, m + 1) for s in range(space.n_states)]
-                    for m in range(n)]
-        assert q.tolist() == expected
+        for player in range(1, n + 1):
+            expected = [turn_payoff(space, params, s, player) for s in range(space.n_states)]
+            assert turn_payoffs(space, params, player).tolist() == expected
 
 
 def test_discount_decay():
