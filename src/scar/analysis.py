@@ -265,7 +265,7 @@ def verify_profile(scenario: Scenario) -> dict:
     if kind == "noncapturing":
         table1 = build_state_space(space.graph, 2, scenario.state_cap).capture_table
         constr = equilibria.build_noncapturing_ne(space, table1, s0=s0)
-        rep = equilibria.verify_noncapturing_ne(space, scenario.params, constr, tol=tol)
+        rep = equilibria.verify_noncapturing_ne(game, constr, tol=tol)
         trace = run(space, constr.profile, constr.s0_index)
         return {"is_ne": rep.is_ne, "gains": rep.per_player_gain,
                 "s0": list(constr.s0), "termination": trace.termination}
@@ -276,7 +276,7 @@ def verify_profile(scenario: Scenario) -> dict:
                 "consistency_residual": res.consistency_residual,
                 **res.verification.summary()}
     rep = equilibria.verify_threat_ne(game, build_profile(game, kind), tol=tol)
-    return {**rep.summary(), "captures_everywhere": rep.captures_everywhere()}
+    return {**rep.summary(), "captures_everywhere": rep.captures_everywhere}
 
 
 def replay_scenario(doc: dict) -> dict:
@@ -390,9 +390,8 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                           scenario(gamma, eps, profile="threat"))
         if capturing:
             ver = verdicts["capturing-threat"]
-            captures = ver.captures_everywhere()
-            within = (ver.cooperative_turns[space.is_noncapture] <= bound).all() if captures else False
-            cap_rep.record(ver.is_ne and captures and bool(within),
+            captures = ver.captures_everywhere
+            cap_rep.record(ver.is_ne and captures and ver.latest_capture <= bound,
                            {"gamma": gamma, "epsilon": eps, "captures_everywhere": captures,
                             "capture_time_bound": bound, **ver.summary()},
                            scenario(gamma, eps, profile="capturing-threat"))
@@ -408,20 +407,20 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                      "reason": "incentive below verification resolution"})
             else:
                 for kind, ver in verdicts.items():
-                    copwin_rep.record(not ver.is_ne or ver.captures_everywhere(),
+                    copwin_rep.record(not ver.is_ne or ver.captures_everywhere,
                                       {"gamma": gamma, "epsilon": eps, "profile": kind,
                                        "is_ne": ver.is_ne,
-                                       "captures_everywhere": ver.captures_everywhere()},
+                                       "captures_everywhere": ver.captures_everywhere},
                                       scenario(gamma, eps, profile=kind))
 
-        del game, verdicts, ver  # the point's tables, games and verdicts
         if not cop_win:
-            ver = equilibria.verify_noncapturing_ne(space, params, construction, tol=tol)
+            ver = equilibria.verify_noncapturing_ne(game, construction, tol=tol)
             nonc_rep.record(termination == "cycle" and ver.is_ne,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
                              "termination": termination, "is_ne": ver.is_ne,
                              "gains": ver.per_player_gain},
                             scenario(gamma, eps, s0=construction.s0, profile="noncapturing"))
+        del game, ver  # the point's games and tables, and the omega-tilde gaps
 
     if not capturing:
         escape_rep = TheoremReport(
@@ -480,7 +479,7 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
     for gamma, eps in diag:
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))
         ver = equilibria.verify_threat_ne(game, equilibria.build_capturing_threat_ne(game), tol=tol)
-        ok = ver.is_ne and ver.captures_everywhere()
+        ok = ver.is_ne and ver.captures_everywhere
         report.verified_points.append({"gamma": gamma, "epsilon": eps, "ok": ok})
         report.consistent = report.consistent and ok
     if k >= 2:
@@ -557,8 +556,8 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
     for gamma, eps in grid.points():
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))
         ver = equilibria.check_cr_optimal_ne(game, tol=tol)
-        is_ne = (ver.gaps <= tol).all(axis=0).tolist()
-        max_gap = ver.gaps.max(axis=0).tolist()
+        is_ne = (ver.state_gap <= tol).tolist()
+        max_gap = ver.state_gap.tolist()
         threat = equilibria.build_threat_profile(game)
         turns = profile_outcomes(space, threat.cooperative.move)[0].tolist()
         omega_tilde = game.params.in_omega_tilde

@@ -179,6 +179,8 @@ def cmd_reproduce_example(args):
 
 def cmd_copnumber(args):
     _at_least_one("--max-cops", args.max_cops)
+    if args.verify and not args.selfish:
+        raise ValidationError("--verify checks the selfish cop number: give --selfish too")
     get = _reader(args)
     g, state_cap = get("graph"), get("state_cap", DEFAULT_STATE_CAP)
     if args.selfish:
@@ -198,7 +200,7 @@ def cmd_copnumber(args):
     _emit({"schema_version": SCHEMA_VERSION, "command": "copnumber",
            "graph": serialize_graph(g), "max_cops": args.max_cops, "state_cap": state_cap,
            "result": result})
-    if args.selfish and args.verify and not result["consistent"]:
+    if args.verify and not result["consistent"]:
         return EXIT_SUITE_FAILURE
     return EXIT_OK
 

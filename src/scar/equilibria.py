@@ -20,14 +20,17 @@ forward search over the reachable (state, mode) pairs gives exactly. The
 search does not depend on (gamma, eps), so each construction runs it once per
 player and only the discounting is redone.
 
-Solvers and verifiers take a `Game`, one state space at one parameter point,
-which builds its N auxiliary player-vs-coalition games once: each pursuer's by
-`bellman.solve_zero_sum`, exact like the best responses, which all read their
-boundary off the class shares (`payoffs.turn_payoffs`). The evader's payoff
--gamma^T does not depend on eps, so his game, his best response to optimal
-pursuit and that pursuit's outcomes are read off the space's capture table
-(`StateSpace.capture_table`). Both threat constructions cooperate along
+Every solver and verifier takes a `Game`, one state space at one parameter
+point, which builds its N auxiliary player-vs-coalition games once: each
+pursuer's by `bellman.solve_zero_sum`, exact like the best responses, which all
+read their boundary off the class shares (`payoffs.turn_payoffs`). The
+evader's payoff -gamma^T does not depend on eps, so his game, his best
+response to optimal pursuit and that pursuit's outcomes are read off the
+space's capture table (`StateSpace.capture_table`). Both threat constructions cooperate along
 different moves and punish with those games' strategy arrays themselves.
+A verdict holds plain values, apart from the positional one's per-state gap
+(the largest over players) and profile values: no verifier's working arrays
+outlive its call.
 
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
@@ -164,14 +167,14 @@ def build_capturing_threat_ne(game: Game) -> ThreatProfile:
 class NEReport:
     is_ne: bool
     tol: float
-    gaps: np.ndarray  # (n_players, n_states) best-response value minus profile value
+    state_gap: np.ndarray  # (n_states,) largest best-response gain over players
     max_gap: float
     per_player_gap: list
     witness: list  # per player, state index attaining his max gap
     profile_values: np.ndarray
 
     def is_ne_at(self, idx: int) -> bool:
-        return bool((self.gaps[:, idx] <= self.tol).all())
+        return bool(self.state_gap[idx] <= self.tol)
 
     def summary(self) -> dict:
         return {
@@ -187,19 +190,22 @@ def verify_positional_ne(game: Game, profile: PositionalProfile,
     """Best-response gap of every player from every state against the frozen rest.
 
     Profile payoffs are exact closed forms, and each player's best response is
-    exact (`best_response`). The profile is an equilibrium from every initial
-    state iff every gap is at most `tol`.
+    exact (`best_response`). The report keeps each player's largest gap and
+    where it sits, and per state the largest gap over players, folded in player
+    order; the profile is an equilibrium from a start iff that gap is at most
+    `tol`, and from every start iff every gap is.
     """
     space, n = game.space, game.params.n_players
     u = exact_profile_values(game, _outcomes(space, profile.move))
-    gaps = np.zeros((n, space.n_states))
+    state_gap, per_player, witness = None, [], []
     for player in range(1, n + 1):
-        gaps[player - 1] = best_response(game, player, profile.move) - u[player - 1]
-    gaps[:, space.terminal_index] = 0.0
-    per_player = [float(gaps[i].max()) for i in range(n)]
-    witness = [int(gaps[i].argmax()) for i in range(n)]
+        gap = best_response(game, player, profile.move) - u[player - 1]
+        gap[space.terminal_index] = 0.0
+        per_player.append(float(gap.max()))
+        witness.append(int(gap.argmax()))
+        state_gap = gap if state_gap is None else np.maximum(state_gap, gap, out=state_gap)
     max_gap = float(max(per_player))
-    return NEReport(max_gap <= tol, tol, gaps, max_gap, per_player, witness, u)
+    return NEReport(max_gap <= tol, tol, state_gap, max_gap, per_player, witness, u)
 
 
 def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarray) -> tuple:
@@ -237,7 +243,6 @@ def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarra
 @dataclass
 class PositionalNEResult:
     profile: PositionalProfile
-    values: np.ndarray
     sweeps: int
     attainment_residual: float
     consistency_residual: float
@@ -294,9 +299,8 @@ def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> Positiona
         raise NotAnEquilibriumError(
             f"sweeps reached a fixpoint but a player can still improve by "
             f"{verification.max_gap:.3e}", verification)
-    values = verification.profile_values
-    attainment, consistency = equation_residuals(game, profile, values)
-    return PositionalNEResult(profile, values, sweeps, attainment, consistency, verification)
+    attainment, consistency = equation_residuals(game, profile, verification.profile_values)
+    return PositionalNEResult(profile, sweeps, attainment, consistency, verification)
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +312,8 @@ class ThreatNEReport:
     tol: float
     per_player_gain: list
     witness: list
-    cooperative_turns: np.ndarray  # turns to capture under cooperative play, -1 = never
-    noncapture_mask: np.ndarray = None
-
-    def captures_everywhere(self) -> bool:
-        return bool((self.cooperative_turns[self.noncapture_mask] >= 0).all())
-
-    def __eq__(self, other):
-        if not isinstance(other, ThreatNEReport):
-            return NotImplemented
-        return (self.summary() == other.summary() and self.witness == other.witness
-                and np.array_equal(self.cooperative_turns, other.cooperative_turns)
-                and np.array_equal(self.noncapture_mask, other.noncapture_mask))
+    captures_everywhere: bool  # cooperative play captures from every non-capture state
+    latest_capture: int  # its latest capture turn from a non-capture state (0: none)
 
     def summary(self) -> dict:
         return {
@@ -339,6 +333,8 @@ def verify_threat_ne(game: Game, threat: ThreatProfile,
     his best continuation is his exact `best_response` to them; before it, play
     is the cooperative path whose payoff-to-go is an exact closed form. Comparing
     the two at every state of the deviator covers every deviating strategy.
+    The verdict holds plain values: each player's largest gain and where it
+    sits, whether cooperative play captures from every start, and how late.
     """
     space, params = game.space, game.params
     turns, capture_at = _outcomes(space, threat.cooperative.move)
@@ -358,7 +354,9 @@ def verify_threat_ne(game: Game, threat: ThreatProfile,
         at = int(gain.argmax())
         gains.append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
         witness.append(int(block.rows[at]))
-    return ThreatNEReport(max(gains) <= tol, tol, gains, witness, turns, space.is_noncapture)
+    coop = turns[space.is_noncapture]
+    return ThreatNEReport(max(gains) <= tol, tol, gains, witness,
+                          bool((coop >= 0).all()), int(coop.max(initial=0)))
 
 
 def check_cr_optimal_ne(game: Game, tol: float = DEFAULT_NE_TOL) -> NEReport:
@@ -434,17 +432,18 @@ class NonCapturingNEReport:
     explored: list  # per player, (state, mode) nodes his best-response search visited
 
 
-def verify_noncapturing_ne(space: StateSpace, params: GameParams,
-                           construction: NonCapturingConstruction,
+def verify_noncapturing_ne(game: Game, construction: NonCapturingConstruction,
                            tol: float = DEFAULT_NE_TOL) -> NonCapturingNEReport:
-    """Exact best-response check at the construction's start.
+    """Exact best-response check at the construction's start, under `game`'s
+    parameters; the construction must be built on `game.space`.
 
     Cooperative play never captures, so everyone's profile payoff is zero. Each
     player's gain is his best value from (s0, ALL_STAY) while everyone else
     follows the construction's own automaton, found by `_start_local_value`
-    over the nodes reachable from there, with no iteration or tolerance.
+    over the nodes reachable from there, with no iteration or tolerance. The
+    verdict holds plain values: the gains and each search's node count.
     """
-    gains = [_start_local_value(space, params, search, player)
+    gains = [_start_local_value(game, search, player)
              for player, search in enumerate(construction.searches, start=1)]
     return NonCapturingNEReport(max(gains) <= tol, tol, gains, construction.s0_index,
                                 [search.nodes for search in construction.searches])
@@ -505,8 +504,9 @@ def _start_local_search(prof, player) -> StartLocalSearch:
     return StartLocalSearch(captures, len(ready) == len(succ), len(succ))
 
 
-def _start_local_value(space, params, search, player):
-    """Best value of `player` from the start of his `search`.
+def _start_local_value(game, search, player):
+    """Best value of `player` from the start of his `search`, under the
+    parameters of `game`, whose space the search ran on.
 
     With everyone else frozen, play is a one-player deterministic graph whose
     only rewards q sit at capture states, where it stops. A capture with q >= 0
@@ -517,5 +517,5 @@ def _start_local_value(space, params, search, player):
     """
     best = -math.inf if search.acyclic else 0.0  # a cycle's 0 beats every q < 0
     idx, shortest, longest = np.array(search.captures, dtype=np.int64).reshape(-1, 3).T
-    turns = longest if player == space.n_players else shortest
-    return float(discounted_payoff(space, params, player, idx, turns).max(initial=best))
+    turns = longest if player == game.space.n_players else shortest
+    return float(discounted_payoff(game.space, game.params, player, idx, turns).max(initial=best))

@@ -83,21 +83,13 @@ def build_graph(vertex_count: int, edge_pairs, prefixes=None) -> Graph:
         canon.add(key)
         adj[u - 1].append(v)
         adj[v - 1].append(u)
-    # connectivity: every vertex reachable from vertex 1
-    seen = [False] * (vertex_count + 1)
-    seen[1] = True
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u - 1]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    for v in range(1, vertex_count + 1):
-        if not seen[v]:
-            raise GraphValidationError(f"graph is disconnected: vertex {v} unreachable from vertex 1")
     adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-    return Graph(vertex_count=vertex_count, edges=frozenset(canon), adjacency=adjacency)
+    g = Graph(vertex_count=vertex_count, edges=frozenset(canon), adjacency=adjacency)
+    dist = g.distances_from(1)
+    if -1 in dist[1:]:
+        v = dist.index(-1, 1)
+        raise GraphValidationError(f"graph is disconnected: vertex {v} unreachable from vertex 1")
+    return g
 
 
 def parse_graph(text: str) -> Graph:

@@ -210,7 +210,7 @@ def test_criterion_06_threat_ne_battery(battery_graphs):
                 cap = build_capturing_threat_ne(game)
                 rep2 = verify_threat_ne(game, cap, tol=NE_TOL)
                 assert rep2.is_ne, f"{name} capturing at ({gamma},{eps}): gain {max(rep2.per_player_gain):.2e}"
-                assert rep2.captures_everywhere()
+                assert rep2.captures_everywhere
                 instances += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0, f"battery took {elapsed:.1f}s, budget is 10min"
@@ -238,7 +238,7 @@ def test_criterion_08_noncapturing_constructions():
     assert constr.s0 == (1, 1, 3, 1)
     trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle" and trace.capture_time == math.inf
-    rep = verify_noncapturing_ne(space, params, constr, tol=NE_TOL)
+    rep = verify_noncapturing_ne(Game(space, params), constr, tol=NE_TOL)
     assert rep.is_ne
     # two pursuers cannot corner the evader on the Petersen graph: the exact
     # table certifies an escape start, so every equilibrium there is non-capturing

@@ -204,7 +204,8 @@ def test_theorem_suite_searches_noncapturing_start_once_per_player(monkeypatch):
     for inst in instances:
         params = GameParams(4, inst["gamma"], inst["epsilon"])
         fresh = equilibria.build_noncapturing_ne(space, table1)
-        assert inst["gains"] == equilibria.verify_noncapturing_ne(space, params, fresh).per_player_gain
+        rep = equilibria.verify_noncapturing_ne(equilibria.Game(space, params), fresh)
+        assert inst["gains"] == rep.per_player_gain
 
 
 def _ids_by_cop_number(g, n):

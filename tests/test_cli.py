@@ -618,6 +618,7 @@ def test_copnumber_reads_the_scenario_state_cap(tmp_path, capsys):
     (["simulate", *PATH3[1:], "--s0", "1,3,1", "--deviator", "1", "--plan", "0:2"], None),
     (["solve", "--builtin", "path:1", "--n", "2", "--gamma", "0.5", "--epsilon", "0.5"], None),
     (["equivalence", "--builtin", "path:1", "--n", "2", "--trials", "3"], None),
+    (["copnumber", "--builtin", "path:3", "--verify"], None),
 ])
 def test_malformed_input_is_validation_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.json"

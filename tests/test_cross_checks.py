@@ -99,7 +99,7 @@ def test_noncapturing_ne_survives_simulated_deviations():
     space = build_state_space(cycle_graph(4), 3)
     params = GameParams(3, 0.9, 0.25)
     constr = build_noncapturing_ne(space, exact_capture_times(build_state_space(cycle_graph(4), 2)))
-    assert verify_noncapturing_ne(space, params, constr).is_ne
+    assert verify_noncapturing_ne(Game(space, params), constr).is_ne
     rng = np.random.default_rng(31)
     for player in (1, 2, 3):
         for _ in range(200):

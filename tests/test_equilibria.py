@@ -68,17 +68,23 @@ def test_evader_side_is_the_capture_table_where_gamma_t_underflows():
     space = build_state_space(path_graph(40), 3)
     table = space.capture_table
     assert t_n_max(table) == 116
+    nc = space.is_noncapture
     for eps, threat_turns in ((0.0, 11465628), (0.25, 8829495)):
         game = Game(space, GameParams(3, 0.001, eps))
         assert game.aux[2].move is table.cr_optimal_moves
-        threat = verify_threat_ne(game, build_threat_profile(game))
-        capturing = verify_threat_ne(game, build_capturing_threat_ne(game))
+        threat_profile, capturing_profile = build_threat_profile(game), build_capturing_threat_ne(game)
+        threat = verify_threat_ne(game, threat_profile)
+        capturing = verify_threat_ne(game, capturing_profile)
         for rep, captures in ((threat, False), (capturing, True)):
             assert rep.is_ne and rep.summary()["max_gain"] == 0.0
-            assert rep.captures_everywhere() == captures
-        turns = threat.cooperative_turns
+            assert rep.captures_everywhere == captures
+        turns = profile_outcomes(space, threat_profile.cooperative.move)[0]
         assert (turns >= 0).sum() == 191001 and turns.sum() == threat_turns
-        assert np.array_equal(capturing.cooperative_turns, table.times)
+        assert threat.latest_capture == turns[nc].max()
+        capturing_turns = profile_outcomes(space, capturing_profile.cooperative.move)[0]
+        assert np.array_equal(capturing_turns, table.outcomes[0])
+        assert np.array_equal(capturing_turns, table.times)
+        assert capturing.latest_capture == 116
         # a deviating evader is caught after T > 108 turns: -gamma^T rounds to -0.0
         assert math.copysign(1.0, threat.per_player_gain[2]) == -1.0
 
@@ -265,8 +271,9 @@ def test_two_player_positional_ne_on_path():
     space = build_state_space(path_graph(3), 2)
     res = solve_positional_ne(Game(space, GameParams(2, 0.5, 0.5)))
     i0 = space.index_of((1, 3, 1))
-    assert res.values[0][i0] == pytest.approx(0.125, abs=1e-10)
-    assert res.values[1][i0] == pytest.approx(-0.125, abs=1e-10)
+    values = res.verification.profile_values
+    assert values[0][i0] == pytest.approx(0.125, abs=1e-10)
+    assert values[1][i0] == pytest.approx(-0.125, abs=1e-10)
     assert res.verification.max_gap <= 1e-8
     assert res.attainment_residual <= 1e-10
     assert res.consistency_residual <= 1e-10
@@ -279,7 +286,7 @@ def test_positional_ne_boundary_values(c4_space):
     cap = space.is_capture
     for p in (1, 2, 3):
         q = turn_payoffs(space, params, p)
-        assert np.abs(res.values[p - 1, cap] - q[cap]).max() <= 1e-12
+        assert np.abs(res.verification.profile_values[p - 1, cap] - q[cap]).max() <= 1e-12
 
 
 def test_positional_ne_on_example_tree(tree9_space):
@@ -313,21 +320,27 @@ def test_cr_optimal_fails_outside_omega_tilde_on_tree(tree9_space):
     # at gamma=0.9 > (1/3)^(1/8) the leading pursuer gains by retreating first
     params = GameParams(3, 0.9, 0.25)
     assert not params.in_omega_tilde
-    report = check_cr_optimal_ne(Game(tree9_space, params))
+    game = Game(tree9_space, params)
+    report = check_cr_optimal_ne(game)
     assert not report.is_ne
     i0 = tree9_space.index_of((6, 1, 4, 1))
     # the worked retreat deviation already nets 0.9^13*0.75 - 0.9^5*0.25, so the
     # best-response gap at the example start is at least that
-    assert report.gaps[0, i0] >= 0.9**13 * 0.75 - 0.9**5 * 0.25 - 1e-9
+    bound = 0.9**13 * 0.75 - 0.9**5 * 0.25 - 1e-9
+    moves = tree9_space.capture_table.cr_optimal_moves
+    own_gap = best_response(game, 1, moves)[i0] - report.profile_values[0, i0]
+    assert own_gap >= bound
+    assert report.state_gap[i0] >= bound
 
 
 def test_equation_residuals_reject_wrong_values(c4_space):
     space = c4_space
     params = GameParams(3, 0.5, 0.25)
     res = solve_positional_ne(Game(space, params))
-    att, cons = equation_residuals(Game(space, params), res.profile, res.values)
+    values = res.verification.profile_values
+    att, cons = equation_residuals(Game(space, params), res.profile, values)
     assert att <= 1e-10 and cons <= 1e-10
-    wrong = res.values + 0.01
+    wrong = values + 0.01
     _, cons_wrong = equation_residuals(Game(space, params), res.profile, wrong)
     assert cons_wrong > 1e-3
 
@@ -380,7 +393,7 @@ def test_capturing_threat_ne_on_two_pursuer_graphs():
         threat = build_capturing_threat_ne(game)
         report = verify_threat_ne(game, threat)
         assert report.is_ne
-        assert report.captures_everywhere()
+        assert report.captures_everywhere
 
 
 def test_capturing_threat_respects_time_bound():
@@ -389,9 +402,25 @@ def test_capturing_threat_respects_time_bound():
     game = Game(space, params)
     threat = build_capturing_threat_ne(game)
     report = verify_threat_ne(game, threat)
-    assert report.is_ne and report.captures_everywhere()
+    assert report.is_ne and report.captures_everywhere
     bound = t_n_max(space.capture_table)
-    assert report.cooperative_turns[space.is_noncapture].max() <= bound
+    assert report.latest_capture <= bound
+
+
+def test_verdicts_hold_plain_values(c4_space):
+    # a point's threat verdicts keep no working array, so two games at the same
+    # point give verdicts equal by value; the positional one keeps one gap per state
+    params = GameParams(3, 0.9, 0.25)
+    games = [Game(c4_space, params) for _ in range(2)]
+    for build in (build_threat_profile, build_capturing_threat_ne):
+        first, second = (verify_threat_ne(game, build(game)) for game in games)
+        for field in dataclasses.fields(first):
+            assert not isinstance(getattr(first, field.name), np.ndarray), field.name
+        assert first == second and first is not second
+        assert dataclasses.replace(first, latest_capture=first.latest_capture + 1) != first
+    report = check_cr_optimal_ne(games[0])
+    assert report.state_gap.shape == (c4_space.n_states,)
+    assert report.state_gap.max() == report.max_gap
 
 
 def test_capturing_threat_precondition():
@@ -666,7 +695,7 @@ def test_noncapturing_ne_on_c4(c4_space):
     trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle"
     assert trace.capture_time == math.inf
-    report = verify_noncapturing_ne(space, params, constr)
+    report = verify_noncapturing_ne(Game(space, params), constr)
     assert report.is_ne
     assert max(report.per_player_gain) <= 1e-8
 
@@ -675,7 +704,7 @@ def test_noncapturing_explicit_start(c4_space):
     params = GameParams(3, 0.5, 0.5)
     constr = build_noncapturing_ne(c4_space, _table1(c4_space), s0=(2, 2, 4, 1))
     assert constr.s0 == (2, 2, 4, 1)
-    report = verify_noncapturing_ne(c4_space, params, constr)
+    report = verify_noncapturing_ne(Game(c4_space, params), constr)
     assert report.is_ne
 
 
@@ -726,7 +755,7 @@ def test_noncapturing_on_petersen():
     constr = build_noncapturing_ne(space, _table1(space))
     trace = run(space, constr.profile, constr.s0_index)
     assert trace.termination == "cycle"
-    report = verify_noncapturing_ne(space, params, constr)
+    report = verify_noncapturing_ne(Game(space, params), constr)
     assert report.is_ne
 
 
@@ -736,7 +765,7 @@ def test_noncapturing_verifier_stays_local_at_benchmark_scale():
     space = build_state_space(petersen_graph(), 4)
     constr = build_noncapturing_ne(space, _table1(space))
     for gamma, eps in make_grid(4).points():
-        report = verify_noncapturing_ne(space, GameParams(4, gamma, eps), constr)
+        report = verify_noncapturing_ne(Game(space, GameParams(4, gamma, eps)), constr)
         assert report.is_ne
         assert report.per_player_gain == [0.0] * 4
         assert max(report.explored) < 1000
@@ -833,7 +862,7 @@ def test_pursuer_deviation_gains_match_python_value_iteration(graph, n, sabotage
     params = GameParams(n, 0.9, 0.25)
     constr = build_noncapturing_ne(space, _table1(space))
     constr.profile = sabotage(space, constr.profile)
-    report = verify_noncapturing_ne(space, params, constr)
+    report = verify_noncapturing_ne(Game(space, params), constr)
     expected = [_python_deviation_value(space, params, constr.profile, p) for p in range(1, n)]
     assert min(expected) > 0.1
     assert report.per_player_gain[:-1] == pytest.approx(expected, rel=0, abs=1e-9)
@@ -860,7 +889,7 @@ def test_evader_deviation_gain_matches_python_value_iteration(graph, n, sabotage
     params = GameParams(n, 0.9, 0.25)
     constr = build_noncapturing_ne(space, _table1(space))
     constr.profile = sabotage(space, constr.profile)
-    report = verify_noncapturing_ne(space, params, constr)
+    report = verify_noncapturing_ne(Game(space, params), constr)
     expected = _python_deviation_value(space, params, constr.profile, n)
     assert expected < 0
     assert report.per_player_gain[-1] == pytest.approx(expected, rel=0, abs=1e-9)

@@ -27,6 +27,10 @@ it is no equilibrium; from 1,4,7,3,4 the threat play captures in 3 turns.
 the capture-class shares: `solve` through positional sweeps (delayed-capture)
 and through the threat fallback (an oscillating 6-vertex graph, whose sweeps
 cycle with period 3), and `verify` of the positional-equilibrium sweeps.
+Two more were written before the verdicts dropped their per-state arrays:
+`verify` of optimal pursuit from one start, whose `is_ne_at_s0` reads the
+per-state gap, and of the capturing threat, whose `captures_everywhere` is
+read off cooperative play.
 """
 
 import json
@@ -49,6 +53,11 @@ REPORT_CASES = {
                           "--gamma", "0.7727", "--epsilon", "0.1326"],
     "verify_cycle_5_positional_ne": ["verify", "--builtin", "cycle:5", "--n", "4", "--gamma",
                                      "0.95", "--epsilon", "0.1", "--profile", "positional-ne"],
+    "verify_cycle_8_cr_optimal_s0": ["verify", "--builtin", "cycle:8", "--n", "4", "--gamma", "0.1",
+                                     "--epsilon", "0.25", "--profile", "cr-optimal",
+                                     "--s0", "1,1,1,5,1"],
+    "verify_cycle_5_capturing_threat": ["verify", "--builtin", "cycle:5", "--n", "4", "--profile",
+                                        "capturing-threat", "--gamma", "0.95", "--epsilon", "0.25"],
 }
 
 

@@ -60,7 +60,8 @@ def test_self_loop_rejected():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(GraphValidationError, match="disconnected"):
+    with pytest.raises(GraphValidationError,
+                       match="^graph is disconnected: vertex 3 unreachable from vertex 1$"):
         parse_graph("4 2\n1 2\n3 4\n")
 
 
