@@ -1,7 +1,7 @@
 """Selfish pursuit games on graphs: exact solvers, equilibria, verification."""
 
 from .graph import Graph, builtin_graph, closed_neighborhood, parse_graph, serialize_graph
-from .payoffs import GameParams, total_payoff, turn_payoff
+from .payoffs import GameParams, turn_payoff
 from .states import NULL_MOVE, TERMINAL, StateSpace, actions, build_state_space, classify, transition
 from .cr import (
     CaptureTimeTable,
@@ -21,7 +21,7 @@ from .equilibria import (
     verify_positional_ne,
     verify_threat_ne,
 )
-from .simulate import payoffs_of, run, run_with_forced_deviation
+from .simulate import payoffs_of, run, run_with_forced_deviation, total_payoff
 
 __all__ = [
     "Graph", "builtin_graph", "closed_neighborhood", "parse_graph", "serialize_graph",

@@ -26,7 +26,7 @@ from .errors import ValidationError
 from .graph import Graph, builtin_graph, parse_graph, serialize_graph
 from .payoffs import GameParams, discounted
 from .profiles import PositionalProfile, combine_player_moves, greedy_cop_moves, random_profile
-from .simulate import payoffs_of, profile_outcomes, run, run_with_forced_deviation
+from .simulate import CYCLE, payoffs_of, profile_outcomes, run, run_with_forced_deviation
 from .states import DEFAULT_STATE_CAP, build_state_space
 
 OMEGA_TILDE_BOUNDARY_MARGIN = 1e-6
@@ -415,7 +415,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
 
         if not cop_win:
             ver = equilibria.verify_noncapturing_ne(game, construction, tol=tol)
-            nonc_rep.record(termination == "cycle" and ver.is_ne,
+            nonc_rep.record(termination == CYCLE and ver.is_ne,
                             {"gamma": gamma, "epsilon": eps, "s0": list(construction.s0),
                              "termination": termination, "is_ne": ver.is_ne,
                              "gains": ver.per_player_gain},
@@ -559,7 +559,7 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
         is_ne = (ver.state_gap <= tol).tolist()
         max_gap = ver.state_gap.tolist()
         threat = equilibria.build_threat_profile(game)
-        turns = profile_outcomes(space, threat.cooperative.move)[0].tolist()
+        turns = profile_outcomes(space, threat.cooperative)[0].tolist()
         omega_tilde = game.params.in_omega_tilde
         for s0, label in zip(starts, labels):
             rows.append({

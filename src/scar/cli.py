@@ -254,7 +254,7 @@ def cmd_simulate(args):
               + (f", capture at turn {t} by {trace.capturing_set}" if t != math.inf else ""))
     else:
         payoffs = (list(simulate.payoffs_of(params, trace))
-                   if trace.termination != "turn_cap" else None)
+                   if trace.termination != simulate.TURN_CAP else None)
         result = {"trace": trace.to_json_obj(), "termination": trace.termination,
                   "capture_time": None if trace.capture_time == math.inf else trace.capture_time,
                   "capturing_set": list(trace.capturing_set), "payoffs": payoffs}

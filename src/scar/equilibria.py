@@ -13,8 +13,8 @@ deviating strategy. Each verifier call checks one profile. `best_response` is
 the one place that knows an exact shortcut: against his own aux game's
 coalition a player's value is that game's, and the evader's against optimal
 pursuit is the capture table's, both read with no MDP. The non-capturing
-construction reads its start and evasion off the one-pursuer capture table it
-is handed, and is judged at that start only: against the frozen rest a
+construction, a threat profile too, reads its start and evasion off the
+one-pursuer capture table it is handed, and is judged at that start only: against the frozen rest a
 deviator plays a deterministic one-player game, whose value at the start a
 forward search over the reachable (state, mode) pairs gives exactly. The
 search does not depend on (gamma, eps), so each construction runs it once per
@@ -56,13 +56,7 @@ from . import bellman
 from .cr import CaptureTimeTable
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
 from .payoffs import GameParams, discounted, discounted_payoff, turn_payoffs
-from .profiles import (
-    NonCapturingProfile,
-    PositionalProfile,
-    ThreatProfile,
-    combine_player_moves,
-    merge_cop_moves,
-)
+from .profiles import PositionalProfile, ThreatProfile, combine_player_moves, merge_cop_moves
 from .simulate import exact_profile_values, profile_outcomes
 from .states import StateSpace
 
@@ -133,9 +127,8 @@ def _outcomes(space: StateSpace, moves: np.ndarray) -> tuple:
 def _threat_profile(game: Game, cooperative_move: np.ndarray) -> ThreatProfile:
     """Cooperate along `cooperative_move`; punish the first deviator with the
     strategies of his auxiliary game, `game.aux[d].move` itself."""
-    space = game.space
-    punishments = {d: PositionalProfile(space, sol.move) for d, sol in enumerate(game.aux, start=1)}
-    return ThreatProfile(space, PositionalProfile(space, cooperative_move), punishments)
+    punishments = {d: sol.move for d, sol in enumerate(game.aux, start=1)}
+    return ThreatProfile(game.space, cooperative_move, punishments)
 
 
 def build_threat_profile(game: Game) -> ThreatProfile:
@@ -337,7 +330,7 @@ def verify_threat_ne(game: Game, threat: ThreatProfile,
     sits, whether cooperative play captures from every start, and how late.
     """
     space, params = game.space, game.params
-    turns, capture_at = _outcomes(space, threat.cooperative.move)
+    turns, capture_at = _outcomes(space, threat.cooperative)
     gains, witness = [], []
     for player in range(1, params.n_players + 1):
         block = space.turn_block(player)
@@ -346,10 +339,9 @@ def verify_threat_ne(game: Game, threat: ThreatProfile,
             witness.append(-1)
             continue
         u_coop = discounted_payoff(space, params, player, capture_at[block.rows], turns[block.rows])
-        punish = threat.punishments[player].move
-        dev = params.gamma * best_response(game, player, punish)[block.succ]
+        dev = params.gamma * best_response(game, player, threat.punishments[player])[block.succ]
         # padded slots repeat slot 0, so they neither add nor hide a deviation
-        deviating = block.act != threat.cooperative.move[block.rows]
+        deviating = block.act != threat.cooperative[block.rows]
         gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop
         at = int(gain.argmax())
         gains.append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
@@ -375,14 +367,14 @@ def check_cr_optimal_ne(game: Game, tol: float = DEFAULT_NE_TOL) -> NEReport:
 
 @dataclass
 class NonCapturingConstruction:
-    profile: NonCapturingProfile
+    profile: ThreatProfile
     s0_index: int
     s0: tuple
 
     @functools.cached_property
     def searches(self) -> list:
         """Per player, `_start_local_search` of this construction, run once."""
-        return [_start_local_search(self.profile, player)
+        return [_start_local_search(self.profile, self.s0_index, player)
                 for player in range(1, self.profile.space.n_players + 1)]
 
 
@@ -395,6 +387,14 @@ def build_noncapturing_ne(space: StateSpace, table1: CaptureTimeTable,
     (x, y) with the pursuer to move is an evader win; the default is the first
     in (x, y) order. NotApplicableError on pursuer-win graphs, where no such
     start exists.
+
+    The construction is a threat profile. Cooperative play: pursuers stay
+    while all of them share a vertex, a separated pursuer walks a shortest
+    path toward the lowest-indexed pursuer standing elsewhere
+    (`merge_cop_moves`), and the evader stays put. Against a deviating
+    pursuer d the rest keep merging and the evader plays the exact
+    one-pursuer evasion from d; against a deviating evader the punishment is
+    the cooperative array itself.
     """
     space1 = table1.space
     if space1.n_players != 2 or space1.graph != space.graph:
@@ -417,10 +417,22 @@ def build_noncapturing_ne(space: StateSpace, table1: CaptureTimeTable,
             f"start {s0!r} does not qualify: one pursuer at {x} catches the evader at {y}")
     # evasion move per (pursuer vertex, own vertex), read off the evader's rows
     evader_rows = space1.turn_block(2).rows
-    evade = np.zeros((space.graph.vertex_count + 1,) * 2, dtype=np.int64)
+    evade = np.zeros((space.graph.vertex_count + 1,) * 2, dtype=space.stay.dtype)
     evade[tuple(space1.positions[evader_rows].T)] = table1.cr_optimal_moves[evader_rows]
-    profile = NonCapturingProfile(space, merge_cop_moves(space), evade, idx0)
-    return NonCapturingConstruction(profile, idx0, s0)
+    # the evader's rows, index N - 1 of every position tuple: his own vertex, 0 at a capture
+    n = space.n_players
+    evader = slice(n - 1, space.terminal_index, n)
+    own = space.stay[evader]
+    cooperative = merge_cop_moves(space)
+    cooperative[evader] = own
+
+    def dodging(d):
+        moves = cooperative.copy()
+        moves[evader] = evade[space.positions[evader, d - 1], own]
+        return moves
+
+    punishments = {d: dodging(d) for d in range(1, n)} | {n: cooperative}
+    return NonCapturingConstruction(ThreatProfile(space, cooperative, punishments), idx0, s0)
 
 
 @dataclass
@@ -438,8 +450,8 @@ def verify_noncapturing_ne(game: Game, construction: NonCapturingConstruction,
     parameters; the construction must be built on `game.space`.
 
     Cooperative play never captures, so everyone's profile payoff is zero. Each
-    player's gain is his best value from (s0, ALL_STAY) while everyone else
-    follows the construction's own automaton, found by `_start_local_value`
+    player's gain is his best value from s0 in cooperative mode while everyone
+    else follows the construction's own automaton, found by `_start_local_value`
     over the nodes reachable from there, with no iteration or tolerance. The
     verdict holds plain values: the gains and each search's node count.
     """
@@ -460,12 +472,12 @@ class StartLocalSearch:
     nodes: int
 
 
-def _start_local_search(prof, player) -> StartLocalSearch:
+def _start_local_search(prof, s0_index, player) -> StartLocalSearch:
     """Forward search from (s0, initial mode) over (state, mode) nodes: the
     deviator takes every real slot, everyone else the profile's own
-    prescribed/observe automaton. Depends on the graph and profile only."""
+    prescribed/observe automaton. Depends on the graph, profile and start only."""
     space = prof.space
-    start = (prof.s0_index, prof.initial_mode())
+    start = (s0_index, prof.initial_mode())
     depth = {start: 0}
     succ = {}
     order = [start]

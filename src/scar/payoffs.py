@@ -124,18 +124,6 @@ def discounted_payoff(space, params: GameParams, player: int, capture_at, turns)
     return discounted(params.gamma, turns, params.shares, space.capture_class[player - 1][capture_at])
 
 
-def total_payoff(params: GameParams, trace, player: int, exact: bool = False):
-    """Discounted total payoff gamma^T_C * (capture split), or 0 without capture."""
-    if trace.termination == "turn_cap":
-        raise ValidationError("trace hit its turn cap; payoff is undefined for inconclusive traces")
-    if trace.termination == "cycle":
-        return Fraction(0) if exact else 0.0
-    space, at, t = trace.space, trace.states[-1], trace.capture_time
-    if exact:
-        return Fraction(params.gamma)**t * turn_payoff(space, params, at, player, exact=True)
-    return float(discounted_payoff(space, params, player, at, t))
-
-
 def symbolic_payoffs(params: GameParams, capture_time: int, capturing_set: tuple) -> list:
     """Human-readable closed forms, e.g. 'eps*gamma^5' / '(1-eps)*gamma^5' / '-gamma^5'."""
     out = []

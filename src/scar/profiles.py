@@ -3,9 +3,9 @@
 A profile answers two questions during play: what does the mover do at this
 state, and how does the profile's internal mode react to an observed move.
 Positional profiles have no mode (None); threat profiles carry a shared
-cooperate/punish automaton; the non-capturing construction tracks which
-pursuer moved first. Modes are hashable so simulation can certify infinite
-play by (state, mode) revisit.
+cooperate/punish automaton over plain move arrays, which also covers the
+stacked-pursuers non-capturing construction. Modes are hashable so
+simulation can certify infinite play by (state, mode) revisit.
 """
 
 from __future__ import annotations
@@ -70,30 +70,34 @@ COOPERATIVE = "coop"
 
 @dataclass
 class ThreatProfile:
-    """Cooperative positional parts plus per-deviator punishment parts.
+    """Cooperative moves plus per-deviator punishment moves, each a dense
+    array over states, held as given (no cast or copy).
 
     The shared mode starts cooperative and switches, irrevocably, to
     ("punish", m) the first time player m's observed move differs from his
-    cooperative part. In that mode everyone else follows punishments[m], and
-    m's own rows follow the cooperative part (he is free anyway; this only
+    cooperative move. In that mode everyone else follows punishments[m], and
+    m's own rows follow the cooperative moves (he is free anyway; this only
     matters when simulating him un-deviated).
     """
 
     space: StateSpace
-    cooperative: PositionalProfile
-    punishments: dict  # deviator -> PositionalProfile
+    cooperative: np.ndarray
+    punishments: dict  # deviator -> np.ndarray
 
     def initial_mode(self):
         return COOPERATIVE
 
     def prescribed(self, idx: int, mode) -> int:
-        if mode == COOPERATIVE or self.space.mover[idx] == mode[1]:
-            return self.cooperative.prescribed(idx)
-        return self.punishments[mode[1]].prescribed(idx)
+        space = self.space
+        if not space.is_noncapture[idx]:
+            return NULL_MOVE
+        if mode == COOPERATIVE or space.mover[idx] == mode[1]:
+            return int(self.cooperative[idx])
+        return int(self.punishments[mode[1]][idx])
 
     def observe(self, idx, mover, action, mode):
         if mode == COOPERATIVE and self.space.is_noncapture[idx] \
-                and action != int(self.cooperative.move[idx]):
+                and action != int(self.cooperative[idx]):
             return ("punish", int(mover))
         return mode
 
@@ -123,53 +127,9 @@ def random_profile(space: StateSpace, rng: np.random.Generator) -> PositionalPro
     return PositionalProfile(space, moves)
 
 
-ALL_STAY = 0
-
-
-@dataclass
-class NonCapturingProfile:
-    """The stacked-pursuers construction: no one moves until a pursuer breaks rank.
-
-    Pursuers stay while all of them share a vertex; a separated pursuer walks a
-    shortest path toward the lowest-indexed pursuer standing elsewhere, so any
-    lone wanderer is chased down by the rest moving as one stack. The evader
-    stays put until the first pursuer move, then plays the exact one-pursuer
-    evasion keyed to whichever pursuer moved first.
-
-    Mode: ALL_STAY, or the index of the first pursuer observed moving.
-    """
-
-    space: StateSpace
-    merge_moves: np.ndarray  # dense; valid on pursuer-mover rows
-    evade_move: np.ndarray  # (V+1, V+1): evasion move given (tracked cop vertex, own vertex)
-    s0_index: int
-
-    def initial_mode(self):
-        return ALL_STAY
-
-    def prescribed(self, idx: int, mode) -> int:
-        space = self.space
-        if not space.is_noncapture[idx]:
-            return NULL_MOVE
-        mover = int(space.mover[idx])
-        if mover < space.n_players:
-            return int(self.merge_moves[idx])
-        own = int(space.positions[idx, -1])
-        if mode == ALL_STAY:
-            return own
-        tracked = int(space.positions[idx, mode - 1])
-        return int(self.evade_move[tracked, own])
-
-    def observe(self, idx, mover, action, mode):
-        space = self.space
-        if mode == ALL_STAY and space.is_noncapture[idx] and mover < space.n_players \
-                and action != int(space.stay[idx]):
-            return int(mover)
-        return mode
-
-
 def merge_cop_moves(space: StateSpace) -> np.ndarray:
-    """Dense pursuer moves for the non-capturing construction.
+    """Dense pursuer moves for the non-capturing construction, in the dtype
+    of `space.stay` (0 off the pursuers' non-capture rows).
 
     A pursuer stays while every pursuer shares his vertex; otherwise he steps
     to the lowest vertex one closer to the lowest-indexed pursuer elsewhere.
@@ -183,6 +143,6 @@ def merge_cop_moves(space: StateSpace) -> np.ndarray:
     options = space.nbr[here]
     # padded slots repeat slot 0, so the first closer slot is the lowest closer vertex
     closer = dist[target[:, None], options] == dist[target, here][:, None] - 1
-    moves = np.zeros(space.n_states, dtype=np.int64)
+    moves = np.zeros_like(space.stay)
     moves[rows] = np.where(apart.any(axis=1), options[np.arange(rows.size), closer.argmax(axis=1)], here)
     return moves

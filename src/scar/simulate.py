@@ -4,6 +4,8 @@ A trace stops at the first capture state (the hop to the terminal is implicit),
 or certifies non-capture the moment a (state, mode) pair repeats: from there
 play is provably periodic, no capture can ever occur, and every payoff is zero.
 A turn cap exists only as a safety net for externally supplied strategies.
+`total_payoff` reads a trace's termination (CAPTURED, CYCLE or TURN_CAP), and
+every other module compares against these constants.
 
 Whole-space evaluation of positional play needs no play-out at all:
 `profile_outcomes` resolves every start at once by pointer doubling over the
@@ -15,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import IllegalMoveError, ValidationError
-from .payoffs import GameParams, discounted, total_payoff
+from .payoffs import GameParams, discounted, discounted_payoff, turn_payoff
 from .states import NULL_MOVE, TERMINAL, StateSpace
 
 CAPTURED = "captured"
@@ -127,6 +130,18 @@ def run_with_forced_deviation(space: StateSpace, profile, deviator, deviation_pl
             seen[key] = t
         if turn_cap is not None and t >= turn_cap:
             return Trace(space, idx0, steps, TURN_CAP)
+
+
+def total_payoff(params: GameParams, trace: Trace, player: int, exact: bool = False):
+    """Discounted total payoff gamma^T_C * (capture split), or 0 without capture."""
+    if trace.termination == TURN_CAP:
+        raise ValidationError("trace hit its turn cap; payoff is undefined for inconclusive traces")
+    if trace.termination == CYCLE:
+        return Fraction(0) if exact else 0.0
+    space, at, t = trace.space, trace.states[-1], trace.capture_time
+    if exact:
+        return Fraction(params.gamma)**t * turn_payoff(space, params, at, player, exact=True)
+    return float(discounted_payoff(space, params, player, at, t))
 
 
 def payoffs_of(params: GameParams, trace: Trace, exact: bool = False) -> tuple:

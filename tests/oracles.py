@@ -1,4 +1,4 @@
-"""Float oracles shared by the tests; nothing in the package calls them.
+"""Oracles shared by the tests; nothing in the package calls them.
 
 `cr.minimax_capture_times` is the integer oracle of the capture table, kept in
 the package because the benchmark's checks read it too.
@@ -18,3 +18,16 @@ def discounted_cr_value(space, gamma):
     """
     fixed = np.where(space.is_capture, 1.0, 0.0)
     return bellman.solve_zero_sum(space, fixed, gamma, range(1, space.n_players))[0]
+
+
+def evader_rows_evasion(space, table1):
+    """The evader's non-capture rows of `space`, and per pursuer d the
+    one-pursuer optimal evasion from d on each: the move of `table1` at
+    (x_d, y, 2), scanned pair by pair."""
+    space1 = table1.space
+    n = space.n_players
+    rows = np.flatnonzero(space.is_noncapture & (space.mover == n))
+    evade = {(c, r): int(table1.cr_optimal_moves[space1.index_of((c, r, 2))])
+             for c in range(1, space.n_vertices + 1) for r in range(1, space.n_vertices + 1) if c != r}
+    positions = space.positions[rows].tolist()
+    return rows, {d: np.array([evade[p[d - 1], p[-1]] for p in positions]) for d in range(1, n)}

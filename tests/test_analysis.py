@@ -189,9 +189,9 @@ def test_theorem_suite_searches_noncapturing_start_once_per_player(monkeypatch):
     calls = []
     search = equilibria._start_local_search
 
-    def counting(prof, player):
+    def counting(prof, s0_index, player):
         calls.append(player)
-        return search(prof, player)
+        return search(prof, s0_index, player)
 
     monkeypatch.setattr(equilibria, "_start_local_search", counting)
     g = cycle_graph(8)
@@ -337,13 +337,11 @@ def test_failing_report_replays_to_same_verdict(monkeypatch):
 
     from scar import equilibria
     from scar.graph import delayed_capture_graph
-    from scar.profiles import PositionalProfile
 
     build = equilibria.build_threat_profile
 
     def idle_threat(game):
-        stay = PositionalProfile(game.space, game.space.stay)
-        return dataclasses.replace(build(game), cooperative=stay)
+        return dataclasses.replace(build(game), cooperative=game.space.stay)
 
     monkeypatch.setattr(equilibria, "build_threat_profile", idle_threat)
     grid = make_grid(3, gammas=[0.5], epsilons=[0.25])

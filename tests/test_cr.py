@@ -29,7 +29,7 @@ from scar.profiles import PositionalProfile, validate_moves
 from scar.simulate import run
 from scar.states import build_state_space
 
-from oracles import discounted_cr_value
+from oracles import discounted_cr_value, evader_rows_evasion
 
 
 def test_p3_hand_derived_capture_time():
@@ -175,7 +175,10 @@ def test_times_readers_agree_on_an_int32_copy(g, n):
         big = build_state_space(g, 3)
         a, b = build_noncapturing_ne(big, narrow), build_noncapturing_ne(big, wide)
         assert a.s0 == b.s0
-        assert np.array_equal(a.profile.evade_move, b.profile.evade_move)
+        rows, evasion = evader_rows_evasion(big, wide)
+        for d, moves in evasion.items():
+            assert np.array_equal(a.profile.punishments[d][rows], moves)
+            assert np.array_equal(b.profile.punishments[d][rows], moves)
 
 
 def test_cop_number_capacity():

@@ -35,6 +35,8 @@ from scar.profiles import (
 from scar.simulate import exact_profile_values, profile_outcomes, run, run_with_forced_deviation
 from scar.states import build_state_space
 
+from oracles import evader_rows_evasion
+
 
 @pytest.fixture(scope="module")
 def tree9_space():
@@ -78,10 +80,10 @@ def test_evader_side_is_the_capture_table_where_gamma_t_underflows():
         for rep, captures in ((threat, False), (capturing, True)):
             assert rep.is_ne and rep.summary()["max_gain"] == 0.0
             assert rep.captures_everywhere == captures
-        turns = profile_outcomes(space, threat_profile.cooperative.move)[0]
+        turns = profile_outcomes(space, threat_profile.cooperative)[0]
         assert (turns >= 0).sum() == 191001 and turns.sum() == threat_turns
         assert threat.latest_capture == turns[nc].max()
-        capturing_turns = profile_outcomes(space, capturing_profile.cooperative.move)[0]
+        capturing_turns = profile_outcomes(space, capturing_profile.cooperative)[0]
         assert np.array_equal(capturing_turns, table.outcomes[0])
         assert np.array_equal(capturing_turns, table.times)
         assert capturing.latest_capture == 116
@@ -211,7 +213,7 @@ def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
     params = GameParams(n, 0.9, 0.25)
     threat = build_threat_profile(Game(space, params))
     frozen = [extract_cr_optimal_moves(exact_capture_times(space))]
-    frozen += [threat.punishments[d].move for d in range(1, n + 1)]
+    frozen += [threat.punishments[d] for d in range(1, n + 1)]
     for moves in frozen:
         frozen_succ = space.succ_of_moves(moves)
         for player in range(1, n + 1):
@@ -381,7 +383,7 @@ def test_threat_equilibrium_path_is_cooperative(tree9_space):
     params = GameParams(3, 0.9, 0.25)
     threat = build_threat_profile(Game(tree9_space, params))
     a = run(tree9_space, threat, (6, 1, 4, 1))
-    b = run(tree9_space, threat.cooperative, (6, 1, 4, 1))
+    b = run(tree9_space, PositionalProfile(tree9_space, threat.cooperative), (6, 1, 4, 1))
     assert a.states == b.states
 
 
@@ -436,7 +438,7 @@ def test_robber_deviation_meets_full_pursuit():
     params = GameParams(3, 0.7, 0.3)
     threat = build_capturing_threat_ne(Game(space, params))
     s0 = (1, 2, 3, 3)  # robber moves first
-    prescribed = threat.cooperative.prescribed(space.index_of(s0))
+    prescribed = threat.prescribed(space.index_of(s0), "coop")
     other = [a for a in space.actions(s0, 3) if a != prescribed][0]
     trace = run_with_forced_deviation(space, threat, 3, {1: other}, s0)
     assert trace.steps[0].mode == ("punish", 3)
@@ -469,10 +471,10 @@ def test_corrupted_punishment_is_detected(tree9_space, monkeypatch):
     for gamma, eps in ((0.9, 0.25), (0.95, 0.1), (0.8, 0.25)):
         game = Game(space, GameParams(3, gamma, eps))
         corrupted = build_capturing_threat_ne(game)
-        moves = corrupted.punishments[1].move.copy()
+        moves = corrupted.punishments[1].copy()
         rows = np.flatnonzero(space.is_noncapture & (space.mover == 2))
         moves[rows] = space.positions[rows, 1]
-        corrupted.punishments[1] = PositionalProfile(space, moves)
+        corrupted.punishments[1] = moves
         profiles = [build_threat_profile(game), build_capturing_threat_ne(game), corrupted]
         solved_for.clear()
         reports = [verify_threat_ne(game, p) for p in profiles]
@@ -531,8 +533,8 @@ def test_threat_punishments_are_the_read_only_aux_moves(tree9_space):
     assert np.shares_memory(game.aux[-1].move, tree9_space.capture_table.cr_optimal_moves)
     for threat in _threat_pair(game):
         for d, sol in enumerate(game.aux, start=1):
-            move = threat.punishments[d].move
-            assert np.shares_memory(move, sol.move) and not move.flags.writeable
+            move = threat.punishments[d]
+            assert move is sol.move and not move.flags.writeable
 
 
 def _connected_atlas(networkx, max_vertices):
@@ -602,8 +604,8 @@ def test_copied_punishments_match_the_builders_without_aux_games(tree9_space, mo
         built = _threat_pair(game)
         reports = [verify_threat_ne(game, t) for t in built]
         copies = [dataclasses.replace(
-            t, cooperative=PositionalProfile(space, t.cooperative.move.copy()),
-            punishments={d: PositionalProfile(space, p.move.copy()) for d, p in t.punishments.items()})
+            t, cooperative=t.cooperative.copy(),
+            punishments={d: p.copy() for d, p in t.punishments.items()})
             for t in built]
         fresh = Game(space, params)
         solved.clear()
@@ -621,7 +623,7 @@ def test_punish_mode_keeps_the_deviators_rows_cooperative(tree9_space):
     for threat in _threat_pair(game):
         for d, sol in enumerate(game.aux, start=1):
             own = space.mover[nc] == d
-            expected = np.where(own, threat.cooperative.move[nc], sol.move[nc])
+            expected = np.where(own, threat.cooperative[nc], sol.move[nc])
             played = [threat.prescribed(int(idx), ("punish", d)) for idx in nc]
             assert played == expected.tolist()
 
@@ -725,8 +727,8 @@ def test_noncapturing_rejects_bad_starts(c4_space):
                                    build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)])])
 def test_noncapturing_start_and_evasion_match_per_pair_scan(graph):
     """Default start: the first (x, y) in x-major order whose one-pursuer game,
-    pursuer to move, is an evader win; evasion: the one-pursuer optimal move
-    at (c, r, 2) for every c != r, and 0 on the diagonal."""
+    pursuer to move, is an evader win; punishment of pursuer d: on the
+    evader's rows, the one-pursuer optimal move at (x_d, y, 2)."""
     space = build_state_space(graph, 3)
     table1 = _table1(space)
     constr = build_noncapturing_ne(space, table1)
@@ -735,12 +737,9 @@ def test_noncapturing_start_and_evasion_match_per_pair_scan(graph):
              if x != y and table1.time_of((x, y, 1)) == math.inf]
     x, y = pairs[0]
     assert constr.s0 == (x, x, y, 1)
-    evade = np.zeros((v + 1, v + 1), dtype=np.int64)
-    for c in range(1, v + 1):
-        for r in range(1, v + 1):
-            if c != r:
-                evade[c, r] = table1.cr_optimal_moves[table1.space.index_of((c, r, 2))]
-    assert np.array_equal(constr.profile.evade_move, evade)
+    rows, evasion = evader_rows_evasion(space, table1)
+    for d, moves in evasion.items():
+        assert np.array_equal(constr.profile.punishments[d][rows], moves)
 
 
 def test_noncapturing_not_applicable_on_pursuer_win():
@@ -761,7 +760,7 @@ def test_noncapturing_on_petersen():
 
 def test_noncapturing_verifier_stays_local_at_benchmark_scale():
     """Petersen with N=4 has 40,001 states and 160,004 (state, mode) pairs; each
-    best response only needs the few hundred reachable from (s0, ALL_STAY)."""
+    best response only needs the few hundred reachable from s0 in cooperative mode."""
     space = build_state_space(petersen_graph(), 4)
     constr = build_noncapturing_ne(space, _table1(space))
     for gamma, eps in make_grid(4).points():
@@ -770,6 +769,28 @@ def test_noncapturing_verifier_stays_local_at_benchmark_scale():
         assert report.per_player_gain == [0.0] * 4
         assert max(report.explored) < 1000
     assert space._succ is None  # the search steps each move; no dense successor table
+
+
+def test_noncapturing_construction_holds_vertex_dtype_moves():
+    """Petersen with N=4 (40,001 states), the space's turn blocks built first:
+    the construction holds at most 5 bytes a state, its cooperative moves and
+    one punishment per pursuer in the vertex dtype (4.4 measured); int64
+    pursuer moves alone would take 8."""
+    space = build_state_space(petersen_graph(), 4)
+    table1 = _table1(space)
+    for player in range(1, 5):
+        space.turn_block(player)
+    tracemalloc.start()
+    try:
+        constr = build_noncapturing_ne(space, table1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    prof = constr.profile
+    assert prof.punishments[4] is prof.cooperative  # an evader's deviation changes nothing
+    for moves in [prof.cooperative, *prof.punishments.values()]:
+        assert moves.dtype == space.stay.dtype
+    assert held <= 5 * space.n_states
 
 
 def _loop_merge_cop_moves(space):
@@ -812,11 +833,11 @@ def test_greedy_cop_moves_match_per_row_reference(g, n):
         assert np.array_equal(greedy_cop_moves(space, cop), expected)
 
 
-def _python_deviation_value(space, params, prof, player, tol=1e-13):
+def _python_deviation_value(space, params, prof, s0_index, player, tol=1e-13):
     """Best value of `player` (a pursuer or the evader) from (s0, initial mode)
     against the profile's own prescribed/observe automaton, by Gauss-Seidel
     sweeps over what is reachable."""
-    start = (prof.s0_index, prof.initial_mode())
+    start = (s0_index, prof.initial_mode())
     succ = {}
     todo = [start]
     while todo:
@@ -843,40 +864,53 @@ def _python_deviation_value(space, params, prof, player, tol=1e-13):
     return value[start]
 
 
+def _sabotaged(space, prof, evader, moves):
+    """`prof` with `moves` on the evader's rows (if `evader`, else on the
+    pursuers'), in its cooperative array and every punishment array alike."""
+    rows = space.is_noncapture & ((space.mover == space.n_players) == evader)
+
+    def patch(arr):
+        return np.where(rows, moves, arr).astype(arr.dtype)
+
+    return dataclasses.replace(prof, cooperative=patch(prof.cooperative),
+                               punishments={d: patch(p) for d, p in prof.punishments.items()})
+
+
 def _still_evader(space, prof):
-    v = space.graph.vertex_count
-    return dataclasses.replace(prof, evade_move=np.tile(np.arange(v + 1), (v + 1, 1)))
+    return _sabotaged(space, prof, True, space.stay)
 
 
 def _greedy_pursuers(space, prof):
     moves = sum(greedy_cop_moves(space, cop) for cop in range(1, space.n_players))
-    return dataclasses.replace(prof, merge_moves=moves)
+    return _sabotaged(space, prof, False, moves)
 
 
 @pytest.mark.parametrize("sabotage", [_still_evader, _greedy_pursuers])
 @pytest.mark.parametrize("graph, n", [(cycle_graph(4), 3), (cycle_graph(5), 4)])
 def test_pursuer_deviation_gains_match_python_value_iteration(graph, n, sabotage):
     """Sabotaged constructions: an evader who never dodges can be walked onto;
-    pursuers who chase instead of stacking switch the evader to the wrong mode."""
+    pursuers who chase instead of stacking run down an evader who stands still
+    until someone breaks from the chase."""
     space = build_state_space(graph, n)
     params = GameParams(n, 0.9, 0.25)
     constr = build_noncapturing_ne(space, _table1(space))
     constr.profile = sabotage(space, constr.profile)
     report = verify_noncapturing_ne(Game(space, params), constr)
-    expected = [_python_deviation_value(space, params, constr.profile, p) for p in range(1, n)]
+    expected = [_python_deviation_value(space, params, constr.profile, constr.s0_index, p)
+                for p in range(1, n)]
     assert min(expected) > 0.1
     assert report.per_player_gain[:-1] == pytest.approx(expected, rel=0, abs=1e-9)
     assert not report.is_ne
 
 
 def _cr_optimal_pursuers(space, prof):
-    return dataclasses.replace(prof, merge_moves=extract_cr_optimal_moves(exact_capture_times(space)))
+    return _sabotaged(space, prof, False, extract_cr_optimal_moves(exact_capture_times(space)))
 
 
 def _random_pursuers(space, prof):
     # seed 111 on cycle:5 N=4: the evader's longest delay (19 turns) exceeds
     # the shortest depth of every capture he can reach (at most 15)
-    return dataclasses.replace(prof, merge_moves=random_profile(space, np.random.default_rng(111)).move)
+    return _sabotaged(space, prof, False, random_profile(space, np.random.default_rng(111)).move)
 
 
 @pytest.mark.parametrize("graph, n, sabotage", [(cycle_graph(4), 3, _cr_optimal_pursuers),
@@ -890,6 +924,6 @@ def test_evader_deviation_gain_matches_python_value_iteration(graph, n, sabotage
     constr = build_noncapturing_ne(space, _table1(space))
     constr.profile = sabotage(space, constr.profile)
     report = verify_noncapturing_ne(Game(space, params), constr)
-    expected = _python_deviation_value(space, params, constr.profile, n)
+    expected = _python_deviation_value(space, params, constr.profile, constr.s0_index, n)
     assert expected < 0
     assert report.per_player_gain[-1] == pytest.approx(expected, rel=0, abs=1e-9)

@@ -30,7 +30,10 @@ cycle with period 3), and `verify` of the positional-equilibrium sweeps.
 Two more were written before the verdicts dropped their per-state arrays:
 `verify` of optimal pursuit from one start, whose `is_ne_at_s0` reads the
 per-state gap, and of the capturing threat, whose `captures_everywhere` is
-read off cooperative play.
+read off cooperative play. The last two, `verify` of the non-capturing
+construction on Petersen with N=4 and on cycle:4 from an explicit start, were
+written before that construction became a threat profile; they pin its
+start, gains and cooperative termination.
 """
 
 import json
@@ -58,6 +61,11 @@ REPORT_CASES = {
                                      "--s0", "1,1,1,5,1"],
     "verify_cycle_5_capturing_threat": ["verify", "--builtin", "cycle:5", "--n", "4", "--profile",
                                         "capturing-threat", "--gamma", "0.95", "--epsilon", "0.25"],
+    "verify_petersen_4_noncapturing": ["verify", "--builtin", "petersen", "--n", "4", "--profile",
+                                       "noncapturing", "--gamma", "0.5", "--epsilon", "0.25"],
+    "verify_cycle_4_noncapturing_s0": ["verify", "--builtin", "cycle:4", "--n", "3", "--profile",
+                                       "noncapturing", "--gamma", "0.5", "--epsilon", "0.5",
+                                       "--s0", "2,2,4,1"],
 }
 
 

@@ -146,7 +146,7 @@ def test_threat_mode_switch_timing():
     params = GameParams(3, 0.9, 0.25)
     threat = build_threat_profile(Game(space, params))
     # no deviation: identical to the cooperative parts, mode never leaves coop
-    plain = run(space, threat.cooperative, (6, 1, 4, 1))
+    plain = run(space, PositionalProfile(space, threat.cooperative), (6, 1, 4, 1))
     full = run(space, threat, (6, 1, 4, 1))
     assert plain.states == full.states
     assert all(s.mode == "coop" for s in full.steps)
@@ -165,7 +165,7 @@ def test_deviation_to_prescribed_move_is_no_deviation():
     params = GameParams(3, 0.9, 0.25)
     threat = build_threat_profile(Game(space, params))
     s0 = (6, 1, 4, 1)
-    prescribed = threat.cooperative.prescribed(space.index_of(s0))
+    prescribed = threat.prescribed(space.index_of(s0), "coop")
     trace = run_with_forced_deviation(space, threat, 1, {1: prescribed}, s0)
     assert all(s.mode == "coop" for s in trace.steps)
 
