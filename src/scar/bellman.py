@@ -93,7 +93,7 @@ def solve_zero_sum(space, fixed, gamma, maximizers):
     rules = [np.maximum.reduce if p in maximizers else np.minimum.reduce for p in order]
     values, iterations, residual, gathered = _fixpoint(
         space, fixed, gamma, [(b.rows, b.succ, rule) for b, rule in zip(blocks, rules)])
-    moves = np.zeros(space.n_states, dtype=np.int64)
+    moves = np.zeros_like(space.stay)
     for block, rule, last in zip(blocks, rules, gathered):
         moves[block.rows] = first_act(block.act, last, rule(last, axis=0), np.equal)
     return values, iterations, residual, moves
@@ -113,28 +113,29 @@ def solve_mdp(space, fixed, gamma, player, frozen_succ):
 
 def first_act(act, gathered, target, hit):
     """Per column i of the (K, m) blocks, act[j, i] at the first slot j where
-    hit(gathered[j, i], target[i]), which some slot must satisfy. One pass per
-    slot row, last to first: faster than a first-true `argmax` down the slots."""
+    hit(gathered[j, i], target[i]), or act[-1, i] where no slot does. One pass
+    per slot row, last to first: faster than a first-true `argmax` down the slots."""
     pick = act[-1].copy()
     for j in range(act.shape[0] - 2, -1, -1):
         np.copyto(pick, act[j], where=hit(gathered[j], target))
     return pick
 
 
-def greedy_moves(space, values, movers, maximize=True):
-    """First optimal action (ascending vertex order) per non-capture state of
-    the `movers` (players): the first slot whose successor value equals the
-    block's max (or min) exactly (`first_act`), on float values or on
-    integer keys.
+def greedy_moves(space, keys, maximizers=()):
+    """First optimal action (ascending vertex order) at every non-capture
+    state: the first slot whose successor key equals the block's max exactly
+    (`first_act`) where a player in `maximizers` moves, its min elsewhere.
+    `keys` holds float values or integer keys, one (n_states,) array for every
+    mover or an (N, n_states) table whose row p - 1 is mover p's.
 
-    Returns a full-length move array, NULL (0) outside the requested rows.
-    Padded action slots replicate slot 0, so a first-occurrence scan can never
-    pick a padded slot before the identical real one.
+    Returns a full-length move array in the dtype of `space.stay`, NULL (0)
+    off the non-capture rows. Padded action slots replicate slot 0, so a
+    first-occurrence scan can never pick a padded slot before the identical real one.
     """
-    moves = np.zeros(space.n_states, dtype=np.int64)
-    for p in movers:
+    moves = np.zeros_like(space.stay)
+    for p in range(1, space.n_players + 1):
         block = space.turn_block(p)
-        gathered = values[block.succ]
-        best = gathered.max(axis=0) if maximize else gathered.min(axis=0)
+        gathered = (keys[p - 1] if keys.ndim == 2 else keys)[block.succ]
+        best = gathered.max(axis=0) if p in maximizers else gathered.min(axis=0)
         moves[block.rows] = first_act(block.act, gathered, best, np.equal)
     return moves

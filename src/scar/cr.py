@@ -171,7 +171,4 @@ def extract_cr_optimal_moves(table: CaptureTimeTable) -> np.ndarray:
     """
     space = table.space
     keyed = np.where(table.times >= 0, table.times, _NEVER)
-    evader = space.n_players
-    # the movers partition the rows, so plain addition merges
-    return (bellman.greedy_moves(space, keyed, range(1, evader), maximize=False)
-            + bellman.greedy_moves(space, keyed, (evader,), maximize=True))
+    return bellman.greedy_moves(space, keyed, maximizers=(space.n_players,))

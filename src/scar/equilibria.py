@@ -264,9 +264,7 @@ def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> Positiona
     cap = space.n_states + 1 + math.ceil(1075 / math.log2(1.0 / gamma))
     saved, power, period = u, 1, 0
     for sweeps in range(1, cap + 1):
-        parts = [bellman.greedy_moves(space, u[p - 1], (p,), maximize=True)
-                 for p in range(1, n + 1)]
-        moves = sum(parts)  # movers partition the rows, so plain addition merges
+        moves = bellman.greedy_moves(space, u, maximizers=range(1, n + 1))
         new_u = u.copy()
         new_u[:, nc] = gamma * u[:, space.succ_of_moves(moves)[nc]]
         if np.array_equal(new_u, u):

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import bellman
 from .errors import IllegalMoveError
-from .graph import Graph
 from .states import NULL_MOVE, StateSpace
 
 
@@ -34,7 +33,8 @@ def validate_moves(space: StateSpace, moves: np.ndarray) -> None:
 
 
 class PositionalProfile:
-    """One action per non-capture state for whoever moves there.
+    """One action per non-capture state for whoever moves there, held as
+    given (no cast or copy).
 
     Moves are not checked here: `validate_moves` checks a whole array, and
     `simulate.run` rejects any illegal move that is played.
@@ -42,7 +42,7 @@ class PositionalProfile:
 
     def __init__(self, space: StateSpace, moves: np.ndarray):
         self.space = space
-        self.move = np.asarray(moves, dtype=np.int64)
+        self.move = np.asarray(moves)
 
     def initial_mode(self):
         return None
@@ -58,7 +58,7 @@ class PositionalProfile:
 
 def combine_player_moves(space: StateSpace, per_player: list) -> np.ndarray:
     """Merge per-player move arrays into one dense array keyed by the mover."""
-    moves = np.zeros(space.n_states, dtype=np.int64)
+    moves = np.zeros_like(space.stay)
     for player, arr in enumerate(per_player, start=1):
         rows = space.turn_block(player).rows
         moves[rows] = arr[rows]
@@ -102,10 +102,11 @@ class ThreatProfile:
         return mode
 
 
-def _distance_table(g: Graph) -> np.ndarray:
-    """(V+1) x (V+1) shortest-path distances between 1-based vertex ids; row and
-    column 0 are unused."""
-    dist = np.zeros((g.vertex_count + 1, g.vertex_count + 1), dtype=np.int64)
+def _distance_table(space: StateSpace) -> np.ndarray:
+    """(V+1) x (V+1) shortest-path distances between 1-based vertex ids, in the
+    vertex dtype (distances are below V); row and column 0 are unused."""
+    g = space.graph
+    dist = np.zeros((g.vertex_count + 1, g.vertex_count + 1), dtype=space.stay.dtype)
     for v in range(1, g.vertex_count + 1):
         dist[v] = g.distances_from(v)
     return dist
@@ -114,13 +115,15 @@ def _distance_table(g: Graph) -> np.ndarray:
 def greedy_cop_moves(space: StateSpace, cop: int) -> np.ndarray:
     """Single-minded pursuit for one pursuer: step to the neighbor (or stay)
     closest to the evader's current vertex, lowest vertex id on ties."""
-    key = _distance_table(space.graph)[space.positions[:, cop - 1], space.positions[:, -1]]
-    return bellman.greedy_moves(space, key, (cop,), maximize=False)
+    key = _distance_table(space)[space.positions[:, cop - 1], space.positions[:, -1]]
+    moves = bellman.greedy_moves(space, key)
+    moves[space.mover != cop] = NULL_MOVE
+    return moves
 
 
 def random_profile(space: StateSpace, rng: np.random.Generator) -> PositionalProfile:
     """Uniformly random legal move at every non-capture state."""
-    moves = np.zeros(space.n_states, dtype=np.int64)
+    moves = np.zeros_like(space.stay)
     nc = np.flatnonzero(space.is_noncapture)
     slot = rng.integers(0, space.acount[nc])
     moves[nc] = space.nbr[space.stay[nc], slot]
@@ -133,16 +136,18 @@ def merge_cop_moves(space: StateSpace) -> np.ndarray:
 
     A pursuer stays while every pursuer shares his vertex; otherwise he steps
     to the lowest vertex one closer to the lowest-indexed pursuer elsewhere.
+    Both picks are first hits of `bellman.first_act` down each pursuer's turn
+    block, which holds his closed neighbourhood in ascending order.
     """
-    dist = _distance_table(space.graph)
-    rows = np.flatnonzero(space.is_noncapture & (space.mover < space.n_players))
-    here = space.stay[rows]
-    cops = space.positions[rows, :space.n_players - 1]
-    apart = cops != here[:, None]  # never true in the mover's own column
-    target = cops[np.arange(rows.size), apart.argmax(axis=1)]
-    options = space.nbr[here]
-    # padded slots repeat slot 0, so the first closer slot is the lowest closer vertex
-    closer = dist[target[:, None], options] == dist[target, here][:, None] - 1
+    dist = _distance_table(space)
     moves = np.zeros_like(space.stay)
-    moves[rows] = np.where(apart.any(axis=1), options[np.arange(rows.size), closer.argmax(axis=1)], here)
+    for cop in range(1, space.n_players):
+        block = space.turn_block(cop)
+        here = space.stay[block.rows]
+        cops = space.positions[block.rows, :space.n_players - 1].T
+        # the first pursuer elsewhere, else the last pursuer, who stands on `here` too
+        target = bellman.first_act(cops, cops, here, np.not_equal)
+        # one step closer; a stacked pursuer's target is `here`, 0 steps away
+        goal = np.maximum(dist[target, here] - 1, 0)
+        moves[block.rows] = bellman.first_act(block.act, dist[target, block.act], goal, np.equal)
     return moves

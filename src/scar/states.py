@@ -18,8 +18,8 @@ through a (V**N, N) view, where captors are counted once per tuple and
 broadcast over its N movers. Each per-state table takes the smallest signed
 integer dtype that holds its range, about 9 bytes a state in all at N=4:
 
-  * `positions` (N columns) and `stay` (vertex ids, 0 for the null move):
-    int8 up to 127 vertices, int16 up to 32767, int32 beyond;
+  * `positions` (N columns), `stay` and every move array (vertex ids, 0 for
+    the null move): int8 up to 127 vertices, int16 up to 32767, int32 beyond;
   * `mover` and `capture_count`: int8 (int16 past 127 players);
   * `is_capture` and `is_noncapture`: bool;
   * the neighbourhood sizes behind `acount` (and the retrograde countdown):
@@ -300,11 +300,6 @@ class StateSpace:
                 a.flags.writeable = False
             block = self._blocks[player] = TurnBlock(rows, succ, act)
         return block
-
-    @property
-    def act(self) -> np.ndarray:
-        """(n_states, K) action vertices aligned with `succ`; a fresh array per read."""
-        return self.nbr[self.stay]
 
     @property
     def acount(self) -> np.ndarray:

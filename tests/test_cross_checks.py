@@ -50,7 +50,7 @@ class _UnilateralDeviation:
 def _random_moves_for(space, player, rng):
     moves = np.zeros(space.n_states, dtype=np.int64)
     rows = np.flatnonzero(space.is_noncapture & (space.mover == player))
-    moves[rows] = space.act[rows, rng.integers(0, space.acount[rows])]
+    moves[rows] = space.nbr[space.stay[rows], rng.integers(0, space.acount[rows])]
     return moves
 
 

@@ -23,10 +23,19 @@ from scar.equilibria import (
     verify_threat_ne,
 )
 from scar.errors import NonConvergenceError, NotApplicableError, ValidationError
-from scar.graph import build_graph, cycle_graph, delayed_capture_graph, path_graph, petersen_graph
+from scar.graph import (
+    build_graph,
+    builtin_graph,
+    cycle_graph,
+    delayed_capture_graph,
+    path_graph,
+    petersen_graph,
+)
 from scar.payoffs import GameParams, discounted, turn_payoff, turn_payoffs
 from scar.profiles import (
     PositionalProfile,
+    ThreatProfile,
+    combine_player_moves,
     greedy_cop_moves,
     merge_cop_moves,
     random_profile,
@@ -127,23 +136,21 @@ def test_tie_break_scale_invariance(c4_space):
     params = GameParams(3, 0.7, 0.4)
     sol = solve_aux_game(space, params, 2)
     for scale in (2.0, 0.5, 64.0):
-        own = bellman.greedy_moves(space, sol.values * scale, (2,), maximize=True)
-        coalition = bellman.greedy_moves(space, sol.values * scale, (1, 3), maximize=False)
-        assert np.array_equal(own + coalition, sol.move)
+        assert np.array_equal(bellman.greedy_moves(space, sol.values * scale, (2,)), sol.move)
 
 
-def _python_greedy_moves(space, values, movers, maximize):
-    """Per non-capture state of the movers, the first action in ascending
-    vertex order whose successor value equals the best exactly."""
-    values = values.tolist()
+def _python_greedy_moves(space, keys, maximizers):
+    """Per non-capture state, the first action in ascending vertex order whose
+    successor key (the mover's row of a 2-D `keys`) equals the best exactly:
+    the max where a player in `maximizers` moves, the min elsewhere."""
+    table = np.broadcast_to(keys, (space.n_players, space.n_states)).tolist()
     moves = [0] * space.n_states
     for s in np.flatnonzero(space.is_noncapture).tolist():
         mover = int(space.mover[s])
-        if mover not in movers:
-            continue
+        row = table[mover - 1]
         options = space.actions(s, mover)
-        vals = [values[space.transition_index(s, a)] for a in options]
-        moves[s] = options[vals.index(max(vals) if maximize else min(vals))]
+        vals = [row[space.transition_index(s, a)] for a in options]
+        moves[s] = options[vals.index(max(vals) if mover in maximizers else min(vals))]
     return moves
 
 
@@ -153,15 +160,20 @@ def test_greedy_moves_take_the_first_exact_optimum(g, maximize):
     """The block scan picks what a plain per-state scan picks: the first exact
     optimum. Values are a few integer levels plus offsets of +-1e-13, genuine
     gaps the size of gamma^13 at gamma 0.1, so most rows hold exact ties and
-    near-ties on both sides of the optimum, none of which may be taken for it."""
+    near-ties on both sides of the optimum, none of which may be taken for it.
+    The scan runs on one key array for every mover and on a per-mover table."""
     space = build_state_space(g, 3)
     rng = np.random.default_rng(23)
     offsets = np.array([0.0, 1e-13, -1e-13, 2e-13])
     for _ in range(5):
-        values = rng.integers(0, 3, size=space.n_states) + rng.choice(offsets, size=space.n_states)
+        shape = (3, space.n_states)
+        values = rng.integers(0, 3, size=shape) + rng.choice(offsets, size=shape)
         for movers in ((1, 2, 3), (1, 3), (2,)):
-            got = bellman.greedy_moves(space, values, movers, maximize=maximize)
-            assert got.tolist() == _python_greedy_moves(space, values, movers, maximize)
+            maximizers = movers if maximize else tuple(p for p in (1, 2, 3) if p not in movers)
+            for keys in (values[0], values):
+                got = bellman.greedy_moves(space, keys, maximizers)
+                assert got.dtype == space.stay.dtype
+                assert got.tolist() == _python_greedy_moves(space, keys, maximizers)
 
 
 def test_zero_sum_backup_is_contraction(c4_space):
@@ -250,10 +262,7 @@ def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
         values, iterations, residual, moves = bellman.solve_zero_sum(space, q, gamma, (player,))
         assert residual == 0.0 and iterations <= sweeps <= space.n_states + 1
         assert np.array_equal(values, sol.values) and np.array_equal(moves, sol.move)
-        others = [p for p in range(1, n + 1) if p != player]
-        own = bellman.greedy_moves(space, sol.values, (player,), maximize=True)
-        coalition = bellman.greedy_moves(space, sol.values, others, maximize=False)
-        assert np.array_equal(own + coalition, sol.move)
+        assert np.array_equal(bellman.greedy_moves(space, sol.values, (player,)), sol.move)
 
 
 def test_game_payoff_table_is_read_only(c4_space):
@@ -364,7 +373,7 @@ def test_verified_ne_sound_against_random_deviations(c4_space):
             moves = profile.move.copy()
             patch = rng.integers(0, space.acount[rows])
             moves[rows] = np.where(rng.random(rows.size) < 0.5,
-                                   space.act[rows, patch], moves[rows])
+                                   space.nbr[space.stay[rows], patch], moves[rows])
             dev = exact_profile_values(Game(space, params), profile_outcomes(space, moves))
             assert (dev[player - 1] <= base[player - 1] + 1e-8).all()
 
@@ -493,9 +502,10 @@ def _threat_pair(game):
 
 def test_game_holds_no_per_state_payoff_table():
     """Petersen with N=4 (40,001 states), the space's own tables built by an
-    earlier point: one more point's `Game`, aux games solved, holds at most 64
-    bytes a state, the N aux values and the pursuers' moves (56). A dense
-    (N, n_states) float payoff table would add 32."""
+    earlier point: one more point's `Game`, aux games solved, holds at most 40
+    bytes a state, the N aux values and the pursuers' moves in the vertex
+    dtype (35). int64 moves would add 21, a dense (N, n_states) float payoff
+    table 32."""
     space = build_state_space(petersen_graph(), 4)
     params = GameParams(4, 0.5, 0.25)
     assert len(Game(space, params).aux) == 4
@@ -506,14 +516,15 @@ def test_game_holds_no_per_state_payoff_table():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held <= 64 * space.n_states
+    assert held <= 40 * space.n_states
 
 
 def test_threat_profiles_hold_no_per_deviator_copies():
     """Petersen with N=4 (40,001 states), aux games and capture table solved
-    first: both threat profiles of the point hold at most 16 bytes a state,
-    the threat kind's merged cooperative moves; a copied punishment per
-    deviator would take 72."""
+    first: both threat profiles of the point hold at most 2 bytes a state,
+    the threat kind's merged cooperative moves in the vertex dtype (1.0);
+    int64 moves would take 8, and a copied punishment per deviator 9 even in
+    the vertex dtype."""
     game = Game(build_state_space(petersen_graph(), 4), GameParams(4, 0.5, 0.25))
     assert game.space.capture_table.cr_optimal_moves.size == game.space.n_states
     assert len(game.aux) == 4
@@ -524,7 +535,7 @@ def test_threat_profiles_hold_no_per_deviator_copies():
     finally:
         tracemalloc.stop()
     assert len(threats) == 2
-    assert held <= 16 * game.space.n_states
+    assert held <= 2 * game.space.n_states
 
 
 def test_threat_punishments_are_the_read_only_aux_moves(tree9_space):
@@ -535,6 +546,34 @@ def test_threat_punishments_are_the_read_only_aux_moves(tree9_space):
         for d, sol in enumerate(game.aux, start=1):
             move = threat.punishments[d]
             assert move is sol.move and not move.flags.writeable
+
+
+@pytest.mark.parametrize("name, n, gamma, eps", [("petersen", 4, 0.95, 0.1),
+                                                 ("star:150", 2, 0.5, 0.25),
+                                                 ("path:130", 2, 0.5, 0.25)])
+def test_move_arrays_hold_the_vertex_dtype(name, n, gamma, eps):
+    """Every move array the package builds has the dtype of `space.stay`
+    (int8 on Petersen, int16 past 127 vertices), and its readers give the
+    same result on an int64 copy: the offsets `moves - stay` fit that dtype."""
+    space = build_state_space(builtin_graph(name), n)
+    game = Game(space, GameParams(n, gamma, eps))
+    threats = _threat_pair(game)
+    table = space.capture_table
+    arrays = [table.cr_optimal_moves, *(sol.move for sol in game.aux),
+              bellman.greedy_moves(space, table.times, (n,)),
+              combine_player_moves(space, [sol.move for sol in game.aux]),
+              random_profile(space, np.random.default_rng(5)).move, merge_cop_moves(space),
+              threats[0].cooperative, solve_positional_ne(game).profile.move]
+    for moves in arrays:
+        assert moves.dtype == space.stay.dtype
+        wide = moves.astype(np.int64)
+        assert np.array_equal(space.succ_of_moves(wide), space.succ_of_moves(moves))
+        for a, b in zip(profile_outcomes(space, wide), profile_outcomes(space, moves)):
+            assert np.array_equal(a, b)
+    for threat in threats:
+        wide = ThreatProfile(space, threat.cooperative.astype(np.int64),
+                             {d: p.astype(np.int64) for d, p in threat.punishments.items()})
+        assert verify_threat_ne(game, wide) == verify_threat_ne(game, threat)
 
 
 def _connected_atlas(networkx, max_vertices):
@@ -791,6 +830,23 @@ def test_noncapturing_construction_holds_vertex_dtype_moves():
     for moves in [prof.cooperative, *prof.punishments.values()]:
         assert moves.dtype == space.stay.dtype
     assert held <= 5 * space.n_states
+
+
+def test_merge_cop_moves_scan_the_turn_blocks_in_the_vertex_dtype():
+    """Petersen with N=4 (40,001 states), the space's turn blocks built first:
+    `merge_cop_moves` peaks at 10 bytes a state or less (5.9 measured) to
+    build its 1-byte result; int64 row indices and (rows, K) gathers took 53."""
+    space = build_state_space(petersen_graph(), 4)
+    for player in range(1, 5):
+        space.turn_block(player)
+    tracemalloc.start()
+    try:
+        moves = merge_cop_moves(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert moves.dtype == space.stay.dtype
+    assert peak <= 10 * space.n_states
 
 
 def _loop_merge_cop_moves(space):

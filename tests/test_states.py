@@ -118,7 +118,7 @@ def test_transition_preserves_non_mover_coordinates():
 @pytest.mark.parametrize("name", ["delayed-capture", "star:5"])
 def test_succ_table_matches_transition(name):
     space = build_state_space(builtin_graph(name), 3)
-    succ, act, acount = space.succ, space.act, space.acount
+    succ, act, acount = space.succ, space.nbr[space.stay], space.acount
     k = succ.shape[1]
     for idx in np.flatnonzero(space.is_noncapture):
         idx = int(idx)
@@ -162,7 +162,7 @@ def test_turn_blocks_partition_the_successor_table(name, n):
         assert np.array_equal(block.rows,
                               np.flatnonzero(space.is_noncapture & (space.mover == player)))
         assert np.array_equal(block.succ, space.succ[block.rows].T)
-        assert np.array_equal(block.act, space.act[block.rows].T)
+        assert np.array_equal(block.act, space.nbr[space.stay[block.rows]].T)
         assert block.succ.flags.c_contiguous and block.act.flags.c_contiguous
         for a in (block.rows, block.succ, block.act):
             with pytest.raises(ValueError):
@@ -274,7 +274,7 @@ def test_tables_match_the_packing_formula(name, n):
     rng = np.random.default_rng(11)
     nc = np.flatnonzero(space.is_noncapture)
     moves = rng.integers(1, v + 1, size=space.n_states)  # capture rows' moves are ignored
-    moves[nc] = space.act[nc, rng.integers(0, space.acount[nc])]
+    moves[nc] = space.nbr[space.stay[nc], rng.integers(0, space.acount[nc])]
     jump = space.succ_of_moves(moves)
     assert np.array_equal(jump[nc], space._step(nc, moves[nc]))
     assert (jump[~space.is_noncapture] == end).all()
