@@ -25,7 +25,7 @@ from .equilibria import DEFAULT_NE_TOL
 from .errors import ValidationError
 from .graph import Graph, builtin_graph, parse_graph, serialize_graph
 from .payoffs import GameParams, discounted
-from .profiles import PositionalProfile, combine_player_moves, greedy_cop_moves, random_profile
+from .profiles import ThreatProfile, combine_player_moves, greedy_cop_moves, random_profile
 from .simulate import CYCLE, payoffs_of, profile_outcomes, run, run_with_forced_deviation
 from .states import DEFAULT_STATE_CAP, build_state_space
 
@@ -239,7 +239,7 @@ def build_profile(game: equilibria.Game, kind: str):
     """The named playable profile: canonical optimal pursuit or a threat profile."""
     _check_kind(kind, PLAYABLE_PROFILES, "play")
     if kind == "cr-optimal":
-        return PositionalProfile(game.space, game.space.capture_table.cr_optimal_moves)
+        return ThreatProfile(game.space, game.space.capture_table.cr_optimal_moves, {})
     if kind == "threat":
         return equilibria.build_threat_profile(game)
     return equilibria.build_capturing_threat_ne(game)
@@ -516,7 +516,7 @@ def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
         raise ValidationError("every state is a capture, so no non-capture start exists to draw")
     failures = []
     for trial in range(trials):
-        profile = random_profile(space, rng)
+        profile = ThreatProfile(space, random_profile(space, rng), {})
         s0 = int(nc_idx[rng.integers(0, nc_idx.size)])
         trace = run(space, profile, s0)
         pays = payoffs_of(params, trace, exact=True)
@@ -626,7 +626,7 @@ def delayed_capture_demo(gamma: float = 0.9, epsilon: float = 0.25) -> DelayedCa
         greedy_cop_moves(space, 2),
         space.capture_table.cr_optimal_moves,  # evader rows of the exact optimal evasion
     ])
-    profile = PositionalProfile(space, moves)
+    profile = ThreatProfile(space, moves, {})
     s0 = (6, 1, 4, 1)
     coop = run(space, profile, s0)
     dev = run_with_forced_deviation(space, profile, deviator=1, deviation_plan={1: 7}, s0=s0)

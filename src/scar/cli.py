@@ -21,6 +21,7 @@ from .analysis import DEFAULT_PROFILE, Scenario
 from .cr import cop_number
 from .errors import CapacityError, NonConvergenceError, NotAnEquilibriumError, ScarError, ValidationError
 from .graph import serialize_graph
+from .profiles import ThreatProfile
 from .states import DEFAULT_STATE_CAP
 
 SCHEMA_VERSION = 1
@@ -106,7 +107,7 @@ def cmd_solve(args):
     method = "positional-sweeps"
     try:
         res = equilibria.solve_positional_ne(game, ne_tol=scenario.ne_tol)
-        profile = res.profile
+        profile = ThreatProfile(space, res.moves, {})
         gaps = res.verification.summary()
         extra = {"sweeps": res.sweeps,
                  "attainment_residual": res.attainment_residual,

@@ -143,10 +143,9 @@ class CopNumberResult:
     table: CaptureTimeTable | None = field(compare=False, repr=False)  # the last k's, the deciding one
 
 
-def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
-               solver=None) -> CopNumberResult:
-    """Least k <= max_cops whose k-pursuer game (the space's `capture_table`,
-    or `solver(space)`) is capture-guaranteed everywhere."""
+def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP) -> CopNumberResult:
+    """Least k <= max_cops whose k-pursuer game (the space's `capture_table`)
+    is capture-guaranteed everywhere."""
     finite_by_cops = {}
     value = table = None
     for k in range(1, max_cops + 1):
@@ -154,7 +153,7 @@ def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP,
             space = build_state_space(g, k + 1, state_cap)
         except CapacityError as exc:
             raise CapacityError(f"cop-number search stopped at k={k}: {exc}") from exc
-        table = space.capture_table if solver is None else solver(space)
+        table = space.capture_table
         finite_by_cops[k] = table.finite_on_noncapture()
         if finite_by_cops[k]:
             value = k

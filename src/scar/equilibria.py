@@ -1,9 +1,10 @@
 """Equilibrium computation and verification.
 
 Verification is the backbone of this module: nothing is ever reported as an
-equilibrium unless an exact best-response computation says so. For positional
-profiles the opponents-frozen game is a single-player deterministic MDP per
-player, whose value iteration from zero reaches its exact fixpoint (residual 0)
+equilibrium unless an exact best-response computation says so. Positional play
+is a plain move array, taken and returned as one; against it the
+opponents-frozen game is a single-player deterministic MDP per player, whose
+value iteration from zero reaches its exact fixpoint (residual 0)
 within |S| + 1 sweeps, so no value tolerance enters the check; profile payoffs
 themselves are evaluated in closed form (deterministic positional play either
 captures within |S| turns or provably cycles). For threat profiles the punished
@@ -56,7 +57,7 @@ from . import bellman
 from .cr import CaptureTimeTable
 from .errors import NonConvergenceError, NotAnEquilibriumError, NotApplicableError, ValidationError
 from .payoffs import GameParams, discounted, discounted_payoff, turn_payoffs
-from .profiles import PositionalProfile, ThreatProfile, combine_player_moves, merge_cop_moves
+from .profiles import ThreatProfile, combine_player_moves, merge_cop_moves
 from .simulate import exact_profile_values, profile_outcomes
 from .states import StateSpace
 
@@ -154,7 +155,7 @@ def build_capturing_threat_ne(game: Game) -> ThreatProfile:
 
 
 # ---------------------------------------------------------------------------
-# Exact verification of positional profiles.
+# Exact verification of positional play.
 
 @dataclass
 class NEReport:
@@ -163,7 +164,6 @@ class NEReport:
     state_gap: np.ndarray  # (n_states,) largest best-response gain over players
     max_gap: float
     per_player_gap: list
-    witness: list  # per player, state index attaining his max gap
     profile_values: np.ndarray
 
     def is_ne_at(self, idx: int) -> bool:
@@ -178,38 +178,38 @@ class NEReport:
         }
 
 
-def verify_positional_ne(game: Game, profile: PositionalProfile,
+def verify_positional_ne(game: Game, moves: np.ndarray,
                          tol: float = DEFAULT_NE_TOL) -> NEReport:
-    """Best-response gap of every player from every state against the frozen rest.
+    """Best-response gap of every player from every state against the rest
+    frozen on the move array `moves`.
 
     Profile payoffs are exact closed forms, and each player's best response is
-    exact (`best_response`). The report keeps each player's largest gap and
-    where it sits, and per state the largest gap over players, folded in player
-    order; the profile is an equilibrium from a start iff that gap is at most
-    `tol`, and from every start iff every gap is.
+    exact (`best_response`). The report keeps each player's largest gap, and
+    per state the largest gap over players, folded in player order; the
+    profile is an equilibrium from a start iff that gap is at most `tol`, and
+    from every start iff every gap is.
     """
     space, n = game.space, game.params.n_players
-    u = exact_profile_values(game, _outcomes(space, profile.move))
-    state_gap, per_player, witness = None, [], []
+    u = exact_profile_values(game, _outcomes(space, moves))
+    state_gap, per_player = None, []
     for player in range(1, n + 1):
-        gap = best_response(game, player, profile.move) - u[player - 1]
+        gap = best_response(game, player, moves) - u[player - 1]
         gap[space.terminal_index] = 0.0
         per_player.append(float(gap.max()))
-        witness.append(int(gap.argmax()))
         state_gap = gap if state_gap is None else np.maximum(state_gap, gap, out=state_gap)
     max_gap = float(max(per_player))
-    return NEReport(max_gap <= tol, tol, state_gap, max_gap, per_player, witness, u)
+    return NEReport(max_gap <= tol, tol, state_gap, max_gap, per_player, u)
 
 
-def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarray) -> tuple:
-    """Residuals of the coupled equilibrium equations for (profile, values).
+def equation_residuals(game: Game, moves: np.ndarray, values: np.ndarray) -> tuple:
+    """Residuals of the coupled equilibrium equations for (moves, values).
 
     Returns (attainment, consistency): how far the mover's prescribed action is
     from attaining the argmax of his own continuation, and how far the value
     vector is from the one-step expansion under the profile, both sup-norm.
     """
     space, gamma = game.space, game.params.gamma
-    chosen = space.succ_of_moves(profile.move)
+    chosen = space.succ_of_moves(moves)
     attainment = 0.0
     consistency = 0.0
     nc = space.is_noncapture
@@ -235,7 +235,7 @@ def equation_residuals(game: Game, profile: PositionalProfile, values: np.ndarra
 
 @dataclass
 class PositionalNEResult:
-    profile: PositionalProfile
+    moves: np.ndarray
     sweeps: int
     attainment_residual: float
     consistency_residual: float
@@ -284,14 +284,13 @@ def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> Positiona
             f"no fixpoint or cycle after {cap} sweeps (residual {residual:.3e}); "
             "the threat-strategy construction is the sound fallback",
             {"sweeps": cap, "residual": residual, "cycle_period": None})
-    profile = PositionalProfile(space, moves)
-    verification = verify_positional_ne(game, profile, tol=ne_tol)
+    verification = verify_positional_ne(game, moves, tol=ne_tol)
     if not verification.is_ne:
         raise NotAnEquilibriumError(
             f"sweeps reached a fixpoint but a player can still improve by "
             f"{verification.max_gap:.3e}", verification)
-    attainment, consistency = equation_residuals(game, profile, verification.profile_values)
-    return PositionalNEResult(profile, sweeps, attainment, consistency, verification)
+    attainment, consistency = equation_residuals(game, moves, verification.profile_values)
+    return PositionalNEResult(moves, sweeps, attainment, consistency, verification)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,6 @@ class ThreatNEReport:
     is_ne: bool
     tol: float
     per_player_gain: list
-    witness: list
     captures_everywhere: bool  # cooperative play captures from every non-capture state
     latest_capture: int  # its latest capture turn from a non-capture state (0: none)
 
@@ -324,17 +322,16 @@ def verify_threat_ne(game: Game, threat: ThreatProfile,
     his best continuation is his exact `best_response` to them; before it, play
     is the cooperative path whose payoff-to-go is an exact closed form. Comparing
     the two at every state of the deviator covers every deviating strategy.
-    The verdict holds plain values: each player's largest gain and where it
-    sits, whether cooperative play captures from every start, and how late.
+    The verdict holds plain values: each player's largest gain, whether
+    cooperative play captures from every start, and how late.
     """
     space, params = game.space, game.params
     turns, capture_at = _outcomes(space, threat.cooperative)
-    gains, witness = [], []
+    gains = []
     for player in range(1, params.n_players + 1):
         block = space.turn_block(player)
         if block.rows.size == 0:
             gains.append(0.0)
-            witness.append(-1)
             continue
         u_coop = discounted_payoff(space, params, player, capture_at[block.rows], turns[block.rows])
         dev = params.gamma * best_response(game, player, threat.punishments[player])[block.succ]
@@ -343,9 +340,8 @@ def verify_threat_ne(game: Game, threat: ThreatProfile,
         gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop
         at = int(gain.argmax())
         gains.append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
-        witness.append(int(block.rows[at]))
     coop = turns[space.is_noncapture]
-    return ThreatNEReport(max(gains) <= tol, tol, gains, witness,
+    return ThreatNEReport(max(gains) <= tol, tol, gains,
                           bool((coop >= 0).all()), int(coop.max(initial=0)))
 
 
@@ -356,8 +352,7 @@ def check_cr_optimal_ne(game: Game, tol: float = DEFAULT_NE_TOL) -> NEReport:
     always in split-equivalent mode), but at N >= 4 only under the measured
     gamma < (eps/(N-2))/(1-eps); elsewhere the report carries the failing states.
     """
-    pursuit = game.space.capture_table.cr_optimal_moves
-    return verify_positional_ne(game, PositionalProfile(game.space, pursuit), tol=tol)
+    return verify_positional_ne(game, game.space.capture_table.cr_optimal_moves, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Strategy profiles: positional maps, threat automata, and named constructions.
+"""Strategy profiles: one threat automaton over plain move arrays, and named
+constructions.
 
 A profile answers two questions during play: what does the mover do at this
-state, and how does the profile's internal mode react to an observed move.
-Positional profiles have no mode (None); threat profiles carry a shared
-cooperate/punish automaton over plain move arrays, which also covers the
-stacked-pursuers non-capturing construction. Modes are hashable so
-simulation can certify infinite play by (state, mode) revisit.
+state, and how does the profile's shared mode react to an observed move.
+`ThreatProfile` is the one automaton: its cooperate/punish mode covers threat
+play, the stacked-pursuers non-capturing construction, and positional play,
+which punishes no one and so never leaves cooperative mode. Modes are
+hashable so simulation can certify infinite play by (state, mode) revisit.
 """
 
 from __future__ import annotations
@@ -15,45 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bellman
-from .errors import IllegalMoveError
 from .states import NULL_MOVE, StateSpace
-
-
-def validate_moves(space: StateSpace, moves: np.ndarray) -> None:
-    """Every prescribed move must lie in the mover's closed neighborhood."""
-    nc = np.flatnonzero(space.is_noncapture)
-    # padded slots repeat slot 0, so they admit no extra move
-    ok = (space.nbr[space.stay[nc]] == moves[nc, None]).any(axis=1)
-    bad = nc[~ok]
-    if bad.size:
-        idx = int(bad[0])
-        raise IllegalMoveError(
-            f"move {int(moves[idx])} is illegal at state {space.state_at(idx)!r}"
-        )
-
-
-class PositionalProfile:
-    """One action per non-capture state for whoever moves there, held as
-    given (no cast or copy).
-
-    Moves are not checked here: `validate_moves` checks a whole array, and
-    `simulate.run` rejects any illegal move that is played.
-    """
-
-    def __init__(self, space: StateSpace, moves: np.ndarray):
-        self.space = space
-        self.move = np.asarray(moves)
-
-    def initial_mode(self):
-        return None
-
-    def prescribed(self, idx: int, mode=None) -> int:
-        if not self.space.is_noncapture[idx]:
-            return NULL_MOVE
-        return int(self.move[idx])
-
-    def observe(self, idx, mover, action, mode):
-        return mode
 
 
 def combine_player_moves(space: StateSpace, per_player: list) -> np.ndarray:
@@ -71,13 +34,16 @@ COOPERATIVE = "coop"
 @dataclass
 class ThreatProfile:
     """Cooperative moves plus per-deviator punishment moves, each a dense
-    array over states, held as given (no cast or copy).
+    array over states, held as given (no cast or copy). Moves are not checked
+    here: `simulate.run` rejects any illegal move that is played.
 
     The shared mode starts cooperative and switches, irrevocably, to
-    ("punish", m) the first time player m's observed move differs from his
-    cooperative move. In that mode everyone else follows punishments[m], and
-    m's own rows follow the cooperative moves (he is free anyway; this only
-    matters when simulating him un-deviated).
+    ("punish", m) the first time a player m with an entry in `punishments`
+    plays other than his cooperative move. In that mode everyone else follows
+    punishments[m], and m's own rows follow the cooperative moves (he is free
+    anyway; this only matters when simulating him un-deviated). A profile with
+    no punishments never leaves cooperative mode, and so is positional:
+    `ThreatProfile(space, moves, {})` plays `moves`.
     """
 
     space: StateSpace
@@ -96,8 +62,8 @@ class ThreatProfile:
         return int(self.punishments[mode[1]][idx])
 
     def observe(self, idx, mover, action, mode):
-        if mode == COOPERATIVE and self.space.is_noncapture[idx] \
-                and action != int(self.cooperative[idx]):
+        if mode == COOPERATIVE and mover in self.punishments \
+                and self.space.is_noncapture[idx] and action != int(self.cooperative[idx]):
             return ("punish", int(mover))
         return mode
 
@@ -121,13 +87,13 @@ def greedy_cop_moves(space: StateSpace, cop: int) -> np.ndarray:
     return moves
 
 
-def random_profile(space: StateSpace, rng: np.random.Generator) -> PositionalProfile:
-    """Uniformly random legal move at every non-capture state."""
+def random_profile(space: StateSpace, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random legal move at every non-capture state, as a move array."""
     moves = np.zeros_like(space.stay)
     nc = np.flatnonzero(space.is_noncapture)
     slot = rng.integers(0, space.acount[nc])
     moves[nc] = space.nbr[space.stay[nc], slot]
-    return PositionalProfile(space, moves)
+    return moves
 
 
 def merge_cop_moves(space: StateSpace) -> np.ndarray:

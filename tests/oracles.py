@@ -31,3 +31,11 @@ def evader_rows_evasion(space, table1):
              for c in range(1, space.n_vertices + 1) for r in range(1, space.n_vertices + 1) if c != r}
     positions = space.positions[rows].tolist()
     return rows, {d: np.array([evade[p[d - 1], p[-1]] for p in positions]) for d in range(1, n)}
+
+
+def moves_are_legal(space, moves):
+    """Whether every mover's move in `moves` lies in his closed neighbourhood,
+    scanned down each turn block in the vertex dtype (padded slots repeat slot
+    0, so they admit no extra move)."""
+    return all((block.act == moves[block.rows]).any(axis=0).all()
+               for block in map(space.turn_block, range(1, space.n_players + 1)))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scar import cr
 from scar.cr import (
     CaptureTimeTable,
     cop_number,
@@ -25,11 +26,11 @@ from scar.graph import (
     star_graph,
 )
 from scar.payoffs import discounted
-from scar.profiles import PositionalProfile, validate_moves
+from scar.profiles import ThreatProfile
 from scar.simulate import run
 from scar.states import build_state_space
 
-from oracles import discounted_cr_value, evader_rows_evasion
+from oracles import discounted_cr_value, evader_rows_evasion, moves_are_legal
 
 
 def test_p3_hand_derived_capture_time():
@@ -129,14 +130,15 @@ def test_cop_numbers():
     assert res.finite_by_cops == {1: False}
 
 
-def test_retrograde_builds_no_successor_table():
+def test_retrograde_builds_no_successor_table(monkeypatch):
     spaces = []
 
-    def solver(space):
-        spaces.append(space)
-        return exact_capture_times(space)
+    def build(*args):
+        spaces.append(build_state_space(*args))
+        return spaces[-1]
 
-    assert cop_number(petersen_graph(), solver=solver).value == 3
+    monkeypatch.setattr(cr, "build_state_space", build)
+    assert cop_number(petersen_graph()).value == 3
     assert [s.n_players for s in spaces] == [2, 3, 4]
     assert all(s._succ is None for s in spaces)
     space = build_state_space(petersen_graph(), 4)
@@ -236,8 +238,8 @@ def test_extracted_strategies_achieve_table_times():
         space = build_state_space(g, n)
         table = exact_capture_times(space)
         moves = extract_cr_optimal_moves(table)
-        validate_moves(space, moves)
-        profile = PositionalProfile(space, moves)
+        assert moves_are_legal(space, moves)
+        profile = ThreatProfile(space, moves, {})
         nc = np.flatnonzero(space.is_noncapture)
         rng = np.random.default_rng(3)
         for idx in rng.choice(nc, size=min(60, nc.size), replace=False):

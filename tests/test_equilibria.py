@@ -33,18 +33,16 @@ from scar.graph import (
 )
 from scar.payoffs import GameParams, discounted, turn_payoff, turn_payoffs
 from scar.profiles import (
-    PositionalProfile,
     ThreatProfile,
     combine_player_moves,
     greedy_cop_moves,
     merge_cop_moves,
     random_profile,
-    validate_moves,
 )
 from scar.simulate import exact_profile_values, profile_outcomes, run, run_with_forced_deviation
 from scar.states import build_state_space
 
-from oracles import evader_rows_evasion
+from oracles import evader_rows_evasion, moves_are_legal
 
 
 @pytest.fixture(scope="module")
@@ -314,8 +312,8 @@ def test_freeze_profile_is_not_ne_on_pursuer_win_graph():
     stay = np.zeros(space.n_states, dtype=np.int64)
     nc = np.flatnonzero(space.is_noncapture)
     stay[nc] = space.positions[nc, space.mover[nc] - 1]
-    validate_moves(space, stay)
-    report = verify_positional_ne(Game(space, params), PositionalProfile(space, stay))
+    assert moves_are_legal(space, stay)
+    report = verify_positional_ne(Game(space, params), stay)
     assert not report.is_ne
     assert max(report.per_player_gap[:2]) > 0.01
 
@@ -349,10 +347,10 @@ def test_equation_residuals_reject_wrong_values(c4_space):
     params = GameParams(3, 0.5, 0.25)
     res = solve_positional_ne(Game(space, params))
     values = res.verification.profile_values
-    att, cons = equation_residuals(Game(space, params), res.profile, values)
+    att, cons = equation_residuals(Game(space, params), res.moves, values)
     assert att <= 1e-10 and cons <= 1e-10
     wrong = values + 0.01
-    _, cons_wrong = equation_residuals(Game(space, params), res.profile, wrong)
+    _, cons_wrong = equation_residuals(Game(space, params), res.moves, wrong)
     assert cons_wrong > 1e-3
 
 
@@ -361,16 +359,16 @@ def test_verified_ne_sound_against_random_deviations(c4_space):
     # deviations per player, exact payoffs on both sides
     space = c4_space
     params = GameParams(3, 0.2, 0.5)
-    profile = PositionalProfile(space, space.capture_table.cr_optimal_moves)
+    pursuit = space.capture_table.cr_optimal_moves
     report = check_cr_optimal_ne(Game(space, params))
     assert report.is_ne
-    base = exact_profile_values(Game(space, params), profile_outcomes(space, profile.move))
+    base = exact_profile_values(Game(space, params), profile_outcomes(space, pursuit))
     rng = np.random.default_rng(17)
     nc = np.flatnonzero(space.is_noncapture)
     for player in (1, 2, 3):
         rows = nc[space.mover[nc] == player]
         for _ in range(1000):
-            moves = profile.move.copy()
+            moves = pursuit.copy()
             patch = rng.integers(0, space.acount[rows])
             moves[rows] = np.where(rng.random(rows.size) < 0.5,
                                    space.nbr[space.stay[rows], patch], moves[rows])
@@ -392,7 +390,7 @@ def test_threat_equilibrium_path_is_cooperative(tree9_space):
     params = GameParams(3, 0.9, 0.25)
     threat = build_threat_profile(Game(tree9_space, params))
     a = run(tree9_space, threat, (6, 1, 4, 1))
-    b = run(tree9_space, PositionalProfile(tree9_space, threat.cooperative), (6, 1, 4, 1))
+    b = run(tree9_space, ThreatProfile(tree9_space, threat.cooperative, {}), (6, 1, 4, 1))
     assert a.states == b.states
 
 
@@ -562,8 +560,8 @@ def test_move_arrays_hold_the_vertex_dtype(name, n, gamma, eps):
     arrays = [table.cr_optimal_moves, *(sol.move for sol in game.aux),
               bellman.greedy_moves(space, table.times, (n,)),
               combine_player_moves(space, [sol.move for sol in game.aux]),
-              random_profile(space, np.random.default_rng(5)).move, merge_cop_moves(space),
-              threats[0].cooperative, solve_positional_ne(game).profile.move]
+              random_profile(space, np.random.default_rng(5)), merge_cop_moves(space),
+              threats[0].cooperative, solve_positional_ne(game).moves]
     for moves in arrays:
         assert moves.dtype == space.stay.dtype
         wide = moves.astype(np.int64)
@@ -622,7 +620,7 @@ def test_best_response_reads_the_own_aux_value(g, n, monkeypatch):
     for d in range(1, n):
         assert best_response(game, d, aux[d - 1].move) is aux[d - 1].values
     assert solved == []
-    verify_positional_ne(game, PositionalProfile(space, aux[0].move))
+    verify_positional_ne(game, aux[0].move)
     assert solved == list(range(2, n + 1))
 
 
@@ -718,7 +716,7 @@ def test_positional_sweeps_stop_at_the_exact_fixpoint(graph, gamma, eps):
     sweeps, moves = _python_positional_sweeps(space, params)
     res = solve_positional_ne(Game(space, params))
     assert res.sweeps == sweeps
-    assert res.profile.move[list(moves)].tolist() == list(moves.values())
+    assert res.moves[list(moves)].tolist() == list(moves.values())
 
 
 # -- non-capturing construction ----------------------------------------------
@@ -966,7 +964,7 @@ def _cr_optimal_pursuers(space, prof):
 def _random_pursuers(space, prof):
     # seed 111 on cycle:5 N=4: the evader's longest delay (19 turns) exceeds
     # the shortest depth of every capture he can reach (at most 15)
-    return _sabotaged(space, prof, False, random_profile(space, np.random.default_rng(111)).move)
+    return _sabotaged(space, prof, False, random_profile(space, np.random.default_rng(111)))
 
 
 @pytest.mark.parametrize("graph, n, sabotage", [(cycle_graph(4), 3, _cr_optimal_pursuers),

@@ -9,13 +9,7 @@ from scar.equilibria import Game, build_threat_profile
 from scar.errors import IllegalMoveError, ValidationError
 from scar.graph import cycle_graph, delayed_capture_graph, path_graph
 from scar.payoffs import GameParams
-from scar.profiles import (
-    PositionalProfile,
-    combine_player_moves,
-    greedy_cop_moves,
-    random_profile,
-    validate_moves,
-)
+from scar.profiles import ThreatProfile, combine_player_moves, greedy_cop_moves, random_profile
 from scar.simulate import (
     exact_profile_values,
     payoffs_of,
@@ -25,6 +19,8 @@ from scar.simulate import (
     run_with_forced_deviation,
 )
 from scar.states import build_state_space
+
+from oracles import moves_are_legal
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +33,7 @@ def tree9():
         greedy_cop_moves(space, 2),
         extract_cr_optimal_moves(table),
     ])
-    return space, PositionalProfile(space, moves)
+    return space, ThreatProfile(space, moves, {})
 
 
 def test_cooperative_trace_matches_expected(tree9):
@@ -85,7 +81,7 @@ def test_exact_payoff_mode(tree9):
 def test_initial_capture_state():
     space = build_state_space(cycle_graph(4), 3)
     params = GameParams(3, 0.5, 0.25)
-    profile = PositionalProfile(space, np.zeros(space.n_states, dtype=np.int64))
+    profile = ThreatProfile(space, np.zeros(space.n_states, dtype=np.int64), {})
     trace = run(space, profile, (2, 1, 2, 3))
     assert trace.capture_time == 0
     assert trace.termination == "captured"
@@ -100,8 +96,8 @@ def test_freeze_profile_cycles():
     nc = np.flatnonzero(space.is_noncapture)
     p = space.mover[nc]
     stay[nc] = space.positions[nc, p - 1]
-    validate_moves(space, stay)
-    trace = run(space, PositionalProfile(space, stay), (1, 1, 3, 1))
+    assert moves_are_legal(space, stay)
+    trace = run(space, ThreatProfile(space, stay, {}), (1, 1, 3, 1))
     assert trace.termination == "cycle"
     assert trace.capture_time == math.inf
     assert payoffs_of(params, trace) == (0.0, 0.0, 0.0)
@@ -111,7 +107,7 @@ def test_turn_cap_flags_inconclusive():
     space = build_state_space(cycle_graph(4), 2)
     params = GameParams(2, 0.5, 0.5)
     table = exact_capture_times(space)
-    profile = PositionalProfile(space, extract_cr_optimal_moves(table))
+    profile = ThreatProfile(space, extract_cr_optimal_moves(table), {})
     trace = run(space, profile, (1, 3, 1), turn_cap=1)
     assert trace.termination == "turn_cap"
     with pytest.raises(ValidationError):
@@ -122,7 +118,7 @@ def test_terminal_start_rejected():
     from scar.states import TERMINAL
 
     space = build_state_space(path_graph(2), 2)
-    profile = PositionalProfile(space, np.zeros(space.n_states, dtype=np.int64))
+    profile = ThreatProfile(space, np.zeros(space.n_states, dtype=np.int64), {})
     with pytest.raises(ValidationError):
         run(space, profile, TERMINAL)
 
@@ -146,7 +142,7 @@ def test_threat_mode_switch_timing():
     params = GameParams(3, 0.9, 0.25)
     threat = build_threat_profile(Game(space, params))
     # no deviation: identical to the cooperative parts, mode never leaves coop
-    plain = run(space, PositionalProfile(space, threat.cooperative), (6, 1, 4, 1))
+    plain = run(space, ThreatProfile(space, threat.cooperative, {}), (6, 1, 4, 1))
     full = run(space, threat, (6, 1, 4, 1))
     assert plain.states == full.states
     assert all(s.mode == "coop" for s in full.steps)
@@ -158,6 +154,17 @@ def test_threat_mode_switch_timing():
     assert devd.steps[0].mode == "coop" and devd.steps[1].mode == "coop"
     assert devd.steps[2].mode == ("punish", 3)
     assert all(s.mode == ("punish", 3) for s in devd.steps[2:])
+
+
+def test_a_profile_without_punishments_is_positional():
+    """Punishing no one, the profile never leaves cooperative mode, so a forced
+    deviation is certified as a cycle where positional play's state repeats."""
+    space = build_state_space(cycle_graph(5), 2)
+    profile = ThreatProfile(space, space.capture_table.cr_optimal_moves, {})
+    trace = run_with_forced_deviation(space, profile, 1, {1: 2}, (1, 3, 1))
+    assert trace.termination == "cycle"
+    assert len(trace.steps) == 4
+    assert all(step.mode == "coop" for step in trace.steps)
 
 
 def test_deviation_to_prescribed_move_is_no_deviation():
@@ -195,8 +202,9 @@ def test_profile_outcomes_match_simulation():
     params = GameParams(3, 0.6, 0.3)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        profile = random_profile(space, rng)
-        turns, cap_at = profile_outcomes(space, profile.move)
+        moves = random_profile(space, rng)
+        profile = ThreatProfile(space, moves, {})
+        turns, cap_at = profile_outcomes(space, moves)
         values = exact_profile_values(Game(space, params), (turns, cap_at))
         nc = np.flatnonzero(space.is_noncapture)
         for idx in rng.choice(nc, size=25, replace=False):
@@ -217,8 +225,9 @@ def test_profile_outcomes_agree_with_run_from_every_start(graph, n):
     rng = np.random.default_rng(n)
     seen = set()
     for _ in range(3):
-        profile = random_profile(space, rng)
-        turns, cap_at = profile_outcomes(space, profile.move)
+        moves = random_profile(space, rng)
+        profile = ThreatProfile(space, moves, {})
+        turns, cap_at = profile_outcomes(space, moves)
         for idx in range(space.terminal_index):
             trace = run(space, profile, idx)
             seen.add(trace.termination)
@@ -240,8 +249,8 @@ def test_profile_outcomes_settle_captures_straddling_powers_of_two():
     cop, robber = space.positions[rows, 0].astype(np.int64), space.positions[rows, 1].astype(np.int64)
     moves = np.zeros(space.n_states, dtype=np.int64)
     moves[rows] = np.where(space.mover[rows] == 1, cop, robber + np.sign(cop - robber))
-    profile = PositionalProfile(space, moves)
-    validate_moves(space, moves)
+    profile = ThreatProfile(space, moves, {})
+    assert moves_are_legal(space, moves)
     turns, cap_at = profile_outcomes(space, moves)
     assert set(turns[rows].tolist()) == set(range(1, 79))
     for idx in range(space.terminal_index):
