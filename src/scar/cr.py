@@ -8,10 +8,12 @@ independent implementations are kept side by side:
     min/max fixpoint equations until nothing changes;
   * exact_capture_times  -- the production solver: retrograde labeling
     (Berarducci & Intrigila 1993), advancing level-synchronous frontiers out
-    of the capture states, split by mover; each group's predecessors are
-    computed from the packed state index, so no successor table or reverse
-    graph is built; pursuer turns take the first labeled successor, evader
-    turns count their successors down in place, at the frontier only.
+    of the capture states. The frontiers are dense bool grids, one per mover,
+    on the V^N tuple grid, and each level labels "bottom-up" (Beamer,
+    Asanovic & Patterson 2012): every mover's frontier is dilated along the
+    axis of the player who moved into it, so no successor table, reverse
+    graph or index list is built; pursuer turns take any labeled successor,
+    evader turns count their successors down.
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
 Each state space holds its one table (`StateSpace.capture_table`). The tests
@@ -22,6 +24,7 @@ also check it against a float oracle, the discounted pursuit game solved by
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +34,7 @@ from . import bellman
 from .errors import CapacityError
 from .graph import Graph
 from .simulate import profile_outcomes
-from .states import DEFAULT_STATE_CAP, StateSpace, build_state_space
+from .states import DEFAULT_STATE_CAP, StateSpace, _signed, build_state_space
 
 _NEVER = np.int64(2**62)  # sentinel used only inside comparisons, never reported
 
@@ -97,37 +100,56 @@ def minimax_capture_times(space: StateSpace) -> CaptureTimeTable:
 def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
     """Retrograde labeling from the capture states, one BFS level at a time.
 
-    Level d's frontier holds every state labeled d, split by mover. One player
-    p moved into each mover's group, so its predecessors come straight from
-    the packed index (`StateSpace.mover_predecessors`), once per edge, and all
-    have p's turn type. Unlabeled ones on a pursuer turn take d + 1 (the min);
-    on the evader's they count their successors down in place and take d + 1
-    at zero (the max). A level touches only its frontier, their predecessors
-    and a bool scratch `mark`.
+    `frontier` (labeled at the last level) and `unlabeled` (non-capture, still
+    open) hold one bool grid per mover on the V^N tuple grid. Player p moved
+    into mover p + 1's states (player N into player 1's); neighbourhoods are
+    symmetric, so p's candidates are that frontier dilated along tuple axis
+    p - 1, one gather per `nbr` slot. A pursuer turn takes level d from any
+    labeled successor (the min), an evader turn when its countdown of real
+    slots hits zero (the max). `age` counts each state's open levels.
     """
-    n_players = space.n_players
-    times = np.full(space.n_states, -1, dtype=np.int64)
-    times[space.is_capture] = 0
-    counter = space.acount  # a fresh array per read, counted down in place
-    one = counter.dtype.type(1)  # a Python 1 sends np.subtract.at down its slow path
-    mark = space.is_capture.copy()
-    by_mover = mark[:-1].reshape(-1, n_players)  # column m - 1 holds mover m's states
-    d = 0
-    while True:
-        frontier = [np.flatnonzero(by_mover[:, m]) * n_players + m for m in range(n_players)]
-        if not any(f.size for f in frontier):
-            return CaptureTimeTable(space, times)
-        mark[:] = False
-        d += 1
-        # each group's predecessors have their own mover, so label them at once
-        for m, f in enumerate(frontier, start=1):
-            cand = space.mover_predecessors(f, m)
-            cand = cand[times[cand] < 0]
-            if m == 1:  # moved into by the evader, player N
-                np.subtract.at(counter, cand, one)
-                cand = cand[counter[cand] == 0]
-            times[cand] = d
-            mark[cand] = True
+    n, v = space.n_players, space.n_vertices
+    grid, rest = (v,) * n, v ** (n - 1)
+    hood, size = space.nbr[1:] - 1, space._hood_size[1:]  # zero-based (V, K), padded
+    slots = range(hood.shape[1])
+    frontier = np.repeat(space.is_capture[:-1:n][None], n, axis=0).reshape((n,) + grid)
+    unlabeled = ~frontier
+    age = unlabeled.astype(np.int8)
+    countdown = np.tile(size, (rest, 1))  # the evader's, on the (V**(N-1), V) grid
+    # The evader's axis is the innermost, where a gather is slow: it counts on
+    # a copy with that axis first, its padded slots pointing at a zero row, in
+    # the countdown's dtype (an int8 count wraps on star:150).
+    ev = np.zeros((v + 1, rest), dtype=size.dtype)
+    ev_hood = np.where(np.arange(hood.shape[1]) < size[:, None], hood, v)
+    count, gathered = np.empty((2, v, rest), dtype=size.dtype)
+    scratch = np.empty(grid, dtype=bool)
+    for d in itertools.count(1):
+        ev[:v] = frontier[0].reshape(rest, v).T
+        # pursuer p's candidates overwrite mover p's frontier, which p - 1 read
+        for p in range(1, n):
+            np.take(frontier[p], hood[:, 0], axis=p - 1, out=frontier[p - 1], mode="clip")
+            for j in slots[1:]:
+                np.take(frontier[p], hood[:, j], axis=p - 1, out=scratch, mode="clip")
+                frontier[p - 1] |= scratch
+        np.take(ev, ev_hood[:, 0], axis=0, out=count, mode="clip")
+        for j in slots[1:]:
+            np.take(ev, ev_hood[:, j], axis=0, out=gathered, mode="clip")
+            count += gathered
+        countdown -= count.T  # read only where still unlabeled
+        np.equal(countdown.reshape(grid), 0, out=frontier[-1])
+        frontier &= unlabeled
+        if not frontier.any():
+            break
+        unlabeled ^= frontier
+        if d == np.iinfo(age.dtype).max:  # widen before `age` wraps
+            age = age.astype(_signed(d + 1))
+        age += unlabeled
+    del frontier, countdown, ev, count, gathered, scratch  # before `times` is allocated
+    age[unlabeled] = -1  # never labeled: the evader escapes
+    times = np.empty(space.n_states, dtype=np.int64)
+    times[:-1].reshape(-1, n)[...] = age.reshape(n, -1).T
+    times[-1] = -1
+    return CaptureTimeTable(space, times)
 
 
 def t_n_max(table: CaptureTimeTable):

@@ -224,29 +224,6 @@ class StateSpace:
         p = self.mover[rows]
         return rows + (moves - self.stay[rows]) * self._stride[p] + self._turn[p]
 
-    def mover_predecessors(self, targets, m: int) -> np.ndarray:
-        """The inverse of `_step` on non-terminal `targets` that all have mover
-        m: every state whose mover's step lands in one of them, once per move.
-        Capture states come out too (they have no such move); callers drop them.
-
-        The player p who moved into them is the one before m (N before player
-        1), and now sits on y = x_p(t). Closed neighbourhoods are symmetric, so
-        p came from some u in N[y]: t - turn[p] + (u - y) * stride[p] for each
-        real slot u of `nbr[y]`. Slot j runs only over the y with more than j.
-        """
-        p = (m - 2) % self.n_players + 1
-        stride = self._stride[p]
-        y = self.positions[targets, p - 1]
-        base = targets - self._turn[p] - np.multiply(y, stride, dtype=np.int64)
-        size = self._hood_size[y]
-        parts = []
-        for j in range(self.nbr.shape[1]):
-            if j >= self._hood_size[1:].min():  # some y has no slot j
-                keep = size > j
-                y, base, size = y[keep], base[keep], size[keep]
-            parts.append(self.nbr[y, j] * stride + base)
-        return np.concatenate(parts)
-
     # -- dense successor table (built lazily; only the oracle solver reads it)
 
     def _build_tables(self):

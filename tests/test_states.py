@@ -190,30 +190,6 @@ def test_functional_wrappers():
     assert transition(space, (6, 1, 4, 1), 5) == (5, 1, 4, 2)
 
 
-@pytest.mark.parametrize("name, n", [("delayed-capture", 3), ("cycle:4", 5), ("path:3", 2)])
-def test_predecessors_invert_the_successor_table(name, n):
-    """`mover_predecessors`, on targets of one mover at a time and with its
-    capture candidates dropped, lists once per move every non-capture state
-    with a real action slot into the targets; at N=5 player 1's targets wrap
-    back to player 5."""
-    space = build_state_space(builtin_graph(name), n)
-    into = [[] for _ in range(space.n_states)]
-    for s in np.flatnonzero(space.is_noncapture).tolist():
-        for t in space.succ[s, :space.acount[s]].tolist():
-            into[t].append(s)
-
-    def noncapture_predecessors(targets, m):
-        cand = space.mover_predecessors(targets, m)
-        return sorted(cand[space.is_noncapture[cand]].tolist())
-
-    targets = np.arange(space.terminal_index)
-    for m in range(1, n + 1):
-        group = targets[space.mover[targets] == m]
-        for t in group.tolist():
-            assert noncapture_predecessors(np.array([t]), m) == into[t]
-        assert noncapture_predecessors(group, m) == sorted(s for t in group.tolist() for s in into[t])
-
-
 @pytest.mark.parametrize("name", ["path:200", "star:150"])
 def test_wide_graph_tables(name):
     """Past 127 vertices positions take int16, signed so that `move - stay`
