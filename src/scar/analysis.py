@@ -474,7 +474,7 @@ def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
     n_players = k + 1
     if grid is None:
         grid = make_grid(n_players)
-    space = cnum.table.space  # the k-pursuer space, whose table decided c
+    space = build_state_space(g, n_players, state_cap)  # the k-pursuer space
     diag = grid.points()[:: max(1, len(grid.points()) // sample_points)][:sample_points]
     for gamma, eps in diag:
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))

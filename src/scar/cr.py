@@ -8,12 +8,17 @@ independent implementations are kept side by side:
     min/max fixpoint equations until nothing changes;
   * exact_capture_times  -- the production solver: retrograde labeling
     (Berarducci & Intrigila 1993), advancing level-synchronous frontiers out
-    of the capture states. The frontiers are dense bool grids, one per mover,
-    on the V^N tuple grid, and each level labels "bottom-up" (Beamer,
-    Asanovic & Patterson 2012): every mover's frontier is dilated along the
-    axis of the player who moved into it, so no successor table, reverse
-    graph or index list is built; pursuer turns take any labeled successor,
-    evader turns count their successors down.
+    of the capture states. The labeling loop, `_label`, works on the bare
+    V^N tuple grid: the frontiers are dense bool grids, one per mover, and
+    each level labels "bottom-up" (Beamer, Asanovic & Patterson 2012): every
+    mover's frontier is dilated along the axis of the player who moved into
+    it, so no successor table, reverse graph or index list is built; pursuer
+    turns take any labeled successor, evader turns count their successors
+    down. `exact_capture_times` is its table-building caller.
+
+`cop_number` is its other caller: it needs one bit per k (do k pursuers
+capture from every start?), so it labels each (k + 1)-tuple grid straight
+from the graph, building no `StateSpace` and no `times`.
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
 Each state space holds its one table (`StateSpace.capture_table`). The tests
@@ -26,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +39,14 @@ from . import bellman
 from .errors import CapacityError
 from .graph import Graph
 from .simulate import profile_outcomes
-from .states import DEFAULT_STATE_CAP, StateSpace, _signed, build_state_space
+from .states import (
+    DEFAULT_STATE_CAP,
+    StateSpace,
+    _nonterminal_count,
+    _padded_hoods,
+    _signed,
+    _tuple_captors,
+)
 
 _NEVER = np.int64(2**62)  # sentinel used only inside comparisons, never reported
 
@@ -98,21 +110,39 @@ def minimax_capture_times(space: StateSpace) -> CaptureTimeTable:
 
 
 def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
+    """The space's capture-time table: `_label`'s levels, written once into
+    int64 `times`."""
+    n = space.n_players
+    age, unlabeled = _label(space.nbr, space._hood_size, space.is_capture[:-1:n], n)
+    age[unlabeled] = -1  # never labeled: the evader escapes
+    times = np.empty(space.n_states, dtype=np.int64)
+    times[:-1].reshape(-1, n)[...] = age.reshape(n, -1).T
+    times[-1] = -1
+    return CaptureTimeTable(space, times)
+
+
+def _label(nbr: np.ndarray, hood_size: np.ndarray, capture: np.ndarray, n: int):
     """Retrograde labeling from the capture states, one BFS level at a time.
 
+    `nbr` and `hood_size` are the move model (`states._padded_hoods`), and
+    `capture` flags each of the V^N position tuples in index order. Returns
+    (age, unlabeled), mover-major (N, V, ..., V) grids: each labeled state's
+    level (0 at a capture), and the states never labeled, from which the
+    evader escapes (their age counts every level).
+
     `frontier` (labeled at the last level) and `unlabeled` (non-capture, still
-    open) hold one bool grid per mover on the V^N tuple grid. Player p moved
-    into mover p + 1's states (player N into player 1's); neighbourhoods are
-    symmetric, so p's candidates are that frontier dilated along tuple axis
-    p - 1, one gather per `nbr` slot. A pursuer turn takes level d from any
-    labeled successor (the min), an evader turn when its countdown of real
-    slots hits zero (the max). `age` counts each state's open levels.
+    open) hold one bool grid per mover. Player p moved into mover p + 1's
+    states (player N into player 1's); neighbourhoods are symmetric, so p's
+    candidates are that frontier dilated along tuple axis p - 1, one gather
+    per `nbr` slot. A pursuer turn takes level d from any labeled successor
+    (the min), an evader turn when its countdown of real slots hits zero (the
+    max). `age` counts each state's open levels.
     """
-    n, v = space.n_players, space.n_vertices
+    v = len(nbr) - 1
     grid, rest = (v,) * n, v ** (n - 1)
-    hood, size = space.nbr[1:] - 1, space._hood_size[1:]  # zero-based (V, K), padded
+    hood, size = nbr[1:] - 1, hood_size[1:]  # zero-based (V, K), padded
     slots = range(hood.shape[1])
-    frontier = np.repeat(space.is_capture[:-1:n][None], n, axis=0).reshape((n,) + grid)
+    frontier = np.repeat(capture[None], n, axis=0).reshape((n,) + grid)
     unlabeled = ~frontier
     age = unlabeled.astype(np.int8)
     countdown = np.tile(size, (rest, 1))  # the evader's, on the (V**(N-1), V) grid
@@ -139,17 +169,11 @@ def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
         np.equal(countdown.reshape(grid), 0, out=frontier[-1])
         frontier &= unlabeled
         if not frontier.any():
-            break
+            return age, unlabeled
         unlabeled ^= frontier
         if d == np.iinfo(age.dtype).max:  # widen before `age` wraps
             age = age.astype(_signed(d + 1))
         age += unlabeled
-    del frontier, countdown, ev, count, gathered, scratch  # before `times` is allocated
-    age[unlabeled] = -1  # never labeled: the evader escapes
-    times = np.empty(space.n_states, dtype=np.int64)
-    times[:-1].reshape(-1, n)[...] = age.reshape(n, -1).T
-    times[-1] = -1
-    return CaptureTimeTable(space, times)
 
 
 def t_n_max(table: CaptureTimeTable):
@@ -162,25 +186,29 @@ def t_n_max(table: CaptureTimeTable):
 class CopNumberResult:
     value: int | None  # None when every k <= max_cops still lets the evader escape
     finite_by_cops: dict  # k -> whether k pursuers force capture from every start
-    table: CaptureTimeTable | None = field(compare=False, repr=False)  # the last k's, the deciding one
 
 
 def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP) -> CopNumberResult:
-    """Least k <= max_cops whose k-pursuer game (the space's `capture_table`)
-    is capture-guaranteed everywhere."""
+    """Least k <= max_cops such that k pursuers capture from every start.
+
+    Each k is decided by `_label` straight on the (k + 1)-tuple grid, as in
+    `exact_capture_times` but with no `StateSpace` and no `times`: k wins
+    iff no state is left unlabeled. The state cap applies as if the space
+    were built.
+    """
+    v = g.vertex_count
+    nbr, hood_size = _padded_hoods(g)
     finite_by_cops = {}
-    value = table = None
     for k in range(1, max_cops + 1):
         try:
-            space = build_state_space(g, k + 1, state_cap)
+            _nonterminal_count(v, k + 1, state_cap)
         except CapacityError as exc:
             raise CapacityError(f"cop-number search stopped at k={k}: {exc}") from exc
-        table = space.capture_table
-        finite_by_cops[k] = table.finite_on_noncapture()
+        unlabeled = _label(nbr, hood_size, _tuple_captors(v, k + 1) != 0, k + 1)[1]
+        finite_by_cops[k] = not unlabeled.any()
         if finite_by_cops[k]:
-            value = k
-            break
-    return CopNumberResult(value, finite_by_cops, table)
+            return CopNumberResult(k, finite_by_cops)
+    return CopNumberResult(None, finite_by_cops)
 
 
 def extract_cr_optimal_moves(table: CaptureTimeTable) -> np.ndarray:

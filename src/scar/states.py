@@ -66,6 +66,40 @@ def _signed(limit: int):
     return np.int32
 
 
+def _nonterminal_count(v: int, n_players: int, state_cap: int) -> int:
+    """The n_players * v**n_players non-terminal states of a game on v vertices;
+    CapacityError when they and the terminal exceed `state_cap`."""
+    n_nonterminal = n_players * v**n_players
+    if n_nonterminal + 1 > state_cap:
+        raise CapacityError(
+            f"{n_players} players on {v} vertices need {n_nonterminal + 1} states, "
+            f"above the cap of {state_cap}"
+        )
+    return n_nonterminal
+
+
+def _padded_hoods(graph: Graph):
+    """The move model as (nbr, sizes): row u of the int64 `nbr` is the closed
+    neighbourhood N[u] ascending, right-padded with its first entry, and row 0
+    holds the null move of capture and terminal states; `sizes` counts each
+    row's real entries in the smallest signed dtype that holds them."""
+    hoods = [[NULL_MOVE]] + [graph.closed_neighborhood(u) for u in range(1, graph.vertex_count + 1)]
+    width = max(len(h) for h in hoods)
+    nbr = np.array([h + h[:1] * (width - len(h)) for h in hoods], dtype=np.int64)
+    return nbr, np.array([len(h) for h in hoods], dtype=_signed(width))
+
+
+def _tuple_captors(v: int, n_players: int) -> np.ndarray:
+    """Pursuers on the evader's vertex, per position tuple in index order (the
+    capture rule: a tuple captures iff this is non-zero). Pursuer i + 1 adds
+    the identity on a (V**i, V, V**(N-2-i), V) view, never an N-dimensional grid."""
+    captors = np.zeros(v**n_players, dtype=_signed(n_players))
+    same = np.eye(v, dtype=captors.dtype)[:, None]
+    for i in range(n_players - 1):
+        captors.reshape(v**i, v, v ** (n_players - 2 - i), v)[...] += same
+    return captors
+
+
 @dataclass(frozen=True, eq=False)
 class TurnBlock:
     """The non-capture rows where one player moves, with their successor and
@@ -93,12 +127,7 @@ class StateSpace:
         if n_players < 2:
             raise ValidationError(f"need at least 2 players, got {n_players}")
         v = graph.vertex_count
-        n_nonterminal = n_players * v**n_players
-        if n_nonterminal + 1 > state_cap:
-            raise CapacityError(
-                f"{n_players} players on {v} vertices need {n_nonterminal + 1} states, "
-                f"above the cap of {state_cap}"
-            )
+        n_nonterminal = _nonterminal_count(v, n_players, state_cap)
         self.graph = graph
         self.n_players = n_players
         self.n_vertices = v
@@ -120,27 +149,21 @@ class StateSpace:
         self.mover = np.zeros(self.n_states, dtype=player_id)
         self.mover[:n].reshape(-1, n_players)[...] = np.arange(1, n_players + 1, dtype=player_id)
         # A state's captors depend only on its tuple: count them once per tuple.
-        tuples = self.positions[:n:n_players]
-        captors = np.zeros(len(tuples), dtype=player_id)
-        for i in range(n_players - 1):
-            captors += tuples[:, i] == tuples[:, -1]
+        captors = _tuple_captors(v, n_players)
         self.capture_count = np.zeros(self.n_states, dtype=player_id)
         self.capture_count[:n].reshape(-1, n_players)[...] = captors[:, None]
         self.is_capture = self.capture_count != 0
         self.is_noncapture = ~self.is_capture
         self.is_noncapture[self.terminal_index] = False
         # The move model. The mover steps within the closed neighbourhood of his
-        # own vertex `stay`: row u of `nbr` is N[u] ascending, right-padded with
-        # its first entry, and row 0 holds the null move of capture and terminal
-        # states. Moving player p from x to a adds (a - x) * stride[p] to the
-        # index and passes the turn on (entry 0, the terminal's, is unused).
-        hoods = [[NULL_MOVE]] + [graph.closed_neighborhood(u) for u in range(1, v + 1)]
-        width = max(len(h) for h in hoods)
-        self.nbr = np.array([h + h[:1] * (width - len(h)) for h in hoods], dtype=np.int64)
-        self._hood_size = np.array([len(h) for h in hoods], dtype=_signed(width))
+        # own vertex `stay` (`nbr`, see `_padded_hoods`). Moving player p from x
+        # to a adds (a - x) * stride[p] to the index and passes the turn on
+        # (entry 0, the terminal's, is unused).
+        self.nbr, self._hood_size = _padded_hoods(graph)
         self.stay = np.zeros(self.n_states, dtype=vertex)
         # column p - 1 of the tuple view: mover p's own vertex, or the null move (0) at a capture
-        np.multiply(tuples, captors[:, None] == 0, out=self.stay[:n].reshape(-1, n_players))
+        np.multiply(self.positions[:n:n_players], captors[:, None] == 0,
+                    out=self.stay[:n].reshape(-1, n_players))
         self._succ = None
         self._blocks = {}
 

@@ -1,4 +1,4 @@
-"""Oracles shared by the tests; nothing in the package calls them.
+"""Oracles and inputs shared by the tests; nothing in the package calls them.
 
 `cr.minimax_capture_times` is the integer oracle of the capture table, kept in
 the package because the benchmark's checks read it too.
@@ -7,6 +7,18 @@ the package because the benchmark's checks read it too.
 import numpy as np
 
 from scar import bellman
+from scar.graph import build_graph
+
+
+def connected_atlas(networkx, max_vertices):
+    """Every connected graph of 2 to `max_vertices` vertices, up to isomorphism."""
+    graphs = []
+    for ag in networkx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if 2 <= n <= max_vertices and networkx.is_connected(ag):
+            relabel = {v: i + 1 for i, v in enumerate(sorted(ag.nodes()))}
+            graphs.append(build_graph(n, [(relabel[u], relabel[v]) for u, v in ag.edges()]))
+    return graphs
 
 
 def discounted_cr_value(space, gamma):

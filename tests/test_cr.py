@@ -28,9 +28,9 @@ from scar.graph import (
 from scar.payoffs import discounted
 from scar.profiles import ThreatProfile
 from scar.simulate import run
-from scar.states import build_state_space
+from scar.states import StateSpace, _padded_hoods, _tuple_captors, build_state_space
 
-from oracles import discounted_cr_value, evader_rows_evasion, moves_are_legal
+from oracles import connected_atlas, discounted_cr_value, evader_rows_evasion, moves_are_legal
 
 
 def test_p3_hand_derived_capture_time():
@@ -133,16 +133,12 @@ def test_cop_numbers():
 
 
 def test_retrograde_builds_no_successor_table(monkeypatch):
-    spaces = []
+    def no_space(self, *args, **kwargs):
+        raise AssertionError("cop_number built a StateSpace")
 
-    def build(*args):
-        spaces.append(build_state_space(*args))
-        return spaces[-1]
-
-    monkeypatch.setattr(cr, "build_state_space", build)
+    monkeypatch.setattr(StateSpace, "__init__", no_space)
     assert cop_number(petersen_graph()).value == 3
-    assert [s.n_players for s in spaces] == [2, 3, 4]
-    assert all(s._succ is None for s in spaces)
+    monkeypatch.undo()
     space = build_state_space(petersen_graph(), 4)
     exact_capture_times(space)
     assert space._succ is None
@@ -157,6 +153,37 @@ def test_retrograde_memory_peak_per_state():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * space.n_states  # 11 measured: int64 labels, int8 ages, bool grids
+
+
+def test_cop_number_memory_peak_per_tuple():
+    g = dodecahedron_graph()
+    tracemalloc.start()
+    try:
+        assert cop_number(g, max_cops=3).value == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 18.3 measured at k = 3 (20**4 tuples): bool grids and int8 ages and
+    # counts; 78.6 with a StateSpace and an int64 table per k
+    assert peak <= 24 * 20**4
+
+
+def test_cop_number_decides_each_k_as_the_capture_table():
+    networkx = pytest.importorskip("networkx")
+    graphs = connected_atlas(networkx, 6)
+    assert len(graphs) == 142
+    for g in graphs:
+        want = {k: exact_capture_times(build_state_space(g, k + 1)).finite_on_noncapture()
+                for k in (1, 2, 3)}
+        # the search's own inputs, straight from the graph, at every k
+        nbr, size = _padded_hoods(g)
+        for k in (1, 2, 3):
+            unlabeled = cr._label(nbr, size, _tuple_captors(g.vertex_count, k + 1) != 0, k + 1)[1]
+            assert (not unlabeled.any()) == want[k]
+        res = cop_number(g, max_cops=3)
+        c = next((k for k in (1, 2, 3) if want[k]), None)
+        assert res.value == c
+        assert res.finite_by_cops == {k: want[k] for k in want if k <= (c or 3)}
 
 
 @pytest.mark.parametrize("g, n", [(cycle_graph(5), 2), (petersen_graph(), 2), (path_graph(5), 3)])
@@ -186,8 +213,10 @@ def test_times_readers_agree_on_an_int32_copy(g, n):
 
 
 def test_cop_number_capacity():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as exc:
         cop_number(petersen_graph(), max_cops=3, state_cap=5000)
+    assert str(exc.value) == ("cop-number search stopped at k=3: 4 players on 10 vertices "
+                              "need 40001 states, above the cap of 5000")
 
 
 def test_discounted_duality_small():

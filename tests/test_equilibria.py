@@ -42,7 +42,7 @@ from scar.profiles import (
 from scar.simulate import exact_profile_values, profile_outcomes, run, run_with_forced_deviation
 from scar.states import build_state_space
 
-from oracles import evader_rows_evasion, moves_are_legal
+from oracles import connected_atlas, evader_rows_evasion, moves_are_legal
 
 
 @pytest.fixture(scope="module")
@@ -574,23 +574,12 @@ def test_move_arrays_hold_the_vertex_dtype(name, n, gamma, eps):
         assert verify_threat_ne(game, wide) == verify_threat_ne(game, threat)
 
 
-def _connected_atlas(networkx, max_vertices):
-    """Every connected graph of 2 to `max_vertices` vertices, up to isomorphism."""
-    graphs = []
-    for ag in networkx.graph_atlas_g():
-        n = ag.number_of_nodes()
-        if 2 <= n <= max_vertices and networkx.is_connected(ag):
-            relabel = {v: i + 1 for i, v in enumerate(sorted(ag.nodes()))}
-            graphs.append(build_graph(n, [(relabel[u], relabel[v]) for u, v in ag.edges()]))
-    return graphs
-
-
 def test_deviation_value_is_the_aux_value():
     """A deviator's best response to his own aux game's coalition is that
     game's value, bit for bit and sign bits included, for every player at
     every default-grid point: what lets the threat verifier read it off."""
     networkx = pytest.importorskip("networkx")
-    graphs = _connected_atlas(networkx, 5)
+    graphs = connected_atlas(networkx, 5)
     assert len(graphs) == 30
     cases = [(g, n) for n in (3, 4) for g in graphs] + [(cycle_graph(6), 5)]
     checked = 0
