@@ -15,10 +15,8 @@ from .equilibria import (
     build_capturing_threat_ne,
     build_noncapturing_ne,
     build_threat_profile,
-    check_cr_optimal_ne,
     solve_aux_game,
     solve_positional_ne,
-    verify_positional_ne,
     verify_threat_ne,
 )
 from .simulate import payoffs_of, run, run_with_forced_deviation, total_payoff
@@ -30,8 +28,7 @@ __all__ = [
     "CaptureTimeTable", "cop_number", "exact_capture_times",
     "minimax_capture_times", "t_n_max",
     "Game", "build_capturing_threat_ne", "build_noncapturing_ne", "build_threat_profile",
-    "check_cr_optimal_ne", "solve_aux_game", "solve_positional_ne",
-    "verify_positional_ne", "verify_threat_ne",
+    "solve_aux_game", "solve_positional_ne", "verify_threat_ne",
     "payoffs_of", "run", "run_with_forced_deviation",
 ]
 

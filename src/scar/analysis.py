@@ -257,10 +257,11 @@ def verify_profile(scenario: Scenario) -> dict:
     space = scenario.space()
     game = equilibria.Game(space, scenario.params)
     if kind == "cr-optimal":
-        rep = equilibria.check_cr_optimal_ne(game, tol=tol)
+        starts = None if s0 is None else [space.index_of(s0)]
+        rep = equilibria.verify_threat_ne(game, build_profile(game, kind), tol=tol, starts=starts)
         result = rep.summary()
         if s0 is not None:
-            result["is_ne_at_s0"] = rep.is_ne_at(space.index_of(s0))
+            result["is_ne_at_s0"] = rep.start_gaps[0] <= tol
         return result
     if kind == "noncapturing":
         table1 = build_state_space(space.graph, 2, scenario.state_cap).capture_table
@@ -396,7 +397,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                             "capture_time_bound": bound, **ver.summary()},
                            scenario(gamma, eps, profile="capturing-threat"))
             if params.in_omega_tilde:
-                ver = equilibria.check_cr_optimal_ne(game, tol=tol)
+                ver = equilibria.verify_threat_ne(game, build_profile(game, "cr-optimal"), tol=tol)
                 omega_rep.record(ver.is_ne, {"gamma": gamma, "epsilon": eps, **ver.summary()},
                                  scenario(gamma, eps, profile="cr-optimal"))
 
@@ -420,7 +421,7 @@ def theorem_suite(g: Graph, n_players: int, grid: SweepGrid | None = None,
                              "termination": termination, "is_ne": ver.is_ne,
                              "gains": ver.per_player_gain},
                             scenario(gamma, eps, s0=construction.s0, profile="noncapturing"))
-        del game, ver  # the point's games and tables, and the omega-tilde gaps
+        del game  # the point's games and tables
 
     if not capturing:
         escape_rep = TheoremReport(
@@ -526,8 +527,9 @@ def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
         if cop_sum != expected or pays[-1] != -expected:
             failures.append({"trial": trial, "s0": list(space.state_at(s0)),
                              "capture_time": None if t == math.inf else t})
-    ver = equilibria.check_cr_optimal_ne(equilibria.Game(space, params), tol=tol)
-    return EquivalenceReport(trials, not failures, failures, ver.is_ne, ver.max_gap)
+    game = equilibria.Game(space, params)
+    ver = equilibria.verify_threat_ne(game, build_profile(game, "cr-optimal"), tol=tol).summary()
+    return EquivalenceReport(trials, not failures, failures, ver["is_ne"], ver["max_gap"])
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +557,19 @@ def sweep(g: Graph, n_players: int, grid: SweepGrid | None = None, s0_list=None,
     rows = []
     for gamma, eps in grid.points():
         game = equilibria.Game(space, GameParams(n_players, gamma, eps))
-        ver = equilibria.check_cr_optimal_ne(game, tol=tol)
-        is_ne = (ver.state_gap <= tol).tolist()
-        max_gap = ver.state_gap.tolist()
+        gaps = equilibria.verify_threat_ne(game, build_profile(game, "cr-optimal"), tol=tol,
+                                           starts=starts).start_gaps
         threat = equilibria.build_threat_profile(game)
         turns = profile_outcomes(space, threat.cooperative)[0].tolist()
         omega_tilde = game.params.in_omega_tilde
-        for s0, label in zip(starts, labels):
+        for s0, label, gap in zip(starts, labels, gaps):
             rows.append({
                 "gamma": gamma,
                 "epsilon": eps,
                 "s0": label,
                 "omega_tilde": omega_tilde,
-                "cr_optimal_is_ne": is_ne[s0],
-                "max_gap": max_gap[s0],
+                "cr_optimal_is_ne": gap <= tol,
+                "max_gap": gap,
                 "threat_capture_time": turns[s0] if turns[s0] >= 0 else "inf",
             })
     return rows

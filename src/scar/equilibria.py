@@ -1,16 +1,19 @@
 """Equilibrium computation and verification.
 
 Verification is the backbone of this module: nothing is ever reported as an
-equilibrium unless an exact best-response computation says so. Positional play
-is a plain move array, taken and returned as one; against it the
-opponents-frozen game is a single-player deterministic MDP per player, whose
-value iteration from zero reaches its exact fixpoint (residual 0)
-within |S| + 1 sweeps, so no value tolerance enters the check; profile payoffs
-themselves are evaluated in closed form (deterministic positional play either
-captures within |S| turns or provably cycles). For threat profiles the punished
-deviator faces fixed positional punishers, so his best continuation is an exact
-MDP value, and a one-shot deviation scan along cooperative play covers every
-deviating strategy. Each verifier call checks one profile. `best_response` is
+equilibrium unless an exact best-response computation says so. There is one
+verifier for the whole-space verdicts, a one-shot deviation scan along
+cooperative play: a deviator then faces fixed positional punishers forever, so
+his best continuation is his exact `best_response` to them, and comparing it
+with the cooperative payoff-to-go at every state of his covers every deviating
+strategy. Positional play is a plain move array, taken and returned as one,
+and is the threat profile that punishes no one: its punishers play the
+cooperative moves, against which the opponents-frozen game is a single-player
+deterministic MDP per player, whose value iteration from zero reaches its
+exact fixpoint (residual 0) within |S| + 1 sweeps, so no value tolerance
+enters the check; profile payoffs themselves are evaluated in closed form
+(deterministic positional play either captures within |S| turns or provably
+cycles). Each verifier call checks one profile. `best_response` is
 the one place that knows an exact shortcut: against his own aux game's
 coalition a player's value is that game's, and the evader's against optimal
 pursuit is the capture table's, both read with no MDP. The non-capturing
@@ -29,9 +32,8 @@ evader's payoff -gamma^T does not depend on eps, so his game, his best
 response to optimal pursuit and that pursuit's outcomes are read off the
 space's capture table (`StateSpace.capture_table`). Both threat constructions cooperate along
 different moves and punish with those games' strategy arrays themselves.
-A verdict holds plain values, apart from the positional one's per-state gap
-(the largest over players) and profile values: no verifier's working arrays
-outlive its call.
+A verdict holds plain values, the per-start gaps of positional play included:
+no verifier's working arrays outlive its call.
 
 The positional-equilibrium solver is a heuristic sweep iteration: the coupled
 argmax/value equations are not a contraction for three or more players, so the
@@ -155,51 +157,79 @@ def build_capturing_threat_ne(game: Game) -> ThreatProfile:
 
 
 # ---------------------------------------------------------------------------
-# Exact verification of positional play.
+# Equilibrium verification: one deviation scan for every profile.
 
 @dataclass
-class NEReport:
+class ThreatNEReport:
     is_ne: bool
     tol: float
-    state_gap: np.ndarray  # (n_states,) largest best-response gain over players
-    max_gap: float
-    per_player_gap: list
-    profile_values: np.ndarray
-
-    def is_ne_at(self, idx: int) -> bool:
-        return bool(self.state_gap[idx] <= self.tol)
+    per_player_gain: list  # floored at 0.0 when positional: staying on the profile gains 0
+    captures_everywhere: bool  # cooperative play captures from every non-capture state
+    latest_capture: int  # its latest capture turn from a non-capture state (0: none)
+    positional: bool  # the profile punishes no one, so its gains are best-response gaps
+    start_gaps: list | None = None  # per requested start, the largest gap over players
 
     def summary(self) -> dict:
+        kind = "gap" if self.positional else "gain"
         return {
             "is_ne": self.is_ne,
             "tol": self.tol,
-            "max_gap": self.max_gap,
-            "per_player_gap": self.per_player_gap,
+            f"max_{kind}": max(self.per_player_gain),
+            f"per_player_{kind}": self.per_player_gain,
         }
 
 
-def verify_positional_ne(game: Game, moves: np.ndarray,
-                         tol: float = DEFAULT_NE_TOL) -> NEReport:
-    """Best-response gap of every player from every state against the rest
-    frozen on the move array `moves`.
+def verify_threat_ne(game: Game, threat: ThreatProfile, tol: float = DEFAULT_NE_TOL,
+                     starts=None) -> ThreatNEReport:
+    """Check that no one-shot deviation from `threat` followed by optimal play
+    against the punishers beats cooperative play, from any state (hence any start).
 
-    Profile payoffs are exact closed forms, and each player's best response is
-    exact (`best_response`). The report keeps each player's largest gap, and
-    per state the largest gap over players, folded in player order; the
-    profile is an equilibrium from a start iff that gap is at most `tol`, and
-    from every start iff every gap is.
+    After a deviation the deviator faces fixed positional punishers forever, so
+    his best continuation is his exact `best_response` to them; before it, play
+    is the cooperative path whose payoff-to-go is an exact closed form. Comparing
+    the two at every state of the deviator covers every deviating strategy.
+    A player with no entry in `threat.punishments` is punished by the
+    cooperative moves themselves, so `ThreatProfile(space, moves, {})` is
+    positional play `moves`, scanned against each player's best response to
+    it. For such a profile only, `starts` (state indices) adds per start the
+    largest over players of that best response's value less the profile's.
+    The verdict holds plain values: each player's largest gain, whether
+    cooperative play captures from every start, and how late.
     """
-    space, n = game.space, game.params.n_players
-    u = exact_profile_values(game, _outcomes(space, moves))
-    state_gap, per_player = None, []
-    for player in range(1, n + 1):
-        gap = best_response(game, player, moves) - u[player - 1]
-        gap[space.terminal_index] = 0.0
-        per_player.append(float(gap.max()))
-        state_gap = gap if state_gap is None else np.maximum(state_gap, gap, out=state_gap)
-    max_gap = float(max(per_player))
-    return NEReport(max_gap <= tol, tol, state_gap, max_gap, per_player, u)
+    space, params = game.space, game.params
+    positional = not threat.punishments
+    if starts is not None:
+        if not positional:
+            raise ValueError("per-start gaps are defined only for a profile that punishes no one")
+        starts = np.asarray(starts, dtype=np.intp)  # one index array for every player's gathers
+    turns, capture_at = _outcomes(space, threat.cooperative)
+    gains, start_gaps = [], None
+    for player in range(1, params.n_players + 1):
+        br = best_response(game, player, threat.punishments.get(player, threat.cooperative))
+        if starts is not None:
+            gap = br[starts] - discounted_payoff(space, params, player, capture_at[starts], turns[starts])
+            start_gaps = gap if start_gaps is None else np.maximum(start_gaps, gap, out=start_gaps)
+        block = space.turn_block(player)
+        if block.rows.size == 0:
+            gains.append(0.0)
+            continue
+        u_coop = discounted_payoff(space, params, player, capture_at[block.rows], turns[block.rows])
+        dev = params.gamma * br[block.succ]
+        # padded slots repeat slot 0, so they neither add nor hide a deviation
+        deviating = block.act != threat.cooperative[block.rows]
+        gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop
+        at = int(gain.argmax())
+        gains.append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
+    if positional:
+        gains = [max(0.0, g) for g in gains]
+    coop = turns[space.is_noncapture]
+    return ThreatNEReport(max(gains) <= tol, tol, gains, bool((coop >= 0).all()),
+                          int(coop.max(initial=0)), positional,
+                          None if starts is None else start_gaps.tolist())
 
+
+# ---------------------------------------------------------------------------
+# Positional equilibrium search by synchronous sweeps.
 
 def equation_residuals(game: Game, moves: np.ndarray, values: np.ndarray) -> tuple:
     """Residuals of the coupled equilibrium equations for (moves, values).
@@ -230,16 +260,13 @@ def equation_residuals(game: Game, moves: np.ndarray, values: np.ndarray) -> tup
     return attainment, consistency
 
 
-# ---------------------------------------------------------------------------
-# Positional equilibrium search by synchronous sweeps.
-
 @dataclass
 class PositionalNEResult:
     moves: np.ndarray
     sweeps: int
     attainment_residual: float
     consistency_residual: float
-    verification: NEReport
+    verification: ThreatNEReport
 
 
 def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> PositionalNEResult:
@@ -284,75 +311,14 @@ def solve_positional_ne(game: Game, ne_tol: float = DEFAULT_NE_TOL) -> Positiona
             f"no fixpoint or cycle after {cap} sweeps (residual {residual:.3e}); "
             "the threat-strategy construction is the sound fallback",
             {"sweeps": cap, "residual": residual, "cycle_period": None})
-    verification = verify_positional_ne(game, moves, tol=ne_tol)
+    verification = verify_threat_ne(game, ThreatProfile(space, moves, {}), tol=ne_tol)
     if not verification.is_ne:
         raise NotAnEquilibriumError(
             f"sweeps reached a fixpoint but a player can still improve by "
-            f"{verification.max_gap:.3e}", verification)
-    attainment, consistency = equation_residuals(game, moves, verification.profile_values)
+            f"{verification.summary()['max_gap']:.3e}", verification)
+    values = exact_profile_values(game, _outcomes(space, moves))
+    attainment, consistency = equation_residuals(game, moves, values)
     return PositionalNEResult(moves, sweeps, attainment, consistency, verification)
-
-
-# ---------------------------------------------------------------------------
-# Threat-profile verification.
-
-@dataclass
-class ThreatNEReport:
-    is_ne: bool
-    tol: float
-    per_player_gain: list
-    captures_everywhere: bool  # cooperative play captures from every non-capture state
-    latest_capture: int  # its latest capture turn from a non-capture state (0: none)
-
-    def summary(self) -> dict:
-        return {
-            "is_ne": self.is_ne,
-            "tol": self.tol,
-            "max_gain": max(self.per_player_gain),
-            "per_player_gain": self.per_player_gain,
-        }
-
-
-def verify_threat_ne(game: Game, threat: ThreatProfile,
-                     tol: float = DEFAULT_NE_TOL) -> ThreatNEReport:
-    """Check that no one-shot deviation from `threat` followed by optimal play
-    against the punishers beats cooperative play, from any state (hence any start).
-
-    After a deviation the deviator faces fixed positional punishers forever, so
-    his best continuation is his exact `best_response` to them; before it, play
-    is the cooperative path whose payoff-to-go is an exact closed form. Comparing
-    the two at every state of the deviator covers every deviating strategy.
-    The verdict holds plain values: each player's largest gain, whether
-    cooperative play captures from every start, and how late.
-    """
-    space, params = game.space, game.params
-    turns, capture_at = _outcomes(space, threat.cooperative)
-    gains = []
-    for player in range(1, params.n_players + 1):
-        block = space.turn_block(player)
-        if block.rows.size == 0:
-            gains.append(0.0)
-            continue
-        u_coop = discounted_payoff(space, params, player, capture_at[block.rows], turns[block.rows])
-        dev = params.gamma * best_response(game, player, threat.punishments[player])[block.succ]
-        # padded slots repeat slot 0, so they neither add nor hide a deviation
-        deviating = block.act != threat.cooperative[block.rows]
-        gain = np.where(deviating, dev, -np.inf).max(axis=0) - u_coop
-        at = int(gain.argmax())
-        gains.append(float(gain[at]) if np.isfinite(gain[at]) else 0.0)
-    coop = turns[space.is_noncapture]
-    return ThreatNEReport(max(gains) <= tol, tol, gains,
-                          bool((coop >= 0).all()), int(coop.max(initial=0)))
-
-
-def check_cr_optimal_ne(game: Game, tol: float = DEFAULT_NE_TOL) -> NEReport:
-    """Verify the canonical optimal-pursuit profile as a positional equilibrium.
-
-    Expected to pass from every start whenever gamma < eps/(1-eps) at N=3 (and
-    always in split-equivalent mode), but at N >= 4 only under the measured
-    gamma < (eps/(N-2))/(1-eps); elsewhere the report carries the failing states.
-    """
-    return verify_positional_ne(game, game.space.capture_table.cr_optimal_moves, tol=tol)
 
 
 # ---------------------------------------------------------------------------

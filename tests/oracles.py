@@ -7,7 +7,9 @@ the package because the benchmark's checks read it too.
 import numpy as np
 
 from scar import bellman
+from scar.equilibria import best_response
 from scar.graph import build_graph
+from scar.simulate import exact_profile_values, profile_outcomes
 
 
 def connected_atlas(networkx, max_vertices):
@@ -43,6 +45,22 @@ def evader_rows_evasion(space, table1):
              for c in range(1, space.n_vertices + 1) for r in range(1, space.n_vertices + 1) if c != r}
     positions = space.positions[rows].tolist()
     return rows, {d: np.array([evade[p[d - 1], p[-1]] for p in positions]) for d in range(1, n)}
+
+
+def positional_gaps(game, moves):
+    """Best-response gaps of positional play `moves`, each player's exact best
+    response less his closed-form profile value: per player his largest gap
+    over states, and per state the largest over players, folded in player
+    order (0 at the terminal)."""
+    space = game.space
+    u = exact_profile_values(game, profile_outcomes(space, moves))
+    state_gap, per_player = None, []
+    for player in range(1, space.n_players + 1):
+        gap = best_response(game, player, moves) - u[player - 1]
+        gap[space.terminal_index] = 0.0
+        per_player.append(float(gap.max()))
+        state_gap = gap if state_gap is None else np.maximum(state_gap, gap, out=state_gap)
+    return per_player, state_gap
 
 
 def moves_are_legal(space, moves):

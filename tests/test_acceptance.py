@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from scar.analysis import (
+    build_profile,
     delayed_capture_demo,
     escape_start_witness,
     make_grid,
@@ -28,7 +29,6 @@ from scar.equilibria import (
     build_capturing_threat_ne,
     build_noncapturing_ne,
     build_threat_profile,
-    check_cr_optimal_ne,
     solve_positional_ne,
     verify_noncapturing_ne,
     verify_threat_ne,
@@ -231,8 +231,9 @@ def test_criterion_07_omega_tilde_theorem():
         for gamma, eps in points:
             params = GameParams(3, gamma, eps)
             assert params.in_omega_tilde
-            rep = check_cr_optimal_ne(Game(space, params), tol=NE_TOL)
-            assert rep.is_ne, f"({gamma},{eps}) on {g.vertex_count}-cycle: gap {rep.max_gap:.2e}"
+            game = Game(space, params)
+            rep = verify_threat_ne(game, build_profile(game, "cr-optimal"), tol=NE_TOL)
+            assert rep.is_ne, f"({gamma},{eps}) on {g.vertex_count}-cycle: gap {max(rep.per_player_gain):.2e}"
     _report(7, started, "C4 and C5, 5 sampled points inside the region, every start")
 
 
@@ -315,7 +316,7 @@ def test_criterion_11_positional_ne_residuals():
         assert res.attainment_residual <= 1e-10
         assert res.consistency_residual <= 1e-10
         assert res.verification.is_ne
-        assert res.verification.max_gap <= 1e-8
+        assert res.verification.summary()["max_gap"] <= 1e-8
         converged += 1
     assert converged > 0
     _report(11, started, f"{converged} converged with residuals <= 1e-10, "

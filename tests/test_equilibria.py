@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scar import bellman
-from scar.analysis import make_grid
+from scar.analysis import build_profile, make_grid
 from scar.cr import exact_capture_times, extract_cr_optimal_moves, t_n_max
 from scar.equilibria import (
     Game,
@@ -14,12 +14,10 @@ from scar.equilibria import (
     build_capturing_threat_ne,
     build_noncapturing_ne,
     build_threat_profile,
-    check_cr_optimal_ne,
     equation_residuals,
     solve_aux_game,
     solve_positional_ne,
     verify_noncapturing_ne,
-    verify_positional_ne,
     verify_threat_ne,
 )
 from scar.errors import NonConvergenceError, NotApplicableError, ValidationError
@@ -42,7 +40,11 @@ from scar.profiles import (
 from scar.simulate import exact_profile_values, profile_outcomes, run, run_with_forced_deviation
 from scar.states import build_state_space
 
-from oracles import connected_atlas, evader_rows_evasion, moves_are_legal
+from oracles import connected_atlas, evader_rows_evasion, moves_are_legal, positional_gaps
+
+
+def verify_cr_optimal(game, **kwargs):
+    return verify_threat_ne(game, build_profile(game, "cr-optimal"), **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -278,12 +280,13 @@ def test_game_payoff_table_is_read_only(c4_space):
 
 def test_two_player_positional_ne_on_path():
     space = build_state_space(path_graph(3), 2)
-    res = solve_positional_ne(Game(space, GameParams(2, 0.5, 0.5)))
+    game = Game(space, GameParams(2, 0.5, 0.5))
+    res = solve_positional_ne(game)
     i0 = space.index_of((1, 3, 1))
-    values = res.verification.profile_values
+    values = exact_profile_values(game, profile_outcomes(space, res.moves))
     assert values[0][i0] == pytest.approx(0.125, abs=1e-10)
     assert values[1][i0] == pytest.approx(-0.125, abs=1e-10)
-    assert res.verification.max_gap <= 1e-8
+    assert res.verification.summary()["max_gap"] <= 1e-8
     assert res.attainment_residual <= 1e-10
     assert res.consistency_residual <= 1e-10
 
@@ -291,17 +294,18 @@ def test_two_player_positional_ne_on_path():
 def test_positional_ne_boundary_values(c4_space):
     space = c4_space
     params = GameParams(3, 0.6, 0.3)
-    res = solve_positional_ne(Game(space, params))
+    game = Game(space, params)
+    values = exact_profile_values(game, profile_outcomes(space, solve_positional_ne(game).moves))
     cap = space.is_capture
     for p in (1, 2, 3):
         q = turn_payoffs(space, params, p)
-        assert np.abs(res.verification.profile_values[p - 1, cap] - q[cap]).max() <= 1e-12
+        assert np.abs(values[p - 1, cap] - q[cap]).max() <= 1e-12
 
 
 def test_positional_ne_on_example_tree(tree9_space):
     res = solve_positional_ne(Game(tree9_space, GameParams(3, 0.9, 0.25)))
     assert res.verification.is_ne
-    assert res.verification.max_gap <= 1e-8
+    assert res.verification.summary()["max_gap"] <= 1e-8
 
 
 def test_freeze_profile_is_not_ne_on_pursuer_win_graph():
@@ -313,15 +317,15 @@ def test_freeze_profile_is_not_ne_on_pursuer_win_graph():
     nc = np.flatnonzero(space.is_noncapture)
     stay[nc] = space.positions[nc, space.mover[nc] - 1]
     assert moves_are_legal(space, stay)
-    report = verify_positional_ne(Game(space, params), stay)
+    report = verify_threat_ne(Game(space, params), ThreatProfile(space, stay, {}))
     assert not report.is_ne
-    assert max(report.per_player_gap[:2]) > 0.01
+    assert max(report.summary()["per_player_gap"][:2]) > 0.01
 
 
 def test_cr_optimal_is_ne_inside_omega_tilde(c4_space):
     params = GameParams(3, 0.2, 0.5)
     assert params.in_omega_tilde
-    report = check_cr_optimal_ne(Game(c4_space, params))
+    report = verify_cr_optimal(Game(c4_space, params))
     assert report.is_ne
 
 
@@ -330,28 +334,50 @@ def test_cr_optimal_fails_outside_omega_tilde_on_tree(tree9_space):
     params = GameParams(3, 0.9, 0.25)
     assert not params.in_omega_tilde
     game = Game(tree9_space, params)
-    report = check_cr_optimal_ne(game)
-    assert not report.is_ne
     i0 = tree9_space.index_of((6, 1, 4, 1))
+    report = verify_cr_optimal(game, starts=[i0])
+    assert not report.is_ne
     # the worked retreat deviation already nets 0.9^13*0.75 - 0.9^5*0.25, so the
     # best-response gap at the example start is at least that
     bound = 0.9**13 * 0.75 - 0.9**5 * 0.25 - 1e-9
     moves = tree9_space.capture_table.cr_optimal_moves
-    own_gap = best_response(game, 1, moves)[i0] - report.profile_values[0, i0]
-    assert own_gap >= bound
-    assert report.state_gap[i0] >= bound
+    values = exact_profile_values(game, profile_outcomes(tree9_space, moves))
+    own_gap = best_response(game, 1, moves)[i0] - values[0, i0]
+    assert report.start_gaps[0] >= own_gap >= bound
 
 
 def test_equation_residuals_reject_wrong_values(c4_space):
     space = c4_space
     params = GameParams(3, 0.5, 0.25)
     res = solve_positional_ne(Game(space, params))
-    values = res.verification.profile_values
+    values = exact_profile_values(Game(space, params), profile_outcomes(space, res.moves))
     att, cons = equation_residuals(Game(space, params), res.moves, values)
     assert att <= 1e-10 and cons <= 1e-10
     wrong = values + 0.01
     _, cons_wrong = equation_residuals(Game(space, params), res.moves, wrong)
     assert cons_wrong > 1e-3
+
+
+@pytest.mark.parametrize("g, n", [(cycle_graph(5), 3), (path_graph(5), 3), (delayed_capture_graph(), 3),
+                                  (cycle_graph(4), 4), (path_graph(4), 4)],
+                         ids=["cycle:5", "path:5", "delayed-capture", "cycle:4-n4", "path:4-n4"])
+def test_scan_of_positional_play_is_the_best_response_gap(g, n):
+    """The deviation scan of a profile that punishes no one, floored at 0, is
+    each player's largest best-response gap, and its start gaps are the
+    per-state gaps of the oracle, both to the sign of a zero; for optimal
+    pursuit and a random profile over the default grid."""
+    space = build_state_space(g, n)
+    starts = np.arange(space.n_states)
+    profiles = [space.capture_table.cr_optimal_moves, random_profile(space, np.random.default_rng(5))]
+    for gamma, eps in make_grid(n).points():
+        game = Game(space, GameParams(n, gamma, eps))
+        for moves in profiles:
+            report = verify_threat_ne(game, ThreatProfile(space, moves, {}), starts=starts)
+            per_player, state_gap = positional_gaps(game, moves)
+            assert repr(report.summary()) == repr({"is_ne": max(per_player) <= report.tol,
+                                                   "tol": report.tol, "max_gap": max(per_player),
+                                                   "per_player_gap": per_player})
+            assert repr(report.start_gaps) == repr(state_gap.tolist())
 
 
 def test_verified_ne_sound_against_random_deviations(c4_space):
@@ -360,7 +386,7 @@ def test_verified_ne_sound_against_random_deviations(c4_space):
     space = c4_space
     params = GameParams(3, 0.2, 0.5)
     pursuit = space.capture_table.cr_optimal_moves
-    report = check_cr_optimal_ne(Game(space, params))
+    report = verify_cr_optimal(Game(space, params))
     assert report.is_ne
     base = exact_profile_values(Game(space, params), profile_outcomes(space, pursuit))
     rng = np.random.default_rng(17)
@@ -417,19 +443,40 @@ def test_capturing_threat_respects_time_bound():
 
 
 def test_verdicts_hold_plain_values(c4_space):
-    # a point's threat verdicts keep no working array, so two games at the same
-    # point give verdicts equal by value; the positional one keeps one gap per state
+    # a point's verdicts keep no working array, so two games at the same point
+    # give verdicts equal by value, per-start gaps included
     params = GameParams(3, 0.9, 0.25)
     games = [Game(c4_space, params) for _ in range(2)]
-    for build in (build_threat_profile, build_capturing_threat_ne):
-        first, second = (verify_threat_ne(game, build(game)) for game in games)
+    starts = np.flatnonzero(c4_space.is_noncapture)[::7]
+
+    def positional(game, **kwargs):
+        moves = solve_positional_ne(game).moves
+        return verify_threat_ne(game, ThreatProfile(c4_space, moves, {}), **kwargs)
+
+    verdicts = {
+        "threat": lambda game: verify_threat_ne(game, build_threat_profile(game)),
+        "capturing-threat": lambda game: verify_threat_ne(game, build_capturing_threat_ne(game)),
+        "cr-optimal": verify_cr_optimal,
+        "cr-optimal at starts": lambda game: verify_cr_optimal(game, starts=starts),
+        "positional-ne": lambda game: solve_positional_ne(game).verification,
+        "positional-ne at starts": lambda game: positional(game, starts=starts),
+    }
+    for kind, verify in verdicts.items():
+        first, second = verify(games[0]), verify(games[1])
         for field in dataclasses.fields(first):
-            assert not isinstance(getattr(first, field.name), np.ndarray), field.name
-        assert first == second and first is not second
+            assert not isinstance(getattr(first, field.name), np.ndarray), (kind, field.name)
+        assert first == second and first is not second, kind
         assert dataclasses.replace(first, latest_capture=first.latest_capture + 1) != first
-    report = check_cr_optimal_ne(games[0])
-    assert report.state_gap.shape == (c4_space.n_states,)
-    assert report.state_gap.max() == report.max_gap
+        if first.start_gaps is not None:
+            assert len(first.start_gaps) == starts.size
+            assert all(type(gap) is float for gap in first.start_gaps), kind
+
+
+def test_start_gaps_need_a_profile_that_punishes_no_one(c4_space):
+    game = Game(c4_space, GameParams(3, 0.9, 0.25))
+    for build in (build_threat_profile, build_capturing_threat_ne):
+        with pytest.raises(ValueError, match="punishes no one"):
+            verify_threat_ne(game, build(game), starts=[0])
 
 
 def test_capturing_threat_precondition():
@@ -457,7 +504,7 @@ def test_cr_optimal_is_ne_in_two_player_game():
     # profile is an equilibrium for any parameters
     space = build_state_space(path_graph(4), 2)
     for gamma in (0.2, 0.9):
-        rep = check_cr_optimal_ne(Game(space, GameParams(2, gamma, 0.5)))
+        rep = verify_cr_optimal(Game(space, GameParams(2, gamma, 0.5)))
         assert rep.is_ne
 
 
@@ -609,7 +656,7 @@ def test_best_response_reads_the_own_aux_value(g, n, monkeypatch):
     for d in range(1, n):
         assert best_response(game, d, aux[d - 1].move) is aux[d - 1].values
     assert solved == []
-    verify_positional_ne(game, aux[0].move)
+    verify_threat_ne(game, ThreatProfile(space, aux[0].move, {}))
     assert solved == list(range(2, n + 1))
 
 

@@ -28,8 +28,8 @@ the capture-class shares: `solve` through positional sweeps (delayed-capture)
 and through the threat fallback (an oscillating 6-vertex graph, whose sweeps
 cycle with period 3), and `verify` of the positional-equilibrium sweeps.
 Two more were written before the verdicts dropped their per-state arrays:
-`verify` of optimal pursuit from one start, whose `is_ne_at_s0` reads the
-per-state gap, and of the capturing threat, whose `captures_everywhere` is
+`verify` of optimal pursuit from one start, whose `is_ne_at_s0` is the gap
+at that start against a tolerance, and of the capturing threat, whose `captures_everywhere` is
 read off cooperative play. The last two, `verify` of the non-capturing
 construction on Petersen with N=4 and on cycle:4 from an explicit start, were
 written before that construction became a threat profile; they pin its
