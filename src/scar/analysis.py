@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import equilibria
-from .cr import CopNumberResult, cop_number, t_n_max
+from .cr import cop_number, t_n_max
 from .equilibria import DEFAULT_NE_TOL
 from .errors import ValidationError
 from .graph import Graph, builtin_graph, parse_graph, serialize_graph
-from .payoffs import GameParams, discounted
+from .payoffs import GameParams, discounted, omega_tilde_bound
 from .profiles import ThreatProfile, combine_player_moves, greedy_cop_moves, random_profile
 from .simulate import CYCLE, payoffs_of, profile_outcomes, run, run_with_forced_deviation
 from .states import DEFAULT_STATE_CAP, build_state_space
@@ -52,7 +52,7 @@ def make_grid(n_players: int, gammas=None, epsilons=None) -> SweepGrid:
         gammas = [0.1, 0.3, 0.5, 0.7, 0.95]
     if not gammas or not epsilons:
         raise ValidationError("grid needs at least one gamma and one epsilon")
-    bounds = [e / (1.0 - e) for e in epsilons if e < 1.0]
+    bounds = [omega_tilde_bound(e) for e in epsilons]
     out = []
     for g in gammas:
         if not 0.0 < g < 1.0:
@@ -102,14 +102,14 @@ class Scenario:
         command's default profile; None, for a command that runs none, leaves
         the document's profile unread."""
         graph = get("graph")
-        split = bool(get("split_equivalent"))
+        split = get("split_equivalent", False)
         ne_tol = float(get("ne_tol", DEFAULT_NE_TOL))
         if not ne_tol >= 0:
             raise ValidationError(f"equilibrium gap tolerance must be non-negative, got {ne_tol}")
         s0 = get("s0")
         return cls(graph, get("n_players"), float(get("gamma")), None if split else float(get("epsilon")),
                    split_equivalent=split,
-                   allow_extended_epsilon=bool(get("allow_extended_epsilon")),
+                   allow_extended_epsilon=get("allow_extended_epsilon", False),
                    s0=tuple(s0) if s0 else None, ne_tol=ne_tol,
                    state_cap=get("state_cap", DEFAULT_STATE_CAP),
                    profile=get("profile", profile) if profile else None)
@@ -147,6 +147,10 @@ def _is_number(value):
     return _is_int(value) or isinstance(value, float)
 
 
+def _is_bool(value):
+    return isinstance(value, bool)
+
+
 # the fields whose document value must have a given type: (check, what it must be)
 _FIELD_TYPES = {
     "n_players": (_is_int, "an integer"),
@@ -154,6 +158,8 @@ _FIELD_TYPES = {
     "gamma": (_is_number, "a number"),
     "epsilon": (_is_number, "a number"),
     "ne_tol": (_is_number, "a number"),
+    "split_equivalent": (_is_bool, "a boolean"),
+    "allow_extended_epsilon": (_is_bool, "a boolean"),
     "s0": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
 }
 
@@ -446,67 +452,44 @@ def escape_start_witness(table):
     return int(escapes[0]) if escapes.size else None
 
 
-@dataclass
-class SelfishCopNumberReport:
-    value: int
-    cop_result: CopNumberResult
-    verified_points: list = field(default_factory=list)
-    escape_witness: list | None = None
-    consistent: bool = True
-
-
 def selfish_cop_number(g: Graph, max_cops: int = 3, verify: bool = False,
-                       grid: SweepGrid | None = None, sample_points: int = 3,
-                       tol: float = DEFAULT_NE_TOL,
-                       state_cap: int = DEFAULT_STATE_CAP) -> SelfishCopNumberReport:
+                       state_cap: int = DEFAULT_STATE_CAP) -> dict:
     """The classic cop number c (`cr.cop_number`), returned as the selfish one
-    without a search over equilibria. `verify` checks, at `sample_points`
-    points strided through `grid`, that c pursuers' capturing threat profile
-    (one candidate) is an equilibrium capturing from every start, and for
-    c >= 2 finds a start where the evader escapes c - 1 pursuers.
+    without a search over equilibria; the `result` of `scar copnumber
+    --selfish`. `verify` checks, at 3 points strided through the default grid,
+    that c pursuers' capturing threat profile (one candidate) is an
+    equilibrium capturing from every start, and for c >= 2 finds a start
+    where the evader escapes c - 1 pursuers.
     """
     cnum = cop_number(g, max_cops=max_cops, state_cap=state_cap)
-    if cnum.value is None:
-        raise ValidationError(f"cop number exceeds max_cops={max_cops}; raise the bound")
-    report = SelfishCopNumberReport(cnum.value, cnum)
-    if not verify:
-        return report
     k = cnum.value
-    n_players = k + 1
-    if grid is None:
-        grid = make_grid(n_players)
-    space = build_state_space(g, n_players, state_cap)  # the k-pursuer space
-    diag = grid.points()[:: max(1, len(grid.points()) // sample_points)][:sample_points]
-    for gamma, eps in diag:
-        game = equilibria.Game(space, GameParams(n_players, gamma, eps))
-        ver = equilibria.verify_threat_ne(game, equilibria.build_capturing_threat_ne(game), tol=tol)
+    if k is None:
+        raise ValidationError(f"cop number exceeds max_cops={max_cops}; raise the bound")
+    result = {"selfish_cop_number": k, "cop_number": k, "finite_by_cops": cnum.finite_by_cops,
+              "verified_points": [], "escape_witness": None, "consistent": True}
+    if not verify:
+        return result
+    space = build_state_space(g, k + 1, state_cap)  # the k-pursuer space
+    for gamma, eps in make_grid(k + 1).points()[::8][:3]:
+        game = equilibria.Game(space, GameParams(k + 1, gamma, eps))
+        ver = equilibria.verify_threat_ne(game, equilibria.build_capturing_threat_ne(game))
         ok = ver.is_ne and ver.captures_everywhere
-        report.verified_points.append({"gamma": gamma, "epsilon": eps, "ok": ok})
-        report.consistent = report.consistent and ok
+        result["verified_points"].append({"gamma": gamma, "epsilon": eps, "ok": ok})
+        result["consistent"] = result["consistent"] and ok
     if k >= 2:
-        small = build_state_space(g, k, state_cap).capture_table  # K-1 = k-1 pursuers
+        small = build_state_space(g, k, state_cap).capture_table  # k - 1 pursuers
         witness = escape_start_witness(small)
-        report.escape_witness = list(small.space.state_at(witness)) if witness is not None else None
-        report.consistent = report.consistent and witness is not None
-    return report
+        result["escape_witness"] = list(small.space.state_at(witness)) if witness is not None else None
+        result["consistent"] = result["consistent"] and witness is not None
+    return result
 
 
-@dataclass
-class EquivalenceReport:
-    trials: int
-    all_sums_exact: bool
-    failures: list
-    cr_optimal_is_ne: bool
-    max_gap: float
-
-
-def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
-                             seed: int = 0, gamma: float = 0.7,
-                             tol: float = DEFAULT_NE_TOL,
-                             state_cap: int = DEFAULT_STATE_CAP) -> EquivalenceReport:
+def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100, seed: int = 0,
+                             gamma: float = 0.7, state_cap: int = DEFAULT_STATE_CAP) -> dict:
     """Split-equivalent mode: pursuer payoffs always sum to the single-controller
     payoff gamma^T_C, exactly; and the canonical optimal pursuit verifies as an
-    equilibrium. Random profiles and starts are drawn from a seeded generator."""
+    equilibrium. Random profiles and starts are drawn from a seeded generator.
+    The `result` of `scar equivalence`."""
     from fractions import Fraction
 
     space = build_state_space(g, n_players, state_cap)
@@ -528,8 +511,9 @@ def payoff_equivalence_check(g: Graph, n_players: int, trials: int = 100,
             failures.append({"trial": trial, "s0": list(space.state_at(s0)),
                              "capture_time": None if t == math.inf else t})
     game = equilibria.Game(space, params)
-    ver = equilibria.verify_threat_ne(game, build_profile(game, "cr-optimal"), tol=tol).summary()
-    return EquivalenceReport(trials, not failures, failures, ver["is_ne"], ver["max_gap"])
+    ver = equilibria.verify_threat_ne(game, build_profile(game, "cr-optimal")).summary()
+    return {"trials": trials, "all_sums_exact": not failures, "failures": failures,
+            "cr_optimal_is_ne": ver["is_ne"], "max_gap": ver["max_gap"]}
 
 
 # ---------------------------------------------------------------------------

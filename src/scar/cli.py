@@ -74,19 +74,7 @@ def _grid_from(args, params):
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2, default=_json_default))
-
-
-def _json_default(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if x is math.inf:
-        return "inf"
-    return str(x)
+    print(json.dumps(obj, indent=2))
 
 
 def _report(command, scenario, result):
@@ -185,25 +173,15 @@ def cmd_copnumber(args):
     get = _reader(args)
     g, state_cap = get("graph"), get("state_cap", DEFAULT_STATE_CAP)
     if args.selfish:
-        rep = analysis.selfish_cop_number(g, max_cops=args.max_cops, verify=args.verify,
-                                          state_cap=state_cap)
-        result = {
-            "selfish_cop_number": rep.value,
-            "cop_number": rep.cop_result.value,
-            "finite_by_cops": rep.cop_result.finite_by_cops,
-            "verified_points": rep.verified_points,
-            "escape_witness": rep.escape_witness,
-            "consistent": rep.consistent,
-        }
+        result = analysis.selfish_cop_number(g, max_cops=args.max_cops, verify=args.verify,
+                                             state_cap=state_cap)
     else:
         res = cop_number(g, max_cops=args.max_cops, state_cap=state_cap)
         result = {"cop_number": res.value, "finite_by_cops": res.finite_by_cops}
     _emit({"schema_version": SCHEMA_VERSION, "command": "copnumber",
            "graph": serialize_graph(g), "max_cops": args.max_cops, "state_cap": state_cap,
            "result": result})
-    if args.verify and not result["consistent"]:
-        return EXIT_SUITE_FAILURE
-    return EXIT_OK
+    return EXIT_SUITE_FAILURE if args.selfish and not result["consistent"] else EXIT_OK
 
 
 def cmd_sweep(args):
@@ -268,19 +246,12 @@ def cmd_equivalence(args):
     get = _reader(args)
     g, n_players = get("graph"), get("n_players", 3)
     gamma, state_cap = get("gamma", 0.7), get("state_cap", DEFAULT_STATE_CAP)
-    rep = analysis.payoff_equivalence_check(g, n_players, trials=args.trials, seed=args.seed,
-                                            gamma=gamma, state_cap=state_cap)
-    result = {
-        "trials": rep.trials,
-        "all_sums_exact": rep.all_sums_exact,
-        "failures": rep.failures,
-        "cr_optimal_is_ne": rep.cr_optimal_is_ne,
-        "max_gap": rep.max_gap,
-    }
+    result = analysis.payoff_equivalence_check(g, n_players, trials=args.trials, seed=args.seed,
+                                               gamma=gamma, state_cap=state_cap)
     _emit({"schema_version": SCHEMA_VERSION, "command": "equivalence",
            "graph": serialize_graph(g), "n_players": n_players, "gamma": gamma,
            "seed": args.seed, "state_cap": state_cap, "result": result})
-    return EXIT_OK if rep.all_sums_exact and rep.cr_optimal_is_ne else EXIT_SUITE_FAILURE
+    return EXIT_OK if result["all_sums_exact"] and result["cr_optimal_is_ne"] else EXIT_SUITE_FAILURE
 
 
 def cmd_theorems(args):

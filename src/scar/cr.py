@@ -62,10 +62,6 @@ class CaptureTimeTable:
     space: StateSpace
     times: np.ndarray
 
-    def time_of(self, s):
-        t = int(self.times[self.space._as_index(s)])
-        return math.inf if t < 0 else t
-
     def finite_on_noncapture(self) -> bool:
         return bool(self.times[:-1].min() >= 0)
 

@@ -29,10 +29,6 @@ class Graph:
         out = sorted(nbrs + (v,))
         return out
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adjacency[v - 1])
-
     def distances_from(self, v: int) -> list:
         """BFS distances from v; index 0 unused, distances are 1-based by vertex id."""
         self._check_vertex(v)
@@ -49,9 +45,6 @@ class Graph:
                     queue.append(w)
         self._dist[v] = dist
         return dist
-
-    def distance(self, u: int, v: int) -> int:
-        return self.distances_from(u)[v]
 
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not 1 <= v <= self.vertex_count:

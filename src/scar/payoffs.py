@@ -17,6 +17,7 @@ Whole-space float payoffs are read off `GameParams.shares`, one per capture clas
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,9 +62,7 @@ class GameParams:
         """Strict test gamma < eps/(1-eps); None in split-equivalent mode."""
         if self.split_equivalent:
             return None
-        if self.epsilon >= 1.0:
-            return True  # eps/(1-eps) read as +infinity
-        return self.gamma < self.epsilon / (1.0 - self.epsilon)
+        return self.gamma < omega_tilde_bound(self.epsilon)
 
     @functools.cached_property
     def shares(self) -> np.ndarray:
@@ -71,6 +70,11 @@ class GameParams:
         shares = np.array([_class_payoff(self, k, False) for k in range(2 * self.n_players)])
         shares.flags.writeable = False
         return shares
+
+
+def omega_tilde_bound(epsilon: float) -> float:
+    """The omega-tilde region's bound on gamma: eps/(1-eps), +inf at eps >= 1."""
+    return math.inf if epsilon >= 1.0 else epsilon / (1.0 - epsilon)
 
 
 def _share(params: GameParams, n1: int, capturing: bool) -> tuple:

@@ -53,21 +53,23 @@ def test_make_grid_validates():
 
 
 def test_selfish_cop_number_equals_cop_number():
-    assert selfish_cop_number(path_graph(4)).value == 1
-    assert selfish_cop_number(cycle_graph(4)).value == 2
-    assert selfish_cop_number(petersen_graph()).value == 3
+    for g, c in ((path_graph(4), 1), (cycle_graph(4), 2), (petersen_graph(), 3)):
+        rep = selfish_cop_number(g)
+        assert rep["selfish_cop_number"] == rep["cop_number"] == c
+        assert rep["verified_points"] == [] and rep["escape_witness"] is None and rep["consistent"]
 
 
 def test_selfish_cop_number_verify_mode():
-    rep = selfish_cop_number(cycle_graph(4), verify=True, grid=small_grid(3),
-                             sample_points=2)
-    assert rep.value == 2
-    assert rep.consistent
-    assert rep.verified_points and all(p["ok"] for p in rep.verified_points)
-    assert rep.escape_witness is not None  # one pursuer fails from somewhere
-    rep1 = selfish_cop_number(path_graph(4), verify=True, grid=small_grid(2),
-                              sample_points=1)
-    assert rep1.value == 1 and rep1.consistent and rep1.escape_witness is None
+    rep = selfish_cop_number(cycle_graph(4), verify=True)
+    assert rep["selfish_cop_number"] == 2
+    assert rep["consistent"]
+    # 3 points strided through the default grid of c + 1 players
+    assert ([(p["gamma"], p["epsilon"]) for p in rep["verified_points"]]
+            == make_grid(3).points()[::8][:3])
+    assert all(p["ok"] for p in rep["verified_points"])
+    assert rep["escape_witness"] is not None  # one pursuer fails from somewhere
+    rep1 = selfish_cop_number(path_graph(4), verify=True)
+    assert rep1["selfish_cop_number"] == 1 and rep1["consistent"] and rep1["escape_witness"] is None
 
 
 def test_theorem_suite_c4():
@@ -279,9 +281,10 @@ def test_escape_witness():
 
 def test_payoff_equivalence_small():
     rep = payoff_equivalence_check(cycle_graph(4), 3, trials=25, seed=1, gamma=0.6)
-    assert rep.all_sums_exact
-    assert rep.cr_optimal_is_ne
-    assert not rep.failures
+    assert rep["trials"] == 25
+    assert rep["all_sums_exact"]
+    assert rep["cr_optimal_is_ne"]
+    assert not rep["failures"]
 
 
 def test_sweep_rows_and_csv():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from scar.analysis import Scenario, replay_scenario
-from scar.cli import _json_default, main
+from scar.cli import main
 from scar.graph import cycle_graph, path_graph, serialize_graph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -18,7 +18,7 @@ def run_cli(capsys, *argv):
 
 def replayed(doc):
     """`replay_scenario`'s verdict on `doc` as a report prints it."""
-    return json.loads(json.dumps(replay_scenario(doc), default=_json_default))
+    return json.loads(json.dumps(replay_scenario(doc)))
 
 
 def without_profile(result):
@@ -619,6 +619,12 @@ def test_copnumber_reads_the_scenario_state_cap(tmp_path, capsys):
     (["solve", "--builtin", "path:1", "--n", "2", "--gamma", "0.5", "--epsilon", "0.5"], None),
     (["equivalence", "--builtin", "path:1", "--n", "2", "--trials", "3"], None),
     (["copnumber", "--builtin", "path:3", "--verify"], None),
+    (["verify", "--scenario", "{file}"],
+     '{"graph": {"builtin": "cycle:4"}, "n_players": 3, "gamma": 0.5, "epsilon": 0.25,'
+     ' "split_equivalent": "false"}'),
+    (["verify", "--scenario", "{file}"],
+     '{"graph": {"builtin": "cycle:4"}, "n_players": 3, "gamma": 0.5, "epsilon": 0.25,'
+     ' "allow_extended_epsilon": "no"}'),
 ])
 def test_malformed_input_is_validation_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.json"

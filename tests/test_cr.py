@@ -37,13 +37,13 @@ def test_p3_hand_derived_capture_time():
     # cop 1 -> 2; robber's only non-capturing option is to stay; cop 2 -> 3
     space = build_state_space(path_graph(3), 2)
     table = exact_capture_times(space)
-    assert table.time_of((1, 3, 1)) == 3
+    assert table.times[space.index_of((1, 3, 1))] == 3
 
 
 def test_k2_hand_derived():
     space = build_state_space(path_graph(2), 2)
     table = exact_capture_times(space)
-    assert table.time_of((1, 2, 2)) == 2  # robber must stay, then the cop steps on
+    assert table.times[space.index_of((1, 2, 2))] == 2  # robber must stay, then the cop steps on
     assert t_n_max(table) == 2
 
 
@@ -51,7 +51,7 @@ def test_c4_evader_escapes():
     space = build_state_space(cycle_graph(4), 2)
     table = exact_capture_times(space)
     for s in [(1, 3, 1), (1, 3, 2), (2, 4, 1)]:
-        assert table.time_of(s) == math.inf
+        assert table.times[space.index_of(s)] == -1  # the evader escapes
     assert t_n_max(table) == math.inf
     # exact characterization: the only pursuer wins are adjacent evaders on the
     # pursuer's own turn (one-step grabs); from everywhere else distance 2 is
@@ -59,8 +59,8 @@ def test_c4_evader_escapes():
     g = space.graph
     for idx in np.flatnonzero(space.is_noncapture):
         x1, x2, p = space.state_at(int(idx))
-        grab = g.distance(x1, x2) == 1 and p == 1
-        assert table.time_of(int(idx)) == (1 if grab else math.inf)
+        grab = g.distances_from(x1)[x2] == 1 and p == 1
+        assert table.times[idx] == (1 if grab else -1)
 
 
 def test_capture_states_are_zero():
@@ -198,8 +198,6 @@ def test_times_readers_agree_on_an_int32_copy(g, n):
         assert np.array_equal(discounted(gamma, narrow.times, 1.0),
                               discounted(gamma, wide.times, 1.0))
     assert t_n_max(narrow) == t_n_max(wide)
-    assert ([narrow.time_of(s) for s in range(space.n_states)]
-            == [wide.time_of(s) for s in range(space.n_states)])
     assert narrow.finite_on_noncapture() == wide.finite_on_noncapture()
     assert np.array_equal(narrow.escape_states(), wide.escape_states())
     if n == 2 and not narrow.finite_on_noncapture():
@@ -257,10 +255,10 @@ def test_rounds_monotone_with_extra_stacked_cop():
         t3 = exact_capture_times(big)
         for x in range(1, g.vertex_count + 1):
             for y in range(1, g.vertex_count + 1):
-                a = t2.time_of((x, y, 1))
-                b = t3.time_of((x, x, y, 1))
-                rounds_a = math.inf if a == math.inf else math.ceil(a / 2)
-                rounds_b = math.inf if b == math.inf else math.ceil(b / 3)
+                a = t2.times[small.index_of((x, y, 1))]
+                b = t3.times[big.index_of((x, x, y, 1))]
+                rounds_a = math.inf if a < 0 else math.ceil(a / 2)
+                rounds_b = math.inf if b < 0 else math.ceil(b / 3)
                 assert rounds_b <= rounds_a
 
 
@@ -274,9 +272,9 @@ def test_extracted_strategies_achieve_table_times():
         nc = np.flatnonzero(space.is_noncapture)
         rng = np.random.default_rng(3)
         for idx in rng.choice(nc, size=min(60, nc.size), replace=False):
-            t = table.time_of(int(idx))
+            t = int(table.times[idx])
             trace = run(space, profile, int(idx))
-            if t == math.inf:
+            if t < 0:
                 assert trace.termination == "cycle"
             else:
                 assert trace.capture_time == t
