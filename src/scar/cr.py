@@ -6,19 +6,18 @@ independent implementations are kept side by side:
 
   * minimax_capture_times -- the oracle: synchronous sweeps of the defining
     min/max fixpoint equations until nothing changes;
-  * exact_capture_times  -- the production solver: retrograde labeling
-    (Berarducci & Intrigila 1993), advancing level-synchronous frontiers out
-    of the capture states. The labeling loop, `_label`, works on the bare
-    V^N tuple grid: the frontiers are dense bool grids, one per mover, and
-    each level labels "bottom-up" (Beamer, Asanovic & Patterson 2012): every
-    mover's frontier is dilated along the axis of the player who moved into
-    it, so no successor table, reverse graph or index list is built; pursuer
-    turns take any labeled successor, evader turns count their successors
-    down. `exact_capture_times` is its table-building caller.
+  * exact_capture_times  -- the production solver: retrograde labelling
+    (Berarducci & Intrigila 1993), in sweeps over the labelled sets: one
+    dense bool grid per mover on the bare V^N tuple grid. Each sweep labels
+    "bottom-up" (Beamer, Asanovic & Patterson 2012): a mover's grid takes in
+    the next mover's, dilated along its own axis, so no successor table,
+    reverse graph or index list is built. Sweeping in turn order makes each
+    sweep one BFS level, which `exact_capture_times` counts into `times`.
 
-`cop_number` is its other caller: it needs one bit per k (do k pursuers
-capture from every start?), so it labels each (k + 1)-tuple grid straight
-from the graph, building no `StateSpace` and no `times`.
+`cop_number` is the labelling's other caller: it needs one bit per k (do k
+pursuers capture from every start?), so it labels each (k + 1)-tuple grid
+straight from the graph, with no `StateSpace` and no levels, sweeping in
+reverse turn order, which reaches the same labelled set in fewer sweeps.
 
 Capture times are exact integers; -1 encodes "the evader escapes forever".
 Each state space holds its one table (`StateSpace.capture_table`). The tests
@@ -29,7 +28,6 @@ also check it against a float oracle, the discounted pursuit game solved by
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,70 +104,72 @@ def minimax_capture_times(space: StateSpace) -> CaptureTimeTable:
 
 
 def exact_capture_times(space: StateSpace) -> CaptureTimeTable:
-    """The space's capture-time table: `_label`'s levels, written once into
-    int64 `times`."""
+    """The space's capture-time table from `_label`'s turn-order sweeps: a
+    state's time is the level of the first sweep that labels it."""
     n = space.n_players
-    age, unlabeled = _label(space.nbr, space._hood_size, space.is_capture[:-1:n], n)
-    age[unlabeled] = -1  # never labeled: the evader escapes
-    times = np.empty(space.n_states, dtype=np.int64)
-    times[:-1].reshape(-1, n)[...] = age.reshape(n, -1).T
-    times[-1] = -1
+    age = np.zeros((n, space.terminal_index // n), dtype=np.int8)  # levels spent labelled
+    for level, labelled in enumerate(_label(space.nbr, space.is_capture[:-1:n], n, range(1, n + 1))):
+        if level == np.iinfo(age.dtype).max:  # widen before `age` wraps
+            age = age.astype(_signed(level + 1))
+        age += labelled.reshape(n, -1)
+    np.subtract(level + 1, age, out=age)  # the level that labelled each state
+    age[~labelled.reshape(n, -1)] = -1  # never labelled: the evader escapes
+    times = np.full(space.n_states, -1, dtype=np.int64)
+    times[:-1].reshape(-1, n)[...] = age.T
     return CaptureTimeTable(space, times)
 
 
-def _label(nbr: np.ndarray, hood_size: np.ndarray, capture: np.ndarray, n: int):
-    """Retrograde labeling from the capture states, one BFS level at a time.
+def _label(nbr: np.ndarray, capture: np.ndarray, n: int, movers):
+    """Retrograde labelling from the capture states, in sweeps over labelled sets.
 
-    `nbr` and `hood_size` are the move model (`states._padded_hoods`), and
-    `capture` flags each of the V^N position tuples in index order. Returns
-    (age, unlabeled), mover-major (N, V, ..., V) grids: each labeled state's
-    level (0 at a capture), and the states never labeled, from which the
-    evader escapes (their age counts every level).
+    `nbr` is the move model (`states._padded_hoods`), `capture` flags each of
+    the V^N position tuples in index order, and a sweep updates the movers in
+    the order `movers`. Yields the mover-major (N, V, ..., V) bool grid of the
+    states from which the pursuers force capture: the captures, then the same
+    array after each sweep that labels more, until one labels nothing.
 
-    `frontier` (labeled at the last level) and `unlabeled` (non-capture, still
-    open) hold one bool grid per mover. Player p moved into mover p + 1's
-    states (player N into player 1's); neighbourhoods are symmetric, so p's
-    candidates are that frontier dilated along tuple axis p - 1, one gather
-    per `nbr` slot. A pursuer turn takes level d from any labeled successor
-    (the min), an evader turn when its countdown of real slots hits zero (the
-    max). `age` counts each state's open levels.
+    Player p moved into mover p + 1's states (player N into player 1's) and
+    neighbourhoods are symmetric, so p's options are that grid dilated along
+    tuple axis p - 1, one gather per `nbr` slot (padding repeats slot 0, which
+    neither an OR nor an AND notices). A pursuer's grid becomes the OR of its
+    slots, which keeps every label since each closed neighbourhood holds the
+    stay; the evader's ORs in the AND of its slots, read from mover 1's grid
+    as the sweep found it. In turn order (1, ..., N) every mover reads the
+    last sweep's labels, so sweep d labels exactly the states of capture time
+    d. In reverse order each reads this sweep's, carrying labels N turns back:
+    the set is the least fixpoint of a monotone operator, which any order
+    reaches, in fewer sweeps.
     """
     v = len(nbr) - 1
     grid, rest = (v,) * n, v ** (n - 1)
-    hood, size = nbr[1:] - 1, hood_size[1:]  # zero-based (V, K), padded
+    hood = nbr[1:] - 1  # zero-based (V, K)
     slots = range(hood.shape[1])
-    frontier = np.repeat(capture[None], n, axis=0).reshape((n,) + grid)
-    unlabeled = ~frontier
-    age = unlabeled.astype(np.int8)
-    countdown = np.tile(size, (rest, 1))  # the evader's, on the (V**(N-1), V) grid
-    # The evader's axis is the innermost, where a gather is slow: it counts on
-    # a copy with that axis first, its padded slots pointing at a zero row, in
-    # the countdown's dtype (an int8 count wraps on star:150).
-    ev = np.zeros((v + 1, rest), dtype=size.dtype)
-    ev_hood = np.where(np.arange(hood.shape[1]) < size[:, None], hood, v)
-    count, gathered = np.empty((2, v, rest), dtype=size.dtype)
+    labelled = np.repeat(capture[None], n, axis=0).reshape((n,) + grid)
+    evader = labelled[-1].reshape(rest, v)
+    # The evader's axis is the innermost, where a gather is slow: it reads a
+    # copy of mover 1's grid with that axis first.
+    first, trapped = np.empty((2, v, rest), dtype=bool)
     scratch = np.empty(grid, dtype=bool)
-    for d in itertools.count(1):
-        ev[:v] = frontier[0].reshape(rest, v).T
-        # pursuer p's candidates overwrite mover p's frontier, which p - 1 read
-        for p in range(1, n):
-            np.take(frontier[p], hood[:, 0], axis=p - 1, out=frontier[p - 1], mode="clip")
-            for j in slots[1:]:
-                np.take(frontier[p], hood[:, j], axis=p - 1, out=scratch, mode="clip")
-                frontier[p - 1] |= scratch
-        np.take(ev, ev_hood[:, 0], axis=0, out=count, mode="clip")
-        for j in slots[1:]:
-            np.take(ev, ev_hood[:, j], axis=0, out=gathered, mode="clip")
-            count += gathered
-        countdown -= count.T  # read only where still unlabeled
-        np.equal(countdown.reshape(grid), 0, out=frontier[-1])
-        frontier &= unlabeled
-        if not frontier.any():
-            return age, unlabeled
-        unlabeled ^= frontier
-        if d == np.iinfo(age.dtype).max:  # widen before `age` wraps
-            age = age.astype(_signed(d + 1))
-        age += unlabeled
+    gathered = scratch.reshape(v, rest)
+    count, grown = -1, np.count_nonzero(labelled)
+    while count < grown:
+        yield labelled
+        if grown == labelled.size:
+            return
+        first[...] = labelled[0].reshape(rest, v).T
+        for p in movers:
+            if p < n:  # a pursuer: any option labelled
+                np.take(labelled[p], hood[:, 0], axis=p - 1, out=labelled[p - 1], mode="clip")
+                for j in slots[1:]:
+                    np.take(labelled[p], hood[:, j], axis=p - 1, out=scratch, mode="clip")
+                    labelled[p - 1] |= scratch
+            else:  # the evader: every option labelled
+                np.take(first, hood[:, 0], axis=0, out=trapped, mode="clip")
+                for j in slots[1:]:
+                    np.take(first, hood[:, j], axis=0, out=gathered, mode="clip")
+                    trapped &= gathered
+                evader |= trapped.T
+        count, grown = grown, np.count_nonzero(labelled)
 
 
 def t_n_max(table: CaptureTimeTable):
@@ -187,21 +187,21 @@ class CopNumberResult:
 def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP) -> CopNumberResult:
     """Least k <= max_cops such that k pursuers capture from every start.
 
-    Each k is decided by `_label` straight on the (k + 1)-tuple grid, as in
-    `exact_capture_times` but with no `StateSpace` and no `times`: k wins
-    iff no state is left unlabeled. The state cap applies as if the space
+    Each k is decided by `_label`'s reverse-order sweeps straight on the
+    (k + 1)-tuple grid, with no `StateSpace`, no levels and no `times`: k
+    wins iff every state is labelled. The state cap applies as if the space
     were built.
     """
     v = g.vertex_count
-    nbr, hood_size = _padded_hoods(g)
+    nbr = _padded_hoods(g)[0]
     finite_by_cops = {}
     for k in range(1, max_cops + 1):
         try:
             _nonterminal_count(v, k + 1, state_cap)
         except CapacityError as exc:
             raise CapacityError(f"cop-number search stopped at k={k}: {exc}") from exc
-        unlabeled = _label(nbr, hood_size, _tuple_captors(v, k + 1) != 0, k + 1)[1]
-        finite_by_cops[k] = not unlabeled.any()
+        *_, labelled = _label(nbr, _tuple_captors(v, k + 1) != 0, k + 1, range(k + 1, 0, -1))
+        finite_by_cops[k] = bool(labelled.all())
         if finite_by_cops[k]:
             return CopNumberResult(k, finite_by_cops)
     return CopNumberResult(None, finite_by_cops)

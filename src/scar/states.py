@@ -22,8 +22,8 @@ integer dtype that holds its range, about 9 bytes a state in all at N=4:
     the null move): int8 up to 127 vertices, int16 up to 32767, int32 beyond;
   * `mover` and `capture_count`: int8 (int16 past 127 players);
   * `is_capture` and `is_noncapture`: bool;
-  * the neighbourhood sizes behind `acount` (and the retrograde countdown):
-    int8 unless some closed neighbourhood has more than 127 vertices.
+  * the neighbourhood sizes behind `acount`: int8 unless some closed
+    neighbourhood has more than 127 vertices.
 
 They are signed so that a move's offset `a - stay` and the previous mover
 `mover - 2` come out negative rather than wrapping around. Index arithmetic

@@ -77,7 +77,7 @@ def test_capture_states_are_zero():
     (delayed_capture_graph(), 2), (delayed_capture_graph(), 3),
     (cycle_graph(5), 4), (cycle_graph(6), 4),
     (petersen_graph(), 3),  # escape states: Petersen needs three pursuers
-    (build_graph(1, []), 2),  # every state captures: no frontier state has a predecessor
+    (build_graph(1, []), 2),  # every state captures: the labelling runs no sweep
     (dodecahedron_graph(), 3),  # 24,001 states, escape states as on Petersen
     (cycle_graph(4), 5), (path_graph(3), 5),  # N=5: player 1's predecessors wrap to player 5
     (path_graph(200), 2),  # past 127 vertices: int16 positions
@@ -152,7 +152,7 @@ def test_retrograde_memory_peak_per_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * space.n_states  # 11 measured: int64 labels, int8 ages, bool grids
+    assert peak <= 20 * space.n_states  # 10.0 measured: int64 labels, int8 ages, bool grids
 
 
 def test_cop_number_memory_peak_per_tuple():
@@ -163,9 +163,16 @@ def test_cop_number_memory_peak_per_tuple():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 18.3 measured at k = 3 (20**4 tuples): bool grids and int8 ages and
-    # counts; 78.6 with a StateSpace and an int64 table per k
-    assert peak <= 24 * 20**4
+    # 8.3 measured at k = 3 (20**4 tuples): one bool grid per mover, three
+    # sweep buffers and the capture flags; 18.3 with int8 ages and
+    # countdowns, 78.6 with a StateSpace and an int64 table per k
+    assert peak <= 10 * 20**4
+
+
+def _reverse_sweeps(g, k):
+    """Every grid `cop_number`'s reverse-order sweeps yield for k pursuers."""
+    nbr = _padded_hoods(g)[0]
+    return list(cr._label(nbr, _tuple_captors(g.vertex_count, k + 1) != 0, k + 1, range(k + 1, 0, -1)))
 
 
 def test_cop_number_decides_each_k_as_the_capture_table():
@@ -176,14 +183,30 @@ def test_cop_number_decides_each_k_as_the_capture_table():
         want = {k: exact_capture_times(build_state_space(g, k + 1)).finite_on_noncapture()
                 for k in (1, 2, 3)}
         # the search's own inputs, straight from the graph, at every k
-        nbr, size = _padded_hoods(g)
         for k in (1, 2, 3):
-            unlabeled = cr._label(nbr, size, _tuple_captors(g.vertex_count, k + 1) != 0, k + 1)[1]
-            assert (not unlabeled.any()) == want[k]
+            assert _reverse_sweeps(g, k)[-1].all() == want[k]
         res = cop_number(g, max_cops=3)
         c = next((k for k in (1, 2, 3) if want[k]), None)
         assert res.value == c
         assert res.finite_by_cops == {k: want[k] for k in want if k <= (c or 3)}
+
+
+@pytest.mark.parametrize("g, k", [
+    (path_graph(40), 1), (path_graph(40), 2),  # 78 and 116 levels: many sweeps
+    (star_graph(150), 1),  # the hub's 150 slots: the evader's AND over padded slots
+    (build_graph(1, []), 1),  # every tuple captures
+    (petersen_graph(), 2),  # escape states: the labelled set stops short of the grid
+])
+def test_reverse_sweeps_decide_as_the_capture_table(g, k):
+    table = exact_capture_times(build_state_space(g, k + 1))
+    sweeps = _reverse_sweeps(g, k)
+    assert sweeps[-1].all() == table.finite_on_noncapture()
+    # the labelled set is exactly the states of finite capture time
+    assert np.array_equal(sweeps[-1].reshape(k + 1, -1).T.ravel(), table.times[:-1] >= 0)
+    # each reverse sweep carries labels at least k + 1 turns back
+    assert len(sweeps) - 1 <= -(-int(table.times.max()) // (k + 1)) + 1
+    if g.vertex_count == 1:
+        assert len(sweeps) == 1  # the captures alone: no sweep runs
 
 
 @pytest.mark.parametrize("g, n", [(cycle_graph(5), 2), (petersen_graph(), 2), (path_graph(5), 3)])
