@@ -28,6 +28,7 @@ from scar.graph import (
     delayed_capture_graph,
     path_graph,
     petersen_graph,
+    star_graph,
 )
 from scar.payoffs import GameParams, discounted, turn_payoff, turn_payoffs
 from scar.profiles import (
@@ -155,7 +156,8 @@ def _python_greedy_moves(space, keys, maximizers):
 
 
 @pytest.mark.parametrize("maximize", [True, False])
-@pytest.mark.parametrize("g", [cycle_graph(5), petersen_graph()], ids=["cycle:5", "petersen"])
+@pytest.mark.parametrize("g", [cycle_graph(5), petersen_graph(), star_graph(5)],
+                         ids=["cycle:5", "petersen", "star:5"])
 def test_greedy_moves_take_the_first_exact_optimum(g, maximize):
     """The block scan picks what a plain per-state scan picks: the first exact
     optimum. Values are a few integer levels plus offsets of +-1e-13, genuine
@@ -216,7 +218,8 @@ def _python_best_response(space, fixed, gamma, free, frozen_succ):
                             if free[s] else gamma * v[frozen[s]])
 
 
-@pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4), (cycle_graph(5), 4)])
+@pytest.mark.parametrize("g, n", [(cycle_graph(5), 2), (path_graph(5), 3), (cycle_graph(4), 4),
+                                  (cycle_graph(5), 4), (cycle_graph(4), 5)])
 def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
     """Every player's best response against the optimal pursuit and against
     each threat punishment is the exact fixpoint, reached with residual 0 in
@@ -246,7 +249,8 @@ def _python_zero_sum(space, fixed, gamma, max_mask):
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.95])
-@pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4)])
+@pytest.mark.parametrize("g, n", [(cycle_graph(5), 2), (path_graph(5), 3), (cycle_graph(4), 4),
+                                  (cycle_graph(4), 5)])
 def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
     """Every player-vs-coalition game is solved to its exact fixpoint, in no
     more sweeps than the synchronous ones take, and its moves are the first
