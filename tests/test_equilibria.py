@@ -218,8 +218,8 @@ def _python_best_response(space, fixed, gamma, free, frozen_succ):
                             if free[s] else gamma * v[frozen[s]])
 
 
-@pytest.mark.parametrize("g, n", [(cycle_graph(5), 2), (path_graph(5), 3), (cycle_graph(4), 4),
-                                  (cycle_graph(5), 4), (cycle_graph(4), 5)])
+@pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4), (cycle_graph(5), 4),
+                                  (cycle_graph(5), 2), (cycle_graph(4), 5)])
 def test_best_responses_equal_python_fixpoint_bit_for_bit(g, n):
     """Every player's best response against the optimal pursuit and against
     each threat punishment is the exact fixpoint, reached with residual 0 in
@@ -249,7 +249,7 @@ def _python_zero_sum(space, fixed, gamma, max_mask):
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.95])
-@pytest.mark.parametrize("g, n", [(cycle_graph(5), 2), (path_graph(5), 3), (cycle_graph(4), 4),
+@pytest.mark.parametrize("g, n", [(path_graph(5), 3), (cycle_graph(4), 4), (cycle_graph(5), 2),
                                   (cycle_graph(4), 5)])
 def test_aux_games_equal_python_fixpoint_bit_for_bit(g, n, gamma):
     """Every player-vs-coalition game is solved to its exact fixpoint, in no
